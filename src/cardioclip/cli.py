@@ -36,7 +36,7 @@ from .reports import FreeTextReport, load_catalog, structure_report, structured_
 from .seeding import substream
 from .supervision import pathology_vector
 from .synth import SynthSpec, calcium_wording_severity, generate_full_corpus, write_corpus
-from .tasks import FinetuneConfig, cac_confidences, finetune_classifier, zero_shot_scores
+from .tasks import FinetuneConfig, cac_confidences, finetune_classifier, prompt_margins
 from .tokenizer import build_vocab, load_vocab, save_vocab
 from .volume import load_volume
 
@@ -309,9 +309,10 @@ def cmd_eval_zeroshot(args, cfg: dict, root: str) -> None:
     _, evalset = _load_synth(root, cfg)
     vols = [c["volume"] for c in evalset]
     flags = np.array([c["flags"] for c in evalset])
+    v = unit_rows(embed_volumes(bundle, vols))
     per_name = {}
     for d, name in enumerate(bundle.catalog.names):
-        scores = zero_shot_scores(vols, name, bundle)
+        scores = prompt_margins(v, name, bundle)
         labels = flags[:, d]
         if labels.min() == labels.max():
             per_name[name] = None

@@ -135,13 +135,13 @@ def masked_mse(recon: np.ndarray, targets: np.ndarray, masked_idx: np.ndarray):
     recon, targets: (B, N, P); masked_idx: (B, N_m). Returns (loss, d_recon)
     where d_recon is exactly zero at every visible-patch entry.
     """
-    B, _, P = recon.shape
-    idx = masked_idx[:, :, None]
-    diff = np.take_along_axis(recon, idx, axis=1) - np.take_along_axis(targets, idx, axis=1)
+    rows = np.arange(recon.shape[0])[:, None]
+    diff = recon[rows, masked_idx] - targets[rows, masked_idx]
     count = diff.size
     loss = float((diff * diff).sum() / count)
+    diff *= 2.0 / count
     d_recon = np.zeros_like(recon)
-    np.put_along_axis(d_recon, idx, (2.0 / count) * diff, axis=1)
+    d_recon[rows, masked_idx] = diff
     return loss, d_recon
 
 
@@ -154,7 +154,8 @@ def mae_batch_fwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
     """patches (B, N, P), vis_idx (B, N_v), mask_idx (B, N_m) -> (loss, recon, cache)."""
     B, N, P = patches.shape
     ed = dec_cfg.embed_dim
-    vis_patches = np.take_along_axis(patches, vis_idx[:, :, None], axis=1)
+    rows = np.arange(B)[:, None]
+    vis_patches = patches[rows, vis_idx]
     x, c_tok = patch_tokens_fwd(params, vis_patches, positions=vis_idx,
                                 standardize=vis_cfg.standardize_input)
     x, c_enc = nn.stack_fwd(params, "vis", x, vis_cfg.depth, vis_cfg.heads)
@@ -163,10 +164,9 @@ def mae_batch_fwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
 
     full = np.empty((B, N + 1, ed), dtype=dec_lin.dtype)
     full[:, 0] = dec_lin[:, 0]
-    np.put_along_axis(full, (mask_idx + 1)[:, :, None],
-                      np.broadcast_to(params["dec.mask"], (B, mask_idx.shape[1], ed)), axis=1)
-    np.put_along_axis(full, (vis_idx + 1)[:, :, None], dec_lin[:, 1:], axis=1)
-    full = full + params["dec.pos"][: N + 1]
+    full[rows, mask_idx + 1] = params["dec.mask"]
+    full[rows, vis_idx + 1] = dec_lin[:, 1:]
+    full += params["dec.pos"][: N + 1]
 
     y, c_dec = nn.stack_fwd(params, "dec", full, dec_cfg.depth, dec_cfg.heads)
     y, c_dlnf = nn.layernorm_fwd(params, "dec.lnf", y)
@@ -192,12 +192,13 @@ def mae_batch_bwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig, 
     dpos = np.zeros_like(params["dec.pos"])
     dpos[: N + 1] = dfull.sum(axis=0)
     nn.accumulate(grads, "dec.pos", dpos)
-    dmask = np.take_along_axis(dfull, (mask_idx + 1)[:, :, None], axis=1)
+    rows = np.arange(B)[:, None]
+    dmask = dfull[rows, mask_idx + 1]
     nn.accumulate(grads, "dec.mask", dmask.reshape(-1, ed).sum(axis=0))
 
     d_dec_lin = np.empty((B, vis_idx.shape[1] + 1, ed), dtype=dfull.dtype)
     d_dec_lin[:, 0] = dfull[:, 0]
-    d_dec_lin[:, 1:] = np.take_along_axis(dfull, (vis_idx + 1)[:, :, None], axis=1)
+    d_dec_lin[:, 1:] = dfull[rows, vis_idx + 1]
 
     denc = nn.linear_bwd(params, "dec.embed", c_emb, d_dec_lin, grads)
     dx = nn.layernorm_bwd(params, "vis.lnf", c_lnf, denc, grads)

@@ -84,7 +84,8 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu_fwd(x: np.ndarray):
-    u = np.asarray(_GELU_C, dtype=x.dtype) * (x + np.asarray(0.044715, dtype=x.dtype) * x**3)
+    # x * x * x, not x**3: numpy sends a float32 cube through pow, ~100x slower
+    u = np.asarray(_GELU_C, dtype=x.dtype) * (x + np.asarray(0.044715, dtype=x.dtype) * (x * x * x))
     t = np.tanh(u)
     y = 0.5 * x * (1.0 + t)
     return y, (x, t)

@@ -349,22 +349,28 @@ def generate_corpus(spec: SynthSpec) -> list[SynthCase]:
     return [_build_case(spec, i, grade=None) for i in range(spec.n_cases)]
 
 
+def _draw_grade(rng, spec: SynthSpec) -> int | None:
+    """A uniform grade 1..5 for a cac_fraction share of cases, else None."""
+    if rng.random() < spec.cac_fraction:
+        return int(rng.integers(1, 6))
+    return None
+
+
 def generate_cac_grades(cases, spec: SynthSpec, rng) -> list[SynthCase]:
     """Assign uniform grades 1..5 to a cac_fraction subset and rebuild those
     cases so the calcification motif tracks the grade."""
     out = []
     for case in cases:
-        if rng.random() < spec.cac_fraction:
-            grade = int(rng.integers(1, 6))
-            out.append(_build_case(spec, case.index, grade=grade))
-        else:
-            out.append(case)
+        grade = _draw_grade(rng, spec)
+        out.append(case if grade is None else _build_case(spec, case.index, grade=grade))
     return out
 
 
 def generate_full_corpus(spec: SynthSpec) -> list[SynthCase]:
-    cases = generate_corpus(spec)
-    return generate_cac_grades(cases, spec, substream(spec.seed, "cac"))
+    """Equal, case for case, to generate_cac_grades(generate_corpus(spec), spec,
+    substream(spec.seed, "cac")), but builds each case once, with its grade."""
+    rng = substream(spec.seed, "cac")
+    return [_build_case(spec, i, _draw_grade(rng, spec)) for i in range(spec.n_cases)]
 
 
 def write_corpus(cases, out_dir, cat: AbnormalityCatalog) -> None:

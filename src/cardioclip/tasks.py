@@ -40,8 +40,14 @@ def zero_shot_classify(v: Volume3D, name: str, bundle: ModelBundle):
 
 def zero_shot_scores(volumes, name: str, bundle: ModelBundle) -> np.ndarray:
     """Batched s_p - s_n margin, the continuous score behind zero-shot AUROC."""
+    return prompt_margins(unit_rows(embed_volumes(bundle, volumes)), name, bundle)
+
+
+def prompt_margins(v: np.ndarray, name: str, bundle: ModelBundle) -> np.ndarray:
+    """s_p - s_n of unit-norm volume embeddings v (n, proj_dim) against the
+    finding's positive and negative prompts; embed the volumes once and call
+    this per finding."""
     pos, neg = make_prompt_pair(name, bundle.catalog)
-    v = unit_rows(embed_volumes(bundle, volumes))
     t = unit_rows(embed_texts(bundle, [pos, neg]))
     sims = v @ t.T
     return sims[:, 0] - sims[:, 1]

@@ -154,6 +154,20 @@ class TestMaskedMSE:
         b, _ = masked_mse(recon, targets, np.array([[5, 0, 3]]))
         assert a == pytest.approx(b, rel=1e-15)
 
+    def test_bitwise_equal_to_take_along_axis_reference(self):
+        rng = np.random.default_rng(3)
+        recon = rng.normal(size=(3, 16, 8)).astype(np.float32)
+        targets = rng.random((3, 16, 8)).astype(np.float32)
+        mask_idx = np.sort(np.stack([rng.permutation(16)[:12] for _ in range(3)]), axis=1)
+        loss, d = masked_mse(recon, targets, mask_idx)
+        idx = mask_idx[:, :, None]
+        diff = np.take_along_axis(recon, idx, axis=1) - np.take_along_axis(targets, idx, axis=1)
+        ref_d = np.zeros_like(recon)
+        np.put_along_axis(ref_d, idx, (2.0 / diff.size) * diff, axis=1)
+        assert loss == float((diff * diff).sum() / diff.size)
+        assert d.dtype == np.float32
+        assert d.tobytes() == ref_d.tobytes()
+
 
 class TestMAEForward:
     def test_constant_volume_zero_head_gives_mean_square(self):

@@ -93,6 +93,16 @@ def test_gelu_backward():
     assert gradient_check(loss_fn, wrapped, n_probes=20, seed=4) < TOL
 
 
+def test_gelu_forward_float32_matches_float64_formula():
+    x = np.random.default_rng(5).normal(0, 1, (16, 65, 256)).astype(np.float32)
+    y, (x_cached, t) = nn.gelu_fwd(x)
+    assert y.dtype == np.float32 and t.dtype == np.float32
+    assert x_cached is x
+    x64 = x.astype(np.float64)
+    ref = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * x64**3)))
+    assert np.abs(y - ref).max() < 1e-6
+
+
 def test_attention_backward_with_mask():
     rng = np.random.default_rng(7)
     dim, heads, B, T = 8, 2, 2, 5

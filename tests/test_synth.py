@@ -137,6 +137,19 @@ class TestCacGrades:
         avg = [np.mean(means[g]) for g in range(1, 6)]
         assert all(a < b for a, b in zip(avg, avg[1:]))
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_full_corpus_equals_grading_the_ungraded_corpus(self, seed):
+        spec = SynthSpec(n_cases=30, dims=(32, 32, 32), cac_fraction=0.4, seed=seed)
+        full = generate_full_corpus(spec)
+        graded = generate_cac_grades(generate_corpus(spec), spec, substream(seed, "cac"))
+        assert len(full) == len(graded) == 30
+        assert any(c.grade is not None for c in full) and any(c.grade is None for c in full)
+        for a, b in zip(full, graded):
+            assert (a.case_id, a.index, a.flags, a.free_text, a.grade) == \
+                (b.case_id, b.index, b.flags, b.free_text, b.grade)
+            assert a.volume.voxels.dtype == b.volume.voxels.dtype
+            assert a.volume.voxels.tobytes() == b.volume.voxels.tobytes()
+
     def test_ungraded_cases_unchanged(self):
         spec = SynthSpec(n_cases=10, dims=(32, 32, 32), cac_fraction=0.0, seed=6)
         cases = generate_corpus(spec)
