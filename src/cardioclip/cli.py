@@ -130,8 +130,13 @@ def _synth_spec(cfg) -> SynthSpec:
     )
 
 
-def _load_synth(root: str, cfg: dict):
-    """Read the synth output back: cases as (case_id, volume, flags, free_text, grade)."""
+def _load_synth(root: str, cfg: dict, volumes=("train", "eval"), graded_only=False):
+    """Read the synth output back: cases as (case_id, volume, flags, free_text, grade).
+
+    Only the cases of the splits named in `volumes` (and of those, only the
+    graded ones with graded_only) have their volume read; the rest carry
+    volume None.
+    """
     synth_dir = os.path.join(root, "synth")
     reports_path = os.path.join(synth_dir, "reports.jsonl")
     if not os.path.exists(reports_path):
@@ -145,19 +150,22 @@ def _load_synth(root: str, cfg: dict):
             for line in fh:
                 doc = json.loads(line)
                 grades[doc["case_id"]] = doc["grade"]
-    cases = []
-    for doc in reports:
-        vol = load_volume(os.path.join(synth_dir, "volumes", f"{doc['case_id']}.ccv1"))
-        cases.append({
-            "case_id": doc["case_id"],
-            "volume": vol,
-            "flags": tuple(bool(f) for f in doc["flags"]),
-            "free_text": doc["free_text"],
-            "grade": grades.get(doc["case_id"]),
-        })
     with open(os.path.join(synth_dir, "splits.json"), "r", encoding="utf-8") as fh:
         splits = json.load(fh)
-    by_id = {c["case_id"]: c for c in cases}
+    read = {cid for split in volumes for cid in splits[split]}
+    by_id = {}
+    for doc in reports:
+        cid = doc["case_id"]
+        grade = grades.get(cid)
+        wanted = cid in read and (grade is not None or not graded_only)
+        by_id[cid] = {
+            "case_id": cid,
+            "volume": (load_volume(os.path.join(synth_dir, "volumes", f"{cid}.ccv1"))
+                       if wanted else None),
+            "flags": tuple(bool(f) for f in doc["flags"]),
+            "free_text": doc["free_text"],
+            "grade": grade,
+        }
     train = [by_id[cid] for cid in splits["train"]]
     evalset = [by_id[cid] for cid in splits["eval"]]
     return train, evalset
@@ -211,7 +219,7 @@ def cmd_synth(args, cfg: dict, root: str) -> None:
 
 def cmd_structure_reports(args, cfg: dict, root: str) -> None:
     cat = load_catalog()
-    train, evalset = _load_synth(root, cfg)
+    train, evalset = _load_synth(root, cfg, volumes=())
     out = _cmd_dir(root, "structure_reports")
     n_match = 0
     total = 0
@@ -232,7 +240,7 @@ def cmd_structure_reports(args, cfg: dict, root: str) -> None:
 
 def cmd_pretrain_mae(args, cfg: dict, root: str) -> None:
     vis_cfg, dec_cfg, _ = _geometry(cfg)
-    train, _ = _load_synth(root, cfg)
+    train, _ = _load_synth(root, cfg, volumes=("train",))
     m = cfg["mae"]
     train_cfg = MAETrainConfig(epochs=m["epochs"], batch=m["batch"], base_lr=m["base_lr"],
                                weight_decay=m["weight_decay"], warmup_frac=m["warmup_frac"],
@@ -257,7 +265,7 @@ def cmd_pretrain_mae(args, cfg: dict, root: str) -> None:
 def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
     cat = load_catalog()
     vis_cfg, _, txt = _geometry(cfg)
-    train, _ = _load_synth(root, cfg)
+    train, _ = _load_synth(root, cfg, volumes=("train",))
     stem = args.init or os.path.join(root, "pretrain_mae", "checkpoint")
     params, manifest = load_checkpoint(stem)
     if manifest.get("config_digest") and manifest["config_digest"] != config_digest(cfg):
@@ -306,7 +314,7 @@ def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
 
 def cmd_eval_zeroshot(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    _, evalset = _load_synth(root, cfg)
+    _, evalset = _load_synth(root, cfg, volumes=("eval",))
     vols = [c["volume"] for c in evalset]
     flags = np.array([c["flags"] for c in evalset])
     v = unit_rows(embed_volumes(bundle, vols))
@@ -333,7 +341,7 @@ def cmd_eval_zeroshot(args, cfg: dict, root: str) -> None:
 
 def cmd_eval_retrieval(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    _, evalset = _load_synth(root, cfg)
+    _, evalset = _load_synth(root, cfg, volumes=("eval",))
     cat = bundle.catalog
     ids = [c["case_id"] for c in evalset]
     vols = [c["volume"] for c in evalset]
@@ -393,7 +401,7 @@ def cmd_eval_cac(args, cfg: dict, root: str) -> None:
     zero-shot margin s_p - s_n of the calcium prompt pair, in [-2, 2].
     """
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    _, evalset = _load_synth(root, cfg)
+    _, evalset = _load_synth(root, cfg, volumes=("eval",), graded_only=True)
     graded = [c for c in evalset if c["grade"] is not None]
     if len({c["grade"] for c in graded}) < 2:
         raise ValueError("held-out set does not span two grades; regenerate with higher cac_fraction")
@@ -417,9 +425,9 @@ def cmd_eval_cac(args, cfg: dict, root: str) -> None:
 
 def cmd_finetune(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    train, evalset = _load_synth(root, cfg)
     ft = cfg["finetune"]
     target = ft["target"]
+    train, evalset = _load_synth(root, cfg, graded_only=target == "cac")
     if target == "cac":
         train_pairs = [(c["volume"], c["grade"] - 1) for c in train if c["grade"] is not None]
         eval_pairs = [(c["volume"], c["grade"] - 1) for c in evalset if c["grade"] is not None]

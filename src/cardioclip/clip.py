@@ -268,30 +268,13 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
         grads: nn.Grads = {}
         dfeats = nn.linear_bwd(warm, "warm.head", c_head,
                                ((p - targets) / targets.size).astype(feats.dtype), grads)
-        _route_feature_grad(warm, txt_cfg, cache, dfeats, grads)
+        # no txt.proj gradient: a zero one would still let AdamW decay it
+        text_embed_bwd(warm, txt_cfg, cache, None, grads, dfeats=dfeats)
         opt.step(warm, grads, cfg.text_warmup_lr)
     for k in list(warm):
         if k.startswith("txt."):
             params[k] = warm[k]
     return loss
-
-
-def _route_feature_grad(params, cfg: TextEncoderConfig, cache, dfeats, grads) -> None:
-    """Backward from the pooled text feature (pre-projection) into the tower."""
-    ids, c_stack, c_lnf, _, yshape, mask, lengths = cache
-    dy = np.zeros(yshape, dtype=dfeats.dtype)
-    if cfg.pooling == "cls":
-        dy[:, 0] = dfeats
-    else:
-        dy += (dfeats / lengths[:, None])[:, None, :] * mask[:, :, None]
-    dx = nn.layernorm_bwd(params, "txt.lnf", c_lnf, dy, grads)
-    dx = nn.stack_bwd(params, "txt", c_stack, dx, grads, cfg.heads)
-    dtok = np.zeros_like(params["txt.tok"])
-    np.add.at(dtok, ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
-    nn.accumulate(grads, "txt.tok", dtok)
-    dpos = np.zeros_like(params["txt.pos"])
-    dpos[: ids.shape[1]] = dx.sum(axis=0)
-    nn.accumulate(grads, "txt.pos", dpos)
 
 
 # ---------------------------------------------------------------------------

@@ -157,17 +157,17 @@ def patch_tokens_fwd(params, patches: np.ndarray, positions: np.ndarray | None =
         mu = patches.mean(axis=(1, 2), keepdims=True)
         sd = patches.std(axis=(1, 2), keepdims=True)
         patches = (patches - mu) / (sd + np.asarray(1e-6, dtype=patches.dtype))
-    lin = patches @ params["vis.patch.w"] + params["vis.patch.b"]
+    x = nn.matmul(patches, params["vis.patch.w"])
+    x += params["vis.patch.b"]
     pos = params["vis.pos"]
-    pos_rows = pos[None, :n] if positions is None else pos[positions]
-    x = lin + pos_rows
+    x += pos[None, :n] if positions is None else pos[positions]
     cls = np.broadcast_to(params["vis.cls"], (B, 1, x.shape[-1]))
     return np.concatenate([cls, x], axis=1), patches
 
 
 def patch_tokens_bwd(params, cache, positions, dx: np.ndarray, grads):
     patches = cache
-    B, n, P = patches.shape
+    n = patches.shape[1]
     dcls = dx[:, 0]
     dtok = dx[:, 1:]
     nn.accumulate(grads, "vis.cls", dcls.sum(axis=0))
@@ -177,9 +177,9 @@ def patch_tokens_bwd(params, cache, positions, dx: np.ndarray, grads):
     else:
         np.add.at(dpos, positions.reshape(-1), dtok.reshape(-1, dtok.shape[-1]))
     nn.accumulate(grads, "vis.pos", dpos)
-    nn.accumulate(grads, "vis.patch.w", patches.reshape(-1, P).T @ dtok.reshape(-1, dtok.shape[-1]))
+    nn.accumulate(grads, "vis.patch.w", nn.matmul_tn(patches, dtok))
     nn.accumulate(grads, "vis.patch.b", dtok.reshape(-1, dtok.shape[-1]).sum(axis=0))
-    return dtok @ params["vis.patch.w"].T
+    return nn.matmul(dtok, params["vis.patch.w"].T)
 
 
 def visual_trunk_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray,
@@ -243,9 +243,17 @@ def text_embed_fwd(params, cfg: TextEncoderConfig, ids: np.ndarray, lengths: np.
     return feats, emb, (ids, c_stack, c_lnf, c_proj, y.shape, mask, lengths)
 
 
-def text_embed_bwd(params, cfg: TextEncoderConfig, cache, demb, grads):
+def text_embed_bwd(params, cfg: TextEncoderConfig, cache, demb, grads,
+                   dfeats=None):
+    """demb: gradient of the projected embedding, or None to skip txt.proj's
+    backward (it then gets no gradient); dfeats: gradient of the features."""
     ids, c_stack, c_lnf, c_proj, yshape, mask, lengths = cache
-    dpool = nn.linear_bwd(params, "txt.proj", c_proj, demb, grads)
+    if demb is None:
+        dpool = dfeats
+    else:
+        dpool = nn.linear_bwd(params, "txt.proj", c_proj, demb, grads)
+        if dfeats is not None:
+            dpool = dpool + dfeats
     dy = np.zeros(yshape, dtype=dpool.dtype)
     if cfg.pooling == "cls":
         dy[:, 0] = dpool

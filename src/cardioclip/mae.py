@@ -136,9 +136,10 @@ def masked_mse(recon: np.ndarray, targets: np.ndarray, masked_idx: np.ndarray):
     where d_recon is exactly zero at every visible-patch entry.
     """
     rows = np.arange(recon.shape[0])[:, None]
-    diff = recon[rows, masked_idx] - targets[rows, masked_idx]
+    diff = recon[rows, masked_idx]  # a gather is a copy, so subtract into it
+    diff -= targets[rows, masked_idx]
     count = diff.size
-    loss = float((diff * diff).sum() / count)
+    loss = float(np.square(diff).sum() / count)
     diff *= 2.0 / count
     d_recon = np.zeros_like(recon)
     d_recon[rows, masked_idx] = diff

@@ -6,6 +6,14 @@ accumulated into a second dict with the same keys. Every *_fwd returns
 d_input while accumulating parameter gradients. All ops follow the dtype of
 their inputs, so the same code path runs float32 for training and float64 for
 finite-difference checks.
+
+Stage 2's backward runs in float64 although its parameters are float32: the
+mean-pooled text feature divides by the int64 `lengths`, and the soft targets
+are float64, so the similarity gradient dS and everything behind it promote.
+Every dense-layer product goes through `matmul`/`matmul_tn`, which cast both
+operands to their common dtype before one 2-D BLAS call; numpy would
+otherwise run a (B, T, K) @ (K, N) product as B small GEMMs, and a mixed
+float32/float64 product on its slower internal casting path.
 """
 
 from __future__ import annotations
@@ -43,21 +51,43 @@ def zeros(shape, dtype=np.float32) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# dense products
+
+
+def _cast(a: np.ndarray, dtype) -> np.ndarray:
+    # a cast copy is C-contiguous, as in numpy's own mixed-dtype matmul, so
+    # BLAS sees the same layout (small GEMMs round differently per layout)
+    return a if a.dtype == dtype else np.ascontiguousarray(a, dtype=dtype)
+
+
+def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w for x (..., K) and w (K, N), as one 2-D GEMM in np.result_type(x, w)."""
+    dt = np.result_type(x, w)
+    y = _cast(x.reshape(-1, x.shape[-1]), dt) @ _cast(w, dt)
+    return y.reshape(*x.shape[:-1], w.shape[-1])
+
+
+def matmul_tn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.reshape(-1, K).T @ b.reshape(-1, N) in np.result_type(a, b): a weight gradient."""
+    dt = np.result_type(a, b)
+    return _cast(a.reshape(-1, a.shape[-1]), dt).T @ _cast(b.reshape(-1, b.shape[-1]), dt)
+
+
+# ---------------------------------------------------------------------------
 # linear / layernorm / gelu / softmax
 
 
 def linear_fwd(params: Params, prefix: str, x: np.ndarray):
-    y = x @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
+    y = matmul(x, params[f"{prefix}.w"])
+    y += params[f"{prefix}.b"]  # b has w's dtype, so y keeps the dtype of x @ w + b
     return y, x
 
 
 def linear_bwd(params: Params, prefix: str, cache, dy: np.ndarray, grads: Grads):
     x = cache
-    din = x.shape[-1]
-    dout = dy.shape[-1]
-    accumulate(grads, f"{prefix}.w", x.reshape(-1, din).T @ dy.reshape(-1, dout))
-    accumulate(grads, f"{prefix}.b", dy.reshape(-1, dout).sum(axis=0))
-    return dy @ params[f"{prefix}.w"].T
+    accumulate(grads, f"{prefix}.w", matmul_tn(x, dy))
+    accumulate(grads, f"{prefix}.b", dy.reshape(-1, dy.shape[-1]).sum(axis=0))
+    return matmul(dy, params[f"{prefix}.w"].T)
 
 
 def layernorm_fwd(params: Params, prefix: str, x: np.ndarray):
@@ -121,7 +151,7 @@ def attention_fwd(params: Params, prefix: str, x: np.ndarray, heads: int, key_ma
     """
     B, T, E = x.shape
     dh = E // heads
-    qkv = x @ params[f"{prefix}.qkv.w"]
+    qkv = matmul(x, params[f"{prefix}.qkv.w"])
     c_qkv = x
     qv_b = params[f"{prefix}.qv.b"]
     q, k, v = np.split(qkv, 3, axis=-1)
@@ -159,10 +189,8 @@ def attention_bwd(params: Params, prefix: str, cache, dy: np.ndarray, grads: Gra
         dq_flat.reshape(-1, E).sum(axis=0), dv_flat.reshape(-1, E).sum(axis=0)
     ]))
     dqkv = np.concatenate([dq_flat, dk_flat, dv_flat], axis=-1)
-    x = c_qkv
-    accumulate(grads, f"{prefix}.qkv.w",
-               x.reshape(-1, E).T @ dqkv.reshape(-1, 3 * E))
-    return dqkv @ params[f"{prefix}.qkv.w"].T
+    accumulate(grads, f"{prefix}.qkv.w", matmul_tn(c_qkv, dqkv))
+    return matmul(dqkv, params[f"{prefix}.qkv.w"].T)
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,22 @@ class AdamW:
                 continue
             m = self.m[name]
             v = self.v[name]
+            # temporaries in place, in the order and dtypes of
+            # m += (1-b1)*g; v += (1-b2)*g*g; p -= lr*((m/bc1)/(sqrt(v/bc2)+eps) + wd*p)
+            gs = (1.0 - self.beta1) * g
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += gs
+            np.multiply(g, 1.0 - self.beta2, out=gs)
+            gs *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            step_lr = lr * self.lr_scale_of(name)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += gs
+            update = m / bc1
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
             if self.weight_decay and p.ndim >= 2:
-                update = update + self.weight_decay * p
-            p -= (step_lr * update).astype(p.dtype, copy=False)
+                np.multiply(p, self.weight_decay, out=denom)
+                update += denom
+            update *= lr * self.lr_scale_of(name)
+            p -= update.astype(p.dtype, copy=False)

@@ -48,7 +48,7 @@ from cardioclip.reports import FreeTextReport, load_catalog, structure_report, s
 from cardioclip.seeding import substream
 from cardioclip.supervision import affinity_matrix, pathology_vector
 from cardioclip.synth import SynthSpec, calcium_wording_severity, generate_full_corpus
-from cardioclip.tasks import FinetuneConfig, cac_confidences, finetune_classifier, zero_shot_scores
+from cardioclip.tasks import FinetuneConfig, cac_confidences, finetune_classifier, prompt_margins
 from cardioclip.tokenizer import build_vocab, pad_batch, tokenize
 
 pytestmark = pytest.mark.acceptance
@@ -399,11 +399,12 @@ class TestCriterion8ZeroShot:
     def test_per_finding_zero_shot(self, stage2, corpus, catalog):
         bundle, _, runtime = stage2
         _, eval_cases = corpus
-        vols = [c.volume for c in eval_cases]
         flags = np.array([c.flags for c in eval_cases])
+        # the held-out volumes are embedded once; zero_shot_scores runs this same path
+        v = unit_rows(embed_volumes(bundle, [c.volume for c in eval_cases]))
         per_name = {}
         for d, name in enumerate(catalog.names):
-            scores = zero_shot_scores(vols, name, bundle)
+            scores = prompt_margins(v, name, bundle)
             cases = [ScoredCase(str(i), float(s), bool(l))
                      for i, (s, l) in enumerate(zip(scores, flags[:, d]))]
             per_name[name] = auroc(cases)

@@ -135,6 +135,33 @@ class TestPipeline:
         assert m["mae_loss_max_rel_error"] < 1e-4
         assert m["contrastive_loss_max_rel_error"] < 1e-4
 
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_10_reads_only_the_volumes_it_uses(self, workdir, monkeypatch, command):
+        synth_dir = workdir / "runs" / "synth"
+        splits = json.loads((synth_dir / "splits.json").read_text())
+        graded = {json.loads(line)["case_id"]
+                  for line in (synth_dir / "grades.jsonl").read_text().splitlines()}
+        expected = {
+            "structure-reports": [],
+            "pretrain-mae": splits["train"],
+            "pretrain-clip": splits["train"],
+            "eval-zeroshot": splits["eval"],
+            "eval-retrieval": splits["eval"],
+            "eval-cac": [c for c in splits["eval"] if c in graded],
+            # TINY fine-tunes the calcium grade, so only graded cases are read
+            "finetune": [c for c in splits["train"] + splits["eval"] if c in graded],
+        }.get(command, [])
+        read = []
+        base = cli.load_volume
+
+        def recording(path):
+            read.append(os.path.basename(path).removesuffix(".ccv1"))
+            return base(path)
+
+        monkeypatch.setattr(cli, "load_volume", recording)
+        assert run(workdir, command) == 0
+        assert sorted(read) == sorted(expected)
+
 
 class TestErrorPaths:
     def test_unknown_command_exits_2(self):
