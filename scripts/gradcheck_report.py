@@ -38,7 +38,7 @@ def mae_loss_fn(seed=0):
     mask_idx = np.array([[1, 2, 4, 6, 7], [0, 3, 4, 5, 6]])
 
     def fn(p):
-        loss, _, cache = mae_batch_fwd(p, VIS, DEC, patches, vis_idx, mask_idx)
+        loss, cache = mae_batch_fwd(p, VIS, DEC, patches, vis_idx, mask_idx)
         return loss, mae_batch_bwd(p, VIS, DEC, cache)
 
     return fn, params

@@ -481,7 +481,7 @@ def cmd_gradcheck(args, cfg: dict, root: str) -> None:
     mask_idx = np.array([[1, 2, 4, 6, 7], [0, 3, 4, 5, 6]])
 
     def mae_loss(p):
-        loss, _, cache = mae_batch_fwd(p, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
+        loss, cache = mae_batch_fwd(p, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
         return loss, mae_batch_bwd(p, vis_cfg, dec_cfg, cache)
 
     err_mae = gradient_check(mae_loss, params, n_probes=32, eps=1e-5, seed=cfg["seed"])

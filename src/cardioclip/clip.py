@@ -33,7 +33,7 @@ from .supervision import (
     targets_from_affinity,
 )
 from .tokenizer import Vocabulary, pad_batch, tokenize
-from .volume import Volume3D, patches_of
+from .volume import Volume3D, batch_patches
 
 
 @dataclass(frozen=True)
@@ -332,9 +332,7 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
             if idx.size < 2:
                 continue  # a trailing singleton has no contrastive signal
             vols, fts, sts, vecs = zip(*(cases[i] for i in idx))
-            patches = np.stack(
-                [patches_of(v.voxels, vis_cfg.patch_size) for v in vols]
-            ).astype(dtype)
+            patches = batch_patches(vols, vis_cfg.patch_size, dtype)
             texts = [
                 sample_text_variant(ft, st, variant_rng, cfg.variant_prob)
                 for ft, st in zip(fts, sts)

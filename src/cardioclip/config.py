@@ -64,15 +64,6 @@ DEFAULT_CONFIG = {
     "eval": {"recall_ks": [5, 10, 50], "precision_ks": [5, 10, 50]},
 }
 
-# documented full-scale settings (not the desk defaults): 50 epochs / batch 64
-# for stage 1 at base_lr 1e-4 and 10 epochs / batch 16 at 1e-5 (5e-5 projection)
-# for stage 2, matching the published training recipe
-FULL_SCALE_OVERRIDES = {
-    "mae": {"epochs": 50, "batch": 64, "base_lr": 1e-4},
-    "clip": {"epochs": 10, "batch": 16, "lr": 1e-5, "proj_lr": 5e-5},
-    "finetune": {"lr": 1e-5, "head_lr": 5e-5},
-}
-
 
 class ConfigError(ValueError):
     def __init__(self, violations):

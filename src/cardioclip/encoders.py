@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .tokenizer import TokenSequence, Vocabulary, tokenize
-from .volume import Volume3D, patches_of
+from .volume import Volume3D, batch_patches
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,17 @@ def patch_tokens_fwd(params, patches: np.ndarray, positions: np.ndarray | None =
     inputs are shifted/scaled to zero mean and unit std per sample, so the
     embedding responds to structure rather than the dominant DC intensity.
     """
-    B, n, _ = patches.shape
+    B, n, P = patches.shape
     if standardize:
-        mu = patches.mean(axis=(1, 2), keepdims=True)
-        sd = patches.std(axis=(1, 2), keepdims=True)
-        patches = (patches - mu) / (sd + np.asarray(1e-6, dtype=patches.dtype))
+        # np.std's own arithmetic (down to its intp divisor) on one deviation
+        # array, so bitwise equal to (patches - mean) / (std + eps)
+        d = patches - patches.mean(axis=(1, 2), keepdims=True)
+        sd = np.square(d).sum(axis=(1, 2), keepdims=True)
+        sd /= np.intp(n * P)
+        np.sqrt(sd, out=sd)
+        sd += np.asarray(1e-6, dtype=patches.dtype)
+        d /= sd
+        patches = d
     x = nn.matmul(patches, params["vis.patch.w"])
     x += params["vis.patch.b"]
     pos = params["vis.pos"]
@@ -175,7 +181,10 @@ def patch_tokens_bwd(params, cache, positions, dx: np.ndarray, grads):
     if positions is None:
         dpos[:n] = dtok.sum(axis=0)
     else:
-        np.add.at(dpos, positions.reshape(-1), dtok.reshape(-1, dtok.shape[-1]))
+        # positions are unique within a sample, so a fancy-index add per sample
+        # sums each row in sample order, exactly as np.add.at would
+        for b in range(positions.shape[0]):
+            dpos[positions[b]] += dtok[b]
     nn.accumulate(grads, "vis.pos", dpos)
     nn.accumulate(grads, "vis.patch.w", nn.matmul_tn(patches, dtok))
     nn.accumulate(grads, "vis.patch.b", dtok.reshape(-1, dtok.shape[-1]).sum(axis=0))
@@ -194,7 +203,7 @@ def visual_trunk_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray,
 def visual_trunk_bwd(params, cfg: VisualEncoderConfig, cache, positions, dy, grads):
     c_tok, c_stack, c_lnf = cache
     dx = nn.layernorm_bwd(params, "vis.lnf", c_lnf, dy, grads)
-    dx = nn.stack_bwd(params, "vis", c_stack, dx, grads, cfg.heads)
+    dx = nn.stack_bwd(params, "vis", c_stack, dx, grads)
     return patch_tokens_bwd(params, c_tok, positions, dx, grads)
 
 
@@ -260,7 +269,7 @@ def text_embed_bwd(params, cfg: TextEncoderConfig, cache, demb, grads,
     else:
         dy += (dpool / lengths[:, None])[:, None, :] * mask[:, :, None]
     dx = nn.layernorm_bwd(params, "txt.lnf", c_lnf, dy, grads)
-    dx = nn.stack_bwd(params, "txt", c_stack, dx, grads, cfg.heads)
+    dx = nn.stack_bwd(params, "txt", c_stack, dx, grads)
     T = ids.shape[1]
     dtok = np.zeros_like(params["txt.tok"])
     np.add.at(dtok, ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
@@ -306,6 +315,6 @@ def encode_text_str(text: str, vocab: Vocabulary, cfg: TextEncoderConfig, params
 def encode_image(v: Volume3D, cfg: VisualEncoderConfig, params) -> Embedding:
     if v.dims != tuple(cfg.input_dims):
         raise ValueError(f"volume dims {v.dims} do not match config input_dims {cfg.input_dims}")
-    patches = patches_of(v.voxels, cfg.patch_size)[None]
-    _, emb, _ = visual_embed_fwd(params, cfg, patches.astype(params["vis.patch.w"].dtype))
+    patches = batch_patches([v], cfg.patch_size, params["vis.patch.w"].dtype)
+    _, emb, _ = visual_embed_fwd(params, cfg, patches)
     return make_embedding(emb[0])

@@ -1,8 +1,8 @@
 """Stage 1: masked-patch reconstruction pre-training for the visual encoder.
 
 A random subset of patches is hidden; the encoder sees only the visible
-patches (plus class token); a lightweight decoder rebuilds every patch and
-the loss is the mean squared error over the masked ones only.
+patches (plus class token); a lightweight decoder attends over all positions
+but rebuilds only the masked patches, and the loss is their mean squared error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .encoders import (
 )
 from .optim import AdamW, ScheduleConfig, lr_at_step
 from .seeding import derive_seed, substream
-from .volume import Volume3D, patches_of
+from .volume import batch_patches
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,6 @@ class DecoderConfig:
     @property
     def mlp_hidden(self) -> int:
         return int(self.embed_dim * self.mlp_ratio)
-
-
-@dataclass(frozen=True)
-class ReconstructionOutput:
-    recon_patches: np.ndarray  # (N, patch_volume)
-    masked_recon: np.ndarray   # (N_m, patch_volume) rows of recon_patches at masked_idx
-    loss: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.loss):
-            raise ValueError(f"reconstruction loss is non-finite: {self.loss}")
 
 
 @dataclass(frozen=True)
@@ -130,20 +119,19 @@ def init_decoder_params(rng, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfi
 
 
 def masked_mse(recon: np.ndarray, targets: np.ndarray, masked_idx: np.ndarray):
-    """Mean squared error over masked patches only.
+    """Mean squared error of the reconstructed masked patches; consumes recon.
 
-    recon, targets: (B, N, P); masked_idx: (B, N_m). Returns (loss, d_recon)
-    where d_recon is exactly zero at every visible-patch entry.
+    recon: (B, N_m, P), the reconstruction of the masked patches in masked_idx
+    order; targets: (B, N, P); masked_idx: (B, N_m). Returns (loss, d_recon)
+    with d_recon (B, N_m, P), one gradient row per masked patch, written into
+    recon's own buffer: recon is overwritten and must not be read afterwards.
     """
-    rows = np.arange(recon.shape[0])[:, None]
-    diff = recon[rows, masked_idx]  # a gather is a copy, so subtract into it
-    diff -= targets[rows, masked_idx]
-    count = diff.size
-    loss = float(np.square(diff).sum() / count)
-    diff *= 2.0 / count
-    d_recon = np.zeros_like(recon)
-    d_recon[rows, masked_idx] = diff
-    return loss, d_recon
+    for b in range(recon.shape[0]):  # a per-sample gather stays in cache
+        recon[b] -= targets[b, masked_idx[b]]
+    count = recon.size
+    loss = float(np.square(recon).sum() / count)
+    recon *= 2.0 / count
+    return loss, recon
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +140,11 @@ def masked_mse(recon: np.ndarray, targets: np.ndarray, masked_idx: np.ndarray):
 
 def mae_batch_fwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
                   patches: np.ndarray, vis_idx: np.ndarray, mask_idx: np.ndarray):
-    """patches (B, N, P), vis_idx (B, N_v), mask_idx (B, N_m) -> (loss, recon, cache)."""
+    """patches (B, N, P), vis_idx (B, N_v), mask_idx (B, N_m) -> (loss, cache).
+
+    Layernorm and the head are per-row, so only the masked rows of the
+    decoder output go through dec.lnf and dec.head.
+    """
     B, N, P = patches.shape
     ed = dec_cfg.embed_dim
     rows = np.arange(B)[:, None]
@@ -170,12 +162,12 @@ def mae_batch_fwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
     full += params["dec.pos"][: N + 1]
 
     y, c_dec = nn.stack_fwd(params, "dec", full, dec_cfg.depth, dec_cfg.heads)
-    y, c_dlnf = nn.layernorm_fwd(params, "dec.lnf", y)
-    recon, c_head = nn.linear_fwd(params, "dec.head", y[:, 1:])
+    y, c_dlnf = nn.layernorm_fwd(params, "dec.lnf", y[rows, mask_idx + 1])
+    recon, c_head = nn.linear_fwd(params, "dec.head", y)
     loss, d_recon = masked_mse(recon, patches, mask_idx)
     cache = (c_tok, c_enc, c_lnf, c_emb, c_dec, c_dlnf, c_head, d_recon,
              vis_idx, mask_idx, (B, N, P))
-    return loss, recon, cache
+    return loss, cache
 
 
 def mae_batch_bwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig, cache):
@@ -185,15 +177,16 @@ def mae_batch_bwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig, 
     grads: nn.Grads = {}
     ed = dec_cfg.embed_dim
 
-    dy_tail = nn.linear_bwd(params, "dec.head", c_head, d_recon, grads)
-    dy = np.concatenate([np.zeros((B, 1, ed), dtype=dy_tail.dtype), dy_tail], axis=1)
-    dfull = nn.layernorm_bwd(params, "dec.lnf", c_dlnf, dy, grads)
-    dfull = nn.stack_bwd(params, "dec", c_dec, dfull, grads, dec_cfg.heads)
+    rows = np.arange(B)[:, None]
+    dy = nn.linear_bwd(params, "dec.head", c_head, d_recon, grads)
+    dy = nn.layernorm_bwd(params, "dec.lnf", c_dlnf, dy, grads)
+    dfull = np.zeros((B, N + 1, ed), dtype=dy.dtype)  # unscored rows get no gradient
+    dfull[rows, mask_idx + 1] = dy
+    dfull = nn.stack_bwd(params, "dec", c_dec, dfull, grads)
 
     dpos = np.zeros_like(params["dec.pos"])
     dpos[: N + 1] = dfull.sum(axis=0)
     nn.accumulate(grads, "dec.pos", dpos)
-    rows = np.arange(B)[:, None]
     dmask = dfull[rows, mask_idx + 1]
     nn.accumulate(grads, "dec.mask", dmask.reshape(-1, ed).sum(axis=0))
 
@@ -203,29 +196,9 @@ def mae_batch_bwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig, 
 
     denc = nn.linear_bwd(params, "dec.embed", c_emb, d_dec_lin, grads)
     dx = nn.layernorm_bwd(params, "vis.lnf", c_lnf, denc, grads)
-    dx = nn.stack_bwd(params, "vis", c_enc, dx, grads, vis_cfg.heads)
+    dx = nn.stack_bwd(params, "vis", c_enc, dx, grads)
     patch_tokens_bwd(params, c_tok, vis_idx, dx, grads)
     return grads
-
-
-def mae_forward(v: Volume3D, m: MaskPlan, enc_params, dec_params,
-                vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig) -> ReconstructionOutput:
-    """Single-volume reconstruction pass (geometry checked against configs)."""
-    if v.dims != tuple(vis_cfg.input_dims):
-        raise ValueError(f"volume dims {v.dims} do not match config input_dims {vis_cfg.input_dims}")
-    if m.n_total != vis_cfg.n_patches:
-        raise ValueError(f"mask covers {m.n_total} patches, config implies {vis_cfg.n_patches}")
-    params = {**enc_params, **dec_params}
-    patches = patches_of(v.voxels, vis_cfg.patch_size)[None].astype(params["vis.patch.w"].dtype)
-    vis_idx = np.asarray(m.visible_idx, dtype=np.int64)[None]
-    mask_idx = np.asarray(m.masked_idx, dtype=np.int64)[None]
-    loss, recon, _ = mae_batch_fwd(params, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
-    recon = recon[0]
-    return ReconstructionOutput(
-        recon_patches=recon,
-        masked_recon=recon[mask_idx[0]],
-        loss=loss,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +243,14 @@ def train_mae(volumes, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
         lr = sched.base_lr
         for b0 in range(0, n, cfg.batch):
             idx = order[b0 : b0 + cfg.batch]
-            patches = np.stack(
-                [patches_of(volumes[i].voxels, vis_cfg.patch_size) for i in idx]
-            )
+            patches = batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, np.float32)
             plans = [
                 sample_mask(N, cfg.mask_ratio, derive_seed(seed, "mask", epoch, int(i)))
                 for i in idx
             ]
             vis_idx = np.asarray([p.visible_idx for p in plans], dtype=np.int64)
             mask_idx = np.asarray([p.masked_idx for p in plans], dtype=np.int64)
-            loss, _, cache = mae_batch_fwd(params, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
+            loss, cache = mae_batch_fwd(params, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite reconstruction loss at step {step} (epoch {epoch})"

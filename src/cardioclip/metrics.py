@@ -56,25 +56,6 @@ class GradeSet:
                 raise ValueError(f"score for {cid!r} is non-finite")
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    metric: str
-    values: dict
-    n_cases: int
-    seed: int | None = None
-    config_digest: str | None = None
-    k: int | None = None
-    threshold: int | None = None
-
-    def to_dict(self) -> dict:
-        out = {"metric": self.metric, "values": self.values, "n_cases": self.n_cases}
-        for key in ("seed", "config_digest", "k", "threshold"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
-
-
 def auroc(cases) -> float:
     """Fraction of (positive, negative) pairs ranked correctly; ties count 1/2.
 

@@ -9,7 +9,7 @@ import numpy as np
 from .encoders import TextEncoderConfig, VisualEncoderConfig, text_embed_fwd, visual_embed_fwd
 from .reports import AbnormalityCatalog
 from .tokenizer import Vocabulary, pad_batch, tokenize
-from .volume import patches_of
+from .volume import batch_patches
 
 
 @dataclass
@@ -31,23 +31,9 @@ def embed_volumes(bundle: ModelBundle, volumes, chunk: int = 32) -> np.ndarray:
     """Projected embeddings (n, proj_dim) for a list of volumes."""
     out = []
     for i in range(0, len(volumes), chunk):
-        patches = np.stack(
-            [patches_of(v.voxels, bundle.vis_cfg.patch_size) for v in volumes[i : i + chunk]]
-        ).astype(bundle.dtype)
+        patches = batch_patches(volumes[i : i + chunk], bundle.vis_cfg.patch_size, bundle.dtype)
         _, emb, _ = visual_embed_fwd(bundle.params, bundle.vis_cfg, patches)
         out.append(emb)
-    return np.concatenate(out, axis=0)
-
-
-def visual_features(bundle: ModelBundle, volumes, chunk: int = 32) -> np.ndarray:
-    """Pre-projection class-token features (n, embed_dim), the fine-tuning input."""
-    out = []
-    for i in range(0, len(volumes), chunk):
-        patches = np.stack(
-            [patches_of(v.voxels, bundle.vis_cfg.patch_size) for v in volumes[i : i + chunk]]
-        ).astype(bundle.dtype)
-        feats, _, _ = visual_embed_fwd(bundle.params, bundle.vis_cfg, patches)
-        out.append(feats)
     return np.concatenate(out, axis=0)
 
 

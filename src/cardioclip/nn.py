@@ -226,8 +226,7 @@ def stack_fwd(params: Params, prefix: str, x: np.ndarray, depth: int, heads: int
     return x, caches
 
 
-def stack_bwd(params: Params, prefix: str, caches, dy: np.ndarray, grads: Grads,
-              heads: int):
+def stack_bwd(params: Params, prefix: str, caches, dy: np.ndarray, grads: Grads):
     for layer in reversed(range(len(caches))):
         dy = block_bwd(params, f"{prefix}.blk{layer}", caches[layer], dy, grads)
     return dy

@@ -16,7 +16,7 @@ from .model import ModelBundle, embed_texts, embed_volumes, unit_rows
 from .optim import AdamW, ScheduleConfig, lr_at_step
 from .reports import make_prompt_pair
 from .seeding import substream
-from .volume import Volume3D, patches_of
+from .volume import Volume3D, batch_patches
 
 logger = logging.getLogger(__name__)
 
@@ -179,7 +179,7 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
             idx = order[b0 : b0 + cfg.batch]
             vols = [train_set[i][0] for i in idx]
             y = labels_all[idx]
-            patches = np.stack([patches_of(v.voxels, vis_cfg.patch_size) for v in vols]).astype(dtype)
+            patches = batch_patches(vols, vis_cfg.patch_size, dtype)
             feats, _, cache = visual_embed_fwd(params, vis_cfg, patches)
             logits, c_head = nn.linear_fwd(params, "head", feats)
             loss, dlogits, probs = softmax_ce_logits(logits, y)
@@ -216,9 +216,7 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
 def predict_logits(params, vis_cfg, volumes, dtype=np.float32, chunk: int = 32) -> np.ndarray:
     out = []
     for i in range(0, len(volumes), chunk):
-        patches = np.stack(
-            [patches_of(v.voxels, vis_cfg.patch_size) for v in volumes[i : i + chunk]]
-        ).astype(dtype)
+        patches = batch_patches(volumes[i : i + chunk], vis_cfg.patch_size, dtype)
         feats, _, _ = visual_embed_fwd(params, vis_cfg, patches)
         logits, _ = nn.linear_fwd(params, "head", feats)
         out.append(logits)

@@ -194,10 +194,13 @@ def unpatchify(g: PatchGrid) -> Volume3D:
     return Volume3D(voxels=np.ascontiguousarray(vox), spacing=g.spacing)
 
 
-def patches_of(voxels: np.ndarray, patch_size: tuple[int, int, int]) -> np.ndarray:
+def patches_of(voxels: np.ndarray, patch_size: tuple[int, int, int],
+               out: np.ndarray | None = None) -> np.ndarray:
     """patchify on a raw (..., D, H, W) array; supports a leading batch axis.
 
-    Returns (..., N, patch_volume) with the same ordering as patchify.
+    Returns (..., N, patch_volume) with the same ordering as patchify. With
+    out, a C-contiguous array of that shape, the patches are cast into out
+    in one pass and out is returned.
     """
     *lead, D, H, W = voxels.shape
     pz, py, px = patch_size
@@ -207,4 +210,26 @@ def patches_of(voxels: np.ndarray, patch_size: tuple[int, int, int]) -> np.ndarr
     blocks = voxels.reshape(*lead, gz, pz, gy, py, gx, px)
     nl = len(lead)
     perm = tuple(range(nl)) + (nl, nl + 2, nl + 4, nl + 1, nl + 3, nl + 5)
-    return blocks.transpose(perm).reshape(*lead, gz * gy * gx, pz * py * px)
+    shape = (*lead, gz * gy * gx, pz * py * px)
+    if out is None:
+        return blocks.transpose(perm).reshape(shape)
+    if out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    # a reshape of out is a view, so the transposed blocks are written in place
+    out.reshape(*lead, gz, gy, gx, pz, py, px)[...] = blocks.transpose(perm)
+    return out
+
+
+def batch_patches(volumes, patch_size: tuple[int, int, int], dtype) -> np.ndarray:
+    """(B, N, patch_volume) patches of B equal-sized volumes in dtype, one copy each.
+
+    Equal to np.stack([patches_of(v.voxels, patch_size) for v in volumes]).astype(dtype).
+    """
+    if len(volumes) == 0:
+        raise ValueError("need at least one volume")
+    D, H, W = volumes[0].voxels.shape
+    pz, py, px = patch_size
+    out = np.empty((len(volumes), (D // pz) * (H // py) * (W // px), pz * py * px), dtype=dtype)
+    for v, row in zip(volumes, out):
+        patches_of(v.voxels, patch_size, out=row)
+    return out

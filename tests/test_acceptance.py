@@ -2,8 +2,8 @@
 
 The heavy experiments (corpus generation, both training stages, downstream
 evaluation, fine-tuning) run once in module-scoped fixtures and are shared by
-the criteria that read them. Budget on a 2-core laptop-class CPU: about
-15 minutes total.
+the criteria that read them. On a 2-core laptop-class CPU the whole suite
+takes about 4 minutes.
 """
 
 import json
@@ -172,7 +172,7 @@ class TestCriterion1Gradients:
         mask_idx = np.array([[1, 2, 4, 6, 7], [0, 3, 4, 5, 6]])
 
         def mae_loss(p):
-            loss, _, cache = mae_batch_fwd(p, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
+            loss, cache = mae_batch_fwd(p, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
             return loss, mae_batch_bwd(p, vis_cfg, dec_cfg, cache)
 
         err_mae = gradient_check(mae_loss, params, n_probes=32, eps=1e-5, seed=SEED)
@@ -209,18 +209,43 @@ class TestCriterion1Gradients:
 # criterion 2: masked-loss semantics and the partition invariant
 
 
+def reference_masked_mse(recon, targets, masked_idx):
+    """The full-size masked MSE: recon (B, N, P) holds every patch, and
+    d_recon (B, N, P) is exactly zero at every visible-patch entry."""
+    rows = np.arange(recon.shape[0])[:, None]
+    diff = recon[rows, masked_idx]
+    diff -= targets[rows, masked_idx]
+    count = diff.size
+    loss = float(np.square(diff).sum() / count)
+    diff *= 2.0 / count
+    d_recon = np.zeros_like(recon)
+    d_recon[rows, masked_idx] = diff
+    return loss, d_recon
+
+
 class TestCriterion2MaskSemantics:
     def test_visible_gradients_zero_and_partition(self):
         rng = np.random.default_rng(SEED)
         recon = rng.random((4, 16, 8))
         targets = rng.random((4, 16, 8))
         mask_idx = np.stack([np.sort(rng.choice(16, size=12, replace=False)) for _ in range(4)])
-        _, d_recon = masked_mse(recon, targets, mask_idx)
-        visible_ok = True
+        rows = np.arange(4)[:, None]
+        ref_loss, ref_d = reference_masked_mse(recon, targets, mask_idx)
+        loss, d = masked_mse(recon[rows, mask_idx], targets, mask_idx)
+        # one gradient row per masked patch: no visible position exists to receive one
+        rows_ok = d.shape == (4, 12, 8)
+        equal_ok = loss == ref_loss and d.tobytes() == ref_d[rows, mask_idx].tobytes()
+        visible = [np.setdiff1d(np.arange(16), mask_idx[b]) for b in range(4)]
+        visible_ok = all(bool(np.all(ref_d[b, visible[b]] == 0.0)) for b in range(4))
+        # overwriting the targets at visible positions changes neither loss
+        other = targets.copy()
         for b in range(4):
-            visible = np.setdiff1d(np.arange(16), mask_idx[b])
-            visible_ok &= bool(np.all(d_recon[b, visible] == 0.0))
-            visible_ok &= bool(np.any(d_recon[b, mask_idx[b]] != 0.0))
+            other[b, visible[b]] = rng.random((visible[b].size, 8)) + 5.0
+        ref_loss2, ref_d2 = reference_masked_mse(recon, other, mask_idx)
+        loss2, d2 = masked_mse(recon[rows, mask_idx], other, mask_idx)
+        visible_ok &= (loss2 == loss and d2.tobytes() == d.tobytes()
+                       and ref_loss2 == ref_loss and ref_d2.tobytes() == ref_d.tobytes())
+        nonzero_ok = bool(np.all(np.any(d != 0.0, axis=-1)))
 
         partition_ok = True
         for seed in range(1000):
@@ -230,8 +255,11 @@ class TestCriterion2MaskSemantics:
             partition_ok &= plan.n_masked == math.floor(0.75 * n)
         report(
             "criterion 2 (masked-loss semantics)",
-            visible_ok and partition_ok,
-            f"visible-position gradients exactly zero: {visible_ok}; "
+            rows_ok and equal_ok and visible_ok and nonzero_ok and partition_ok,
+            f"one gradient row per masked patch: {rows_ok}; "
+            f"loss and gradient bitwise equal to the full-size reference: {equal_ok}; "
+            f"visible positions get no gradient and are never read: {visible_ok}; "
+            f"every masked row has a nonzero gradient: {nonzero_ok}; "
             f"partition invariant over 1000 plans: {partition_ok}",
         )
 

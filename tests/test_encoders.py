@@ -13,6 +13,8 @@ from cardioclip.encoders import (
     encode_visible,
     init_text_params,
     init_visual_params,
+    patch_tokens_bwd,
+    patch_tokens_fwd,
 )
 from cardioclip.gradcheck import gradient_check
 from cardioclip.mae import DecoderConfig, init_decoder_params, mae_batch_bwd, mae_batch_fwd
@@ -80,6 +82,39 @@ class TestEmbedPatches:
         g = patchify(Volume3D(voxels=np.zeros((4, 4, 4), dtype=np.float32)), (4, 4, 4))
         with pytest.raises(ValueError, match="patch"):
             embed_patches(g, TOY_VIS, params)
+
+
+class TestPatchTokens:
+    @pytest.mark.parametrize("shape", [(16, 16, 4096), (8, 64, 4096)])
+    def test_standardization_bitwise_equal_to_mean_std_expression(self, shape):
+        rng = np.random.default_rng(11)
+        patches = (rng.random(shape, dtype=np.float32) * 3.0
+                   + rng.random((shape[0], 1, 1), dtype=np.float32))
+        patches[1] = 0.25  # a constant volume: sd = 0, so only eps divides
+        params = {"vis.patch.w": np.zeros((shape[2], 8), dtype=np.float32),
+                  "vis.patch.b": np.zeros(8, dtype=np.float32),
+                  "vis.pos": np.zeros((shape[1], 8), dtype=np.float32),
+                  "vis.cls": np.zeros(8, dtype=np.float32)}
+        _, standardized = patch_tokens_fwd(params, patches)
+        mu = patches.mean(axis=(1, 2), keepdims=True)
+        sd = patches.std(axis=(1, 2), keepdims=True)
+        ref = (patches - mu) / (sd + np.asarray(1e-6, dtype=patches.dtype))
+        assert standardized.dtype == np.float32
+        assert standardized.tobytes() == ref.tobytes()
+        assert np.all(standardized[1] == 0.0)
+
+    def test_position_gradient_equals_add_at(self):
+        rng = np.random.default_rng(12)
+        B, n, E = 16, 16, 128
+        params = {"vis.patch.w": rng.normal(size=(8, E)).astype(np.float32),
+                  "vis.pos": np.zeros((64, E), dtype=np.float32)}
+        positions = np.stack([np.sort(rng.permutation(64)[:n]) for _ in range(B)])
+        dx = rng.normal(size=(B, n + 1, E)).astype(np.float32)
+        grads = {}
+        patch_tokens_bwd(params, rng.random((B, n, 8), dtype=np.float32), positions, dx, grads)
+        ref = np.zeros_like(params["vis.pos"])
+        np.add.at(ref, positions.reshape(-1), dx[:, 1:].reshape(-1, E))
+        assert grads["vis.pos"].tobytes() == ref.tobytes()
 
 
 class TestEncodeVisible:
@@ -175,7 +210,7 @@ class TestStageLossGradients:
         mask_idx = np.array([[1, 2, 4, 6, 7], [0, 3, 4, 5, 6]])
 
         def loss_fn(p):
-            loss, _, cache = mae_batch_fwd(p, TOY_VIS, TOY_DEC, patches, vis_idx, mask_idx)
+            loss, cache = mae_batch_fwd(p, TOY_VIS, TOY_DEC, patches, vis_idx, mask_idx)
             return loss, mae_batch_bwd(p, TOY_VIS, TOY_DEC, cache)
 
         err = gradient_check(loss_fn, params, n_probes=48, eps=1e-5, seed=7)

@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from cardioclip.encoders import VisualEncoderConfig, init_visual_params
+from cardioclip import mae, nn
+from cardioclip.encoders import VisualEncoderConfig, init_visual_params, patch_tokens_fwd
 from cardioclip.mae import (
     DecoderConfig,
     MAETrainConfig,
     MaskPlan,
     apply_mask,
     init_decoder_params,
-    mae_forward,
+    mae_batch_fwd,
     masked_mse,
     sample_mask,
     train_mae,
 )
 from cardioclip.optim import ScheduleConfig, lr_at_step
-from cardioclip.volume import Volume3D, patchify
+from cardioclip.volume import Volume3D, batch_patches, patchify
 
 VIS = VisualEncoderConfig(patch_size=(4, 4, 4), embed_dim=16, depth=1, heads=2,
                           mlp_ratio=2.0, input_dims=(8, 8, 8))
@@ -126,32 +127,43 @@ class TestApplyMask:
             apply_mask(g, sample_mask(16, 0.5, seed=0))
 
 
+def masked_rows(a, mask_idx):
+    return a[np.arange(a.shape[0])[:, None], mask_idx]
+
+
 class TestMaskedMSE:
     def test_zero_when_reconstruction_is_exact(self):
         rng = np.random.default_rng(0)
         targets = rng.random((2, 8, 4))
         mask_idx = np.array([[0, 3, 5], [1, 2, 7]])
-        loss, d = masked_mse(targets.copy(), targets, mask_idx)
+        loss, d = masked_mse(masked_rows(targets, mask_idx), targets, mask_idx)
         assert loss == 0.0
         assert np.all(d == 0.0)
 
     def test_visible_gradients_exactly_zero(self):
+        # one gradient row per masked patch, so no visible position receives
+        # one, and the targets at visible positions are never read
         rng = np.random.default_rng(1)
-        recon = rng.random((2, 8, 4))
+        recon = rng.random((2, 3, 4))
         targets = rng.random((2, 8, 4))
         mask_idx = np.array([[0, 3, 5], [1, 2, 7]])
-        _, d = masked_mse(recon, targets, mask_idx)
-        visible = [[1, 2, 4, 6, 7], [0, 3, 4, 5, 6]]
-        for b in range(2):
-            assert np.all(d[b, visible[b]] == 0.0)
-            assert np.any(d[b, mask_idx[b]] != 0.0)
+        loss, d = masked_mse(recon.copy(), targets, mask_idx)
+        assert d.shape == recon.shape
+        assert np.all(np.any(d != 0.0, axis=-1))
+        visible = np.array([[1, 2, 4, 6, 7], [0, 3, 4, 5, 6]])
+        other = targets.copy()
+        other[np.arange(2)[:, None], visible] = rng.random((2, 5, 4)) + 5.0
+        loss2, d2 = masked_mse(recon.copy(), other, mask_idx)
+        assert loss2 == loss
+        assert d2.tobytes() == d.tobytes()
 
     def test_loss_invariant_to_mask_order(self):
         rng = np.random.default_rng(2)
         recon = rng.random((1, 8, 4))
         targets = rng.random((1, 8, 4))
-        a, _ = masked_mse(recon, targets, np.array([[0, 3, 5]]))
-        b, _ = masked_mse(recon, targets, np.array([[5, 0, 3]]))
+        order_a, order_b = np.array([[0, 3, 5]]), np.array([[5, 0, 3]])
+        a, _ = masked_mse(masked_rows(recon, order_a), targets, order_a)
+        b, _ = masked_mse(masked_rows(recon, order_b), targets, order_b)
         assert a == pytest.approx(b, rel=1e-15)
 
     def test_bitwise_equal_to_take_along_axis_reference(self):
@@ -159,14 +171,48 @@ class TestMaskedMSE:
         recon = rng.normal(size=(3, 16, 8)).astype(np.float32)
         targets = rng.random((3, 16, 8)).astype(np.float32)
         mask_idx = np.sort(np.stack([rng.permutation(16)[:12] for _ in range(3)]), axis=1)
-        loss, d = masked_mse(recon, targets, mask_idx)
         idx = mask_idx[:, :, None]
+        loss, d = masked_mse(np.take_along_axis(recon, idx, axis=1), targets, mask_idx)
         diff = np.take_along_axis(recon, idx, axis=1) - np.take_along_axis(targets, idx, axis=1)
-        ref_d = np.zeros_like(recon)
-        np.put_along_axis(ref_d, idx, (2.0 / diff.size) * diff, axis=1)
         assert loss == float((diff * diff).sum() / diff.size)
         assert d.dtype == np.float32
-        assert d.tobytes() == ref_d.tobytes()
+        assert d.tobytes() == ((2.0 / diff.size) * diff).tobytes()
+
+    def test_gradient_is_recon_buffer_and_targets_untouched(self):
+        rng = np.random.default_rng(4)
+        recon = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        targets = rng.random((2, 8, 4)).astype(np.float32)
+        before = targets.copy()
+        _, d = masked_mse(recon, targets, np.array([[0, 3, 5], [1, 2, 7]]))
+        assert d is recon
+        assert targets.tobytes() == before.tobytes()
+
+
+def full_decode(params, patches, vis_idx, mask_idx):
+    """Reference: the decoder head run on every patch row, (B, N, P)."""
+    B, N, _ = patches.shape
+    rows = np.arange(B)[:, None]
+    x, _ = patch_tokens_fwd(params, patches[rows, vis_idx], positions=vis_idx,
+                            standardize=VIS.standardize_input)
+    x, _ = nn.stack_fwd(params, "vis", x, VIS.depth, VIS.heads)
+    x, _ = nn.layernorm_fwd(params, "vis.lnf", x)
+    x, _ = nn.linear_fwd(params, "dec.embed", x)
+    full = np.empty((B, N + 1, DEC.embed_dim), dtype=x.dtype)
+    full[:, 0] = x[:, 0]
+    full[rows, mask_idx + 1] = params["dec.mask"]
+    full[rows, vis_idx + 1] = x[:, 1:]
+    full += params["dec.pos"][: N + 1]
+    y, _ = nn.stack_fwd(params, "dec", full, DEC.depth, DEC.heads)
+    y, _ = nn.layernorm_fwd(params, "dec.lnf", y)
+    return nn.linear_fwd(params, "dec.head", y[:, 1:])[0]
+
+
+def batch_of(volumes, ratio, seed):
+    patches = batch_patches(volumes, VIS.patch_size, np.float32)
+    plans = [sample_mask(VIS.n_patches, ratio, seed + i) for i in range(len(volumes))]
+    vis_idx = np.asarray([p.visible_idx for p in plans], dtype=np.int64)
+    mask_idx = np.asarray([p.masked_idx for p in plans], dtype=np.int64)
+    return patches, vis_idx, mask_idx
 
 
 class TestMAEForward:
@@ -176,23 +222,41 @@ class TestMAEForward:
         params["dec.head.b"][:] = 0.0
         c = 0.37
         v = Volume3D(voxels=np.full((8, 8, 8), c, dtype=np.float32))
-        m = sample_mask(VIS.n_patches, 0.5, seed=0)
-        out = mae_forward(v, m, params, params, VIS, DEC)
-        assert out.loss == pytest.approx(c * c, rel=1e-5)
+        loss, _ = mae_batch_fwd(params, VIS, DEC, *batch_of([v], 0.5, seed=0))
+        assert loss == pytest.approx(c * c, rel=1e-5)
+        # a zero head reconstructs zeros: the loss is the masked targets' mean square
+        rng = np.random.default_rng(4)
+        vols = [Volume3D(voxels=rng.random((8, 8, 8), dtype=np.float32)) for _ in range(2)]
+        patches, vis_idx, mask_idx = batch_of(vols, 0.75, seed=2)
+        loss, _ = mae_batch_fwd(params, VIS, DEC, patches, vis_idx, mask_idx)
+        masked = masked_rows(patches, mask_idx)
+        assert loss == float(np.square(masked).sum() / masked.size)
 
-    def test_masked_recon_rows_match(self):
+    def test_masked_recon_rows_match(self, monkeypatch):
+        # the masked-row decode equals the masked rows of a full decode
         params = small_params()
         rng = np.random.default_rng(5)
-        v = Volume3D(voxels=rng.random((8, 8, 8), dtype=np.float32))
-        m = sample_mask(VIS.n_patches, 0.75, seed=1)
-        out = mae_forward(v, m, params, params, VIS, DEC)
-        assert np.array_equal(out.masked_recon, out.recon_patches[list(m.masked_idx)])
+        vols = [Volume3D(voxels=rng.random((8, 8, 8), dtype=np.float32)) for _ in range(3)]
+        patches, vis_idx, mask_idx = batch_of(vols, 0.75, seed=1)
+        seen = []
+
+        def spy(recon, targets, idx):
+            seen.append(recon.copy())
+            return masked_mse(recon, targets, idx)
+
+        monkeypatch.setattr(mae, "masked_mse", spy)
+        loss, _ = mae_batch_fwd(params, VIS, DEC, patches, vis_idx, mask_idx)
+        full = full_decode(params, patches, vis_idx, mask_idx)
+        assert seen[0].shape == (3, mask_idx.shape[1], VIS.patch_volume)
+        np.testing.assert_allclose(seen[0], masked_rows(full, mask_idx), rtol=1e-6, atol=1e-7)
+        diff = masked_rows(full, mask_idx) - masked_rows(patches, mask_idx)
+        assert loss == pytest.approx(float(np.square(diff).sum() / diff.size), rel=1e-6)
 
     def test_geometry_mismatch(self):
-        params = small_params()
+        # stage 1 refuses volumes whose dims differ from the config's input_dims
         v = Volume3D(voxels=np.zeros((4, 4, 4), dtype=np.float32))
-        with pytest.raises(ValueError):
-            mae_forward(v, sample_mask(8, 0.5, 0), params, params, VIS, DEC)
+        with pytest.raises(ValueError, match="input_dims"):
+            train_mae([v], VIS, DEC, MAETrainConfig(epochs=1, batch=1), seed=0, proj_dim=8)
 
 
 class TestTrainMAE:

@@ -141,7 +141,7 @@ def test_block_stack_backward():
         y, c_lnf = nn.layernorm_fwd(p, "s.lnf", y)
         grads = {}
         dy = nn.layernorm_bwd(p, "s.lnf", c_lnf, w_out, grads)
-        nn.stack_bwd(p, "s", caches, dy, grads, heads)
+        nn.stack_bwd(p, "s", caches, dy, grads)
         return float((y * w_out).sum()), grads
 
     assert gradient_check(loss_fn, params, n_probes=60, seed=6) < 1e-6

@@ -7,9 +7,11 @@ from cardioclip.volume import (
     CropSpec,
     Volume3D,
     VolumeFormatError,
+    batch_patches,
     crop_region,
     load_volume,
     normalize_intensity,
+    patches_of,
     patchify,
     save_volume,
     unpatchify,
@@ -173,3 +175,30 @@ class TestPatchify:
         back = unpatchify(patchify(v, (2, 3, 4)))
         assert np.array_equal(back.voxels, v.voxels)
         assert back.spacing == v.spacing
+
+
+class TestBatchPatches:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_stacked_patches(self, dtype):
+        rng = np.random.default_rng(6)
+        vols = [rand_volume(rng, dims=(8, 12, 16)) for _ in range(3)]
+        got = batch_patches(vols, (4, 4, 8), dtype)
+        ref = np.stack([patches_of(v.voxels, (4, 4, 8)) for v in vols]).astype(dtype)
+        assert got.dtype == ref.dtype
+        assert got.shape == ref.shape == (3, 12, 128)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_out_must_be_contiguous_and_shaped(self):
+        v = rand_volume(np.random.default_rng(7))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            patches_of(v.voxels, (4, 4, 4), out=np.empty((8, 128), dtype=np.float32)[:, ::2])
+        with pytest.raises(ValueError, match="shape"):
+            patches_of(v.voxels, (4, 4, 4), out=np.empty((8, 32), dtype=np.float32))
+
+    def test_mismatched_volumes_rejected(self):
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError):
+            batch_patches([rand_volume(rng), rand_volume(rng, dims=(8, 8, 4))], (4, 4, 4),
+                          np.float32)
+        with pytest.raises(ValueError):
+            batch_patches([], (4, 4, 4), np.float32)
