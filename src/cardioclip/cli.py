@@ -17,26 +17,16 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .clip import ContrastiveConfig, train_clip
-from .config import ConfigError, config_digest, load_config
-from .encoders import TextEncoderConfig, VisualEncoderConfig
-from .gradcheck import gradient_check
-from .mae import DecoderConfig, MAETrainConfig, train_mae
-from .metrics import (
-    GradeSet,
-    ScoredCase,
-    auroc,
-    mean_recall_at_k,
-    ordinal_auroc,
-    precision_at_k,
-    rank_pool,
-)
+from .clip import train_clip
+from .config import ConfigError, config_digest, load_config, stage_configs
+from .gradcheck import gradient_check, toy_losses
+from .mae import train_mae
+from .metrics import GradeSet, ScoredCase, auroc, ordinal_auroc
 from .model import ModelBundle, embed_texts, embed_volumes, unit_rows
 from .reports import FreeTextReport, load_catalog, structure_report, structured_from_flags
-from .seeding import substream
 from .supervision import pathology_vector
 from .synth import SynthSpec, calcium_wording_severity, generate_full_corpus, write_corpus
-from .tasks import FinetuneConfig, cac_confidences, finetune_classifier, prompt_margins
+from .tasks import cac_confidences, finetune_classifier, prompt_margins, retrieval_metrics
 from .tokenizer import build_vocab, load_vocab, save_vocab
 from .volume import load_volume
 
@@ -105,20 +95,6 @@ def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict, extra_manifest=N
     sys.stdout.write("\n")
 
 
-def _geometry(cfg):
-    vis = cfg["visual"]
-    txt = cfg["text"]
-    dec = cfg["decoder"]
-    vis_cfg = VisualEncoderConfig(
-        patch_size=tuple(cfg["geometry"]["patch_size"]),
-        embed_dim=vis["embed_dim"], depth=vis["depth"], heads=vis["heads"],
-        mlp_ratio=vis["mlp_ratio"], input_dims=tuple(cfg["geometry"]["dims"]),
-    )
-    dec_cfg = DecoderConfig(embed_dim=dec["embed_dim"], depth=dec["depth"],
-                            heads=dec["heads"], mlp_ratio=dec["mlp_ratio"])
-    return vis_cfg, dec_cfg, txt
-
-
 def _synth_spec(cfg) -> SynthSpec:
     s = cfg["synth"]
     prev = s["prevalence"]
@@ -181,11 +157,8 @@ def _load_bundle(root: str, cfg: dict, stem=None, force=False) -> ModelBundle:
             raise CheckpointError(msg)
         print(f"warning: {msg}", file=sys.stderr)
     vocab = load_vocab(os.path.join(os.path.dirname(stem), "vocab.txt"))
-    vis_cfg, _, txt = _geometry(cfg)
-    txt_cfg = TextEncoderConfig(vocab_size=len(vocab), max_len=txt["max_len"],
-                                embed_dim=txt["embed_dim"], depth=txt["depth"],
-                                heads=txt["heads"], mlp_ratio=txt["mlp_ratio"])
-    return ModelBundle(params=params, vis_cfg=vis_cfg, txt_cfg=txt_cfg,
+    stages = stage_configs(cfg, len(vocab))
+    return ModelBundle(params=params, vis_cfg=stages["visual"], txt_cfg=stages["text"],
                        vocab=vocab, catalog=load_catalog())
 
 
@@ -239,16 +212,12 @@ def cmd_structure_reports(args, cfg: dict, root: str) -> None:
 
 
 def cmd_pretrain_mae(args, cfg: dict, root: str) -> None:
-    vis_cfg, dec_cfg, _ = _geometry(cfg)
+    stages = stage_configs(cfg)
     train, _ = _load_synth(root, cfg, volumes=("train",))
-    m = cfg["mae"]
-    train_cfg = MAETrainConfig(epochs=m["epochs"], batch=m["batch"], base_lr=m["base_lr"],
-                               weight_decay=m["weight_decay"], warmup_frac=m["warmup_frac"],
-                               min_lr=m["min_lr"], mask_ratio=m["mask_ratio"])
     out = _cmd_dir(root, "pretrain_mae")
     with open(os.path.join(out, "trace.jsonl"), "w", encoding="utf-8") as fh:
         params, trace = train_mae(
-            [c["volume"] for c in train], vis_cfg, dec_cfg, train_cfg,
+            [c["volume"] for c in train], stages["visual"], stages["decoder"], stages["mae"],
             seed=cfg["seed"], proj_dim=cfg["proj_dim"],
             trace_hook=lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n"),
         )
@@ -264,7 +233,6 @@ def cmd_pretrain_mae(args, cfg: dict, root: str) -> None:
 
 def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
     cat = load_catalog()
-    vis_cfg, _, txt = _geometry(cfg)
     train, _ = _load_synth(root, cfg, volumes=("train",))
     stem = args.init or os.path.join(root, "pretrain_mae", "checkpoint")
     params, manifest = load_checkpoint(stem)
@@ -277,26 +245,15 @@ def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
 
     structured = [structured_from_flags(c["case_id"], c["flags"], cat) for c in train]
     vocab = build_vocab([c["free_text"] for c in train] + [s.text() for s in structured])
-    txt_cfg = TextEncoderConfig(vocab_size=len(vocab), max_len=txt["max_len"],
-                                embed_dim=txt["embed_dim"], depth=txt["depth"],
-                                heads=txt["heads"], mlp_ratio=txt["mlp_ratio"])
+    stages = stage_configs(cfg, len(vocab))
     pairs = [(c["volume"], c["free_text"], s, pathology_vector(s))
              for c, s in zip(train, structured)]
-    cc = cfg["clip"]
-    clip_cfg = ContrastiveConfig(
-        temperature=cc["temperature"], variant_prob=cc["variant_prob"], epochs=cc["epochs"],
-        batch=cc["batch"], lr=cc["lr"], proj_lr=cc["proj_lr"],
-        weight_decay=cc["weight_decay"], warmup_frac=cc["warmup_frac"],
-        min_lr=cc["min_lr"], raw_affinity=cc["raw_affinity"],
-        text_warmup_steps=cc["text_warmup_steps"], text_warmup_lr=cc["text_warmup_lr"],
-        text_warmup_batch=cc["text_warmup_batch"],
-        text_warmup_statement_frac=cc["text_warmup_statement_frac"],
-    )
     out = _cmd_dir(root, "pretrain_clip")
     save_vocab(vocab, os.path.join(out, "vocab.txt"))
     with open(os.path.join(out, "trace.jsonl"), "w", encoding="utf-8") as fh:
         params, trace = train_clip(
-            pairs, params, vis_cfg, txt_cfg, vocab, clip_cfg, seed=cfg["seed"],
+            pairs, params, stages["visual"], stages["text"], vocab, stages["clip"],
+            seed=cfg["seed"],
             trace_hook=lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n"),
             severity_fn=calcium_wording_severity,
         )
@@ -342,33 +299,19 @@ def cmd_eval_zeroshot(args, cfg: dict, root: str) -> None:
 def cmd_eval_retrieval(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
     _, evalset = _load_synth(root, cfg, volumes=("eval",))
-    cat = bundle.catalog
     ids = [c["case_id"] for c in evalset]
-    vols = [c["volume"] for c in evalset]
-    texts = [structured_from_flags(c["case_id"], c["flags"], cat).text() for c in evalset]
-    flags = np.array([c["flags"] for c in evalset])
-    v = unit_rows(embed_volumes(bundle, vols))
-    t = unit_rows(embed_texts(bundle, texts))
-    S = v @ t.T
-    i2t = [rank_pool(S[i], ids, ids[i]) for i in range(len(ids))]
-    t2i = [rank_pool(S[:, j], ids, ids[j]) for j in range(len(ids))]
-    recalls = {}
-    for k in cfg["eval"]["recall_ks"]:
-        recalls[f"image_to_text_r@{k}"] = round(mean_recall_at_k(i2t, ids, k), 6)
-        recalls[f"text_to_image_r@{k}"] = round(mean_recall_at_k(t2i, ids, k), 6)
-    keyword = {}
-    for d, name in enumerate(cat.names):
-        pos_ids = {ids[i] for i in range(len(ids)) if flags[i, d]}
-        if not pos_ids:
-            continue
-        prompt_emb = unit_rows(embed_texts(bundle, [f"There is {name}"]))[0]
-        ranked = rank_pool(v @ prompt_emb, ids, name)
-        keyword[name] = {
-            "prevalence": round(len(pos_ids) / len(ids), 6),
-            **{f"p@{k}": round(precision_at_k(ranked, pos_ids, k), 6)
-               for k in cfg["eval"]["precision_ks"]},
-        }
-    metrics = {"recall": recalls, "keyword": keyword, "pool_size": len(ids)}
+    texts = [structured_from_flags(c["case_id"], c["flags"], bundle.catalog).text()
+             for c in evalset]
+    scores = retrieval_metrics(
+        unit_rows(embed_volumes(bundle, [c["volume"] for c in evalset])),
+        unit_rows(embed_texts(bundle, texts)), ids, np.array([c["flags"] for c in evalset]),
+        bundle, cfg["eval"]["recall_ks"], cfg["eval"]["precision_ks"])
+    metrics = {
+        "recall": {k: round(x, 6) for k, x in scores["recall"].items()},
+        "keyword": {name: {k: round(x, 6) for k, x in kw.items()}
+                    for name, kw in scores["keyword"].items()},
+        "pool_size": len(ids),
+    }
     _emit(_cmd_dir(root, "eval_retrieval"), cfg, "eval-retrieval", metrics)
 
 
@@ -425,8 +368,7 @@ def cmd_eval_cac(args, cfg: dict, root: str) -> None:
 
 def cmd_finetune(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    ft = cfg["finetune"]
-    target = ft["target"]
+    target = cfg["finetune"]["target"]
     train, evalset = _load_synth(root, cfg, graded_only=target == "cac")
     if target == "cac":
         train_pairs = [(c["volume"], c["grade"] - 1) for c in train if c["grade"] is not None]
@@ -437,11 +379,9 @@ def cmd_finetune(args, cfg: dict, root: str) -> None:
         train_pairs = [(c["volume"], int(c["flags"][d])) for c in train]
         eval_pairs = [(c["volume"], int(c["flags"][d])) for c in evalset]
         head_classes = 2
-    ft_cfg = FinetuneConfig(epochs=ft["epochs"], batch=ft["batch"], lr=ft["lr"],
-                            head_lr=ft["head_lr"], weight_decay=ft["weight_decay"],
-                            warmup_frac=ft["warmup_frac"], freeze_encoder=ft["freeze_encoder"])
-    params, result = finetune_classifier(train_pairs, bundle.params, head_classes, ft_cfg,
-                                         bundle, seed=cfg["seed"], eval_set=eval_pairs)
+    params, result = finetune_classifier(train_pairs, bundle.params, head_classes,
+                                         stage_configs(cfg)["finetune"], bundle,
+                                         seed=cfg["seed"], eval_set=eval_pairs)
     out = _cmd_dir(root, "finetune")
     save_checkpoint(params, f"finetune-{target}", os.path.join(out, "checkpoint"),
                     config_digest(cfg))
@@ -461,52 +401,10 @@ def cmd_finetune(args, cfg: dict, root: str) -> None:
 
 
 def cmd_gradcheck(args, cfg: dict, root: str) -> None:
-    # toy double-precision configs; independent of the main geometry
-    from .clip import clip_batch_fwd_bwd
-    from .encoders import init_text_params, init_visual_params
-    from .mae import init_decoder_params, mae_batch_bwd, mae_batch_fwd
-    from .tokenizer import pad_batch, tokenize
-
-    vis_cfg = VisualEncoderConfig(patch_size=(2, 2, 2), embed_dim=8, depth=1, heads=2,
-                                  mlp_ratio=2.0, input_dims=(4, 4, 4))
-    dec_cfg = DecoderConfig(embed_dim=4, depth=1, heads=2, mlp_ratio=2.0)
-    rng = substream(cfg["seed"], "gradcheck-init")
-    params = init_visual_params(rng, vis_cfg, proj_dim=4, dtype=np.float64)
-    init_decoder_params(rng, vis_cfg, dec_cfg, params, dtype=np.float64)
-    for k in params:  # move off the tiny init so finite differences are well-conditioned
-        params[k] = params[k] + rng.normal(0, 0.2, params[k].shape)
-    data_rng = substream(cfg["seed"], "gradcheck-data")
-    patches = data_rng.random((2, 8, 8))
-    vis_idx = np.array([[0, 3, 5], [1, 2, 7]])
-    mask_idx = np.array([[1, 2, 4, 6, 7], [0, 3, 4, 5, 6]])
-
-    def mae_loss(p):
-        loss, cache = mae_batch_fwd(p, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
-        return loss, mae_batch_bwd(p, vis_cfg, dec_cfg, cache)
-
-    err_mae = gradient_check(mae_loss, params, n_probes=32, eps=1e-5, seed=cfg["seed"])
-
-    vocab = build_vocab(["there is coronary stenosis", "no pericardial effusion",
-                         "cardiomegaly present"])
-    txt_cfg = TextEncoderConfig(vocab_size=len(vocab), max_len=8, embed_dim=8, depth=1,
-                                heads=2, mlp_ratio=2.0)
-    cparams = init_visual_params(substream(cfg["seed"], "gc2"), vis_cfg, proj_dim=4,
-                                 dtype=np.float64)
-    init_text_params(substream(cfg["seed"], "gc3"), txt_cfg, 4, cparams)
-    for k in cparams:
-        cparams[k] = cparams[k].astype(np.float64) + rng.normal(0, 0.2, cparams[k].shape)
-    ids, lengths = pad_batch([tokenize(t, vocab, 8) for t in
-                              ["there is coronary stenosis", "no pericardial effusion",
-                               "cardiomegaly present"]])
-    cpatches = data_rng.random((3, 8, 8))
-    targets = np.array([[0.6, 0.2, 0.2], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5]])
-
-    def clip_loss(p):
-        loss, grads, _ = clip_batch_fwd_bwd(p, vis_cfg, txt_cfg, cpatches, ids, lengths,
-                                            targets, tau=0.5)
-        return loss, grads
-
-    err_clip = gradient_check(clip_loss, cparams, n_probes=32, eps=1e-5, seed=cfg["seed"])
+    # the float64 toy problem; independent of the main geometry
+    losses = toy_losses(cfg["seed"])
+    err_mae = gradient_check(*losses["mae"], n_probes=32, eps=1e-5, seed=cfg["seed"])
+    err_clip = gradient_check(*losses["contrastive"], n_probes=32, eps=1e-5, seed=cfg["seed"])
     metrics = {
         "mae_loss_max_rel_error": float(err_mae),
         "contrastive_loss_max_rel_error": float(err_clip),

@@ -26,45 +26,9 @@ from .encoders import (
 from .optim import AdamW, ScheduleConfig, lr_at_step
 from .reports import StructuredReport
 from .seeding import substream
-from .supervision import (
-    PathologyVector,
-    affinity_matrix,
-    raw_affinity_targets,
-    targets_from_affinity,
-)
+from .supervision import affinity_matrix, raw_affinity_targets, targets_from_affinity
 from .tokenizer import Vocabulary, pad_batch, tokenize
-from .volume import Volume3D, batch_patches
-
-
-@dataclass(frozen=True)
-class PairBatch:
-    """Aligned volumes, free texts, structured reports, and pathology vectors."""
-
-    volumes: tuple
-    free_texts: tuple
-    structured: tuple
-    vectors: tuple
-
-    def __post_init__(self):
-        n = len(self.volumes)
-        if n < 2:
-            raise ValueError(f"contrastive batch needs B >= 2, got {n}")
-        if not (len(self.free_texts) == len(self.structured) == len(self.vectors) == n):
-            raise ValueError("pair batch components have mismatched lengths")
-
-    def __len__(self) -> int:
-        return len(self.volumes)
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("similarity matrix contains non-finite entries")
-        if np.any(np.abs(self.entries) > 1.0 + 1e-6):
-            raise ValueError("cosine similarities must lie in [-1, 1]")
+from .volume import batch_patches
 
 
 @dataclass(frozen=True)
@@ -124,16 +88,6 @@ def cosine_rows_bwd(cache, dS: np.ndarray):
     dv = (dvh - vh * (dvh * vh).sum(axis=1, keepdims=True)) / vn[:, None]
     dt = (dth - th * (dth * th).sum(axis=1, keepdims=True)) / tn[:, None]
     return dv, dt
-
-
-def similarity_matrix(v_embs, t_embs) -> SimilarityMatrix:
-    """Cosine similarity between every visual/text embedding pair."""
-    if len(v_embs) != len(t_embs):
-        raise ValueError(f"count mismatch: {len(v_embs)} visual vs {len(t_embs)} text")
-    v = np.stack([e.vector for e in v_embs])
-    t = np.stack([e.vector for e in t_embs])
-    S, _ = cosine_rows(v, t)
-    return SimilarityMatrix(entries=S)
 
 
 def contrastive_loss(S: np.ndarray, T: np.ndarray, tau: float):
@@ -288,17 +242,16 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
 
     params must already carry the visual trunk (vis.*); text parameters are
     initialized here when absent. Two learning-rate groups: encoders at
-    cfg.lr, projection heads at cfg.proj_lr. Returns (params, trace).
+    cfg.lr, projection heads at cfg.proj_lr. pairs holds one (volume, free
+    text, structured report, pathology vector) tuple per case. Returns
+    (params, trace).
     """
-    n = len(pairs.volumes) if isinstance(pairs, PairBatch) else len(pairs)
-    cases = pairs if not isinstance(pairs, PairBatch) else list(
-        zip(pairs.volumes, pairs.free_texts, pairs.structured, pairs.vectors)
-    )
+    n = len(pairs)
     if n < 2:
         raise ValueError("contrastive training needs at least 2 paired cases")
     if "txt.tok" not in params:
         init_text_params(substream(seed, "init-text"), txt_cfg, params["vis.proj.w"].shape[1], params)
-    warmup_text_encoder(cases, params, txt_cfg, vocab, cfg, seed, severity_fn=severity_fn)
+    warmup_text_encoder(pairs, params, txt_cfg, vocab, cfg, seed, severity_fn=severity_fn)
 
     trainable = {k: v for k, v in params.items() if not k.startswith("dec.")}
     steps_per_epoch = math.ceil(n / cfg.batch)
@@ -331,7 +284,7 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
             idx = order[b0 : b0 + cfg.batch]
             if idx.size < 2:
                 continue  # a trailing singleton has no contrastive signal
-            vols, fts, sts, vecs = zip(*(cases[i] for i in idx))
+            vols, fts, sts, vecs = zip(*(pairs[i] for i in idx))
             patches = batch_patches(vols, vis_cfg.patch_size, dtype)
             texts = [
                 sample_text_variant(ft, st, variant_rng, cfg.variant_prob)

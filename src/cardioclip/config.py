@@ -1,6 +1,7 @@
 """One JSON document of every tunable, validated against all module invariants
 before any stage runs. Unknown keys are rejected; violations are reported
-together, not one at a time."""
+together, not one at a time. stage_configs turns the sections into the
+stages' config dataclasses."""
 
 from __future__ import annotations
 
@@ -9,10 +10,15 @@ import hashlib
 import json
 import math
 
+from .clip import ContrastiveConfig
+from .encoders import TextEncoderConfig, VisualEncoderConfig
+from .mae import DecoderConfig, MAETrainConfig
+from .reports import load_catalog
+from .tasks import FinetuneConfig
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "geometry": {"dims": [64, 64, 64], "patch_size": [16, 16, 16]},
-    "window": {"lo": -300.0, "hi": 700.0},
     "visual": {"embed_dim": 128, "depth": 4, "heads": 4, "mlp_ratio": 4.0},
     "text": {"embed_dim": 128, "depth": 2, "heads": 4, "max_len": 64, "mlp_ratio": 4.0},
     "decoder": {"embed_dim": 64, "depth": 2, "heads": 4, "mlp_ratio": 4.0},
@@ -131,7 +137,7 @@ def apply_set_overrides(cfg: dict, assignments) -> dict:
 def validate_config(cfg: dict) -> list[str]:
     """Every violated invariant, empty when the config is runnable."""
     v: list[str] = []
-    geo, win = cfg["geometry"], cfg["window"]
+    geo = cfg["geometry"]
     vis, txt, dec = cfg["visual"], cfg["text"], cfg["decoder"]
     mae, clip_c, ft, synth = cfg["mae"], cfg["clip"], cfg["finetune"], cfg["synth"]
 
@@ -154,9 +160,6 @@ def validate_config(cfg: dict) -> list[str]:
         for d in dims:
             if d % 16 != 0:
                 v.append(f"synth requires dims divisible by 16, got {d}")
-
-    if not win["lo"] < win["hi"]:
-        v.append(f"window: lo {win['lo']} must be < hi {win['hi']}")
 
     for label, enc in (("visual", vis), ("text", txt), ("decoder", dec)):
         if enc["embed_dim"] % enc["heads"] != 0:
@@ -217,10 +220,7 @@ def validate_config(cfg: dict) -> list[str]:
     if synth["signal_strength"] < 0:
         v.append("synth.signal_strength must be >= 0")
 
-    names = {"cac", "coronary stenosis", "coronary calcification", "aortic calcification",
-             "atherosclerosis", "cardiomegaly", "pericardial effusion",
-             "pulmonary arterial hypertension"}
-    if ft["target"] not in names:
+    if ft["target"] != "cac" and ft["target"] not in load_catalog().names:
         v.append(f"finetune.target must be 'cac' or a catalog name, got {ft['target']!r}")
 
     for key in ("recall_ks", "precision_ks"):
@@ -242,6 +242,24 @@ def load_config(path=None, assignments=()) -> dict:
     if violations:
         raise ConfigError(violations)
     return cfg
+
+
+def stage_configs(cfg: dict, vocab_size: int | None = None) -> dict:
+    """The stages' config dataclasses, each unpacked from its config section:
+    visual (with the geometry), decoder, mae, clip and finetune, plus text
+    when vocab_size is given (it is known only once a vocabulary is built)."""
+    geo = cfg["geometry"]
+    stages = {
+        "visual": VisualEncoderConfig(patch_size=tuple(geo["patch_size"]),
+                                      input_dims=tuple(geo["dims"]), **cfg["visual"]),
+        "decoder": DecoderConfig(**cfg["decoder"]),
+        "mae": MAETrainConfig(**cfg["mae"]),
+        "clip": ContrastiveConfig(**cfg["clip"]),
+        "finetune": FinetuneConfig(**{k: v for k, v in cfg["finetune"].items() if k != "target"}),
+    }
+    if vocab_size is not None:
+        stages["text"] = TextEncoderConfig(vocab_size=vocab_size, **cfg["text"])
+    return stages
 
 
 def config_digest(cfg: dict) -> str:

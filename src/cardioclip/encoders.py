@@ -1,13 +1,14 @@
 """Visual and textual transformer encoders sharing one projection space.
 
 The visual encoder is a ViT with 3D patch embedding: a linear map from
-flattened patches plus learned positional vectors and a class token. The
-textual encoder is a small transformer over word ids with length-masked
-attention. Both pool via the class token and project to a common width.
+per-volume standardized, flattened patches plus learned positional vectors
+and a class token. The textual encoder is a small transformer over word ids
+with length-masked attention. Both mean-pool their output tokens (the
+visual tower over its patch tokens, the text tower over the valid tokens)
+and project to a common width.
 
-Forward passes come in two flavors: the public single-input operations
-(embed_patches, encode_visible, encode_text, encode_image) and batched
-*_fwd/*_bwd pairs used by the training loops.
+Each tower has one batched *_fwd/*_bwd pair, shared by training, evaluation
+and the gradient checker.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .tokenizer import TokenSequence, Vocabulary, tokenize
-from .volume import Volume3D, batch_patches
 
 
 @dataclass(frozen=True)
@@ -29,16 +28,12 @@ class VisualEncoderConfig:
     heads: int = 4
     mlp_ratio: float = 4.0
     input_dims: tuple[int, int, int] = (64, 64, 64)
-    pooling: str = "mean"  # "mean" over patch tokens or "cls"
-    standardize_input: bool = True  # per-volume zero-mean/unit-std before embedding
 
     def __post_init__(self):
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
-        if self.pooling not in ("mean", "cls"):
-            raise ValueError(f"pooling must be 'mean' or 'cls', got {self.pooling!r}")
         for d, p in zip(self.input_dims, self.patch_size):
             if p < 1 or d % p != 0:
                 raise ValueError(f"input dim {d} not divisible by patch size {p}")
@@ -64,45 +59,16 @@ class TextEncoderConfig:
     depth: int = 2
     heads: int = 4
     mlp_ratio: float = 4.0
-    pooling: str = "mean"  # "mean" over valid tokens or "cls"
 
     def __post_init__(self):
         if self.max_len < 2:
             raise ValueError("max_len must be >= 2 (class token plus at least one content token)")
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.pooling not in ("mean", "cls"):
-            raise ValueError(f"pooling must be 'mean' or 'cls', got {self.pooling!r}")
 
     @property
     def mlp_hidden(self) -> int:
         return int(self.embed_dim * self.mlp_ratio)
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """A projected feature vector with its cached Euclidean norm."""
-
-    vector: np.ndarray
-    norm: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError("embedding vector contains non-finite values")
-        object.__setattr__(self, "norm", float(np.linalg.norm(self.vector)))
-
-    @property
-    def dim(self) -> int:
-        return int(self.vector.shape[-1])
-
-    def unit(self) -> np.ndarray:
-        if self.norm == 0.0:
-            raise ZeroDivisionError("cannot normalize a zero-norm embedding")
-        return self.vector / self.norm
-
-
-def make_embedding(vector: np.ndarray) -> Embedding:
-    return Embedding(vector=np.asarray(vector), norm=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,26 +109,24 @@ def init_text_params(rng, cfg: TextEncoderConfig, proj_dim: int, params=None,
 # batched visual forward / backward
 
 
-def patch_tokens_fwd(params, patches: np.ndarray, positions: np.ndarray | None = None,
-                     standardize: bool = True):
+def patch_tokens_fwd(params, patches: np.ndarray, positions: np.ndarray | None = None):
     """(B, n, P) patches -> (B, n+1, E) tokens, class token first.
 
     positions: per-sample patch indices (B, n) selecting which positional
-    vectors apply; None means the identity layout 0..n-1. With standardize,
-    inputs are shifted/scaled to zero mean and unit std per sample, so the
-    embedding responds to structure rather than the dominant DC intensity.
+    vectors apply; None means the identity layout 0..n-1. Inputs are
+    shifted/scaled to zero mean and unit std per sample, so the embedding
+    responds to structure rather than the dominant DC intensity.
     """
     B, n, P = patches.shape
-    if standardize:
-        # np.std's own arithmetic (down to its intp divisor) on one deviation
-        # array, so bitwise equal to (patches - mean) / (std + eps)
-        d = patches - patches.mean(axis=(1, 2), keepdims=True)
-        sd = np.square(d).sum(axis=(1, 2), keepdims=True)
-        sd /= np.intp(n * P)
-        np.sqrt(sd, out=sd)
-        sd += np.asarray(1e-6, dtype=patches.dtype)
-        d /= sd
-        patches = d
+    # np.std's own arithmetic (down to its intp divisor) on one deviation
+    # array, so bitwise equal to (patches - mean) / (std + eps)
+    d = patches - patches.mean(axis=(1, 2), keepdims=True)
+    sd = np.square(d).sum(axis=(1, 2), keepdims=True)
+    sd /= np.intp(n * P)
+    np.sqrt(sd, out=sd)
+    sd += np.asarray(1e-6, dtype=patches.dtype)
+    d /= sd
+    patches = d
     x = nn.matmul(patches, params["vis.patch.w"])
     x += params["vis.patch.b"]
     pos = params["vis.pos"]
@@ -194,7 +158,7 @@ def patch_tokens_bwd(params, cache, positions, dx: np.ndarray, grads):
 def visual_trunk_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray,
                      positions: np.ndarray | None = None):
     """Patches through embedding + blocks + final norm. Returns (B, n+1, E)."""
-    x, c_tok = patch_tokens_fwd(params, patches, positions, cfg.standardize_input)
+    x, c_tok = patch_tokens_fwd(params, patches, positions)
     x, c_stack = nn.stack_fwd(params, "vis", x, cfg.depth, cfg.heads)
     y, c_lnf = nn.layernorm_fwd(params, "vis.lnf", x)
     return y, (c_tok, c_stack, c_lnf)
@@ -209,8 +173,13 @@ def visual_trunk_bwd(params, cfg: VisualEncoderConfig, cache, positions, dy, gra
 
 def visual_embed_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
     """Full (unmasked) patches -> (features (B, E), projected (B, Dp), cache)."""
+    if patches.shape[1:] != (cfg.n_patches, cfg.patch_volume):
+        raise ValueError(
+            f"{patches.shape[1]} patches of {patches.shape[2]} voxels do not match the config's "
+            f"n_patches {cfg.n_patches} of {cfg.patch_volume} (input_dims {cfg.input_dims})"
+        )
     y, c_trunk = visual_trunk_fwd(params, cfg, patches)
-    feats = y[:, 0] if cfg.pooling == "cls" else y[:, 1:].mean(axis=1)
+    feats = y[:, 1:].mean(axis=1)
     emb, c_proj = nn.linear_fwd(params, "vis.proj", feats)
     return feats, emb, (c_trunk, c_proj, y.shape)
 
@@ -222,10 +191,7 @@ def visual_embed_bwd(params, cfg: VisualEncoderConfig, cache, demb, grads,
     if dfeats is not None:
         dpool = dpool + dfeats
     dy = np.zeros(yshape, dtype=dpool.dtype)
-    if cfg.pooling == "cls":
-        dy[:, 0] = dpool
-    else:
-        dy[:, 1:] = dpool[:, None, :] / (yshape[1] - 1)
+    dy[:, 1:] = dpool[:, None, :] / (yshape[1] - 1)
     return visual_trunk_bwd(params, cfg, c_trunk, None, dy, grads)
 
 
@@ -244,10 +210,7 @@ def text_embed_fwd(params, cfg: TextEncoderConfig, ids: np.ndarray, lengths: np.
     mask = (np.arange(T)[None, :] < lengths[:, None])
     x, c_stack = nn.stack_fwd(params, "txt", x, cfg.depth, cfg.heads, key_mask=mask)
     y, c_lnf = nn.layernorm_fwd(params, "txt.lnf", x)
-    if cfg.pooling == "cls":
-        feats = y[:, 0]
-    else:
-        feats = (y * mask[:, :, None]).sum(axis=1) / lengths[:, None]
+    feats = (y * mask[:, :, None]).sum(axis=1) / lengths[:, None]
     emb, c_proj = nn.linear_fwd(params, "txt.proj", feats)
     return feats, emb, (ids, c_stack, c_lnf, c_proj, y.shape, mask, lengths)
 
@@ -264,10 +227,7 @@ def text_embed_bwd(params, cfg: TextEncoderConfig, cache, demb, grads,
         if dfeats is not None:
             dpool = dpool + dfeats
     dy = np.zeros(yshape, dtype=dpool.dtype)
-    if cfg.pooling == "cls":
-        dy[:, 0] = dpool
-    else:
-        dy += (dpool / lengths[:, None])[:, None, :] * mask[:, :, None]
+    dy += (dpool / lengths[:, None])[:, None, :] * mask[:, :, None]
     dx = nn.layernorm_bwd(params, "txt.lnf", c_lnf, dy, grads)
     dx = nn.stack_bwd(params, "txt", c_stack, dx, grads)
     T = ids.shape[1]
@@ -277,44 +237,3 @@ def text_embed_bwd(params, cfg: TextEncoderConfig, cache, demb, grads,
     dpos = np.zeros_like(params["txt.pos"])
     dpos[:T] = dx.sum(axis=0)
     nn.accumulate(grads, "txt.pos", dpos)
-
-
-# ---------------------------------------------------------------------------
-# public single-input operations
-
-
-def embed_patches(g, cfg: VisualEncoderConfig, params) -> np.ndarray:
-    """PatchGrid -> (N+1, embed_dim) token matrix, class token first."""
-    if g.patch_volume != cfg.patch_volume:
-        raise ValueError(
-            f"patch length {g.patch_volume} does not match config patch volume {cfg.patch_volume}"
-        )
-    tokens, _ = patch_tokens_fwd(params, g.patches[None], standardize=cfg.standardize_input)
-    return tokens[0]
-
-
-def encode_visible(tokens: np.ndarray, cfg: VisualEncoderConfig, params) -> np.ndarray:
-    """Run the block stack over a (T, E) token matrix; depth 0 is the identity."""
-    if tokens.shape[-1] != cfg.embed_dim:
-        raise ValueError(f"token width {tokens.shape[-1]} != embed_dim {cfg.embed_dim}")
-    out, _ = nn.stack_fwd(params, "vis", tokens[None], cfg.depth, cfg.heads)
-    return out[0]
-
-
-def encode_text(seq: TokenSequence, cfg: TextEncoderConfig, params) -> Embedding:
-    ids = np.asarray(seq.token_ids, dtype=np.int64)[None]
-    lengths = np.asarray([seq.length], dtype=np.int64)
-    _, emb, _ = text_embed_fwd(params, cfg, ids, lengths)
-    return make_embedding(emb[0])
-
-
-def encode_text_str(text: str, vocab: Vocabulary, cfg: TextEncoderConfig, params) -> Embedding:
-    return encode_text(tokenize(text, vocab, cfg.max_len), cfg, params)
-
-
-def encode_image(v: Volume3D, cfg: VisualEncoderConfig, params) -> Embedding:
-    if v.dims != tuple(cfg.input_dims):
-        raise ValueError(f"volume dims {v.dims} do not match config input_dims {cfg.input_dims}")
-    patches = batch_patches([v], cfg.patch_size, params["vis.patch.w"].dtype)
-    _, emb, _ = visual_embed_fwd(params, cfg, patches)
-    return make_embedding(emb[0])

@@ -8,7 +8,7 @@ but rebuilds only the masked patches, and the loss is their mean squared error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,13 +97,6 @@ def sample_mask(n_total: int, ratio: float, seed: int) -> MaskPlan:
     )
 
 
-def apply_mask(g, m: MaskPlan) -> np.ndarray:
-    """Visible patches in index order; masked content never reaches the encoder."""
-    if m.n_total != g.n_patches:
-        raise ValueError(f"mask over {m.n_total} patches but grid has {g.n_patches}")
-    return g.patches[np.asarray(m.visible_idx)]
-
-
 def init_decoder_params(rng, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
                         params=None, dtype=np.float32) -> nn.Params:
     p = params if params is not None else {}
@@ -149,8 +142,7 @@ def mae_batch_fwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
     ed = dec_cfg.embed_dim
     rows = np.arange(B)[:, None]
     vis_patches = patches[rows, vis_idx]
-    x, c_tok = patch_tokens_fwd(params, vis_patches, positions=vis_idx,
-                                standardize=vis_cfg.standardize_input)
+    x, c_tok = patch_tokens_fwd(params, vis_patches, positions=vis_idx)
     x, c_enc = nn.stack_fwd(params, "vis", x, vis_cfg.depth, vis_cfg.heads)
     enc_out, c_lnf = nn.layernorm_fwd(params, "vis.lnf", x)
     dec_lin, c_emb = nn.linear_fwd(params, "dec.embed", enc_out)

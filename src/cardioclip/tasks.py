@@ -1,9 +1,8 @@
-"""Downstream evaluation tasks: zero-shot prompt classification, the three
-retrieval protocols, the calcium-confidence proxy, and head fine-tuning."""
+"""Downstream evaluation tasks: zero-shot prompt margins, cross-modal and
+keyword retrieval scoring, the calcium-confidence proxy, and head fine-tuning."""
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -11,31 +10,21 @@ import numpy as np
 
 from . import nn
 from .encoders import visual_embed_bwd, visual_embed_fwd
-from .metrics import RankedList, ScoredCase, auroc, head_ordinal_auroc, precision_at_k, rank_pool
+from .metrics import (
+    ScoredCase,
+    auroc,
+    head_ordinal_auroc,
+    mean_recall_at_k,
+    precision_at_k,
+    rank_pool,
+)
 from .model import ModelBundle, embed_texts, embed_volumes, unit_rows
 from .optim import AdamW, ScheduleConfig, lr_at_step
 from .reports import make_prompt_pair
 from .seeding import substream
-from .volume import Volume3D, batch_patches
-
-logger = logging.getLogger(__name__)
+from .volume import batch_patches
 
 CAC_PROMPT_NAME = "Coronary Artery Calcium"
-
-
-def zero_shot_classify(v: Volume3D, name: str, bundle: ModelBundle):
-    """Compare image similarity against the positive and negative prompts.
-
-    Returns (decision, s_p, s_n); an exact tie resolves to negative.
-    """
-    pos, neg = make_prompt_pair(name, bundle.catalog)
-    v_emb = unit_rows(embed_volumes(bundle, [v]))[0]
-    t_emb = unit_rows(embed_texts(bundle, [pos, neg]))
-    s_p = float(v_emb @ t_emb[0])
-    s_n = float(v_emb @ t_emb[1])
-    if s_p == s_n:
-        logger.warning("zero-shot tie for %r; resolving to negative", name)
-    return s_p > s_n, s_p, s_n
 
 
 def zero_shot_scores(volumes, name: str, bundle: ModelBundle) -> np.ndarray:
@@ -53,48 +42,44 @@ def prompt_margins(v: np.ndarray, name: str, bundle: ModelBundle) -> np.ndarray:
     return sims[:, 0] - sims[:, 1]
 
 
-def image_to_text_retrieve(query: Volume3D, pool_texts, bundle: ModelBundle,
-                           pool_ids=None, query_id: str = "query") -> RankedList:
-    """Rank the report pool by cosine against the query volume (stable ties)."""
-    if len(pool_texts) == 0:
+def retrieval_metrics(v: np.ndarray, t: np.ndarray, ids, flags: np.ndarray,
+                      bundle: ModelBundle, recall_ks, precision_ks) -> dict:
+    """Cross-modal Recall@K and keyword P@K over one pool of cases.
+
+    v, t: unit-norm volume and report embeddings (n, proj_dim), row i of both
+    from case ids[i]. Every volume queries the reports and every report the
+    volumes; the relevant item is the query's own counterpart. Each catalog
+    finding with a positive in flags (n, n_findings) queries the volumes with
+    its positive prompt. Ties keep pool order. Returns unrounded
+    {"recall": {"image_to_text_r@K", "text_to_image_r@K"},
+     "keyword": {name: {"prevalence", "p@K"}}}.
+    """
+    if len(ids) == 0:
         raise ValueError("retrieval pool is empty")
-    if pool_ids is None:
-        pool_ids = [str(i) for i in range(len(pool_texts))]
-    v = unit_rows(embed_volumes(bundle, [query]))[0]
-    t = unit_rows(embed_texts(bundle, list(pool_texts)))
-    return rank_pool(t @ v, list(pool_ids), query_id)
-
-
-def text_to_image_retrieve(query: str, pool_volumes, bundle: ModelBundle,
-                           pool_ids=None, query_id: str = "query") -> RankedList:
-    """Rank the volume pool by cosine against the query report (stable ties)."""
-    if len(pool_volumes) == 0:
-        raise ValueError("retrieval pool is empty")
-    if pool_ids is None:
-        pool_ids = [str(i) for i in range(len(pool_volumes))]
-    t = unit_rows(embed_texts(bundle, [query]))[0]
-    v = unit_rows(embed_volumes(bundle, list(pool_volumes)))
-    return rank_pool(v @ t, list(pool_ids), query_id)
-
-
-def keyword_retrieve(name: str, pool_volumes, bundle: ModelBundle, k: int,
-                     positive_ids, pool_ids=None):
-    """Query with the positive prompt for a finding; returns (RankedList, P@K)."""
-    pos, _ = make_prompt_pair(name, bundle.catalog)
-    ranked = text_to_image_retrieve(pos, pool_volumes, bundle, pool_ids, query_id=pos)
-    return ranked, precision_at_k(ranked, positive_ids, k)
-
-
-def cac_confidence(v: Volume3D, bundle: ModelBundle) -> float:
-    """Calcium confidence of one volume; see cac_confidences."""
-    return float(cac_confidences([v], bundle)[0])
+    S = v @ t.T
+    i2t = [rank_pool(S[i], ids, ids[i]) for i in range(len(ids))]
+    t2i = [rank_pool(S[:, j], ids, ids[j]) for j in range(len(ids))]
+    recall = {}
+    for k in recall_ks:
+        recall[f"image_to_text_r@{k}"] = mean_recall_at_k(i2t, ids, k)
+        recall[f"text_to_image_r@{k}"] = mean_recall_at_k(t2i, ids, k)
+    keyword = {}
+    for d, name in enumerate(bundle.catalog.names):
+        pos_ids = {ids[i] for i in range(len(ids)) if flags[i, d]}
+        if not pos_ids:
+            continue
+        pos, _ = make_prompt_pair(name, bundle.catalog)
+        ranked = rank_pool(v @ unit_rows(embed_texts(bundle, [pos]))[0], ids, name)
+        keyword[name] = {"prevalence": len(pos_ids) / len(ids),
+                         **{f"p@{k}": precision_at_k(ranked, pos_ids, k) for k in precision_ks}}
+    return {"recall": recall, "keyword": keyword}
 
 
 def cac_confidences(volumes, bundle: ModelBundle) -> np.ndarray:
     """Calcium confidence: the zero-shot margin s_p - s_n, in [-2, 2], between
     "There is Coronary Artery Calcium" and "There is no Coronary Artery Calcium".
 
-    This is the score zero_shot_classify decides on, and it is monotone in the
+    This is zero_shot_scores for that finding, and it is monotone in the
     two-prompt softmax. The positive prompt's raw cosine alone is not: after
     stage 2 every calcium wording sits in a narrow cone around that prompt, so
     its cosine mostly measures a per-image offset and does not order grades.
@@ -131,7 +116,7 @@ def softmax_ce_logits(logits: np.ndarray, labels: np.ndarray):
 
 def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfig,
                         bundle: ModelBundle, seed: int = 0, eval_set=None):
-    """Train an affine head on the visual class-token feature (optionally with
+    """Train an affine head on the mean-pooled visual feature (optionally with
     the encoder). Labels are ints in [0, head_classes).
 
     Returns (params, result) where result carries the per-epoch loss trace,

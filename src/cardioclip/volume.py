@@ -1,4 +1,4 @@
-"""3D volume container, CCV1 file I/O, intensity windowing, cropping, patchify.
+"""3D volume container, CCV1 file I/O, and patchify.
 
 All functions here are pure; a Volume3D never aliases caller-owned storage
 after construction (the constructor copies unless told otherwise).
@@ -7,7 +7,7 @@ after construction (the constructor copies unless told otherwise).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,29 +50,6 @@ class Volume3D:
     @property
     def n_voxels(self) -> int:
         return int(self.voxels.size)
-
-
-@dataclass(frozen=True)
-class CropSpec:
-    """Axis-aligned crop: origin + extent, both in voxels (z, y, x order)."""
-
-    origin: tuple[int, int, int]
-    extent: tuple[int, int, int]
-
-    def __post_init__(self):
-        if len(self.origin) != 3 or len(self.extent) != 3:
-            raise ValueError("origin and extent must each have 3 components")
-        if any(o < 0 for o in self.origin):
-            raise ValueError(f"origin must be non-negative, got {self.origin}")
-        if any(e < 1 for e in self.extent):
-            raise ValueError(f"extent must be positive, got {self.extent}")
-
-    def check_against(self, dims: tuple[int, int, int]) -> None:
-        for ax, (o, e, d) in enumerate(zip(self.origin, self.extent, dims)):
-            if o + e > d:
-                raise IndexError(
-                    f"crop out of bounds on axis {ax}: origin {o} + extent {e} > dim {d}"
-                )
 
 
 @dataclass(frozen=True)
@@ -144,20 +121,6 @@ def save_volume(v: Volume3D, path) -> None:
     with open(path, "wb") as fh:
         fh.write(head)
         fh.write(payload)
-
-
-def normalize_intensity(v: Volume3D, lo: float, hi: float) -> Volume3D:
-    """Clamp to [lo, hi] and map affinely onto [0, 1]."""
-    if not lo < hi:
-        raise ValueError(f"require lo < hi, got lo={lo}, hi={hi}")
-    out = (np.clip(v.voxels, lo, hi) - lo) / (hi - lo)
-    return Volume3D(voxels=out.astype(np.float32), spacing=v.spacing)
-
-
-def crop_region(v: Volume3D, c: CropSpec) -> Volume3D:
-    c.check_against(v.dims)
-    sl = tuple(slice(o, o + e) for o, e in zip(c.origin, c.extent))
-    return Volume3D(voxels=v.voxels[sl].copy(), spacing=v.spacing)
 
 
 def patchify(v: Volume3D, patch_size: tuple[int, int, int]) -> PatchGrid:

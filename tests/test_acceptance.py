@@ -9,47 +9,22 @@ takes about 4 minutes.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cardioclip.clip import ContrastiveConfig, clip_batch_fwd_bwd, contrastive_loss, train_clip
-from cardioclip.config import DEFAULT_CONFIG, merge_config
-from cardioclip.encoders import (
-    TextEncoderConfig,
-    VisualEncoderConfig,
-    init_text_params,
-    init_visual_params,
-)
-from cardioclip.gradcheck import gradient_check
-from cardioclip.mae import (
-    DecoderConfig,
-    MAETrainConfig,
-    init_decoder_params,
-    mae_batch_bwd,
-    mae_batch_fwd,
-    masked_mse,
-    sample_mask,
-    train_mae,
-)
-from cardioclip.metrics import (
-    GradeSet,
-    RankedList,
-    ScoredCase,
-    auroc,
-    mean_recall_at_k,
-    ordinal_auroc,
-    precision_at_k,
-    rank_pool,
-    recall_at_k,
-)
+from cardioclip.clip import contrastive_loss, train_clip
+from cardioclip.config import merge_config, stage_configs
+from cardioclip.gradcheck import gradient_check, toy_losses
+from cardioclip.mae import masked_mse, sample_mask, train_mae
+from cardioclip.metrics import GradeSet, RankedList, ScoredCase, auroc, ordinal_auroc, recall_at_k
 from cardioclip.model import ModelBundle, embed_texts, embed_volumes, unit_rows
 from cardioclip.reports import FreeTextReport, load_catalog, structure_report, structured_from_flags
-from cardioclip.seeding import substream
 from cardioclip.supervision import affinity_matrix, pathology_vector
 from cardioclip.synth import SynthSpec, calcium_wording_severity, generate_full_corpus
-from cardioclip.tasks import FinetuneConfig, cac_confidences, finetune_classifier, prompt_margins
-from cardioclip.tokenizer import build_vocab, pad_batch, tokenize
+from cardioclip.tasks import cac_confidences, finetune_classifier, prompt_margins, retrieval_metrics
+from cardioclip.tokenizer import build_vocab
 
 pytestmark = pytest.mark.acceptance
 
@@ -89,64 +64,32 @@ def corpus(cfg):
 
 
 @pytest.fixture(scope="module")
-def geometry(cfg):
-    vis = VisualEncoderConfig(
-        patch_size=tuple(cfg["geometry"]["patch_size"]),
-        embed_dim=cfg["visual"]["embed_dim"], depth=cfg["visual"]["depth"],
-        heads=cfg["visual"]["heads"], mlp_ratio=cfg["visual"]["mlp_ratio"],
-        input_dims=tuple(cfg["geometry"]["dims"]),
-    )
-    dec = DecoderConfig(embed_dim=cfg["decoder"]["embed_dim"], depth=cfg["decoder"]["depth"],
-                        heads=cfg["decoder"]["heads"], mlp_ratio=cfg["decoder"]["mlp_ratio"])
-    return vis, dec
-
-
-@pytest.fixture(scope="module")
-def stage1(corpus, geometry, cfg):
+def stage1(corpus, cfg):
     train_cases, _ = corpus
-    vis_cfg, dec_cfg = geometry
-    m = cfg["mae"]
+    stages = stage_configs(cfg)
     t0 = time.time()
     params, trace = train_mae(
-        [c.volume for c in train_cases], vis_cfg, dec_cfg,
-        MAETrainConfig(epochs=m["epochs"], batch=m["batch"], base_lr=m["base_lr"],
-                       weight_decay=m["weight_decay"], warmup_frac=m["warmup_frac"],
-                       min_lr=m["min_lr"], mask_ratio=m["mask_ratio"]),
+        [c.volume for c in train_cases], stages["visual"], stages["decoder"], stages["mae"],
         seed=SEED, proj_dim=cfg["proj_dim"],
     )
     return params, trace, time.time() - t0
 
 
 @pytest.fixture(scope="module")
-def stage2(corpus, geometry, stage1, cfg, catalog):
+def stage2(corpus, stage1, cfg, catalog):
     train_cases, _ = corpus
-    vis_cfg, _ = geometry
     params = {k: v.copy() for k, v in stage1[0].items()}
     structured = [structured_from_flags(c.case_id, c.flags, catalog) for c in train_cases]
     vocab = build_vocab([c.free_text for c in train_cases] + [s.text() for s in structured])
-    txt_cfg = TextEncoderConfig(
-        vocab_size=len(vocab), max_len=cfg["text"]["max_len"],
-        embed_dim=cfg["text"]["embed_dim"], depth=cfg["text"]["depth"],
-        heads=cfg["text"]["heads"], mlp_ratio=cfg["text"]["mlp_ratio"],
-    )
+    stages = stage_configs(cfg, len(vocab))
     pairs = [(c.volume, c.free_text, s, pathology_vector(s))
              for c, s in zip(train_cases, structured)]
-    cc = cfg["clip"]
     t0 = time.time()
     params, trace = train_clip(
-        pairs, params, vis_cfg, txt_cfg, vocab,
-        ContrastiveConfig(temperature=cc["temperature"], variant_prob=cc["variant_prob"],
-                          epochs=cc["epochs"], batch=cc["batch"], lr=cc["lr"],
-                          proj_lr=cc["proj_lr"], weight_decay=cc["weight_decay"],
-                          warmup_frac=cc["warmup_frac"], min_lr=cc["min_lr"],
-                          raw_affinity=cc["raw_affinity"],
-                          text_warmup_steps=cc["text_warmup_steps"],
-                          text_warmup_lr=cc["text_warmup_lr"],
-                          text_warmup_batch=cc["text_warmup_batch"],
-                          text_warmup_statement_frac=cc["text_warmup_statement_frac"]),
+        pairs, params, stages["visual"], stages["text"], vocab, stages["clip"],
         seed=SEED, severity_fn=calcium_wording_severity,
     )
-    bundle = ModelBundle(params=params, vis_cfg=vis_cfg, txt_cfg=txt_cfg,
+    bundle = ModelBundle(params=params, vis_cfg=stages["visual"], txt_cfg=stages["text"],
                          vocab=vocab, catalog=catalog)
     return bundle, trace, time.time() - t0
 
@@ -158,44 +101,9 @@ def stage2(corpus, geometry, stage1, cfg, catalog):
 class TestCriterion1Gradients:
     def test_gradient_checks_under_budget(self):
         t0 = time.time()
-        vis_cfg = VisualEncoderConfig(patch_size=(2, 2, 2), embed_dim=8, depth=1, heads=2,
-                                      mlp_ratio=2.0, input_dims=(4, 4, 4))
-        dec_cfg = DecoderConfig(embed_dim=4, depth=1, heads=2, mlp_ratio=2.0)
-        rng = substream(SEED, "acc-gc")
-        params = init_visual_params(rng, vis_cfg, proj_dim=4, dtype=np.float64)
-        init_decoder_params(rng, vis_cfg, dec_cfg, params, dtype=np.float64)
-        for k in params:
-            params[k] = params[k] + rng.normal(0, 0.2, params[k].shape)
-        data = substream(SEED, "acc-gc-data")
-        patches = data.random((2, 8, 8))
-        vis_idx = np.array([[0, 3, 5], [1, 2, 7]])
-        mask_idx = np.array([[1, 2, 4, 6, 7], [0, 3, 4, 5, 6]])
-
-        def mae_loss(p):
-            loss, cache = mae_batch_fwd(p, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
-            return loss, mae_batch_bwd(p, vis_cfg, dec_cfg, cache)
-
-        err_mae = gradient_check(mae_loss, params, n_probes=32, eps=1e-5, seed=SEED)
-
-        texts = ["there is coronary stenosis", "no pericardial effusion", "cardiomegaly seen"]
-        vocab = build_vocab(texts)
-        txt_cfg = TextEncoderConfig(vocab_size=len(vocab), max_len=8, embed_dim=8,
-                                    depth=1, heads=2, mlp_ratio=2.0)
-        cparams = init_visual_params(substream(SEED, "acc-gc2"), vis_cfg, proj_dim=4,
-                                     dtype=np.float64)
-        init_text_params(substream(SEED, "acc-gc3"), txt_cfg, 4, cparams, dtype=np.float64)
-        for k in cparams:
-            cparams[k] = cparams[k].astype(np.float64) + rng.normal(0, 0.2, cparams[k].shape)
-        ids, lengths = pad_batch([tokenize(t, vocab, 8) for t in texts])
-        cpatches = data.random((3, 8, 8))
-        targets = np.array([[0.6, 0.2, 0.2], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5]])
-
-        def clip_loss(p):
-            loss, grads, _ = clip_batch_fwd_bwd(p, vis_cfg, txt_cfg, cpatches, ids,
-                                                lengths, targets, tau=0.5)
-            return loss, grads
-
-        err_clip = gradient_check(clip_loss, cparams, n_probes=32, eps=1e-5, seed=SEED)
+        losses = toy_losses(SEED)
+        err_mae = gradient_check(*losses["mae"], n_probes=32, eps=1e-5, seed=SEED)
+        err_clip = gradient_check(*losses["contrastive"], n_probes=32, eps=1e-5, seed=SEED)
         runtime = time.time() - t0
         report(
             "criterion 1 (gradient correctness)",
@@ -455,25 +363,21 @@ class TestCriterion9Retrieval:
         bundle, _, _ = stage2
         _, eval_cases = corpus
         ids = [c.case_id for c in eval_cases]
-        vols = [c.volume for c in eval_cases]
         texts = [structured_from_flags(c.case_id, c.flags, catalog).text() for c in eval_cases]
-        flags = np.array([c.flags for c in eval_cases])
-        v = unit_rows(embed_volumes(bundle, vols))
-        t = unit_rows(embed_texts(bundle, texts))
-        S = v @ t.T
-        i2t = [rank_pool(S[i], ids, ids[i]) for i in range(len(ids))]
-        t2i = [rank_pool(S[:, j], ids, ids[j]) for j in range(len(ids))]
-        r10_i2t = mean_recall_at_k(i2t, ids, 10)
-        r10_t2i = mean_recall_at_k(t2i, ids, 10)
+        # the same scoring function as `cardioclip eval-retrieval`
+        scores = retrieval_metrics(
+            unit_rows(embed_volumes(bundle, [c.volume for c in eval_cases])),
+            unit_rows(embed_texts(bundle, texts)), ids, np.array([c.flags for c in eval_cases]),
+            bundle, recall_ks=[10], precision_ks=[5])
+        r10_i2t = scores["recall"]["image_to_text_r@10"]
+        r10_t2i = scores["recall"]["text_to_image_r@10"]
         chance = 10 / len(ids)
 
         keyword_ok = True
         kw_detail = []
-        for d, name in enumerate(catalog.names):
-            pos_ids = {ids[i] for i in range(len(ids)) if flags[i, d]}
-            prevalence = len(pos_ids) / len(ids)
-            prompt = unit_rows(embed_texts(bundle, [f"There is {name}"]))[0]
-            p5 = precision_at_k(rank_pool(v @ prompt, ids, name), pos_ids, 5)
+        for name in catalog.names:
+            prevalence = scores["keyword"][name]["prevalence"]
+            p5 = scores["keyword"][name]["p@5"]
             keyword_ok &= p5 >= 2 * prevalence
             kw_detail.append(f"{name.split()[0][:4]}:{p5:.2f}/{2 * prevalence:.2f}")
         report(
@@ -489,7 +393,7 @@ class TestCriterion9Retrieval:
 
 
 class TestCriterion10CAC:
-    def test_zero_shot_and_finetuned_ordinal(self, stage2, corpus):
+    def test_zero_shot_and_finetuned_ordinal(self, stage2, corpus, cfg):
         bundle, _, _ = stage2
         train_cases, eval_cases = corpus
         graded_eval = [c for c in eval_cases if c.grade is not None]
@@ -501,11 +405,10 @@ class TestCriterion10CAC:
 
         graded_train = [(c.volume, c.grade - 1) for c in train_cases if c.grade is not None]
         eval_pairs = [(c.volume, c.grade - 1) for c in graded_eval]
-        _, result = finetune_classifier(
-            graded_train, bundle.params, 5,
-            FinetuneConfig(epochs=4, batch=16, lr=3e-4, head_lr=1.5e-3),
-            bundle, seed=SEED, eval_set=eval_pairs,
-        )
+        # the default finetune section, shortened to 4 epochs
+        ft_cfg = replace(stage_configs(cfg)["finetune"], epochs=4)
+        _, result = finetune_classifier(graded_train, bundle.params, 5, ft_cfg,
+                                        bundle, seed=SEED, eval_set=eval_pairs)
         tuned = dict(result["ordinal_auroc"])
         ft_ok = all(
             tuned[t] is not None and (tuned[t] >= zero_shot[t] + 0.05 or tuned[t] >= 0.9)

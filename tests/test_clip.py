@@ -5,38 +5,36 @@ import pytest
 
 from cardioclip.clip import (
     ContrastiveConfig,
-    PairBatch,
     contrastive_loss,
     cosine_rows,
     sample_text_variant,
-    similarity_matrix,
+    train_clip,
 )
-from cardioclip.encoders import make_embedding
 from cardioclip.reports import load_catalog, structured_from_flags
 
 CAT = load_catalog()
 
 
 class TestSimilarityMatrix:
+    """cosine_rows, the batch similarity matrix of the contrastive step."""
+
     def test_orthonormal_identity(self):
-        v = [make_embedding(np.array([1.0, 0.0])), make_embedding(np.array([0.0, 1.0]))]
-        S = similarity_matrix(v, v)
-        assert np.allclose(S.entries, np.eye(2))
+        v = np.eye(2)
+        S, _ = cosine_rows(v, v)
+        assert np.allclose(S, np.eye(2))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
-        v = [make_embedding(rng.normal(0, 1, 4)) for _ in range(3)]
-        t = [make_embedding(rng.normal(0, 1, 4)) for _ in range(3)]
-        S1 = similarity_matrix(v, t).entries
-        v_scaled = [make_embedding(7.3 * e.vector) for e in v]
-        S2 = similarity_matrix(v_scaled, t).entries
+        v = rng.normal(0, 1, (3, 4))
+        t = rng.normal(0, 1, (3, 4))
+        S1, _ = cosine_rows(v, t)
+        S2, _ = cosine_rows(7.3 * v, t)
         assert np.allclose(S1, S2)
 
     def test_hand_computed_2x2(self):
-        v = [make_embedding(np.array([1.0, 0.0])), make_embedding(np.array([0.0, 1.0]))]
-        t = [make_embedding(np.array([1.0, 1.0]) / math.sqrt(2)),
-             make_embedding(np.array([1.0, -1.0]) / math.sqrt(2))]
-        S = similarity_matrix(v, t).entries
+        v = np.array([[1.0, 0.0], [0.0, 1.0]])
+        t = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+        S, _ = cosine_rows(v, t)
         r = 1 / math.sqrt(2)
         assert np.allclose(S, [[r, r], [r, -r]], atol=1e-7)
 
@@ -47,9 +45,10 @@ class TestSimilarityMatrix:
             cosine_rows(v, t)
 
     def test_count_mismatch(self):
-        e = make_embedding(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="count"):
-            similarity_matrix([e], [e, e])
+        # one volume against two reports: the loss refuses the non-square matrix
+        S, _ = cosine_rows(np.array([[1.0, 0.0]]), np.eye(2))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            contrastive_loss(S, np.full((1, 2), 0.5), tau=1.0)
 
 
 class TestContrastiveLoss:
@@ -170,8 +169,8 @@ class TestVariantSampling:
 
 class TestConfigs:
     def test_pair_batch_needs_two(self):
-        with pytest.raises(ValueError, match="B >= 2"):
-            PairBatch(volumes=("v",), free_texts=("t",), structured=("s",), vectors=("p",))
+        with pytest.raises(ValueError, match="at least 2"):
+            train_clip([("v", "t", "s", "p")], {}, None, None, None, ContrastiveConfig(), seed=0)
 
     def test_contrastive_config_invariants(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -8,8 +9,10 @@ from cardioclip.config import (
     config_digest,
     load_config,
     merge_config,
+    stage_configs,
     validate_config,
 )
+from cardioclip.reports import load_catalog
 
 
 def test_defaults_are_valid():
@@ -79,3 +82,27 @@ def test_digest_is_stable_and_sensitive():
 def test_mask_ratio_feasibility_checked():
     cfg = merge_config({"mae": {"mask_ratio": 0.001}})
     assert any("mask_ratio" in v for v in validate_config(cfg))
+
+
+def test_finetune_target_is_cac_or_a_catalog_name():
+    for target in ("cac", *load_catalog().names):
+        cfg = merge_config({"finetune": {"target": target}})
+        assert validate_config(cfg) == [], target
+    cfg = merge_config({"finetune": {"target": "aortic stenosis"}})
+    assert any("finetune.target" in v for v in validate_config(cfg))
+
+
+def test_stage_configs_unpack_their_sections():
+    cfg = merge_config({"visual": {"depth": 3}, "clip": {"temperature": 0.3},
+                        "finetune": {"epochs": 7}})
+    stages = stage_configs(cfg)
+    assert "text" not in stages  # needs a vocabulary size
+    assert stages["visual"].depth == 3
+    assert stages["visual"].input_dims == tuple(cfg["geometry"]["dims"])
+    assert stages["visual"].patch_size == tuple(cfg["geometry"]["patch_size"])
+    assert stages["clip"].temperature == 0.3
+    assert stages["finetune"].epochs == 7
+    for name in ("decoder", "mae", "clip"):
+        assert asdict(stages[name]) == cfg[name]
+    text = stage_configs(cfg, vocab_size=50)["text"]
+    assert asdict(text) == {"vocab_size": 50, **cfg["text"]}

@@ -9,7 +9,6 @@ from cardioclip.mae import (
     DecoderConfig,
     MAETrainConfig,
     MaskPlan,
-    apply_mask,
     init_decoder_params,
     mae_batch_fwd,
     masked_mse,
@@ -17,7 +16,7 @@ from cardioclip.mae import (
     train_mae,
 )
 from cardioclip.optim import ScheduleConfig, lr_at_step
-from cardioclip.volume import Volume3D, batch_patches, patchify
+from cardioclip.volume import Volume3D, batch_patches
 
 VIS = VisualEncoderConfig(patch_size=(4, 4, 4), embed_dim=16, depth=1, heads=2,
                           mlp_ratio=2.0, input_dims=(8, 8, 8))
@@ -100,33 +99,6 @@ class TestSampleMask:
             MaskPlan(n_total=4, visible_idx=(0, 1), masked_idx=(3,), seed=0)
 
 
-class TestApplyMask:
-    def test_selects_visible_in_order(self):
-        rng = np.random.default_rng(0)
-        v = Volume3D(voxels=rng.random((8, 8, 8), dtype=np.float32))
-        g = patchify(v, (4, 4, 4))  # 8 patches
-        m = MaskPlan(n_total=8, visible_idx=(0, 2), masked_idx=(1, 3, 4, 5, 6, 7), seed=0)
-        vis = apply_mask(g, m)
-        assert np.array_equal(vis, g.patches[[0, 2]])
-
-    def test_partition_reassembles_all_patches(self):
-        rng = np.random.default_rng(1)
-        v = Volume3D(voxels=rng.random((8, 8, 8), dtype=np.float32))
-        g = patchify(v, (4, 4, 4))
-        m = sample_mask(8, 0.5, seed=3)
-        vis = apply_mask(g, m)
-        masked = g.patches[list(m.masked_idx)]
-        together = np.concatenate([vis, masked])
-        assert np.array_equal(np.sort(together, axis=0), np.sort(g.patches, axis=0))
-
-    def test_count_mismatch(self):
-        rng = np.random.default_rng(2)
-        v = Volume3D(voxels=rng.random((8, 8, 8), dtype=np.float32))
-        g = patchify(v, (4, 4, 4))
-        with pytest.raises(ValueError):
-            apply_mask(g, sample_mask(16, 0.5, seed=0))
-
-
 def masked_rows(a, mask_idx):
     return a[np.arange(a.shape[0])[:, None], mask_idx]
 
@@ -192,8 +164,7 @@ def full_decode(params, patches, vis_idx, mask_idx):
     """Reference: the decoder head run on every patch row, (B, N, P)."""
     B, N, _ = patches.shape
     rows = np.arange(B)[:, None]
-    x, _ = patch_tokens_fwd(params, patches[rows, vis_idx], positions=vis_idx,
-                            standardize=VIS.standardize_input)
+    x, _ = patch_tokens_fwd(params, patches[rows, vis_idx], positions=vis_idx)
     x, _ = nn.stack_fwd(params, "vis", x, VIS.depth, VIS.heads)
     x, _ = nn.layernorm_fwd(params, "vis.lnf", x)
     x, _ = nn.linear_fwd(params, "dec.embed", x)
@@ -213,6 +184,49 @@ def batch_of(volumes, ratio, seed):
     vis_idx = np.asarray([p.visible_idx for p in plans], dtype=np.int64)
     mask_idx = np.asarray([p.masked_idx for p in plans], dtype=np.int64)
     return patches, vis_idx, mask_idx
+
+
+class TestApplyMask:
+    """The mask as mae_batch_fwd applies it: the encoder sees only the visible
+    patches, in index order and at their own positions, and the loss scores
+    the masked ones."""
+
+    def spied_forward(self, monkeypatch, patches, vis_idx, mask_idx):
+        seen = {}
+
+        def tokens_spy(params, x, positions=None):
+            seen["encoder"], seen["positions"] = x.copy(), positions
+            return patch_tokens_fwd(params, x, positions)
+
+        def mse_spy(recon, targets, idx):
+            seen["scored"] = masked_rows(targets, idx)
+            return masked_mse(recon, targets, idx)
+
+        monkeypatch.setattr(mae, "patch_tokens_fwd", tokens_spy)
+        monkeypatch.setattr(mae, "masked_mse", mse_spy)
+        mae_batch_fwd(small_params(), VIS, DEC, patches, vis_idx, mask_idx)
+        return seen
+
+    def test_selects_visible_in_order(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        vols = [Volume3D(voxels=rng.random((8, 8, 8), dtype=np.float32)) for _ in range(2)]
+        patches = batch_patches(vols, VIS.patch_size, np.float32)  # 8 patches each
+        vis_idx = np.array([[0, 2], [5, 7]])
+        mask_idx = np.array([[1, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 6]])
+        seen = self.spied_forward(monkeypatch, patches, vis_idx, mask_idx)
+        assert np.array_equal(seen["encoder"], np.stack([patches[0, [0, 2]], patches[1, [5, 7]]]))
+        assert np.array_equal(seen["positions"], vis_idx)
+
+    def test_partition_reassembles_all_patches(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        vols = [Volume3D(voxels=rng.random((8, 8, 8), dtype=np.float32)) for _ in range(3)]
+        patches, vis_idx, mask_idx = batch_of(vols, 0.5, seed=3)
+        seen = self.spied_forward(monkeypatch, patches, vis_idx, mask_idx)
+        together = np.empty_like(patches)
+        rows = np.arange(3)[:, None]
+        together[rows, vis_idx] = seen["encoder"]
+        together[rows, mask_idx] = seen["scored"]
+        assert np.array_equal(together, patches)
 
 
 class TestMAEForward:

@@ -3,18 +3,15 @@ import pytest
 
 from cardioclip import tasks
 from cardioclip.encoders import TextEncoderConfig, VisualEncoderConfig, init_text_params, init_visual_params
-from cardioclip.model import ModelBundle
-from cardioclip.reports import load_catalog, structured_from_flags
+from cardioclip.model import ModelBundle, embed_texts, embed_volumes, unit_rows
+from cardioclip.reports import load_catalog
 from cardioclip.seeding import substream
 from cardioclip.synth import plant_signature, smooth_background
 from cardioclip.tasks import (
     FinetuneConfig,
-    cac_confidence,
+    cac_confidences,
     finetune_classifier,
-    image_to_text_retrieve,
-    keyword_retrieve,
-    text_to_image_retrieve,
-    zero_shot_classify,
+    retrieval_metrics,
     zero_shot_scores,
 )
 from cardioclip.tokenizer import build_vocab
@@ -48,78 +45,104 @@ def make_volume(seed=0, motif=None, strength=0.6):
 
 
 class TestZeroShot:
+    """zero_shot_scores, the s_p - s_n margin behind zero-shot AUROC."""
+
     def test_returns_scores_and_decision(self, bundle):
-        decision, s_p, s_n = zero_shot_classify(make_volume(1), "coronary stenosis", bundle)
-        assert decision == (s_p > s_n)
-        assert -1.0 <= s_p <= 1.0 and -1.0 <= s_n <= 1.0
+        vols = [make_volume(1), make_volume(2)]
+        scores = zero_shot_scores(vols, "coronary stenosis", bundle)
+        v = unit_rows(embed_volumes(bundle, vols))
+        t = unit_rows(embed_texts(bundle, ["There is coronary stenosis",
+                                           "There is no coronary stenosis"]))
+        s_p, s_n = (v @ t.T).T
+        assert np.all(np.abs(s_p) <= 1.0 + 1e-6) and np.all(np.abs(s_n) <= 1.0 + 1e-6)
+        np.testing.assert_allclose(scores, s_p - s_n, atol=1e-6)
+        assert np.array_equal(scores > 0, s_p > s_n)
 
     def test_unknown_abnormality(self, bundle):
         with pytest.raises(KeyError):
-            zero_shot_classify(make_volume(1), "aortic stenosis", bundle)
-
-    def test_tie_resolves_negative(self, bundle, monkeypatch, caplog):
-        same = np.ones((2, 16))
-        monkeypatch.setattr(tasks, "embed_texts", lambda b, texts: same[: len(texts)])
-        with caplog.at_level("WARNING"):
-            decision, s_p, s_n = zero_shot_classify(make_volume(2), "cardiomegaly", bundle)
-        assert s_p == s_n
-        assert decision is False
-        assert any("tie" in rec.message for rec in caplog.records)
+            zero_shot_scores([make_volume(1)], "aortic stenosis", bundle)
 
     def test_decision_invariant_to_image_rescaling(self, bundle, monkeypatch):
+        vols = [make_volume(3), make_volume(4)]
         base = tasks.embed_volumes
-        d1 = zero_shot_classify(make_volume(3), "cardiomegaly", bundle)
+        s1 = zero_shot_scores(vols, "cardiomegaly", bundle)
         monkeypatch.setattr(tasks, "embed_volumes",
                             lambda b, vols, **kw: 10.0 * base(b, vols, **kw))
-        d2 = zero_shot_classify(make_volume(3), "cardiomegaly", bundle)
-        assert d1[0] == d2[0]
-        assert np.sign(d1[1] - d1[2]) == np.sign(d2[1] - d2[2])
+        s2 = zero_shot_scores(vols, "cardiomegaly", bundle)
+        np.testing.assert_allclose(s1, s2, atol=1e-6)
+        assert np.array_equal(np.sign(s1), np.sign(s2))
+
+
+def retrieve(bundle, v, t, flags, recall_ks=(1, 5), precision_ks=(1, 5)):
+    """retrieval_metrics over unit-norm rows v, t, with case ids "0", "1", ..."""
+    ids = [str(i) for i in range(len(v))]
+    return retrieval_metrics(v, t, ids, np.asarray(flags, dtype=bool), bundle,
+                             recall_ks, precision_ks)
+
+
+def no_flags(n):
+    return np.zeros((n, CAT.size), dtype=bool)
 
 
 class TestRetrieval:
+    """retrieval_metrics, the one Recall@K / keyword P@K scorer."""
+
     def test_pool_of_one(self, bundle):
-        ranked = image_to_text_retrieve(make_volume(4), ["only report"], bundle)
-        assert ranked.ranked_ids == ("0",)
+        v = unit_rows(embed_volumes(bundle, [make_volume(4)]))
+        t = unit_rows(embed_texts(bundle, ["only report"]))
+        scores = retrieve(bundle, v, t, no_flags(1))
+        assert all(r == 1.0 for r in scores["recall"].values())
+        assert scores["keyword"] == {}  # findings without a positive are skipped
 
     def test_duplicate_pool_entries_tie_break_by_index(self, bundle):
-        ranked = image_to_text_retrieve(
-            make_volume(5), ["same text", "same text", "other words"], bundle)
-        pos_a = ranked.ranked_ids.index("0")
-        pos_b = ranked.ranked_ids.index("1")
-        assert pos_b == pos_a + 1  # identical scores stay in pool order
+        # three identical volumes and reports: every score ties, so each
+        # ranking is the pool order 0, 1, 2
+        v = np.repeat(unit_rows(embed_volumes(bundle, [make_volume(5)])), 3, axis=0)
+        t = np.repeat(unit_rows(embed_texts(bundle, ["same text"])), 3, axis=0)
+        flags = no_flags(3)
+        flags[1, 0] = flags[0, 1] = flags[2, 2] = True
+        scores = retrieve(bundle, v, t, flags, recall_ks=(1,), precision_ks=(1, 2))
+        assert scores["recall"]["image_to_text_r@1"] == pytest.approx(1 / 3)
+        assert scores["recall"]["text_to_image_r@1"] == pytest.approx(1 / 3)
+        p = {name: (kw["p@1"], kw["p@2"]) for name, kw in scores["keyword"].items()}
+        assert p == {CAT.names[0]: (0.0, 0.5), CAT.names[1]: (1.0, 0.5),
+                     CAT.names[2]: (0.0, 0.0)}
 
     def test_empty_pool_rejected(self, bundle):
+        empty = np.zeros((0, 16))
         with pytest.raises(ValueError, match="empty"):
-            image_to_text_retrieve(make_volume(6), [], bundle)
-        with pytest.raises(ValueError, match="empty"):
-            text_to_image_retrieve("query", [], bundle)
+            retrieve(bundle, empty, empty, no_flags(0))
 
     def test_text_to_image_deterministic(self, bundle):
         pool = [make_volume(i) for i in range(4)]
-        r1 = text_to_image_retrieve("coronary stenosis", pool, bundle)
-        r2 = text_to_image_retrieve("coronary stenosis", pool, bundle)
-        assert r1 == r2
+        texts = ["coronary stenosis", "cardiomegaly", "no pericardial effusion",
+                 "aortic calcification"]
+        flags = no_flags(4)
+        flags[0, 0] = True
+        runs = [retrieve(bundle, unit_rows(embed_volumes(bundle, pool)),
+                         unit_rows(embed_texts(bundle, texts)), flags) for _ in range(2)]
+        assert runs[0] == runs[1]
 
     def test_keyword_retrieve_precision(self, bundle):
         pool = [make_volume(i, motif=1 if i % 2 == 0 else None) for i in range(6)]
-        pos_ids = {str(i) for i in range(0, 6, 2)}
-        ranked, p_at_k = keyword_retrieve("coronary calcification", pool, bundle, 6, pos_ids)
-        assert p_at_k == pytest.approx(0.5)  # all positives counted at K = pool
-        with pytest.raises(KeyError):
-            keyword_retrieve("unknown finding", pool, bundle, 3, pos_ids)
+        v = unit_rows(embed_volumes(bundle, pool))
+        flags = no_flags(6)
+        d = CAT.index_of("coronary calcification")
+        flags[::2, d] = True
+        scores = retrieve(bundle, v, v, flags, precision_ks=(6,))
+        # all positives are counted at K = pool
+        assert scores["keyword"] == {"coronary calcification": {"prevalence": 0.5, "p@6": 0.5}}
 
 
 class TestCacConfidence:
     def test_pure_and_bounded(self, bundle):
         # the confidence is the zero-shot margin s_p - s_n, so it lies in [-2, 2]
-        v = make_volume(7, motif=1)
-        c1 = cac_confidence(v, bundle)
-        c2 = cac_confidence(v, bundle)
-        assert c1 == c2
-        assert -2.0 <= c1 <= 2.0
-        assert c1 == float(zero_shot_scores([v], tasks.CAC_PROMPT_NAME, bundle)[0])
-        _, s_p, s_n = zero_shot_classify(v, tasks.CAC_PROMPT_NAME, bundle)
-        assert c1 == pytest.approx(s_p - s_n, abs=1e-6)
+        vols = [make_volume(7, motif=1), make_volume(8)]
+        c1 = cac_confidences(vols, bundle)
+        c2 = cac_confidences(vols, bundle)
+        assert np.array_equal(c1, c2)
+        assert np.all((-2.0 <= c1) & (c1 <= 2.0))
+        assert np.array_equal(c1, zero_shot_scores(vols, tasks.CAC_PROMPT_NAME, bundle))
 
 
 class TestFinetune:

@@ -4,13 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardioclip.volume import (
-    CropSpec,
     Volume3D,
     VolumeFormatError,
     batch_patches,
-    crop_region,
     load_volume,
-    normalize_intensity,
     patches_of,
     patchify,
     save_volume,
@@ -88,55 +85,6 @@ class TestCCV1:
         vox[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             Volume3D(voxels=vox)
-
-
-class TestNormalize:
-    def test_endpoints_and_midpoint(self):
-        v = Volume3D(voxels=np.array([[[-300.0, 700.0, 200.0, -500.0]]], dtype=np.float32))
-        out = normalize_intensity(v, -300.0, 700.0)
-        assert out.voxels[0, 0, 0] == 0.0
-        assert out.voxels[0, 0, 1] == 1.0
-        assert out.voxels[0, 0, 2] == pytest.approx(0.5)
-        assert out.voxels[0, 0, 3] == 0.0  # clamped below lo
-
-    def test_bad_window(self):
-        v = Volume3D(voxels=np.zeros((1, 1, 1), dtype=np.float32))
-        with pytest.raises(ValueError):
-            normalize_intensity(v, 5.0, 5.0)
-
-    @given(st.floats(-1000, 1000), st.floats(-1000, 1000))
-    @settings(max_examples=50, deadline=None)
-    def test_output_in_unit_interval_and_monotone(self, a, b):
-        v = Volume3D(voxels=np.array([[[min(a, b), max(a, b)]]], dtype=np.float32))
-        out = normalize_intensity(v, -100.0, 100.0)
-        assert np.all(out.voxels >= 0.0) and np.all(out.voxels <= 1.0)
-        assert out.voxels[0, 0, 0] <= out.voxels[0, 0, 1]
-
-
-class TestCrop:
-    def test_identity_crop(self):
-        rng = np.random.default_rng(3)
-        v = rand_volume(rng)
-        out = crop_region(v, CropSpec(origin=(0, 0, 0), extent=v.dims))
-        assert np.array_equal(out.voxels, v.voxels)
-
-    def test_center_crop_dims(self):
-        v = Volume3D(voxels=np.zeros((64, 64, 64), dtype=np.float32))
-        out = crop_region(v, CropSpec(origin=(16, 16, 16), extent=(32, 32, 32)))
-        assert out.dims == (32, 32, 32)
-
-    def test_offset_values(self):
-        rng = np.random.default_rng(4)
-        v = rand_volume(rng)
-        c = CropSpec(origin=(1, 2, 3), extent=(4, 3, 2))
-        out = crop_region(v, c)
-        assert out.voxels[0, 0, 0] == v.voxels[1, 2, 3]
-        assert out.voxels[3, 2, 1] == v.voxels[4, 4, 4]
-
-    def test_out_of_bounds(self):
-        v = Volume3D(voxels=np.zeros((8, 8, 8), dtype=np.float32))
-        with pytest.raises(IndexError, match="out of bounds"):
-            crop_region(v, CropSpec(origin=(4, 0, 0), extent=(8, 8, 8)))
 
 
 class TestPatchify:
