@@ -147,15 +147,22 @@ def _load_synth(root: str, cfg: dict, volumes=("train", "eval"), graded_only=Fal
     return train, evalset
 
 
-def _load_bundle(root: str, cfg: dict, stem=None, force=False) -> ModelBundle:
-    stem = stem or os.path.join(root, "pretrain_clip", "checkpoint")
+def _load_params(stem: str, cfg: dict, force: bool) -> dict:
+    """The checkpoint's parameters, refused (unless force) when it was written
+    under a config with another digest."""
     params, manifest = load_checkpoint(stem)
     if manifest.get("config_digest") and manifest["config_digest"] != config_digest(cfg):
-        msg = ("checkpoint config digest does not match the current config; "
+        msg = (f"checkpoint {stem} config digest does not match the current config; "
                "pass --force to proceed")
         if not force:
             raise CheckpointError(msg)
         print(f"warning: {msg}", file=sys.stderr)
+    return params
+
+
+def _load_bundle(root: str, cfg: dict, stem=None, force=False) -> ModelBundle:
+    stem = stem or os.path.join(root, "pretrain_clip", "checkpoint")
+    params = _load_params(stem, cfg, force)
     vocab = load_vocab(os.path.join(os.path.dirname(stem), "vocab.txt"))
     stages = stage_configs(cfg, len(vocab))
     return ModelBundle(params=params, vis_cfg=stages["visual"], txt_cfg=stages["text"],
@@ -234,15 +241,8 @@ def cmd_pretrain_mae(args, cfg: dict, root: str) -> None:
 def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
     cat = load_catalog()
     train, _ = _load_synth(root, cfg, volumes=("train",))
-    stem = args.init or os.path.join(root, "pretrain_mae", "checkpoint")
-    params, manifest = load_checkpoint(stem)
-    if manifest.get("config_digest") and manifest["config_digest"] != config_digest(cfg):
-        if not args.force:
-            raise CheckpointError(
-                "stage-1 checkpoint config digest does not match; pass --force to proceed")
-        print("warning: initializing from a checkpoint with a different config digest",
-              file=sys.stderr)
-
+    params = _load_params(args.init or os.path.join(root, "pretrain_mae", "checkpoint"),
+                          cfg, args.force)
     structured = [structured_from_flags(c["case_id"], c["flags"], cat) for c in train]
     vocab = build_vocab([c["free_text"] for c in train] + [s.text() for s in structured])
     stages = stage_configs(cfg, len(vocab))

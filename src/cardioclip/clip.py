@@ -8,7 +8,6 @@ free text and the concatenated structured statements.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +22,10 @@ from .encoders import (
     visual_embed_bwd,
     visual_embed_fwd,
 )
-from .optim import AdamW, ScheduleConfig, lr_at_step
+from .optim import Trainer
 from .reports import StructuredReport
 from .seeding import substream
-from .supervision import affinity_matrix, raw_affinity_targets, targets_from_affinity
+from .supervision import affinity_matrix, targets_from_affinity
 from .tokenizer import Vocabulary, pad_batch, tokenize
 from .volume import batch_patches
 
@@ -42,7 +41,6 @@ class ContrastiveConfig:
     weight_decay: float = 0.01
     warmup_frac: float = 0.05
     min_lr: float = 0.0
-    raw_affinity: bool = False
     # text-tower warmup before alignment: stands in for the initialization a
     # pretrained language encoder would provide (negation-aware sentence
     # features); supervised purely by each report's own statement polarities.
@@ -144,11 +142,6 @@ def clip_batch_fwd_bwd(params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncode
     return loss, grads, S
 
 
-def batch_targets(vectors, raw_affinity: bool = False) -> np.ndarray:
-    a = affinity_matrix(vectors)
-    return raw_affinity_targets(a) if raw_affinity else targets_from_affinity(a).rows
-
-
 # ---------------------------------------------------------------------------
 # text-tower warmup
 
@@ -179,7 +172,7 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
     warm = {k: v for k, v in params.items() if k.startswith("txt.")}
     warm["warm.head.w"] = head_w
     warm["warm.head.b"] = head_b
-    opt = AdamW(warm, weight_decay=cfg.weight_decay)
+    trainer = Trainer("text warmup", warm, cfg.weight_decay)
 
     # single standardized statements with what they assert: present at their
     # slot, absent elsewhere (a negated statement asserts nothing present)
@@ -192,8 +185,7 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
     stmt_items = sorted(statements.items())
 
     n = len(cases)
-    loss = 0.0
-    for step in range(cfg.text_warmup_steps):
+    for _ in range(cfg.text_warmup_steps):
         idx = rng.choice(n, size=min(cfg.text_warmup_batch, n), replace=False)
         texts = []
         targets = np.empty((len(idx), n_out))
@@ -217,14 +209,12 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
         p = 1.0 / (1.0 + np.exp(-z))
         loss = float(-(targets * np.log(p + 1e-12)
                        + (1 - targets) * np.log(1 - p + 1e-12)).mean())
-        if not math.isfinite(loss):
-            raise FloatingPointError(f"non-finite text warmup loss at step {step}")
         grads: nn.Grads = {}
         dfeats = nn.linear_bwd(warm, "warm.head", c_head,
                                ((p - targets) / targets.size).astype(feats.dtype), grads)
         # no txt.proj gradient: a zero one would still let AdamW decay it
         text_embed_bwd(warm, txt_cfg, cache, None, grads, dfeats=dfeats)
-        opt.step(warm, grads, cfg.text_warmup_lr)
+        trainer.step(loss, grads, cfg.text_warmup_lr)
     for k in list(warm):
         if k.startswith("txt."):
             params[k] = warm[k]
@@ -254,36 +244,17 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
     warmup_text_encoder(pairs, params, txt_cfg, vocab, cfg, seed, severity_fn=severity_fn)
 
     trainable = {k: v for k, v in params.items() if not k.startswith("dec.")}
-    steps_per_epoch = math.ceil(n / cfg.batch)
-    total_steps = cfg.epochs * steps_per_epoch
-    sched = ScheduleConfig(
-        base_lr=cfg.lr,
-        warmup_steps=int(round(cfg.warmup_frac * total_steps)),
-        total_steps=total_steps,
-        weight_decay=cfg.weight_decay,
-        min_lr=cfg.min_lr,
-    )
     proj_scale = cfg.proj_lr / cfg.lr
-    opt = AdamW(
-        trainable,
-        weight_decay=cfg.weight_decay,
-        lr_scale_of=lambda name: proj_scale if name in _PROJ_NAMES else 1.0,
-    )
-
+    trainer = Trainer("contrastive", trainable, cfg.weight_decay,
+                      lr_scale_of=lambda name: proj_scale if name in _PROJ_NAMES else 1.0)
     dtype = params["vis.patch.w"].dtype
-    trace = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = substream(seed, "clip-batch-order", epoch).permutation(n)
+    # a trailing singleton batch has no contrastive signal: min_batch=2 skips it
+    for epoch, batches, extra in trainer.epochs(n, cfg, cfg.lr, seed, "clip-batch-order",
+                                                trace_hook, min_batch=2):
         variant_rng = substream(seed, "variant", epoch)
-        losses = []
-        lr = sched.base_lr
         n_structured = 0
         n_texts = 0
-        for b0 in range(0, n, cfg.batch):
-            idx = order[b0 : b0 + cfg.batch]
-            if idx.size < 2:
-                continue  # a trailing singleton has no contrastive signal
+        for idx in batches:
             vols, fts, sts, vecs = zip(*(pairs[i] for i in idx))
             patches = batch_patches(vols, vis_cfg.patch_size, dtype)
             texts = [
@@ -293,24 +264,11 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
             n_structured += sum(t == st.text() for t, st in zip(texts, sts))
             n_texts += len(texts)
             ids, lengths = pad_batch([tokenize(t, vocab, txt_cfg.max_len) for t in texts])
-            targets = batch_targets(vecs, cfg.raw_affinity)
+            targets = targets_from_affinity(affinity_matrix(vecs)).rows
             loss, grads, _ = clip_batch_fwd_bwd(
                 trainable, vis_cfg, txt_cfg, patches, ids, lengths, targets, cfg.temperature
             )
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"non-finite contrastive loss at step {step} (epoch {epoch})")
-            lr = lr_at_step(sched, step)
-            opt.step(trainable, grads, lr)
-            losses.append(loss)
-            step += 1
-        record = {
-            "epoch": epoch,
-            "mean_loss": float(np.mean(losses)),
-            "lr_last": lr,
-            "variant_structured_frac": n_structured / max(1, n_texts),
-        }
-        trace.append(record)
-        if trace_hook is not None:
-            trace_hook(record)
+            trainer.step(loss, grads)
+        extra["variant_structured_frac"] = n_structured / max(1, n_texts)
     params.update(trainable)
-    return params, trace
+    return params, trainer.trace

@@ -42,7 +42,6 @@ DEFAULT_CONFIG = {
         "min_lr": 0.0,
         "temperature": 0.2,
         "variant_prob": 0.5,
-        "raw_affinity": False,
         "text_warmup_steps": 300,
         "text_warmup_lr": 1e-3,
         "text_warmup_batch": 16,

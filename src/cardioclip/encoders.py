@@ -155,20 +155,19 @@ def patch_tokens_bwd(params, cache, positions, dx: np.ndarray, grads):
     return nn.matmul(dtok, params["vis.patch.w"].T)
 
 
-def visual_trunk_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray,
-                     positions: np.ndarray | None = None):
+def visual_trunk_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
     """Patches through embedding + blocks + final norm. Returns (B, n+1, E)."""
-    x, c_tok = patch_tokens_fwd(params, patches, positions)
+    x, c_tok = patch_tokens_fwd(params, patches)
     x, c_stack = nn.stack_fwd(params, "vis", x, cfg.depth, cfg.heads)
     y, c_lnf = nn.layernorm_fwd(params, "vis.lnf", x)
     return y, (c_tok, c_stack, c_lnf)
 
 
-def visual_trunk_bwd(params, cfg: VisualEncoderConfig, cache, positions, dy, grads):
+def visual_trunk_bwd(params, cfg: VisualEncoderConfig, cache, dy, grads):
     c_tok, c_stack, c_lnf = cache
     dx = nn.layernorm_bwd(params, "vis.lnf", c_lnf, dy, grads)
     dx = nn.stack_bwd(params, "vis", c_stack, dx, grads)
-    return patch_tokens_bwd(params, c_tok, positions, dx, grads)
+    return patch_tokens_bwd(params, c_tok, None, dx, grads)
 
 
 def visual_embed_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
@@ -192,7 +191,7 @@ def visual_embed_bwd(params, cfg: VisualEncoderConfig, cache, demb, grads,
         dpool = dpool + dfeats
     dy = np.zeros(yshape, dtype=dpool.dtype)
     dy[:, 1:] = dpool[:, None, :] / (yshape[1] - 1)
-    return visual_trunk_bwd(params, cfg, c_trunk, None, dy, grads)
+    return visual_trunk_bwd(params, cfg, c_trunk, dy, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .encoders import (
     patch_tokens_bwd,
     patch_tokens_fwd,
 )
-from .optim import AdamW, ScheduleConfig, lr_at_step
+from .optim import Trainer
 from .seeding import derive_seed, substream
 from .volume import batch_patches
 
@@ -215,26 +215,10 @@ def train_mae(volumes, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
         params = init_visual_params(rng, vis_cfg, proj_dim)
         init_decoder_params(rng, vis_cfg, dec_cfg, params)
 
-    steps_per_epoch = math.ceil(n / cfg.batch)
-    total_steps = cfg.epochs * steps_per_epoch
-    sched = ScheduleConfig(
-        base_lr=cfg.base_lr,
-        warmup_steps=int(round(cfg.warmup_frac * total_steps)),
-        total_steps=total_steps,
-        weight_decay=cfg.weight_decay,
-        min_lr=cfg.min_lr,
-    )
-    opt = AdamW(params, weight_decay=cfg.weight_decay)
-
+    trainer = Trainer("reconstruction", params, cfg.weight_decay)
     N = vis_cfg.n_patches
-    trace = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = substream(seed, "batch-order", epoch).permutation(n)
-        losses = []
-        lr = sched.base_lr
-        for b0 in range(0, n, cfg.batch):
-            idx = order[b0 : b0 + cfg.batch]
+    for epoch, batches, _ in trainer.epochs(n, cfg, cfg.base_lr, seed, "batch-order", trace_hook):
+        for idx in batches:
             patches = batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, np.float32)
             plans = [
                 sample_mask(N, cfg.mask_ratio, derive_seed(seed, "mask", epoch, int(i)))
@@ -243,17 +227,5 @@ def train_mae(volumes, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
             vis_idx = np.asarray([p.visible_idx for p in plans], dtype=np.int64)
             mask_idx = np.asarray([p.masked_idx for p in plans], dtype=np.int64)
             loss, cache = mae_batch_fwd(params, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite reconstruction loss at step {step} (epoch {epoch})"
-                )
-            grads = mae_batch_bwd(params, vis_cfg, dec_cfg, cache)
-            lr = lr_at_step(sched, step)
-            opt.step(params, grads, lr)
-            losses.append(loss)
-            step += 1
-        record = {"epoch": epoch, "mean_loss": float(np.mean(losses)), "lr_last": lr}
-        trace.append(record)
-        if trace_hook is not None:
-            trace_hook(record)
-    return params, trace
+            trainer.step(loss, mae_batch_bwd(params, vis_cfg, dec_cfg, cache))
+    return params, trainer.trace

@@ -4,7 +4,7 @@ Precision@K, and ordinal AUROC over graded labels."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

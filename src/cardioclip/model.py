@@ -27,14 +27,37 @@ class ModelBundle:
         return self.params["vis.patch.w"].dtype
 
 
-def embed_volumes(bundle: ModelBundle, volumes, chunk: int = 32) -> np.ndarray:
-    """Projected embeddings (n, proj_dim) for a list of volumes."""
+def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, dtype, readout,
+                    chunk: int = 32) -> np.ndarray:
+    """readout(features, projected) of every volume, chunk volumes per batched
+    forward, stacked along axis 0.
+
+    Refuses an empty list, and any volume whose dims are not
+    vis_cfg.input_dims: a volume of another shape can have the same number
+    of patches, which would then take the positional vectors of the wrong
+    grid cells.
+    """
+    if len(volumes) == 0:
+        raise ValueError("no volumes to embed: the list is empty")
+    for i, v in enumerate(volumes):
+        if v.dims != tuple(vis_cfg.input_dims):
+            n = int(np.prod([d // p for d, p in zip(v.dims, vis_cfg.patch_size)]))
+            raise ValueError(
+                f"volume {i} has dims {v.dims}, {n} patches of {vis_cfg.patch_size}, not the "
+                f"config's input_dims {vis_cfg.input_dims} with n_patches {vis_cfg.n_patches}"
+            )
     out = []
     for i in range(0, len(volumes), chunk):
-        patches = batch_patches(volumes[i : i + chunk], bundle.vis_cfg.patch_size, bundle.dtype)
-        _, emb, _ = visual_embed_fwd(bundle.params, bundle.vis_cfg, patches)
-        out.append(emb)
+        patches = batch_patches(volumes[i : i + chunk], vis_cfg.patch_size, dtype)
+        feats, emb, _ = visual_embed_fwd(params, vis_cfg, patches)
+        out.append(readout(feats, emb))
     return np.concatenate(out, axis=0)
+
+
+def embed_volumes(bundle: ModelBundle, volumes, chunk: int = 32) -> np.ndarray:
+    """Projected embeddings (n, proj_dim) for a list of volumes."""
+    return forward_volumes(bundle.params, bundle.vis_cfg, volumes, bundle.dtype,
+                           lambda _, emb: emb, chunk)
 
 
 def embed_texts(bundle: ModelBundle, texts, chunk: int = 64) -> np.ndarray:

@@ -254,7 +254,3 @@ def init_stack(rng: np.random.Generator, params: Params, prefix: str, dim: int,
         init_block(rng, params, f"{prefix}.blk{layer}", dim, mlp_hidden, dtype, std=std)
     params[f"{prefix}.lnf.g"] = np.ones(dim, dtype=dtype)
     params[f"{prefix}.lnf.b"] = zeros(dim, dtype)
-
-
-def cast_params(params: Params, dtype) -> Params:
-    return {k: v.astype(dtype) for k, v in params.items()}

@@ -1,6 +1,8 @@
-"""Warmup + cosine learning-rate schedule and a decoupled-weight-decay Adam.
+"""The training loop every stage shares: a warmup + cosine learning-rate
+schedule, a decoupled-weight-decay Adam, and the Trainer that drives them.
 
-Both training stages share this machinery; they differ only in which
+Stage 1, stage 2, fine-tuning and the text warmup all step their optimizer
+through Trainer; the stages differ only in their batch logic and in which
 parameter-name groups get which base learning rate.
 """
 
@@ -11,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seeding import substream
+
 
 @dataclass(frozen=True)
 class ScheduleConfig:
     base_lr: float
     warmup_steps: int
     total_steps: int
-    weight_decay: float = 0.01
     min_lr: float = 0.0
 
     def __post_init__(self):
@@ -89,3 +92,59 @@ class AdamW:
                 update += denom
             update *= lr * self.lr_scale_of(name)
             p -= update.astype(p.dtype, copy=False)
+
+
+class Trainer:
+    """One AdamW optimizer over params, and the epoch loop the stages share.
+
+    step() refuses a non-finite loss, naming the stage, the step and (inside
+    epochs()) the epoch, then takes one optimizer step. The text warmup,
+    which samples its own batches at a constant rate, passes that rate;
+    inside epochs() the rate follows the warmup + cosine schedule.
+    """
+
+    def __init__(self, stage: str, params, weight_decay: float, lr_scale_of=None):
+        self.stage = stage
+        self.params = params
+        self.opt = AdamW(params, weight_decay=weight_decay, lr_scale_of=lr_scale_of)
+        self.steps = 0
+        self.sched = None
+        self.epoch = None
+        self.losses = []
+        self.lr = None
+        self.trace = []
+
+    def step(self, loss: float, grads, lr: float | None = None) -> None:
+        if not math.isfinite(loss):
+            at = "" if self.epoch is None else f" (epoch {self.epoch})"
+            raise FloatingPointError(f"non-finite {self.stage} loss at step {self.steps}{at}")
+        self.lr = lr_at_step(self.sched, self.steps) if lr is None else lr
+        self.opt.step(self.params, grads, self.lr)
+        self.losses.append(loss)
+        self.steps += 1
+
+    def epochs(self, n: int, cfg, base_lr: float, seed: int, order_name: str,
+               trace_hook=None, min_batch: int = 1):
+        """Yield (epoch, batches, extra) for each of cfg.epochs epochs.
+
+        batches cuts the (seed, order_name, epoch) permutation of range(n)
+        into index arrays of cfg.batch, dropping those shorter than
+        min_batch; the schedule (cfg.warmup_frac, cfg.min_lr) still spans
+        ceil(n / cfg.batch) steps per epoch. Once the caller has stepped
+        through an epoch, its record {"epoch", "mean_loss", "lr_last"} plus
+        the keys the caller put in extra is appended to self.trace and passed
+        to trace_hook.
+        """
+        total = cfg.epochs * math.ceil(n / cfg.batch)
+        self.sched = ScheduleConfig(base_lr, int(round(cfg.warmup_frac * total)), total, cfg.min_lr)
+        for epoch in range(cfg.epochs):
+            order = substream(seed, order_name, epoch).permutation(n)
+            batches = [order[b0 : b0 + cfg.batch] for b0 in range(0, n, cfg.batch)]
+            self.epoch, self.losses, self.lr, extra = epoch, [], base_lr, {}
+            yield epoch, [idx for idx in batches if idx.size >= min_batch], extra
+            record = {"epoch": epoch, "mean_loss": float(np.mean(self.losses)),
+                      "lr_last": self.lr, **extra}
+            self.trace.append(record)
+            if trace_hook is not None:
+                trace_hook(record)
+        self.epoch = None

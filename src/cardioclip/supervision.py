@@ -84,9 +84,3 @@ def targets_from_affinity(a: AffinityMatrix) -> TargetMatrix:
     """
     shifted = (a.entries + 1.0) / 2.0
     return TargetMatrix(rows=shifted / shifted.sum(axis=1, keepdims=True))
-
-
-def raw_affinity_targets(a: AffinityMatrix) -> np.ndarray:
-    """The unmapped affinity matrix as targets (ablation switch; rows may not
-    sum to 1 and can be negative, so this skips TargetMatrix validation)."""
-    return a.entries.copy()

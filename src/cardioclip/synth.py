@@ -11,9 +11,8 @@ generator's flags (the closure property the acceptance suite leans on).
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

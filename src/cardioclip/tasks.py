@@ -3,7 +3,6 @@ keyword retrieval scoring, the calcium-confidence proxy, and head fine-tuning.""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,8 @@ from .metrics import (
     precision_at_k,
     rank_pool,
 )
-from .model import ModelBundle, embed_texts, embed_volumes, unit_rows
-from .optim import AdamW, ScheduleConfig, lr_at_step
+from .model import ModelBundle, embed_texts, embed_volumes, forward_volumes, unit_rows
+from .optim import Trainer
 from .reports import make_prompt_pair
 from .seeding import substream
 from .volume import batch_patches
@@ -146,45 +145,29 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
     params["head.b"] = nn.zeros(head_classes, dtype)
     trainable = {k: params[k] for k in (*encoder, "head.w", "head.b")}
 
-    n = len(train_set)
-    steps_per_epoch = math.ceil(n / cfg.batch)
-    total_steps = cfg.epochs * steps_per_epoch
-    sched = ScheduleConfig(cfg.lr, int(round(cfg.warmup_frac * total_steps)), total_steps,
-                           cfg.weight_decay, cfg.min_lr)
     head_scale = cfg.head_lr / cfg.lr
-    opt = AdamW(trainable, weight_decay=cfg.weight_decay,
-                lr_scale_of=lambda name: head_scale if name.startswith("head.") else 1.0)
-
-    trace = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = substream(seed, "finetune-order", epoch).permutation(n)
-        losses, hits, seen = [], 0, 0
-        for b0 in range(0, n, cfg.batch):
-            idx = order[b0 : b0 + cfg.batch]
+    trainer = Trainer("fine-tune", trainable, cfg.weight_decay,
+                      lr_scale_of=lambda name: head_scale if name.startswith("head.") else 1.0)
+    for _, batches, extra in trainer.epochs(len(train_set), cfg, cfg.lr, seed, "finetune-order"):
+        hits, seen = 0, 0
+        for idx in batches:
             vols = [train_set[i][0] for i in idx]
             y = labels_all[idx]
             patches = batch_patches(vols, vis_cfg.patch_size, dtype)
             feats, _, cache = visual_embed_fwd(params, vis_cfg, patches)
             logits, c_head = nn.linear_fwd(params, "head", feats)
             loss, dlogits, probs = softmax_ce_logits(logits, y)
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"non-finite fine-tune loss at step {step}")
             grads: dict = {}
             dfeats = nn.linear_bwd(params, "head", c_head, dlogits, grads)
             if not cfg.freeze_encoder:
                 zero_demb = np.zeros((len(y), params["vis.proj.w"].shape[1]), dtype=dfeats.dtype)
                 visual_embed_bwd(params, vis_cfg, cache, zero_demb, grads, dfeats=dfeats)
-            lr = lr_at_step(sched, step)
-            opt.step(trainable, grads, lr)
-            losses.append(loss)
+            trainer.step(loss, grads)
             hits += int((probs.argmax(axis=1) == y).sum())
             seen += len(y)
-            step += 1
-        trace.append({"epoch": epoch, "mean_loss": float(np.mean(losses)),
-                      "train_accuracy": hits / seen})
+        extra["train_accuracy"] = hits / seen
 
-    result = {"trace": trace, "train_accuracy": trace[-1]["train_accuracy"]}
+    result = {"trace": trainer.trace, "train_accuracy": trainer.trace[-1]["train_accuracy"]}
     if eval_set is not None:
         vols = [v for v, _ in eval_set]
         y = np.asarray([lab for _, lab in eval_set], dtype=np.int64)
@@ -199,10 +182,6 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
 
 
 def predict_logits(params, vis_cfg, volumes, dtype=np.float32, chunk: int = 32) -> np.ndarray:
-    out = []
-    for i in range(0, len(volumes), chunk):
-        patches = batch_patches(volumes[i : i + chunk], vis_cfg.patch_size, dtype)
-        feats, _, _ = visual_embed_fwd(params, vis_cfg, patches)
-        logits, _ = nn.linear_fwd(params, "head", feats)
-        out.append(logits)
-    return np.concatenate(out, axis=0)
+    """The fine-tuned head's logits (n, head_classes) for a list of volumes."""
+    return forward_volumes(params, vis_cfg, volumes, dtype,
+                           lambda feats, _: nn.linear_fwd(params, "head", feats)[0], chunk)

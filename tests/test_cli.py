@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -186,6 +187,23 @@ class TestErrorPaths:
         assert code == 1
         assert "digest" in capsys.readouterr().err
         assert run(workdir, "eval-zeroshot", "--set", "seed=99", "--force") == 0
+
+    def test_pretrain_clip_stage1_digest_mismatch_requires_force(self, workdir, tmp_path,
+                                                                  capsys):
+        # a root of its own holding the shared corpus, so the shared
+        # pretrain_clip output stays as the pipeline wrote it
+        shutil.copytree(workdir / "runs" / "synth", tmp_path / "synth")
+        args = ["pretrain-clip", "--config", str(workdir / "config.json"),
+                "--out", str(tmp_path),
+                "--init", str(workdir / "runs" / "pretrain_mae" / "checkpoint"),
+                "--set", "clip.text_warmup_steps=2"]
+        assert main(args) == 1
+        assert "digest" in capsys.readouterr().err
+        assert not (tmp_path / "pretrain_clip").exists()
+        assert main([*args, "--force"]) == 0
+        err = capsys.readouterr().err
+        assert "warning" in err and "digest" in err
+        assert (tmp_path / "pretrain_clip" / "checkpoint.bin").exists()
 
     def test_missing_synth_dir_is_clean_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -27,6 +27,12 @@ def test_unknown_key_rejected():
         merge_config({"clip": {"temprature": 0.1}})
 
 
+def test_removed_raw_affinity_switch_is_an_unknown_key():
+    assert "raw_affinity" not in merge_config(None)["clip"]
+    with pytest.raises(ConfigError, match="unknown key 'clip.raw_affinity'"):
+        merge_config({"clip": {"raw_affinity": False}})
+
+
 def test_all_violations_listed_together():
     cfg = merge_config({
         "clip": {"temperature": 0.0, "variant_prob": 2.0},

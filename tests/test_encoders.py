@@ -218,6 +218,27 @@ class TestEncodeImage:
             with pytest.raises(ValueError, match=msg):
                 predict_logits(bundle.params, cfg, [vol])
 
+    def test_wrong_dims_with_the_config_patch_count(self):
+        # 4x8x16 under an 8^3 config with 2^3 patches is 2*4*8 = 64 patches, as
+        # many as 8^3 has, but its patches sit on another grid
+        cfg8 = VisualEncoderConfig(patch_size=(2, 2, 2), embed_dim=8, depth=1, heads=2,
+                                   mlp_ratio=2.0, input_dims=(8, 8, 8))
+        bundle = self.bundle(cfg8)
+        good = Volume3D(voxels=np.ones((8, 8, 8), dtype=np.float32))
+        bad = Volume3D(voxels=np.ones((4, 8, 16), dtype=np.float32))
+        msg = r"volume 1 has dims \(4, 8, 16\), 64 patches .* input_dims \(8, 8, 8\)"
+        with pytest.raises(ValueError, match=msg):
+            embed_volumes(bundle, [good, bad])
+        with pytest.raises(ValueError, match=msg):
+            predict_logits(bundle.params, cfg8, [good, bad])
+
+    def test_empty_list(self):
+        bundle = self.bundle()
+        with pytest.raises(ValueError, match="no volumes to embed: the list is empty"):
+            embed_volumes(bundle, [])
+        with pytest.raises(ValueError, match="no volumes to embed: the list is empty"):
+            predict_logits(bundle.params, TOY_VIS, [])
+
 
 class TestStageLossGradients:
     """Gradient checks of both pre-training losses on the shared toy problem."""
