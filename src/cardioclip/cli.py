@@ -2,8 +2,9 @@
 pre-training stages, the evaluation suite, fine-tuning, and the gradient
 checker. Every command writes a self-describing output directory (config
 copy, manifest, metrics, checkpoints) and mirrors its metrics to stdout as
-JSON. Exit codes: 0 success, 2 usage, 3 invalid configuration, 1 runtime
-failure."""
+JSON. Exit codes: 0 success, 2 usage, 3 invalid configuration (an unknown
+key, a malformed --set, a value of the wrong type or out of bounds), 1
+runtime failure."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .metrics import GradeSet, ScoredCase, auroc, ordinal_auroc
 from .model import ModelBundle, embed_texts, embed_volumes, unit_rows
 from .reports import FreeTextReport, load_catalog, structure_report, structured_from_flags
 from .supervision import pathology_vector
-from .synth import SynthSpec, calcium_wording_severity, generate_full_corpus, write_corpus
+from .synth import calcium_wording_severity, generate_full_corpus, write_corpus
 from .tasks import cac_confidences, finetune_classifier, prompt_margins, retrieval_metrics
 from .tokenizer import build_vocab, load_vocab, save_vocab
 from .volume import load_volume
@@ -93,17 +94,6 @@ def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict, extra_manifest=N
     _write_json(os.path.join(cmd_dir, "manifest.json"), manifest)
     json.dump(metrics, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
-
-
-def _synth_spec(cfg) -> SynthSpec:
-    s = cfg["synth"]
-    prev = s["prevalence"]
-    return SynthSpec(
-        n_cases=s["n_cases"], dims=tuple(cfg["geometry"]["dims"]),
-        prevalence=tuple(prev) if isinstance(prev, list) else prev,
-        signal_strength=s["signal_strength"], cac_fraction=s["cac_fraction"],
-        seed=cfg["seed"],
-    )
 
 
 def _load_synth(root: str, cfg: dict, volumes=("train", "eval"), graded_only=False):
@@ -175,8 +165,7 @@ def _load_bundle(root: str, cfg: dict, stem=None, force=False) -> ModelBundle:
 
 def cmd_synth(args, cfg: dict, root: str) -> None:
     cat = load_catalog()
-    spec = _synth_spec(cfg)
-    cases = generate_full_corpus(spec)
+    cases = generate_full_corpus(stage_configs(cfg)["synth"])
     out = _cmd_dir(root, "synth")
     write_corpus(cases, out, cat)
     n_train = cfg["synth"]["train_cases"]

@@ -22,7 +22,7 @@ from .encoders import (
     visual_embed_bwd,
     visual_embed_fwd,
 )
-from .optim import Trainer
+from .optim import Trainer, require, schedule_rules
 from .reports import StructuredReport
 from .seeding import substream
 from .supervision import affinity_matrix, targets_from_affinity
@@ -53,14 +53,23 @@ class ContrastiveConfig:
     text_warmup_statement_frac: float = 0.5
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if not 0.0 <= self.variant_prob <= 1.0:
-            raise ValueError(f"variant_prob must lie in [0, 1], got {self.variant_prob}")
-        if self.text_warmup_steps < 0:
-            raise ValueError("text_warmup_steps must be >= 0")
-        if not 0.0 <= self.text_warmup_statement_frac <= 1.0:
-            raise ValueError("text_warmup_statement_frac must lie in [0, 1]")
+        warm = self.text_warmup_steps
+        require(
+            *schedule_rules(self, self.lr),
+            (self.batch >= 2, f"batch must be >= 2 (contrast is undefined for a single pair), "
+                              f"got {self.batch}"),
+            (self.proj_lr > 0, f"proj_lr must be positive, got {self.proj_lr}"),
+            (self.temperature > 0, f"temperature must be positive, got {self.temperature}"),
+            (0.0 <= self.variant_prob <= 1.0,
+             f"variant_prob must lie in [0, 1], got {self.variant_prob}"),
+            (warm >= 0, f"text_warmup_steps must be >= 0, got {warm}"),
+            (warm == 0 or self.text_warmup_lr > 0 and self.text_warmup_batch >= 1,
+             "text_warmup_lr must be positive and text_warmup_batch >= 1, got "
+             f"{self.text_warmup_lr} and {self.text_warmup_batch}"),
+            (0.0 <= self.text_warmup_statement_frac <= 1.0,
+             "text_warmup_statement_frac must lie in [0, 1], got "
+             f"{self.text_warmup_statement_frac}"),
+        )
 
 
 _PROJ_NAMES = ("vis.proj.w", "vis.proj.b", "txt.proj.w", "txt.proj.b")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .optim import require
 
 
 @dataclass(frozen=True)
@@ -30,13 +31,15 @@ class VisualEncoderConfig:
     input_dims: tuple[int, int, int] = (64, 64, 64)
 
     def __post_init__(self):
-        if self.embed_dim % self.heads != 0:
-            raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-        for d, p in zip(self.input_dims, self.patch_size):
-            if p < 1 or d % p != 0:
-                raise ValueError(f"input dim {d} not divisible by patch size {p}")
+        axes = len(self.input_dims) == len(self.patch_size) == 3
+        require(
+            (axes, f"input_dims {self.input_dims} and patch_size {self.patch_size} "
+                   "must each have 3 entries"),
+            *((p >= 1 and d >= 1 and d % p == 0,
+               f"input dim {d} not a positive multiple of patch size {p} on axis {ax}")
+              for ax, (d, p) in enumerate(zip(self.input_dims, self.patch_size)) if axes),
+            *tower_rules(self),
+        )
 
     @property
     def n_patches(self) -> int:
@@ -61,14 +64,25 @@ class TextEncoderConfig:
     mlp_ratio: float = 4.0
 
     def __post_init__(self):
-        if self.max_len < 2:
-            raise ValueError("max_len must be >= 2 (class token plus at least one content token)")
-        if self.embed_dim % self.heads != 0:
-            raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
+        require((self.max_len >= 2, f"max_len must be >= 2 (class token plus at least one "
+                                    f"content token), got {self.max_len}"),
+                *tower_rules(self))
 
     @property
     def mlp_hidden(self) -> int:
         return int(self.embed_dim * self.mlp_ratio)
+
+
+def tower_rules(cfg) -> tuple:
+    """The rules of a transformer stack's shape, shared by the visual, text
+    and decoder configs: heads divide a positive embed_dim, depth >= 0 and
+    mlp_ratio > 0."""
+    return (
+        (cfg.embed_dim >= 1 and cfg.heads >= 1 and cfg.embed_dim % cfg.heads == 0,
+         f"embed_dim {cfg.embed_dim} not a positive multiple of heads {cfg.heads}"),
+        (cfg.depth >= 0, f"depth must be >= 0, got {cfg.depth}"),
+        (cfg.mlp_ratio > 0, f"mlp_ratio must be positive, got {cfg.mlp_ratio}"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +103,17 @@ def init_visual_params(rng, cfg: VisualEncoderConfig, proj_dim: int, params=None
 
 
 def init_text_params(rng, cfg: TextEncoderConfig, proj_dim: int, params=None,
-                     dtype=np.float32, emb_std: float = 0.2,
-                     block_std: float = 0.1) -> nn.Params:
-    # hotter-than-usual init on purpose: token embeddings must dominate the
-    # pooled feature from step one (otherwise both modalities sit in a
-    # mutual near-collapse saddle of the contrastive loss), and attention
-    # needs non-degenerate logits to break symmetry fast enough to learn
-    # negation binding within the short alignment stage
+                     dtype=np.float32) -> nn.Params:
+    # hotter-than-usual init on purpose (std 0.2 for token embeddings, 0.1
+    # for the blocks): token embeddings must dominate the pooled feature from
+    # step one (otherwise both modalities sit in a mutual near-collapse
+    # saddle of the contrastive loss), and attention needs non-degenerate
+    # logits to break symmetry fast enough to learn negation binding within
+    # the short alignment stage
     p = params if params is not None else {}
-    p["txt.tok"] = nn.trunc_normal(rng, (cfg.vocab_size, cfg.embed_dim), std=emb_std, dtype=dtype)
+    p["txt.tok"] = nn.trunc_normal(rng, (cfg.vocab_size, cfg.embed_dim), std=0.2, dtype=dtype)
     p["txt.pos"] = nn.trunc_normal(rng, (cfg.max_len, cfg.embed_dim), dtype=dtype)
-    nn.init_stack(rng, p, "txt", cfg.embed_dim, cfg.depth, cfg.mlp_hidden, dtype, std=block_std)
+    nn.init_stack(rng, p, "txt", cfg.embed_dim, cfg.depth, cfg.mlp_hidden, dtype, std=0.1)
     p["txt.proj.w"] = nn.trunc_normal(rng, (cfg.embed_dim, proj_dim), dtype=dtype)
     p["txt.proj.b"] = nn.zeros(proj_dim, dtype)
     return p

@@ -18,8 +18,9 @@ from .encoders import (
     init_visual_params,
     patch_tokens_bwd,
     patch_tokens_fwd,
+    tower_rules,
 )
-from .optim import Trainer
+from .optim import Trainer, require, schedule_rules
 from .seeding import derive_seed, substream
 from .volume import batch_patches
 
@@ -59,8 +60,7 @@ class DecoderConfig:
     mlp_ratio: float = 4.0
 
     def __post_init__(self):
-        if self.embed_dim % self.heads != 0:
-            raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
+        require(*tower_rules(self))
 
     @property
     def mlp_hidden(self) -> int:
@@ -77,15 +77,25 @@ class MAETrainConfig:
     min_lr: float = 0.0
     mask_ratio: float = 0.75
 
+    def __post_init__(self):
+        require(*schedule_rules(self, self.base_lr, "base_lr"))
 
-def sample_mask(n_total: int, ratio: float, seed: int) -> MaskPlan:
-    """Uniform random masked subset of size floor(ratio * n_total)."""
+
+def masked_count(n_total: int, ratio: float) -> int:
+    """floor(ratio * n_total), refused unless it leaves at least one masked
+    and one visible patch."""
     n_masked = math.floor(ratio * n_total)
     if not 1 <= n_masked <= n_total - 1:
         raise ValueError(
-            f"ratio {ratio} with {n_total} patches leaves {n_masked} masked; "
+            f"mask_ratio {ratio} leaves {n_masked} of {n_total} patches masked; "
             f"need at least one masked and one visible patch"
         )
+    return n_masked
+
+
+def sample_mask(n_total: int, ratio: float, seed: int) -> MaskPlan:
+    """Uniform random masked subset of size floor(ratio * n_total)."""
+    n_masked = masked_count(n_total, ratio)
     rng = np.random.Generator(np.random.PCG64(seed))
     masked = np.sort(rng.choice(n_total, size=n_masked, replace=False))
     visible = np.setdiff1d(np.arange(n_total), masked, assume_unique=True)

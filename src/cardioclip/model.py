@@ -27,10 +27,13 @@ class ModelBundle:
         return self.params["vis.patch.w"].dtype
 
 
-def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, dtype, readout,
-                    chunk: int = 32) -> np.ndarray:
-    """readout(features, projected) of every volume, chunk volumes per batched
-    forward, stacked along axis 0.
+VOLUME_CHUNK = 32  # volumes per batched visual forward
+TEXT_CHUNK = 64  # texts per batched text forward
+
+
+def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, dtype, readout) -> np.ndarray:
+    """readout(features, projected) of every volume, VOLUME_CHUNK volumes per
+    batched forward, stacked along axis 0.
 
     Refuses an empty list, and any volume whose dims are not
     vis_cfg.input_dims: a volume of another shape can have the same number
@@ -47,24 +50,25 @@ def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, dtype, readou
                 f"config's input_dims {vis_cfg.input_dims} with n_patches {vis_cfg.n_patches}"
             )
     out = []
-    for i in range(0, len(volumes), chunk):
-        patches = batch_patches(volumes[i : i + chunk], vis_cfg.patch_size, dtype)
+    for i in range(0, len(volumes), VOLUME_CHUNK):
+        patches = batch_patches(volumes[i : i + VOLUME_CHUNK], vis_cfg.patch_size, dtype)
         feats, emb, _ = visual_embed_fwd(params, vis_cfg, patches)
         out.append(readout(feats, emb))
     return np.concatenate(out, axis=0)
 
 
-def embed_volumes(bundle: ModelBundle, volumes, chunk: int = 32) -> np.ndarray:
+def embed_volumes(bundle: ModelBundle, volumes) -> np.ndarray:
     """Projected embeddings (n, proj_dim) for a list of volumes."""
     return forward_volumes(bundle.params, bundle.vis_cfg, volumes, bundle.dtype,
-                           lambda _, emb: emb, chunk)
+                           lambda _, emb: emb)
 
 
-def embed_texts(bundle: ModelBundle, texts, chunk: int = 64) -> np.ndarray:
+def embed_texts(bundle: ModelBundle, texts) -> np.ndarray:
     """Projected embeddings (n, proj_dim) for a list of report texts."""
     out = []
-    for i in range(0, len(texts), chunk):
-        seqs = [tokenize(t, bundle.vocab, bundle.txt_cfg.max_len) for t in texts[i : i + chunk]]
+    for i in range(0, len(texts), TEXT_CHUNK):
+        seqs = [tokenize(t, bundle.vocab, bundle.txt_cfg.max_len)
+                for t in texts[i : i + TEXT_CHUNK]]
         ids, lengths = pad_batch(seqs)
         _, emb, _ = text_embed_fwd(bundle.params, bundle.txt_cfg, ids, lengths)
         out.append(emb)

@@ -24,12 +24,34 @@ class ScheduleConfig:
     min_lr: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.warmup_steps <= self.total_steps:
-            raise ValueError(
-                f"require 0 <= warmup_steps <= total_steps, got {self.warmup_steps}, {self.total_steps}"
-            )
-        if not self.base_lr > self.min_lr >= 0:
-            raise ValueError(f"require base_lr > min_lr >= 0, got {self.base_lr}, {self.min_lr}")
+        require(
+            (0 <= self.warmup_steps <= self.total_steps,
+             f"require 0 <= warmup_steps <= total_steps, got {self.warmup_steps}, "
+             f"{self.total_steps}"),
+            (self.base_lr > self.min_lr >= 0,
+             f"require base_lr > min_lr >= 0, got {self.base_lr}, {self.min_lr}"),
+        )
+
+
+def require(*rules) -> None:
+    """Raise one ValueError that names every (ok, message) rule whose ok is
+    false, so that a config reports all of its violations at once."""
+    failed = [message for ok, message in rules if not ok]
+    if failed:
+        raise ValueError("; ".join(failed))
+
+
+def schedule_rules(cfg, lr: float, lr_name: str = "lr") -> tuple:
+    """The rules of the fields every training stage's config shares: epochs,
+    batch, warmup_frac, weight_decay, and lr > min_lr >= 0."""
+    return (
+        (cfg.epochs >= 1, f"epochs must be >= 1, got {cfg.epochs}"),
+        (cfg.batch >= 1, f"batch must be >= 1, got {cfg.batch}"),
+        (0.0 <= cfg.warmup_frac <= 1.0, f"warmup_frac must lie in [0, 1], got {cfg.warmup_frac}"),
+        (cfg.weight_decay >= 0, f"weight_decay must be >= 0, got {cfg.weight_decay}"),
+        (lr > cfg.min_lr >= 0,
+         f"{lr_name} must satisfy {lr_name} > min_lr >= 0, got {lr} vs {cfg.min_lr}"),
+    )
 
 
 def lr_at_step(s: ScheduleConfig, step: int) -> float:
@@ -53,10 +75,9 @@ class AdamW:
     the encoders. Decay skips 1-D tensors (biases, norms, class/mask tokens).
     """
 
-    def __init__(self, params, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01, lr_scale_of=None):
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, weight_decay: float = 0.01, lr_scale_of=None):
         self.weight_decay = weight_decay
         self.lr_scale_of = lr_scale_of or (lambda name: 1.0)
         self.t = 0
@@ -128,14 +149,14 @@ class Trainer:
         """Yield (epoch, batches, extra) for each of cfg.epochs epochs.
 
         batches cuts the (seed, order_name, epoch) permutation of range(n)
-        into index arrays of cfg.batch, dropping those shorter than
-        min_batch; the schedule (cfg.warmup_frac, cfg.min_lr) still spans
-        ceil(n / cfg.batch) steps per epoch. Once the caller has stepped
-        through an epoch, its record {"epoch", "mean_loss", "lr_last"} plus
-        the keys the caller put in extra is appended to self.trace and passed
-        to trace_hook.
+        into index arrays of cfg.batch, dropping a trailing one shorter than
+        min_batch; the schedule (cfg.warmup_frac, cfg.min_lr) spans only the
+        batches that remain, so its cosine decay runs to the end. Once the
+        caller has stepped through an epoch, its record {"epoch",
+        "mean_loss", "lr_last"} plus the keys the caller put in extra is
+        appended to self.trace and passed to trace_hook.
         """
-        total = cfg.epochs * math.ceil(n / cfg.batch)
+        total = cfg.epochs * (n // cfg.batch + (n % cfg.batch >= min_batch))
         self.sched = ScheduleConfig(base_lr, int(round(cfg.warmup_frac * total)), total, cfg.min_lr)
         for epoch in range(cfg.epochs):
             order = substream(seed, order_name, epoch).permutation(n)

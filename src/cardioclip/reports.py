@@ -74,13 +74,8 @@ class StructuredReport:
         return " ".join(self.statements)
 
 
-def load_catalog(path=None) -> AbnormalityCatalog:
-    if path is None:
-        raw = resources.files("cardioclip.data").joinpath("catalog.json").read_text("utf-8")
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    doc = json.loads(raw)
+def load_catalog() -> AbnormalityCatalog:
+    doc = json.loads(resources.files("cardioclip.data").joinpath("catalog.json").read_text("utf-8"))
     return AbnormalityCatalog(
         names=tuple(doc["names"]),
         synonyms={k: tuple(v) for k, v in doc["synonyms"].items()},

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optim import require
 from .reports import AbnormalityCatalog, structured_from_flags
 from .seeding import derive_seed, substream
 from .volume import Volume3D, save_volume
 
 N_FINDINGS = 7
+NEGATION_PROB = 0.5  # chance an absent finding is explicitly negated in the report
 
 # one octant origin (unit cube corner) per finding; the (1,1,1) octant stays empty
 _OCTANTS = (
@@ -154,25 +156,22 @@ class SynthSpec:
     signal_strength: float = 0.4
     cac_fraction: float = 0.5
     seed: int = 0
-    negation_prob: float = 0.5  # chance an absent finding is explicitly negated
 
     def __post_init__(self):
         prev = self.prevalence
-        if np.isscalar(prev):
-            prev = (float(prev),) * N_FINDINGS
-        prev = tuple(float(p) for p in prev)
-        if len(prev) != N_FINDINGS:
-            raise ValueError(f"prevalence needs {N_FINDINGS} entries, got {len(prev)}")
-        for p in prev + (self.cac_fraction, self.negation_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
-        if self.n_cases < 1:
-            raise ValueError("n_cases must be >= 1")
-        for d in self.dims:
-            if d < 16 or d % 16 != 0:
-                raise ValueError(
-                    f"dims must be multiples of 16 (default patch size), got {self.dims}"
-                )
+        prev = (float(prev),) * N_FINDINGS if np.isscalar(prev) else tuple(float(p) for p in prev)
+        require(
+            (len(prev) == N_FINDINGS, f"prevalence needs {N_FINDINGS} entries, got {len(prev)}"),
+            (all(0.0 <= p <= 1.0 for p in prev),
+             f"prevalence entries must lie in [0, 1], got {prev}"),
+            (0.0 <= self.cac_fraction <= 1.0,
+             f"cac_fraction must lie in [0, 1], got {self.cac_fraction}"),
+            (self.signal_strength >= 0,
+             f"signal_strength must be >= 0, got {self.signal_strength}"),
+            (self.n_cases >= 1, f"n_cases must be >= 1, got {self.n_cases}"),
+            (len(self.dims) == 3 and all(d >= 16 and d % 16 == 0 for d in self.dims),
+             f"dims must be 3 multiples of 16 (default patch size), got {self.dims}"),
+        )
         object.__setattr__(self, "prevalence", prev)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
@@ -308,7 +307,7 @@ def _case_text(flags, grade, rng, spec: SynthSpec) -> str:
                 sentences.append(pool[grade - 2])  # severity-matched wording
             else:
                 sentences.append(pool[rng.integers(len(pool))])
-        elif rng.random() < spec.negation_prob:
+        elif rng.random() < NEGATION_PROB:
             sentences.append(NEGATIVE_TEMPLATES[d][rng.integers(len(NEGATIVE_TEMPLATES[d]))])
     if not sentences:
         return FALLBACK_SENTENCE

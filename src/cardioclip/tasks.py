@@ -18,7 +18,7 @@ from .metrics import (
     rank_pool,
 )
 from .model import ModelBundle, embed_texts, embed_volumes, forward_volumes, unit_rows
-from .optim import Trainer
+from .optim import Trainer, require, schedule_rules
 from .reports import make_prompt_pair
 from .seeding import substream
 from .volume import batch_patches
@@ -101,6 +101,10 @@ class FinetuneConfig:
     min_lr: float = 0.0
     freeze_encoder: bool = False
 
+    def __post_init__(self):
+        require(*schedule_rules(self, self.lr),
+                (self.head_lr > 0, f"head_lr must be positive, got {self.head_lr}"))
+
 
 def softmax_ce_logits(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy over integer labels; returns (loss, dlogits, probs)."""
@@ -181,7 +185,7 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
     return params, result
 
 
-def predict_logits(params, vis_cfg, volumes, dtype=np.float32, chunk: int = 32) -> np.ndarray:
+def predict_logits(params, vis_cfg, volumes, dtype=np.float32) -> np.ndarray:
     """The fine-tuned head's logits (n, head_classes) for a list of volumes."""
     return forward_volumes(params, vis_cfg, volumes, dtype,
-                           lambda feats, _: nn.linear_fwd(params, "head", feats)[0], chunk)
+                           lambda feats, _: nn.linear_fwd(params, "head", feats)[0])

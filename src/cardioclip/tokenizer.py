@@ -76,16 +76,15 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int | None = None) -> TokenS
     return TokenSequence(token_ids=ids, length=len(ids))
 
 
-def pad_batch(seqs, pad_to: int | None = None):
-    """Stack sequences into (ids, lengths) int arrays, right-padding with PAD_ID."""
+def pad_batch(seqs):
+    """Stack sequences into (ids, lengths) int arrays, right-padding with PAD_ID
+    to the longest."""
     import numpy as np
 
-    width = pad_to if pad_to is not None else max(s.length for s in seqs)
+    width = max(s.length for s in seqs)
     ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
     lengths = np.zeros(len(seqs), dtype=np.int64)
     for i, s in enumerate(seqs):
-        if s.length > width:
-            raise ValueError(f"sequence of length {s.length} exceeds pad width {width}")
         ids[i, : s.length] = s.token_ids[: s.length]
         lengths[i] = s.length
     return ids, lengths

@@ -1,4 +1,4 @@
-"""3D volume container, CCV1 file I/O, and patchify.
+"""3D volume container, CCV1 file I/O, and patch extraction.
 
 All functions here are pure; a Volume3D never aliases caller-owned storage
 after construction (the constructor copies unless told otherwise).
@@ -47,45 +47,6 @@ class Volume3D:
     def dims(self) -> tuple[int, int, int]:
         return self.voxels.shape
 
-    @property
-    def n_voxels(self) -> int:
-        return int(self.voxels.size)
-
-
-@dataclass(frozen=True)
-class PatchGrid:
-    """Non-overlapping patch decomposition of a volume.
-
-    patches has shape (N, patch_volume), one flattened patch per row, rows
-    ordered row-major over grid coordinates (z fastest-varying last).
-    """
-
-    patch_size: tuple[int, int, int]
-    grid_dims: tuple[int, int, int]
-    patches: np.ndarray
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-
-    def __post_init__(self):
-        n_expected = int(np.prod(self.grid_dims))
-        pvol = int(np.prod(self.patch_size))
-        if self.patches.shape != (n_expected, pvol):
-            raise ValueError(
-                f"patches shape {self.patches.shape} inconsistent with "
-                f"grid {self.grid_dims} x patch {self.patch_size}"
-            )
-
-    @property
-    def n_patches(self) -> int:
-        return int(self.patches.shape[0])
-
-    @property
-    def patch_volume(self) -> int:
-        return int(self.patches.shape[1])
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return tuple(g * p for g, p in zip(self.grid_dims, self.patch_size))
-
 
 def load_volume(path) -> Volume3D:
     """Read a CCV1 file. Raises VolumeFormatError on any malformed content."""
@@ -123,47 +84,17 @@ def save_volume(v: Volume3D, path) -> None:
         fh.write(payload)
 
 
-def patchify(v: Volume3D, patch_size: tuple[int, int, int]) -> PatchGrid:
-    """Split into non-overlapping patches; inverse of unpatchify.
-
-    Patch i covers grid coordinate (i // (gy*gx), (i // gx) % gy, i % gx),
-    each patch flattened z-major.
-    """
-    dims = v.dims
-    for ax, (d, p) in enumerate(zip(dims, patch_size)):
-        if p < 1 or d % p != 0:
-            raise ValueError(
-                f"dim {d} on axis {ax} not divisible by patch size {p}; "
-                f"each dim must be a positive multiple of its patch size"
-            )
-    gz, gy, gx = (d // p for d, p in zip(dims, patch_size))
-    pz, py, px = patch_size
-    blocks = v.voxels.reshape(gz, pz, gy, py, gx, px)
-    patches = blocks.transpose(0, 2, 4, 1, 3, 5).reshape(gz * gy * gx, pz * py * px)
-    return PatchGrid(
-        patch_size=tuple(patch_size),
-        grid_dims=(gz, gy, gx),
-        patches=np.ascontiguousarray(patches),
-        spacing=v.spacing,
-    )
-
-
-def unpatchify(g: PatchGrid) -> Volume3D:
-    """Exact inverse of patchify."""
-    gz, gy, gx = g.grid_dims
-    pz, py, px = g.patch_size
-    blocks = g.patches.reshape(gz, gy, gx, pz, py, px)
-    vox = blocks.transpose(0, 3, 1, 4, 2, 5).reshape(gz * pz, gy * py, gx * px)
-    return Volume3D(voxels=np.ascontiguousarray(vox), spacing=g.spacing)
-
-
 def patches_of(voxels: np.ndarray, patch_size: tuple[int, int, int],
                out: np.ndarray | None = None) -> np.ndarray:
-    """patchify on a raw (..., D, H, W) array; supports a leading batch axis.
+    """Split a raw (..., D, H, W) array into non-overlapping patches; leading
+    (batch) axes are kept.
 
-    Returns (..., N, patch_volume) with the same ordering as patchify. With
-    out, a C-contiguous array of that shape, the patches are cast into out
-    in one pass and out is returned.
+    Returns (..., N, patch_volume). With grid (gz, gy, gx) = (D/pz, H/py,
+    W/px), patch i covers grid cell (i // (gy*gx), (i // gx) % gy, i % gx)
+    and is that cell's voxels flattened z-major, so voxel (z, y, x) sits in
+    patch (z//pz*gy + y//py)*gx + x//px at offset (z%pz*py + y%py)*px + x%px.
+    With out, a C-contiguous array of that shape, the patches are cast into
+    out in one pass and out is returned.
     """
     *lead, D, H, W = voxels.shape
     pz, py, px = patch_size

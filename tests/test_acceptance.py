@@ -42,7 +42,7 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def cfg():
-    return merge_config(None)
+    return merge_config({"seed": SEED})
 
 
 @pytest.fixture(scope="module")
@@ -52,14 +52,8 @@ def catalog():
 
 @pytest.fixture(scope="module")
 def corpus(cfg):
-    s = cfg["synth"]
-    spec = SynthSpec(
-        n_cases=s["n_cases"], dims=tuple(cfg["geometry"]["dims"]),
-        prevalence=tuple(s["prevalence"]), signal_strength=s["signal_strength"],
-        cac_fraction=s["cac_fraction"], seed=SEED,
-    )
-    cases = generate_full_corpus(spec)
-    n_train = s["train_cases"]
+    cases = generate_full_corpus(stage_configs(cfg)["synth"])
+    n_train = cfg["synth"]["train_cases"]
     return cases[:n_train], cases[n_train:]
 
 

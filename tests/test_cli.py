@@ -182,6 +182,17 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "temperature" in err and "variant_prob" in err
 
+    @pytest.mark.parametrize("assignment, key", [
+        ("synth.prevalence=[0.3,0.3]", "prevalence"),
+        ("geometry=5", "geometry"),
+        ("visual.depth=abc", "visual.depth"),
+        ('clip={"temperature": 0}', "temperature"),
+    ])
+    def test_bad_set_exits_3_naming_the_key(self, workdir, capsys, assignment, key):
+        assert run(workdir, "synth", "--set", assignment) == 3
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and key in err
+
     def test_digest_mismatch_requires_force(self, workdir, capsys):
         code = run(workdir, "eval-zeroshot", "--set", "seed=99")
         assert code == 1

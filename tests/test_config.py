@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
+from cardioclip.clip import ContrastiveConfig
 from cardioclip.config import (
     ConfigError,
     apply_set_overrides,
@@ -12,7 +13,11 @@ from cardioclip.config import (
     stage_configs,
     validate_config,
 )
+from cardioclip.encoders import TextEncoderConfig, VisualEncoderConfig
+from cardioclip.mae import DecoderConfig, MAETrainConfig
 from cardioclip.reports import load_catalog
+from cardioclip.synth import SynthSpec
+from cardioclip.tasks import FinetuneConfig
 
 
 def test_defaults_are_valid():
@@ -70,6 +75,13 @@ def test_load_config_from_file(tmp_path):
     assert cfg["clip"]["epochs"] == 10  # untouched defaults remain
 
 
+def test_load_config_rejects_a_file_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        load_config(path)
+
+
 def test_load_config_rejects_invalid(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"clip": {"temperature": 0}}))
@@ -110,5 +122,78 @@ def test_stage_configs_unpack_their_sections():
     assert stages["finetune"].epochs == 7
     for name in ("decoder", "mae", "clip"):
         assert asdict(stages[name]) == cfg[name]
+    synth = stages["synth"]
+    assert synth.dims == tuple(cfg["geometry"]["dims"]) and synth.seed == cfg["seed"]
+    assert synth.prevalence == tuple(cfg["synth"]["prevalence"])
+    for key in ("n_cases", "signal_strength", "cac_fraction"):
+        assert getattr(synth, key) == cfg["synth"][key]
     text = stage_configs(cfg, vocab_size=50)["text"]
     assert asdict(text) == {"vocab_size": 50, **cfg["text"]}
+
+
+def test_set_merges_a_whole_section_like_a_config_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"clip": {"temperature": 0.1}}))
+    from_set = load_config(None, ['clip={"temperature": 0.1}'])
+    assert from_set["clip"]["temperature"] == 0.1
+    assert from_set["clip"]["epochs"] == merge_config(None)["clip"]["epochs"]
+    assert config_digest(from_set) == config_digest(load_config(path))
+
+
+def test_set_and_config_refuse_the_same_inputs(tmp_path):
+    cases = (
+        (["geometry=5"], {"geometry": 5}, "'geometry' must be an object"),
+        (["visual.depth=abc"], {"visual": {"depth": "abc"}}, "'visual.depth'"),
+        (["seed.x=1"], {"seed": {"x": 1}}, "unknown key 'seed.x'"),
+        (["synth.prevalence=[0.3,0.3]"], {"synth": {"prevalence": [0.3, 0.3]}},
+         "synth: prevalence needs 7 entries, got 2"),
+    )
+    path = tmp_path / "cfg.json"
+    for assignments, overrides, message in cases:
+        path.write_text(json.dumps(overrides))
+        for args in ((None, assignments), (path, ())):
+            with pytest.raises(ConfigError) as exc:
+                load_config(*args)
+            assert message in str(exc.value), (args, str(exc.value))
+
+
+def test_wrong_types_are_refused_with_their_key():
+    for overrides, key in (({"mae": {"epochs": 2.5}}, "mae.epochs"),
+                           ({"finetune": {"freeze_encoder": 1}}, "finetune.freeze_encoder"),
+                           ({"seed": True}, "seed"),
+                           ({"geometry": {"dims": [64, "64", 64]}}, "geometry.dims"),
+                           ({"eval": {"recall_ks": 5}}, "eval.recall_ks"),
+                           ({"clip": {"lr": float("inf")}}, "clip.lr"),
+                           ({"clip": {"temperature": float("nan")}}, "clip.temperature")):
+        with pytest.raises(ConfigError, match=f"'{key}' must have the type of its default"):
+            merge_config(overrides)
+    # an int is a valid float
+    assert merge_config({"visual": {"mlp_ratio": 2}})["visual"]["mlp_ratio"] == 2
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: ContrastiveConfig(batch=1), "batch"),
+    (lambda: ContrastiveConfig(lr=0.0), "lr"),
+    (lambda: FinetuneConfig(lr=0.0), "lr"),
+    (lambda: TextEncoderConfig(vocab_size=10, depth=-3), "depth"),
+    (lambda: DecoderConfig(mlp_ratio=-2.0), "mlp_ratio"),
+    (lambda: VisualEncoderConfig(heads=0), "heads"),
+    (lambda: MAETrainConfig(base_lr=1e-4, min_lr=1e-3), "base_lr"),
+    (lambda: SynthSpec(prevalence=(0.3, 0.3)), "prevalence"),
+    (lambda: SynthSpec(signal_strength=-1.0), "signal_strength"),
+])
+def test_stage_dataclasses_refuse_out_of_bounds_values(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_a_dataclass_reports_all_its_violations_at_once():
+    with pytest.raises(ValueError) as exc:
+        ContrastiveConfig(temperature=0.0, variant_prob=2.0, epochs=0)
+    for field in ("temperature", "variant_prob", "epochs"):
+        assert field in str(exc.value)
+
+
+def test_depth_zero_is_accepted_for_every_tower():
+    cfg = merge_config({"visual": {"depth": 0}, "text": {"depth": 0}, "decoder": {"depth": 0}})
+    assert validate_config(cfg) == []

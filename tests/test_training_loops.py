@@ -149,9 +149,10 @@ class TestTraceHook:
 
 
 class TestContrastiveSingletonBatch:
-    def test_trailing_singleton_skipped_and_schedule_spans_every_batch(self, monkeypatch):
+    def test_trailing_singleton_skipped_and_schedule_counts_only_the_batches_run(self,
+                                                                                  monkeypatch):
         # 5 pairs at batch 2: batches of 2, 2 and 1 per epoch. The singleton
-        # is skipped, but the schedule still counts ceil(5/2) = 3 steps per epoch.
+        # is skipped, and the schedule counts the 2 batches that run per epoch.
         cases = pairs(5)
         params = visual_params()
         txt, vocab = text_setup(cases, params)
@@ -166,8 +167,7 @@ class TestContrastiveSingletonBatch:
         cfg = ContrastiveConfig(epochs=2, batch=2, warmup_frac=0.34, text_warmup_steps=0)
         _, trace = train_clip(cases, params, VIS, txt, vocab, cfg, seed=0)
         assert sizes == [2, 2, 2, 2]
-        sched = ScheduleConfig(cfg.lr, 2, 6, cfg.min_lr)  # round(0.34 * 6) = 2 warmup steps
-        # steps 0, 1 ran in epoch 0 and steps 2, 3 in epoch 1
+        sched = ScheduleConfig(cfg.lr, 1, 4, cfg.min_lr)  # round(0.34 * 4) = 1 warmup step
+        # steps 0, 1 ran in epoch 0 and steps 2, 3, the last scheduled, in epoch 1
         assert trace[0]["lr_last"] == lr_at_step(sched, 1)
         assert trace[-1]["lr_last"] == lr_at_step(sched, 3)
-        assert trace[-1]["lr_last"] != lr_at_step(sched, 5)
