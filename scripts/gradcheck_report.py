@@ -8,7 +8,7 @@ a few probe budgets.
 
 import sys
 
-from cardioclip.gradcheck import gradient_check, toy_losses
+from cardioclip.gradcheck import EPS, TOLERANCE, gradient_check, toy_losses
 
 LABELS = {"mae": "masked-reconstruction", "contrastive": "contrastive"}
 
@@ -16,8 +16,8 @@ if __name__ == "__main__":
     worst = 0.0
     for name, (fn, params) in toy_losses(seed=0).items():
         for probes in (32, 128, 512):
-            err = gradient_check(fn, params, n_probes=probes, eps=1e-5, seed=probes)
+            err = gradient_check(fn, params, n_probes=probes, eps=EPS, seed=probes)
             worst = max(worst, err)
             print(f"{LABELS[name]:22s} probes={probes:4d} max relative error = {err:.3e}")
-    print("PASS" if worst < 1e-4 else "FAIL", f"(worst {worst:.3e}, tolerance 1e-4)")
-    sys.exit(0 if worst < 1e-4 else 1)
+    print("PASS" if worst < TOLERANCE else "FAIL", f"(worst {worst:.3e}, tolerance {TOLERANCE:.0e})")
+    sys.exit(0 if worst < TOLERANCE else 1)

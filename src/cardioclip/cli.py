@@ -1,10 +1,12 @@
 """Command-line driver: corpus generation, report structuring, both
 pre-training stages, the evaluation suite, fine-tuning, and the gradient
-checker. Every command writes a self-describing output directory (config
-copy, manifest, metrics, checkpoints) and mirrors its metrics to stdout as
-JSON. Exit codes: 0 success, 2 usage, 3 invalid configuration (an unknown
-key, a malformed --set, a value of the wrong type or out of bounds), 1
-runtime failure."""
+checker. Each command reads its inputs (the corpus as synth.SynthCase lists,
+a checkpoint), makes the library call the acceptance suite makes, and
+writes a self-describing output directory (config copy, manifest, metrics
+rounded to 6 places, checkpoints), mirroring its metrics to stdout as
+JSON. Exit codes: 0 success, 2 usage, 3 invalid configuration
+(an unknown key, a malformed --set, a value of the wrong type or out of
+bounds), 1 runtime failure."""
 
 from __future__ import annotations
 
@@ -18,30 +20,17 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .clip import train_clip
+from .clip import contrastive_pairs, train_clip
 from .config import ConfigError, config_digest, load_config, stage_configs
-from .gradcheck import gradient_check, toy_losses
+from .gradcheck import EPS, N_PROBES, TOLERANCE, stage_loss_errors
 from .mae import train_mae
-from .metrics import GradeSet, ScoredCase, auroc, ordinal_auroc
-from .model import ModelBundle, embed_texts, embed_volumes, unit_rows
-from .reports import FreeTextReport, load_catalog, structure_report, structured_from_flags
-from .supervision import pathology_vector
-from .synth import calcium_wording_severity, generate_full_corpus, write_corpus
-from .tasks import cac_confidences, finetune_classifier, prompt_margins, retrieval_metrics
-from .tokenizer import build_vocab, load_vocab, save_vocab
+from .model import ModelBundle
+from .reports import FreeTextReport, load_catalog, structure_report
+from .synth import SynthCase, calcium_wording_severity, generate_full_corpus, write_corpus
+from .tasks import (cac_grading, case_retrieval, finetune_classifier, finetune_labels,
+                    zero_shot_aurocs)
+from .tokenizer import load_vocab, save_vocab
 from .volume import load_volume
-
-COMMANDS = (
-    "synth",
-    "structure-reports",
-    "pretrain-mae",
-    "pretrain-clip",
-    "eval-zeroshot",
-    "eval-retrieval",
-    "eval-cac",
-    "finetune",
-    "gradcheck",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cardioclip",
         description="Two-stage volumetric image/report pre-training on a synthetic corpus.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", default=None, help="JSON config file (defaults apply otherwise)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config entry, e.g. --set clip.temperature=0.1")
@@ -97,7 +86,8 @@ def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict, extra_manifest=N
 
 
 def _load_synth(root: str, cfg: dict, volumes=("train", "eval"), graded_only=False):
-    """Read the synth output back: cases as (case_id, volume, flags, free_text, grade).
+    """Read the synth output back as (train, eval) lists of SynthCase, each
+    case's index its line in reports.jsonl.
 
     Only the cases of the splits named in `volumes` (and of those, only the
     graded ones with graded_only) have their volume read; the rest carry
@@ -120,18 +110,14 @@ def _load_synth(root: str, cfg: dict, volumes=("train", "eval"), graded_only=Fal
         splits = json.load(fh)
     read = {cid for split in volumes for cid in splits[split]}
     by_id = {}
-    for doc in reports:
+    for index, doc in enumerate(reports):
         cid = doc["case_id"]
         grade = grades.get(cid)
         wanted = cid in read and (grade is not None or not graded_only)
-        by_id[cid] = {
-            "case_id": cid,
-            "volume": (load_volume(os.path.join(synth_dir, "volumes", f"{cid}.ccv1"))
-                       if wanted else None),
-            "flags": tuple(bool(f) for f in doc["flags"]),
-            "free_text": doc["free_text"],
-            "grade": grade,
-        }
+        volume = (load_volume(os.path.join(synth_dir, "volumes", f"{cid}.ccv1"))
+                  if wanted else None)
+        by_id[cid] = SynthCase(cid, volume, tuple(bool(f) for f in doc["flags"]),
+                               doc["free_text"], grade, index)
     train = [by_id[cid] for cid in splits["train"]]
     evalset = [by_id[cid] for cid in splits["eval"]]
     return train, evalset
@@ -194,14 +180,14 @@ def cmd_structure_reports(args, cfg: dict, root: str) -> None:
     total = 0
     with open(os.path.join(out, "structured.jsonl"), "w", encoding="utf-8") as fh:
         for case in train + evalset:
-            s = structure_report(FreeTextReport(case["case_id"], case["free_text"]), cat)
+            s = structure_report(FreeTextReport(case.case_id, case.free_text), cat)
             fh.write(json.dumps({
-                "case_id": case["case_id"],
-                "free_text": case["free_text"],
+                "case_id": case.case_id,
+                "free_text": case.free_text,
                 "structured": list(s.statements),
                 "flags": list(s.flags),
             }, sort_keys=True) + "\n")
-            n_match += int(s.flags == case["flags"])
+            n_match += int(s.flags == case.flags)
             total += 1
     metrics = {"n_reports": total, "flag_accuracy": round(n_match / total, 6)}
     _emit(out, cfg, "structure-reports", metrics)
@@ -213,7 +199,7 @@ def cmd_pretrain_mae(args, cfg: dict, root: str) -> None:
     out = _cmd_dir(root, "pretrain_mae")
     with open(os.path.join(out, "trace.jsonl"), "w", encoding="utf-8") as fh:
         params, trace = train_mae(
-            [c["volume"] for c in train], stages["visual"], stages["decoder"], stages["mae"],
+            [c.volume for c in train], stages["visual"], stages["decoder"], stages["mae"],
             seed=cfg["seed"], proj_dim=cfg["proj_dim"],
             trace_hook=lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n"),
         )
@@ -228,15 +214,11 @@ def cmd_pretrain_mae(args, cfg: dict, root: str) -> None:
 
 
 def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
-    cat = load_catalog()
     train, _ = _load_synth(root, cfg, volumes=("train",))
     params = _load_params(args.init or os.path.join(root, "pretrain_mae", "checkpoint"),
                           cfg, args.force)
-    structured = [structured_from_flags(c["case_id"], c["flags"], cat) for c in train]
-    vocab = build_vocab([c["free_text"] for c in train] + [s.text() for s in structured])
+    pairs, vocab = contrastive_pairs(train, load_catalog())
     stages = stage_configs(cfg, len(vocab))
-    pairs = [(c["volume"], c["free_text"], s, pathology_vector(s))
-             for c, s in zip(train, structured)]
     out = _cmd_dir(root, "pretrain_clip")
     save_vocab(vocab, os.path.join(out, "vocab.txt"))
     with open(os.path.join(out, "trace.jsonl"), "w", encoding="utf-8") as fh:
@@ -261,20 +243,7 @@ def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
 def cmd_eval_zeroshot(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
     _, evalset = _load_synth(root, cfg, volumes=("eval",))
-    vols = [c["volume"] for c in evalset]
-    flags = np.array([c["flags"] for c in evalset])
-    v = unit_rows(embed_volumes(bundle, vols))
-    per_name = {}
-    for d, name in enumerate(bundle.catalog.names):
-        scores = prompt_margins(v, name, bundle)
-        labels = flags[:, d]
-        if labels.min() == labels.max():
-            per_name[name] = None
-            continue
-        per_name[name] = auroc([
-            ScoredCase(evalset[i]["case_id"], float(s), bool(l))
-            for i, (s, l) in enumerate(zip(scores, labels))
-        ])
+    per_name = zero_shot_aurocs(evalset, bundle)
     values = [v for v in per_name.values() if v is not None]
     metrics = {
         "zero_shot_auroc": {k: (round(v, 6) if v is not None else None)
@@ -288,18 +257,12 @@ def cmd_eval_zeroshot(args, cfg: dict, root: str) -> None:
 def cmd_eval_retrieval(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
     _, evalset = _load_synth(root, cfg, volumes=("eval",))
-    ids = [c["case_id"] for c in evalset]
-    texts = [structured_from_flags(c["case_id"], c["flags"], bundle.catalog).text()
-             for c in evalset]
-    scores = retrieval_metrics(
-        unit_rows(embed_volumes(bundle, [c["volume"] for c in evalset])),
-        unit_rows(embed_texts(bundle, texts)), ids, np.array([c["flags"] for c in evalset]),
-        bundle, cfg["eval"]["recall_ks"], cfg["eval"]["precision_ks"])
+    scores = case_retrieval(evalset, bundle, cfg["eval"]["recall_ks"], cfg["eval"]["precision_ks"])
     metrics = {
         "recall": {k: round(x, 6) for k, x in scores["recall"].items()},
         "keyword": {name: {k: round(x, 6) for k, x in kw.items()}
                     for name, kw in scores["keyword"].items()},
-        "pool_size": len(ids),
+        "pool_size": len(evalset),
     }
     _emit(_cmd_dir(root, "eval_retrieval"), cfg, "eval-retrieval", metrics)
 
@@ -334,22 +297,18 @@ def cmd_eval_cac(args, cfg: dict, root: str) -> None:
     """
     bundle = _load_bundle(root, cfg, args.init, args.force)
     _, evalset = _load_synth(root, cfg, volumes=("eval",), graded_only=True)
-    graded = [c for c in evalset if c["grade"] is not None]
-    if len({c["grade"] for c in graded}) < 2:
-        raise ValueError("held-out set does not span two grades; regenerate with higher cac_fraction")
-    conf = cac_confidences([c["volume"] for c in graded], bundle)
-    gs = GradeSet(cases=tuple((c["case_id"], c["grade"], float(s))
-                              for c, s in zip(graded, conf)), n_grades=5)
-    per_threshold = ordinal_auroc(gs)
+    graded = [c for c in evalset if c.grade is not None]
+    per_threshold, conf = cac_grading(graded, bundle)
+    grades = [c.grade for c in graded]
     out = _cmd_dir(root, "eval_cac")
-    _grade_plot(os.path.join(out, "cac_scores"), [c["grade"] for c in graded], conf)
+    _grade_plot(os.path.join(out, "cac_scores"), grades, conf)
     metrics = {
         "ordinal_auroc": {f"grade>{t}": (round(v, 6) if v is not None else None)
                           for t, v in per_threshold},
         "n_graded": len(graded),
         "mean_confidence_by_grade": {
-            str(g): round(float(np.mean([s for c, s in zip(graded, conf) if c["grade"] == g])), 6)
-            for g in sorted({c["grade"] for c in graded})
+            str(g): round(float(np.mean([s for h, s in zip(grades, conf) if h == g])), 6)
+            for g in sorted(set(grades))
         },
     }
     _emit(out, cfg, "eval-cac", metrics)
@@ -359,15 +318,8 @@ def cmd_finetune(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
     target = cfg["finetune"]["target"]
     train, evalset = _load_synth(root, cfg, graded_only=target == "cac")
-    if target == "cac":
-        train_pairs = [(c["volume"], c["grade"] - 1) for c in train if c["grade"] is not None]
-        eval_pairs = [(c["volume"], c["grade"] - 1) for c in evalset if c["grade"] is not None]
-        head_classes = 5
-    else:
-        d = bundle.catalog.index_of(target)
-        train_pairs = [(c["volume"], int(c["flags"][d])) for c in train]
-        eval_pairs = [(c["volume"], int(c["flags"][d])) for c in evalset]
-        head_classes = 2
+    train_pairs, head_classes = finetune_labels(train, target, bundle.catalog)
+    eval_pairs, _ = finetune_labels(evalset, target, bundle.catalog)
     params, result = finetune_classifier(train_pairs, bundle.params, head_classes,
                                          stage_configs(cfg)["finetune"], bundle,
                                          seed=cfg["seed"], eval_set=eval_pairs)
@@ -391,19 +343,17 @@ def cmd_finetune(args, cfg: dict, root: str) -> None:
 
 def cmd_gradcheck(args, cfg: dict, root: str) -> None:
     # the float64 toy problem; independent of the main geometry
-    losses = toy_losses(cfg["seed"])
-    err_mae = gradient_check(*losses["mae"], n_probes=32, eps=1e-5, seed=cfg["seed"])
-    err_clip = gradient_check(*losses["contrastive"], n_probes=32, eps=1e-5, seed=cfg["seed"])
+    errors = stage_loss_errors(cfg["seed"])
     metrics = {
-        "mae_loss_max_rel_error": float(err_mae),
-        "contrastive_loss_max_rel_error": float(err_clip),
-        "n_probes": 32,
-        "eps": 1e-5,
-        "pass": bool(err_mae < 1e-4 and err_clip < 1e-4),
+        "mae_loss_max_rel_error": float(errors["mae"]),
+        "contrastive_loss_max_rel_error": float(errors["contrastive"]),
+        "n_probes": N_PROBES,
+        "eps": EPS,
+        "pass": all(e < TOLERANCE for e in errors.values()),
     }
     _emit(_cmd_dir(root, "gradcheck"), cfg, "gradcheck", metrics)
     if not metrics["pass"]:
-        raise FloatingPointError("gradient check exceeded 1e-4 max relative error")
+        raise FloatingPointError(f"gradient check exceeded {TOLERANCE:.0e} max relative error")
 
 
 _HANDLERS = {

@@ -22,11 +22,11 @@ from .encoders import (
     visual_embed_bwd,
     visual_embed_fwd,
 )
-from .optim import Trainer, require, schedule_rules
-from .reports import StructuredReport
+from .optim import Trainer, count_rule, require, schedule_rules
+from .reports import StructuredReport, structured_from_flags
 from .seeding import substream
-from .supervision import affinity_matrix, targets_from_affinity
-from .tokenizer import Vocabulary, pad_batch, tokenize
+from .supervision import affinity_matrix, pathology_vector, targets_from_affinity
+from .tokenizer import Vocabulary, build_vocab, pad_batch, tokenize
 from .volume import batch_patches
 
 
@@ -62,10 +62,10 @@ class ContrastiveConfig:
             (self.temperature > 0, f"temperature must be positive, got {self.temperature}"),
             (0.0 <= self.variant_prob <= 1.0,
              f"variant_prob must lie in [0, 1], got {self.variant_prob}"),
-            (warm >= 0, f"text_warmup_steps must be >= 0, got {warm}"),
-            (warm == 0 or self.text_warmup_lr > 0 and self.text_warmup_batch >= 1,
-             "text_warmup_lr must be positive and text_warmup_batch >= 1, got "
-             f"{self.text_warmup_lr} and {self.text_warmup_batch}"),
+            count_rule(self, "text_warmup_steps", 0),
+            (warm == 0 or self.text_warmup_lr > 0 and count_rule(self, "text_warmup_batch", 1)[0],
+             "text_warmup_lr must be positive and text_warmup_batch an integer >= 1, got "
+             f"{self.text_warmup_lr} and {self.text_warmup_batch!r}"),
             (0.0 <= self.text_warmup_statement_frac <= 1.0,
              "text_warmup_statement_frac must lie in [0, 1], got "
              f"{self.text_warmup_statement_frac}"),
@@ -232,6 +232,16 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
 
 # ---------------------------------------------------------------------------
 # training loop
+
+
+def contrastive_pairs(cases, catalog):
+    """train_clip's pairs and vocabulary from synth cases: each case's
+    (volume, free text, structured report, pathology vector), and a
+    vocabulary over the free texts and the structured texts."""
+    structured = [structured_from_flags(c.case_id, c.flags, catalog) for c in cases]
+    vocab = build_vocab([c.free_text for c in cases] + [s.text() for s in structured])
+    return [(c.volume, c.free_text, s, pathology_vector(s))
+            for c, s in zip(cases, structured)], vocab
 
 
 def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoderConfig,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .optim import require
+from .optim import count_rule, require
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,8 @@ class TextEncoderConfig:
     mlp_ratio: float = 4.0
 
     def __post_init__(self):
-        require((self.max_len >= 2, f"max_len must be >= 2 (class token plus at least one "
-                                    f"content token), got {self.max_len}"),
-                *tower_rules(self))
+        # max_len >= 2: the class token plus at least one content token
+        require(count_rule(self, "max_len", 2), *tower_rules(self))
 
     @property
     def mlp_hidden(self) -> int:
@@ -75,12 +74,14 @@ class TextEncoderConfig:
 
 def tower_rules(cfg) -> tuple:
     """The rules of a transformer stack's shape, shared by the visual, text
-    and decoder configs: heads divide a positive embed_dim, depth >= 0 and
-    mlp_ratio > 0."""
+    and decoder configs: integer heads >= 1 divide an integer embed_dim >= 1,
+    integer depth >= 0, and mlp_ratio > 0."""
+    dims = count_rule(cfg, "embed_dim", 1), count_rule(cfg, "heads", 1)
     return (
-        (cfg.embed_dim >= 1 and cfg.heads >= 1 and cfg.embed_dim % cfg.heads == 0,
-         f"embed_dim {cfg.embed_dim} not a positive multiple of heads {cfg.heads}"),
-        (cfg.depth >= 0, f"depth must be >= 0, got {cfg.depth}"),
+        *dims,
+        (not all(ok for ok, _ in dims) or cfg.embed_dim % cfg.heads == 0,
+         f"embed_dim {cfg.embed_dim} not a multiple of heads {cfg.heads}"),
+        count_rule(cfg, "depth", 0),
         (cfg.mlp_ratio > 0, f"mlp_ratio must be positive, got {cfg.mlp_ratio}"),
     )
 

@@ -7,7 +7,8 @@ central differences. Run in float64: float32 round-off swamps eps**2 error.
 
 toy_losses builds the one float64 toy problem both stage losses are checked
 on, shared by the CLI's gradcheck command, scripts/gradcheck_report.py and
-the acceptance suite.
+the acceptance suite; stage_loss_errors is the check the CLI and the
+acceptance suite run on it, passed when each error is below TOLERANCE.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ TOY_VIS = VisualEncoderConfig(patch_size=(2, 2, 2), embed_dim=8, depth=2, heads=
                               mlp_ratio=2.0, input_dims=(4, 4, 4))
 TOY_DEC = DecoderConfig(embed_dim=4, depth=1, heads=2, mlp_ratio=2.0)
 TOY_TEXTS = ("there is coronary stenosis", "no pericardial effusion", "cardiomegaly present")
+TOLERANCE = 1e-4  # max relative error a hand-written gradient may show
+N_PROBES, EPS = 32, 1e-5  # stage_loss_errors' probe count and step
 
 
-def gradient_check(loss_fn, params, n_probes: int = 32, eps: float = 1e-5,
+def gradient_check(loss_fn, params, n_probes: int = N_PROBES, eps: float = EPS,
                    seed: int = 0) -> float:
     """Max relative error |g_a - g_n| / max(1e-8, |g_a| + |g_n|) over random probes."""
     loss0, grads = loss_fn(params)
@@ -98,3 +101,10 @@ def toy_losses(seed: int) -> dict:
         return loss, grads
 
     return {"mae": (mae_loss, mae_params), "contrastive": (clip_loss, clip_params)}
+
+
+def stage_loss_errors(seed: int) -> dict:
+    """{"mae": error, "contrastive": error}: gradient_check's max relative
+    error of each stage loss on toy_losses(seed), N_PROBES probes at EPS."""
+    return {name: gradient_check(fn, params, seed=seed)
+            for name, (fn, params) in toy_losses(seed).items()}

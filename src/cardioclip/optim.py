@@ -41,12 +41,20 @@ def require(*rules) -> None:
         raise ValueError("; ".join(failed))
 
 
+def count_rule(cfg, name: str, low: int) -> tuple:
+    """The rule that field `name` of cfg is an integer >= low. A bool is not
+    an integer here; a numpy integer is."""
+    x = getattr(cfg, name)
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= low,
+            f"{name} must be an integer >= {low}, got {x!r}")
+
+
 def schedule_rules(cfg, lr: float, lr_name: str = "lr") -> tuple:
     """The rules of the fields every training stage's config shares: epochs,
     batch, warmup_frac, weight_decay, and lr > min_lr >= 0."""
     return (
-        (cfg.epochs >= 1, f"epochs must be >= 1, got {cfg.epochs}"),
-        (cfg.batch >= 1, f"batch must be >= 1, got {cfg.batch}"),
+        count_rule(cfg, "epochs", 1),
+        count_rule(cfg, "batch", 1),
         (0.0 <= cfg.warmup_frac <= 1.0, f"warmup_frac must lie in [0, 1], got {cfg.warmup_frac}"),
         (cfg.weight_decay >= 0, f"weight_decay must be >= 0, got {cfg.weight_decay}"),
         (lr > cfg.min_lr >= 0,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import require
+from .optim import count_rule, require
 from .reports import AbnormalityCatalog, structured_from_flags
 from .seeding import derive_seed, substream
 from .volume import Volume3D, save_volume
@@ -168,7 +168,7 @@ class SynthSpec:
              f"cac_fraction must lie in [0, 1], got {self.cac_fraction}"),
             (self.signal_strength >= 0,
              f"signal_strength must be >= 0, got {self.signal_strength}"),
-            (self.n_cases >= 1, f"n_cases must be >= 1, got {self.n_cases}"),
+            count_rule(self, "n_cases", 1),
             (len(self.dims) == 3 and all(d >= 16 and d % 16 == 0 for d in self.dims),
              f"dims must be 3 multiples of 16 (default patch size), got {self.dims}"),
         )
@@ -179,7 +179,7 @@ class SynthSpec:
 @dataclass(frozen=True)
 class SynthCase:
     case_id: str
-    volume: Volume3D
+    volume: Volume3D | None  # None when a reader skipped it (cli._load_synth)
     flags: tuple[bool, ...]
     free_text: str
     grade: int | None = None

@@ -1,5 +1,7 @@
 """Downstream evaluation tasks: zero-shot prompt margins, cross-modal and
-keyword retrieval scoring, the calcium-confidence proxy, and head fine-tuning."""
+keyword retrieval scoring, the calcium-confidence proxy, and head fine-tuning.
+The functions on synth.SynthCase lists are the steps the CLI and the
+acceptance suite share; they return unrounded values."""
 
 from __future__ import annotations
 
@@ -10,16 +12,18 @@ import numpy as np
 from . import nn
 from .encoders import visual_embed_bwd, visual_embed_fwd
 from .metrics import (
+    GradeSet,
     ScoredCase,
     auroc,
     head_ordinal_auroc,
     mean_recall_at_k,
+    ordinal_auroc,
     precision_at_k,
     rank_pool,
 )
 from .model import ModelBundle, embed_texts, embed_volumes, forward_volumes, unit_rows
 from .optim import Trainer, require, schedule_rules
-from .reports import make_prompt_pair
+from .reports import make_prompt_pair, structured_from_flags
 from .seeding import substream
 from .volume import batch_patches
 
@@ -39,6 +43,22 @@ def prompt_margins(v: np.ndarray, name: str, bundle: ModelBundle) -> np.ndarray:
     t = unit_rows(embed_texts(bundle, [pos, neg]))
     sims = v @ t.T
     return sims[:, 0] - sims[:, 1]
+
+
+def zero_shot_aurocs(cases, bundle: ModelBundle) -> dict:
+    """{finding: AUROC of its prompt margin over the cases}, None for a
+    finding whose flags are all one class. The volumes are embedded once."""
+    v = unit_rows(embed_volumes(bundle, [c.volume for c in cases]))
+    flags = np.array([c.flags for c in cases])
+    out = {}
+    for d, name in enumerate(bundle.catalog.names):
+        labels = flags[:, d]
+        if labels.min() == labels.max():
+            out[name] = None
+            continue
+        out[name] = auroc([ScoredCase(c.case_id, float(s), bool(lab))
+                           for c, s, lab in zip(cases, prompt_margins(v, name, bundle), labels)])
+    return out
 
 
 def retrieval_metrics(v: np.ndarray, t: np.ndarray, ids, flags: np.ndarray,
@@ -74,6 +94,16 @@ def retrieval_metrics(v: np.ndarray, t: np.ndarray, ids, flags: np.ndarray,
     return {"recall": recall, "keyword": keyword}
 
 
+def case_retrieval(cases, bundle: ModelBundle, recall_ks, precision_ks) -> dict:
+    """retrieval_metrics over the cases as one pool, each volume paired with
+    its structured report's text."""
+    texts = [structured_from_flags(c.case_id, c.flags, bundle.catalog).text() for c in cases]
+    return retrieval_metrics(
+        unit_rows(embed_volumes(bundle, [c.volume for c in cases])),
+        unit_rows(embed_texts(bundle, texts)), [c.case_id for c in cases],
+        np.array([c.flags for c in cases]), bundle, recall_ks, precision_ks)
+
+
 def cac_confidences(volumes, bundle: ModelBundle) -> np.ndarray:
     """Calcium confidence: the zero-shot margin s_p - s_n, in [-2, 2], between
     "There is Coronary Artery Calcium" and "There is no Coronary Artery Calcium".
@@ -84,6 +114,27 @@ def cac_confidences(volumes, bundle: ModelBundle) -> np.ndarray:
     its cosine mostly measures a per-image offset and does not order grades.
     """
     return zero_shot_scores(volumes, CAC_PROMPT_NAME, bundle)
+
+
+def cac_grading(cases, bundle: ModelBundle):
+    """Ordinal AUROC of the calcium confidence over graded cases: returns
+    ([(t, AUROC of grade > t or None)], confidences). Refuses, before any
+    embedding, cases that do not span two grades."""
+    if len({c.grade for c in cases}) < 2:
+        raise ValueError("held-out set does not span two grades; regenerate with higher cac_fraction")
+    conf = cac_confidences([c.volume for c in cases], bundle)
+    return ordinal_auroc(GradeSet(tuple((c.case_id, c.grade, float(s))
+                                        for c, s in zip(cases, conf)))), conf
+
+
+def finetune_labels(cases, target: str, catalog):
+    """(volume, label) pairs and the head's class count for a fine-tuning
+    target: for "cac", the graded cases with grade g as class g - 1 of 5;
+    for a catalog finding, every case with its 0/1 flag."""
+    if target == "cac":
+        return [(c.volume, c.grade - 1) for c in cases if c.grade is not None], 5
+    d = catalog.index_of(target)
+    return [(c.volume, int(c.flags[d])) for c in cases], 2
 
 
 # ---------------------------------------------------------------------------

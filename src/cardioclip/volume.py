@@ -98,9 +98,10 @@ def patches_of(voxels: np.ndarray, patch_size: tuple[int, int, int],
     """
     *lead, D, H, W = voxels.shape
     pz, py, px = patch_size
+    if min(patch_size) < 1 or D % pz or H % py or W % px:
+        raise ValueError(f"dims {(D, H, W)} not divisible by patch size {patch_size} "
+                         "(entries >= 1)")
     gz, gy, gx = D // pz, H // py, W // px
-    if (gz * pz, gy * py, gx * px) != (D, H, W):
-        raise ValueError(f"dims {(D, H, W)} not divisible by patch size {patch_size}")
     blocks = voxels.reshape(*lead, gz, pz, gy, py, gx, px)
     nl = len(lead)
     perm = tuple(range(nl)) + (nl, nl + 2, nl + 4, nl + 1, nl + 3, nl + 5)

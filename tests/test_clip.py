@@ -6,11 +6,14 @@ import pytest
 from cardioclip.clip import (
     ContrastiveConfig,
     contrastive_loss,
+    contrastive_pairs,
     cosine_rows,
     sample_text_variant,
     train_clip,
 )
 from cardioclip.reports import load_catalog, structured_from_flags
+from cardioclip.synth import SynthCase
+from cardioclip.tokenizer import UNK_ID, normalize_words
 
 CAT = load_catalog()
 
@@ -165,6 +168,20 @@ class TestVariantSampling:
         a = [sample_text_variant("free", st, np.random.default_rng(7), 0.5) for _ in range(5)]
         b = [sample_text_variant("free", st, np.random.default_rng(7), 0.5) for _ in range(5)]
         assert a == b
+
+
+class TestContrastivePairs:
+    def test_vocab_covers_structured_texts_and_vectors_match_flags(self):
+        flags = [tuple(bool((i >> d) & 1) for d in range(CAT.size)) for i in (0, 5, 127)]
+        cases = [SynthCase(f"c{i}", f"vol{i}", f, f"free text {i}", None, i)
+                 for i, f in enumerate(flags)]
+        pairs, vocab = contrastive_pairs(cases, CAT)
+        assert [(p[0], p[1]) for p in pairs] == [(c.volume, c.free_text) for c in cases]
+        for c, (_, _, s, vec) in zip(cases, pairs):
+            assert s.text() == structured_from_flags(c.case_id, c.flags, CAT).text()
+            assert vec.values == tuple(1 if f else -1 for f in c.flags)
+            for text in (s.text(), c.free_text):
+                assert all(vocab.id_of(w) != UNK_ID for w in normalize_words(text))
 
 
 class TestConfigs:

@@ -1,6 +1,7 @@
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from cardioclip.clip import ContrastiveConfig
@@ -181,10 +182,28 @@ def test_wrong_types_are_refused_with_their_key():
     (lambda: MAETrainConfig(base_lr=1e-4, min_lr=1e-3), "base_lr"),
     (lambda: SynthSpec(prevalence=(0.3, 0.3)), "prevalence"),
     (lambda: SynthSpec(signal_strength=-1.0), "signal_strength"),
+    # counts must be integers (a bool is not one)
+    (lambda: MAETrainConfig(epochs=2.5, batch=2), "epochs must be an integer"),
+    (lambda: MAETrainConfig(epochs=True), "epochs must be an integer"),
+    (lambda: ContrastiveConfig(batch=2.5), "batch must be an integer"),
+    (lambda: ContrastiveConfig(text_warmup_steps=2.5), "text_warmup_steps must be an integer"),
+    (lambda: ContrastiveConfig(text_warmup_batch=1.5), "text_warmup_batch an integer"),
+    (lambda: FinetuneConfig(epochs=1.5), "epochs must be an integer"),
+    (lambda: SynthSpec(n_cases=2.5), "n_cases must be an integer"),
+    (lambda: VisualEncoderConfig(depth=1.5), "depth must be an integer"),
+    (lambda: DecoderConfig(embed_dim=64.0), "embed_dim must be an integer"),
+    (lambda: TextEncoderConfig(vocab_size=10, max_len=8.5), "max_len must be an integer"),
 ])
 def test_stage_dataclasses_refuse_out_of_bounds_values(build, field):
     with pytest.raises(ValueError, match=field):
         build()
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert MAETrainConfig(epochs=np.int64(3), batch=np.int32(2)).epochs == 3
+    assert VisualEncoderConfig(depth=np.int64(2), heads=np.int64(4)).depth == 2
+    # without a warmup its batch is never used, so it is not checked
+    assert ContrastiveConfig(text_warmup_steps=0, text_warmup_batch=0).text_warmup_batch == 0
 
 
 def test_a_dataclass_reports_all_its_violations_at_once():

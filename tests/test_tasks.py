@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 
+from test_acceptance import zero_shot_verdict
+
 from cardioclip import tasks
 from cardioclip.encoders import TextEncoderConfig, VisualEncoderConfig, init_text_params, init_visual_params
+from cardioclip.metrics import GradeSet, ScoredCase, auroc, ordinal_auroc
 from cardioclip.model import ModelBundle, embed_texts, embed_volumes, unit_rows
 from cardioclip.reports import load_catalog
 from cardioclip.seeding import substream
-from cardioclip.synth import plant_signature, smooth_background
+from cardioclip.synth import SynthCase, plant_signature, smooth_background
 from cardioclip.tasks import (
     FinetuneConfig,
     cac_confidences,
+    cac_grading,
     finetune_classifier,
+    finetune_labels,
     retrieval_metrics,
+    zero_shot_aurocs,
     zero_shot_scores,
 )
 from cardioclip.tokenizer import build_vocab
@@ -132,6 +138,61 @@ class TestRetrieval:
         scores = retrieve(bundle, v, v, flags, precision_ks=(6,))
         # all positives are counted at K = pool
         assert scores["keyword"] == {"coronary calcification": {"prevalence": 0.5, "p@6": 0.5}}
+
+
+def make_case(i, flags=(False,) * CAT.size, grade=None, volume=None):
+    return SynthCase(f"c{i}", volume if volume is not None else make_volume(i),
+                     tuple(flags), f"report {i}", grade, i)
+
+
+class TestCaseLevelSteps:
+    """The steps the CLI and the acceptance suite share, on SynthCase lists."""
+
+    def test_zero_shot_aurocs_are_auroc_of_the_scores(self, bundle):
+        # finding 0 alternates, finding 1 has two positives, the rest are all negative
+        cases = [make_case(i, [i % 2 == 0, i < 2] + [False] * (CAT.size - 2)) for i in range(6)]
+        got = zero_shot_aurocs(cases, bundle)
+        assert list(got) == list(CAT.names)
+        for d, name in enumerate(CAT.names):
+            labels = [c.flags[d] for c in cases]
+            if d >= 2:
+                assert got[name] is None
+                continue
+            scores = zero_shot_scores([c.volume for c in cases], name, bundle)
+            assert got[name] == auroc([ScoredCase(c.case_id, float(s), lab)
+                                       for c, s, lab in zip(cases, scores, labels)])
+
+    def test_criterion_8_fails_a_single_class_finding_and_prints_it(self):
+        per_name = {"coronary stenosis": 0.9, "cardiomegaly": None}
+        passed, detail = zero_shot_verdict(per_name, runtime=1.0)
+        assert not passed
+        assert "cardcard=None (one class)" in detail and "worst=None (one class)" in detail
+        assert zero_shot_verdict({"coronary stenosis": 0.9}, runtime=1.0)[0]
+
+    def test_cac_grading_is_ordinal_auroc_of_the_confidences(self, bundle):
+        cases = [make_case(i, grade=1 + i % 5, volume=make_volume(i, motif=1, strength=0.1 * i))
+                 for i in range(10)]
+        per_cut, conf = cac_grading(cases, bundle)
+        assert np.array_equal(conf, cac_confidences([c.volume for c in cases], bundle))
+        assert per_cut == ordinal_auroc(GradeSet(tuple(
+            (c.case_id, c.grade, float(s)) for c, s in zip(cases, conf))))
+
+    def test_cac_grading_refuses_one_grade_before_embedding(self, bundle, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("embedded")
+
+        monkeypatch.setattr(tasks, "embed_volumes", refuse)
+        with pytest.raises(ValueError, match="two grades"):
+            cac_grading([make_case(i, grade=2, volume="unread") for i in range(3)], bundle)
+
+    def test_finetune_labels(self):
+        d = CAT.index_of("cardiomegaly")
+        flags = [[k == d and i % 2 == 1 for k in range(CAT.size)] for i in range(4)]
+        cases = [make_case(i, flags[i], grade, volume=f"v{i}")
+                 for i, grade in enumerate((3, None, 1, 5))]
+        assert finetune_labels(cases, "cac", CAT) == ([("v0", 2), ("v2", 0), ("v3", 4)], 5)
+        assert finetune_labels(cases, "cardiomegaly", CAT) == (
+            [("v0", 0), ("v1", 1), ("v2", 0), ("v3", 1)], 2)
 
 
 class TestCacConfidence:

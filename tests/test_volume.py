@@ -96,8 +96,9 @@ class TestPatchify:
         assert np.array_equal(patches[0], v.voxels.reshape(-1))
 
     def test_non_divisible_rejected(self):
-        with pytest.raises(ValueError, match="divisible"):
-            patches_of(np.zeros((60, 60, 60), dtype=np.float32), (16, 16, 16))
+        for dims, patch in (((60, 60, 60), (16, 16, 16)), ((4, 4, 4), (0, 2, 2))):
+            with pytest.raises(ValueError, match="divisible"):
+                patches_of(np.zeros(dims, dtype=np.float32), patch)
 
     def test_patch_order_is_row_major(self):
         # voxel value encodes its global coordinate; check patch (0,0,1)
