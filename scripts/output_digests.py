@@ -3,8 +3,8 @@
 
 Each line is `<sha256>  <path relative to RUNS_DIR>`, sorted by path, the
 format of `sha256sum`. manifest.json files are skipped: they hold
-timestamps. Diffing the output of two runs of one config (say, before and
-after a refactor) shows every output file whose bytes moved.
+timestamps and peak memory. Diffing the output of two runs of one config (say,
+before and after a refactor) shows every output file whose bytes moved.
 
     python scripts/output_digests.py runs/tiny > before.txt
 """

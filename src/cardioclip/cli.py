@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -68,7 +69,8 @@ def _write_json(path, doc) -> None:
 
 
 def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict, extra_manifest=None) -> None:
-    """metrics.json is deterministic; timestamps live only in the manifest."""
+    """metrics.json is deterministic; timestamps and peak memory live only in
+    the manifest."""
     _write_json(os.path.join(cmd_dir, "metrics.json"), metrics)
     manifest = {
         "command": command,
@@ -77,6 +79,8 @@ def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict, extra_manifest=N
         "config_digest": config_digest(cfg),
         "config": cfg,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        # the process's peak resident set so far (ru_maxrss is in KiB on Linux)
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     if extra_manifest:
         manifest.update(extra_manifest)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .optim import count_rule, require
+from .optim import count_rule, integer_rule, require
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,15 @@ class VisualEncoderConfig:
 
     def __post_init__(self):
         axes = len(self.input_dims) == len(self.patch_size) == 3
+        entries = [integer_rule(f"{field}[{ax}]", x, 1) for field in ("input_dims", "patch_size")
+                   for ax, x in enumerate(getattr(self, field))] if axes else []
         require(
             (axes, f"input_dims {self.input_dims} and patch_size {self.patch_size} "
                    "must each have 3 entries"),
-            *((p >= 1 and d >= 1 and d % p == 0,
-               f"input dim {d} not a positive multiple of patch size {p} on axis {ax}")
-              for ax, (d, p) in enumerate(zip(self.input_dims, self.patch_size)) if axes),
+            *entries,
+            *((d % p == 0, f"input dim {d} not a multiple of patch size {p} on axis {ax}")
+              for ax, (d, p) in enumerate(zip(self.input_dims, self.patch_size))
+              if axes and all(ok for ok, _ in entries)),
             *tower_rules(self),
         )
 

@@ -39,6 +39,10 @@ def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, dtype, readou
     vis_cfg.input_dims: a volume of another shape can have the same number
     of patches, which would then take the positional vectors of the wrong
     grid cells.
+
+    No chunk's activation cache outlives its forward: only the features and
+    the projection are kept from each call, so at most one chunk of
+    activations is alive at a time.
     """
     if len(volumes) == 0:
         raise ValueError("no volumes to embed: the list is empty")
@@ -52,7 +56,7 @@ def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, dtype, readou
     out = []
     for i in range(0, len(volumes), VOLUME_CHUNK):
         patches = batch_patches(volumes[i : i + VOLUME_CHUNK], vis_cfg.patch_size, dtype)
-        feats, emb, _ = visual_embed_fwd(params, vis_cfg, patches)
+        feats, emb = visual_embed_fwd(params, vis_cfg, patches)[:2]
         out.append(readout(feats, emb))
     return np.concatenate(out, axis=0)
 

@@ -41,12 +41,16 @@ def require(*rules) -> None:
         raise ValueError("; ".join(failed))
 
 
-def count_rule(cfg, name: str, low: int) -> tuple:
-    """The rule that field `name` of cfg is an integer >= low. A bool is not
-    an integer here; a numpy integer is."""
-    x = getattr(cfg, name)
+def integer_rule(name: str, x, low: int) -> tuple:
+    """The rule that x, called `name` in the message, is an integer >= low.
+    A bool is not an integer here; a numpy integer is."""
     return (isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= low,
             f"{name} must be an integer >= {low}, got {x!r}")
+
+
+def count_rule(cfg, name: str, low: int) -> tuple:
+    """integer_rule for field `name` of cfg."""
+    return integer_rule(name, getattr(cfg, name), low)
 
 
 def schedule_rules(cfg, lr: float, lr_name: str = "lr") -> tuple:

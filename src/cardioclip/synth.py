@@ -241,13 +241,14 @@ def cac_motif_params(grade: int | None, strength: float) -> tuple[int, float]:
     return counts[grade], strength * (1.0 + 0.1 * grade)
 
 
-def plant_signature(v: Volume3D, d: int, strength: float, rng,
-                    grade: int | None = None) -> Volume3D:
-    """Add the intensity motif of finding d inside its region; clamp to [0, 1]."""
+def plant_signature(vox: np.ndarray, d: int, strength: float, rng,
+                    grade: int | None = None) -> None:
+    """Add the intensity motif of finding d inside its region of vox, a
+    float32 voxel array already in [0, 1], in place, and clamp that region to
+    [0, 1]. The regions are disjoint, so vox stays in [0, 1] as a whole."""
     if not 0 <= d < N_FINDINGS:
         raise ValueError(f"finding index {d} outside [0, {N_FINDINGS})")
-    vox = np.array(v.voxels, dtype=np.float32)
-    region = finding_region(v.dims, d)
+    region = finding_region(vox.shape, d)
     patch = vox[region].astype(np.float64)
     zz, yy, xx = _region_grid(region)
     scale = min(patch.shape) / 24.0  # motif geometry is tuned at a 24-voxel region
@@ -275,8 +276,7 @@ def plant_signature(v: Volume3D, d: int, strength: float, rng,
         cz, cx = rng.uniform(-2, 2, size=2) * scale
         patch[(zz - cz) ** 2 + (xx - cx) ** 2 <= (4.5 * scale) ** 2] += 0.8 * strength
 
-    vox[region] = patch.astype(np.float32)
-    return Volume3D(voxels=np.clip(vox, 0.0, 1.0), spacing=v.spacing)
+    vox[region] = np.clip(patch.astype(np.float32), 0.0, 1.0)
 
 
 def _lin_upsample(a: np.ndarray, n: int, axis: int) -> np.ndarray:
@@ -285,7 +285,13 @@ def _lin_upsample(a: np.ndarray, n: int, axis: int) -> np.ndarray:
     i0 = np.floor(t).astype(np.int64)
     i1 = np.minimum(i0 + 1, s - 1)
     w = (t - i0).reshape([-1 if ax == axis else 1 for ax in range(a.ndim)])
-    return np.take(a, i0, axis=axis) * (1.0 - w) + np.take(a, i1, axis=axis) * w
+    # take(a, i0) * (1 - w) + take(a, i1) * w, in the two gathered arrays
+    out = np.take(a, i0, axis=axis)
+    out *= 1.0 - w
+    hi = np.take(a, i1, axis=axis)
+    hi *= w
+    out += hi
+    return out
 
 
 def smooth_background(dims, rng) -> np.ndarray:
@@ -294,8 +300,8 @@ def smooth_background(dims, rng) -> np.ndarray:
     field = coarse
     for axis, n in enumerate(dims):
         field = _lin_upsample(field, n, axis)
-    field = field + rng.normal(0.0, 0.02, size=dims)
-    return np.clip(field, 0.0, 1.0).astype(np.float32)
+    field += rng.normal(0.0, 0.02, size=dims)
+    return np.clip(field, 0.0, 1.0, out=field).astype(np.float32)
 
 
 def _case_text(flags, grade, rng, spec: SynthSpec) -> str:
@@ -322,18 +328,17 @@ def _build_case(spec: SynthSpec, i: int, grade: int | None) -> SynthCase:
         flags[1] = grade >= 2  # grade 1 means no calcification motif
     vox = smooth_background(spec.dims, np.random.Generator(
         np.random.PCG64(derive_seed(spec.seed, "case-bg", i))))
-    vol = Volume3D(voxels=vox)
     for d in range(N_FINDINGS):
         if flags[d]:
             rng_motif = np.random.Generator(
                 np.random.PCG64(derive_seed(spec.seed, "case-motif", i, d)))
-            vol = plant_signature(vol, d, spec.signal_strength, rng_motif,
-                                  grade=grade if d == 1 else None)
+            plant_signature(vox, d, spec.signal_strength, rng_motif,
+                            grade=grade if d == 1 else None)
     text = _case_text(flags, grade, np.random.Generator(
         np.random.PCG64(derive_seed(spec.seed, "case-text", i))), spec)
     return SynthCase(
         case_id=f"case_{i:04d}",
-        volume=vol,
+        volume=Volume3D(voxels=vox),
         flags=tuple(flags),
         free_text=text,
         grade=grade,

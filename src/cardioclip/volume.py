@@ -1,7 +1,8 @@
 """3D volume container, CCV1 file I/O, and patch extraction.
 
-All functions here are pure; a Volume3D never aliases caller-owned storage
-after construction (the constructor copies unless told otherwise).
+All functions here are pure. A Volume3D's voxels are read-only: the
+constructor keeps a C-contiguous float32 array as is and marks it read-only,
+and copies any other input.
 """
 
 from __future__ import annotations
@@ -69,9 +70,10 @@ def load_volume(path) -> Volume3D:
             f"but file carries {len(payload)}"
         )
     vox = np.frombuffer(payload, dtype="<f4").reshape(d, h, w)
-    if not np.all(np.isfinite(vox)):
-        raise VolumeFormatError(f"{path}: payload contains non-finite voxels")
-    return Volume3D(voxels=vox, spacing=(sz, sy, sx))
+    try:  # the header is checked, so only Volume3D's finiteness check can fail
+        return Volume3D(voxels=vox, spacing=(sz, sy, sx))
+    except ValueError as exc:
+        raise VolumeFormatError(f"{path}: payload {exc}") from exc
 
 
 def save_volume(v: Volume3D, path) -> None:

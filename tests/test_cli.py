@@ -140,6 +140,12 @@ class TestPipeline:
         assert run(workdir, command) == 0
         assert sorted(read) == sorted(expected)
 
+    def test_11_manifests_record_peak_rss(self, workdir):
+        for command in cli._HANDLERS:
+            path = workdir / "runs" / command.replace("-", "_") / "manifest.json"
+            peak = json.loads(path.read_text())["peak_rss_mb"]
+            assert isinstance(peak, float) and peak > 0, (command, peak)
+
 
 class TestErrorPaths:
     def test_unknown_command_exits_2(self):

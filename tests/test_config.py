@@ -193,6 +193,19 @@ def test_wrong_types_are_refused_with_their_key():
     (lambda: VisualEncoderConfig(depth=1.5), "depth must be an integer"),
     (lambda: DecoderConfig(embed_dim=64.0), "embed_dim must be an integer"),
     (lambda: TextEncoderConfig(vocab_size=10, max_len=8.5), "max_len must be an integer"),
+    # so must each patch_size and input_dims entry, named by field and axis
+    (lambda: VisualEncoderConfig(patch_size=(16.0, 16, 16), input_dims=(32, 32, 32),
+                                 embed_dim=8, depth=1, heads=2),
+     r"patch_size\[0\] must be an integer"),
+    (lambda: VisualEncoderConfig(patch_size=(16, 16, 16), input_dims=(32, 32.0, 32),
+                                 embed_dim=8, depth=1, heads=2),
+     r"input_dims\[1\] must be an integer"),
+    (lambda: VisualEncoderConfig(patch_size=(16, 16, True), input_dims=(32, 32, 32),
+                                 embed_dim=8, depth=1, heads=2),
+     r"patch_size\[2\] must be an integer"),
+    (lambda: VisualEncoderConfig(patch_size=(16, 0, 16), input_dims=(32, 32, 32),
+                                 embed_dim=8, depth=1, heads=2),
+     r"patch_size\[1\] must be an integer >= 1"),
 ])
 def test_stage_dataclasses_refuse_out_of_bounds_values(build, field):
     with pytest.raises(ValueError, match=field):
@@ -202,6 +215,8 @@ def test_stage_dataclasses_refuse_out_of_bounds_values(build, field):
 def test_numpy_integer_counts_are_accepted():
     assert MAETrainConfig(epochs=np.int64(3), batch=np.int32(2)).epochs == 3
     assert VisualEncoderConfig(depth=np.int64(2), heads=np.int64(4)).depth == 2
+    assert VisualEncoderConfig(patch_size=(np.int64(16), 16, 16),
+                               input_dims=(32, np.int32(32), 32)).n_patches == 8
     # without a warmup its batch is never used, so it is not checked
     assert ContrastiveConfig(text_warmup_steps=0, text_warmup_batch=0).text_warmup_batch == 0
 

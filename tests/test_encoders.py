@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from cardioclip import nn
+from cardioclip import model, nn
 from cardioclip.encoders import (
     TextEncoderConfig,
     VisualEncoderConfig,
@@ -231,6 +233,26 @@ class TestEncodeImage:
             embed_volumes(bundle, [good, bad])
         with pytest.raises(ValueError, match=msg):
             predict_logits(bundle.params, cfg8, [good, bad])
+
+    def test_no_chunk_cache_outlives_its_forward(self, monkeypatch):
+        # 5 volumes at 2 per chunk: 3 forwards; when each starts, the
+        # standardized patches cached by every earlier one must be freed
+        bundle = self.bundle()
+        vols = [toy_volume(s) for s in range(5)]
+        whole = embed_volumes(bundle, vols)
+        real, cached = model.visual_embed_fwd, []
+
+        def spy(params, cfg, patches):
+            assert all(ref() is None for ref in cached), "an earlier chunk's cache is alive"
+            out = real(params, cfg, patches)
+            cached.append(weakref.ref(out[2][0][0]))  # (c_trunk, ...) -> c_tok
+            return out
+
+        monkeypatch.setattr(model, "VOLUME_CHUNK", 2)
+        monkeypatch.setattr(model, "visual_embed_fwd", spy)
+        chunked = embed_volumes(bundle, vols)
+        assert len(cached) == 3
+        np.testing.assert_allclose(chunked, whole, rtol=1e-5, atol=1e-6)
 
     def test_empty_list(self):
         bundle = self.bundle()

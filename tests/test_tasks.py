@@ -44,10 +44,10 @@ def bundle():
 
 
 def make_volume(seed=0, motif=None, strength=0.6):
-    v = Volume3D(voxels=smooth_background((32, 32, 32), substream(seed, "bg")))
+    vox = smooth_background((32, 32, 32), substream(seed, "bg"))
     if motif is not None:
-        v = plant_signature(v, motif, strength, substream(seed, "m", motif))
-    return v
+        plant_signature(vox, motif, strength, substream(seed, "m", motif))
+    return Volume3D(voxels=vox)
 
 
 class TestZeroShot:

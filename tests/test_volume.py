@@ -76,6 +76,16 @@ class TestCCV1:
         with pytest.raises(VolumeFormatError, match="magic"):
             load_volume(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        path = tmp_path / "nonfinite.ccv1"
+        save_volume(Volume3D(voxels=np.zeros((2, 2, 2), dtype=np.float32)), path)
+        data = bytearray(path.read_bytes())
+        data[-4:] = np.array([bad], dtype="<f4").tobytes()  # the last voxel
+        path.write_bytes(bytes(data))
+        with pytest.raises(VolumeFormatError, match=r"nonfinite\.ccv1: payload .*non-finite"):
+            load_volume(path)
+
     def test_non_finite_rejected_before_write(self):
         vox = np.zeros((2, 2, 2), dtype=np.float32)
         vox[0, 0, 0] = np.nan
