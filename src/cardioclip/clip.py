@@ -172,7 +172,7 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
     """
     if cfg.text_warmup_steps == 0:
         return 0.0
-    n_flags = len(cases[0][3].values)
+    n_flags = len(cases[0][3])
     n_out = n_flags + (1 if severity_fn is not None else 0)
     rng = substream(seed, "text-warmup")
     head_w = nn.trunc_normal(rng, (txt_cfg.embed_dim, n_out),
@@ -208,7 +208,7 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
                     targets[row, d] = 1.0
             else:
                 texts.append(sample_text_variant(ft, st, rng, cfg.variant_prob))
-                targets[row, :n_flags] = (np.asarray(vec.values) + 1.0) / 2.0
+                targets[row, :n_flags] = (vec + 1.0) / 2.0
             if severity_fn is not None:
                 targets[row, n_flags] = severity_fn(texts[-1])
         ids, lengths = pad_batch([tokenize(t, vocab, txt_cfg.max_len) for t in texts])
@@ -283,7 +283,7 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
             n_structured += sum(t == st.text() for t, st in zip(texts, sts))
             n_texts += len(texts)
             ids, lengths = pad_batch([tokenize(t, vocab, txt_cfg.max_len) for t in texts])
-            targets = targets_from_affinity(affinity_matrix(vecs)).rows
+            targets = targets_from_affinity(affinity_matrix(vecs))
             loss, grads, _ = clip_batch_fwd_bwd(
                 trainable, vis_cfg, txt_cfg, patches, ids, lengths, targets, cfg.temperature
             )

@@ -128,26 +128,3 @@ def make_prompt_pair(name: str, cat: AbnormalityCatalog) -> tuple[str, str]:
     cat.index_of(name)  # raises KeyError for unknown findings
     return POSITIVE_PROMPT.format(name=name), NEGATIVE_PROMPT.format(name=name)
 
-
-def validate_structured(s: StructuredReport, cat: AbnormalityCatalog) -> bool:
-    """True iff s satisfies every StructuredReport invariant against the catalog."""
-    if len(s.statements) != cat.size or len(s.flags) != cat.size:
-        return False
-    for name, stmt, flag in zip(cat.names, s.statements, s.flags):
-        expected = (POSITIVE_TEMPLATE if flag else NEGATIVE_TEMPLATE).format(name=name)
-        if stmt != expected:
-            return False
-    return True
-
-
-def parse_statement_flags(statements, cat: AbnormalityCatalog) -> tuple[bool, ...]:
-    """Invert the statement templates back to flags (round-trip check helper)."""
-    flags = []
-    for name, stmt in zip(cat.names, statements):
-        if stmt == POSITIVE_TEMPLATE.format(name=name):
-            flags.append(True)
-        elif stmt == NEGATIVE_TEMPLATE.format(name=name):
-            flags.append(False)
-        else:
-            raise ValueError(f"statement {stmt!r} does not match either template for {name!r}")
-    return tuple(flags)

@@ -1,7 +1,8 @@
 """Downstream evaluation tasks: zero-shot prompt margins, cross-modal and
 keyword retrieval scoring, the calcium-confidence proxy, and head fine-tuning.
 The functions on synth.SynthCase lists are the steps the CLI and the
-acceptance suite share; they return unrounded values."""
+acceptance suite share; they hand scores, labels and grades to metrics as
+plain arrays and return unrounded values."""
 
 from __future__ import annotations
 
@@ -11,16 +12,7 @@ import numpy as np
 
 from . import nn
 from .encoders import visual_embed_bwd, visual_embed_fwd
-from .metrics import (
-    GradeSet,
-    ScoredCase,
-    auroc,
-    head_ordinal_auroc,
-    mean_recall_at_k,
-    ordinal_auroc,
-    precision_at_k,
-    rank_pool,
-)
+from .metrics import auroc, head_ordinal_auroc, ordinal_auroc, precision_at_k, rank_pool, recall_at_k
 from .model import ModelBundle, embed_texts, embed_volumes, forward_volumes, unit_rows
 from .optim import Trainer, require, schedule_rules
 from .reports import make_prompt_pair, structured_from_flags
@@ -56,41 +48,39 @@ def zero_shot_aurocs(cases, bundle: ModelBundle) -> dict:
         if labels.min() == labels.max():
             out[name] = None
             continue
-        out[name] = auroc([ScoredCase(c.case_id, float(s), bool(lab))
-                           for c, s, lab in zip(cases, prompt_margins(v, name, bundle), labels)])
+        out[name] = auroc(prompt_margins(v, name, bundle), labels)
     return out
 
 
-def retrieval_metrics(v: np.ndarray, t: np.ndarray, ids, flags: np.ndarray,
+def retrieval_metrics(v: np.ndarray, t: np.ndarray, flags: np.ndarray,
                       bundle: ModelBundle, recall_ks, precision_ks) -> dict:
     """Cross-modal Recall@K and keyword P@K over one pool of cases.
 
     v, t: unit-norm volume and report embeddings (n, proj_dim), row i of both
-    from case ids[i]. Every volume queries the reports and every report the
+    from case i. Every volume queries the reports and every report the
     volumes; the relevant item is the query's own counterpart. Each catalog
     finding with a positive in flags (n, n_findings) queries the volumes with
     its positive prompt. Ties keep pool order. Returns unrounded
     {"recall": {"image_to_text_r@K", "text_to_image_r@K"},
      "keyword": {name: {"prevalence", "p@K"}}}.
     """
-    if len(ids) == 0:
+    if len(v) == 0:
         raise ValueError("retrieval pool is empty")
     S = v @ t.T
-    i2t = [rank_pool(S[i], ids, ids[i]) for i in range(len(ids))]
-    t2i = [rank_pool(S[:, j], ids, ids[j]) for j in range(len(ids))]
+    i2t, t2i = rank_pool(S), rank_pool(S.T)
     recall = {}
     for k in recall_ks:
-        recall[f"image_to_text_r@{k}"] = mean_recall_at_k(i2t, ids, k)
-        recall[f"text_to_image_r@{k}"] = mean_recall_at_k(t2i, ids, k)
+        recall[f"image_to_text_r@{k}"] = recall_at_k(i2t, k)
+        recall[f"text_to_image_r@{k}"] = recall_at_k(t2i, k)
     keyword = {}
     for d, name in enumerate(bundle.catalog.names):
-        pos_ids = {ids[i] for i in range(len(ids)) if flags[i, d]}
-        if not pos_ids:
+        positive = flags[:, d]
+        if not positive.any():
             continue
         pos, _ = make_prompt_pair(name, bundle.catalog)
-        ranked = rank_pool(v @ unit_rows(embed_texts(bundle, [pos]))[0], ids, name)
-        keyword[name] = {"prevalence": len(pos_ids) / len(ids),
-                         **{f"p@{k}": precision_at_k(ranked, pos_ids, k) for k in precision_ks}}
+        order = rank_pool(v @ unit_rows(embed_texts(bundle, [pos]))[0])
+        keyword[name] = {"prevalence": int(positive.sum()) / len(v),
+                         **{f"p@{k}": precision_at_k(order, positive, k) for k in precision_ks}}
     return {"recall": recall, "keyword": keyword}
 
 
@@ -100,8 +90,8 @@ def case_retrieval(cases, bundle: ModelBundle, recall_ks, precision_ks) -> dict:
     texts = [structured_from_flags(c.case_id, c.flags, bundle.catalog).text() for c in cases]
     return retrieval_metrics(
         unit_rows(embed_volumes(bundle, [c.volume for c in cases])),
-        unit_rows(embed_texts(bundle, texts)), [c.case_id for c in cases],
-        np.array([c.flags for c in cases]), bundle, recall_ks, precision_ks)
+        unit_rows(embed_texts(bundle, texts)), np.array([c.flags for c in cases]),
+        bundle, recall_ks, precision_ks)
 
 
 def cac_confidences(volumes, bundle: ModelBundle) -> np.ndarray:
@@ -123,8 +113,7 @@ def cac_grading(cases, bundle: ModelBundle):
     if len({c.grade for c in cases}) < 2:
         raise ValueError("held-out set does not span two grades; regenerate with higher cac_fraction")
     conf = cac_confidences([c.volume for c in cases], bundle)
-    return ordinal_auroc(GradeSet(tuple((c.case_id, c.grade, float(s))
-                                        for c, s in zip(cases, conf)))), conf
+    return ordinal_auroc([c.grade for c in cases], conf), conf
 
 
 def finetune_labels(cases, target: str, catalog):
@@ -177,17 +166,18 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
     final train accuracy, and held-out metrics when eval_set is given:
     AUROC for 2 classes, per-threshold ordinal AUROC otherwise, where cut t
     is scored by the head's P(grade > t) (see metrics.head_ordinal_auroc).
-    The caller's parameter arrays are left unchanged: the trained ones are
+    An eval set that cannot be scored (labels outside [0, head_classes), or
+    fewer than two classes present) is refused before any training. The
+    caller's parameter arrays are left unchanged: the trained ones are
     copies.
     """
-    if len(train_set) == 0:
-        raise ValueError("fine-tuning train set is empty")
-    labels_all = np.asarray([y for _, y in train_set], dtype=np.int64)
-    if labels_all.min() < 0 or labels_all.max() >= head_classes:
-        raise ValueError(
-            f"labels must lie in [0, {head_classes}), got range "
-            f"[{labels_all.min()}, {labels_all.max()}]"
-        )
+    labels_all = _labels(train_set, head_classes, "train")
+    if eval_set is not None:
+        y_eval = _labels(eval_set, head_classes, "eval")
+        counts = np.bincount(y_eval, minlength=head_classes)
+        if np.count_nonzero(counts) < 2:
+            raise ValueError(f"eval set cannot be scored: it needs two classes, got class "
+                             f"counts {counts.tolist()}")
     vis_cfg = bundle.vis_cfg
     dtype = params["vis.patch.w"].dtype
     rng = substream(seed, "head-init")
@@ -218,22 +208,32 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
                 zero_demb = np.zeros((len(y), params["vis.proj.w"].shape[1]), dtype=dfeats.dtype)
                 visual_embed_bwd(params, vis_cfg, cache, zero_demb, grads, dfeats=dfeats)
             trainer.step(loss, grads)
+            del patches, cache, feats, c_head, grads  # freed before the next step's forward
             hits += int((probs.argmax(axis=1) == y).sum())
             seen += len(y)
         extra["train_accuracy"] = hits / seen
 
     result = {"trace": trainer.trace, "train_accuracy": trainer.trace[-1]["train_accuracy"]}
     if eval_set is not None:
-        vols = [v for v, _ in eval_set]
-        y = np.asarray([lab for _, lab in eval_set], dtype=np.int64)
-        logits = predict_logits(params, vis_cfg, vols, dtype)
+        logits = predict_logits(params, vis_cfg, [v for v, _ in eval_set], dtype)
         p = np.exp(nn.log_softmax(logits, axis=1))
         if head_classes == 2:
-            cases = [ScoredCase(str(i), float(p[i, 1]), bool(y[i])) for i in range(len(y))]
-            result["auroc"] = auroc(cases)
+            result["auroc"] = auroc(p[:, 1], y_eval)
         else:
-            result["ordinal_auroc"] = head_ordinal_auroc(p, y + 1)
+            result["ordinal_auroc"] = head_ordinal_auroc(p, y_eval + 1)
     return params, result
+
+
+def _labels(pairs, head_classes: int, name: str) -> np.ndarray:
+    """The int labels of (volume, label) pairs, refused when empty or outside
+    [0, head_classes)."""
+    if len(pairs) == 0:
+        raise ValueError(f"fine-tuning {name} set is empty")
+    y = np.asarray([lab for _, lab in pairs], dtype=np.int64)
+    if y.min() < 0 or y.max() >= head_classes:
+        raise ValueError(f"{name} labels must lie in [0, {head_classes}), got range "
+                         f"[{y.min()}, {y.max()}]")
+    return y
 
 
 def predict_logits(params, vis_cfg, volumes, dtype=np.float32) -> np.ndarray:

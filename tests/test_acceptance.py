@@ -18,7 +18,7 @@ from cardioclip.clip import contrastive_loss, contrastive_pairs, train_clip
 from cardioclip.config import merge_config, stage_configs
 from cardioclip.gradcheck import TOLERANCE, stage_loss_errors
 from cardioclip.mae import masked_mse, sample_mask, train_mae
-from cardioclip.metrics import GradeSet, RankedList, ScoredCase, auroc, ordinal_auroc, recall_at_k
+from cardioclip.metrics import auroc, ordinal_auroc, recall_at_k
 from cardioclip.model import ModelBundle
 from cardioclip.reports import FreeTextReport, load_catalog, structure_report, structured_from_flags
 from cardioclip.supervision import affinity_matrix, pathology_vector
@@ -176,12 +176,12 @@ class TestCriterion3Affinity:
             signs = rng.choice([-1, 1], size=(b, 7))
             vs = [pathology_vector(structured_from_flags(f"c{i}", row > 0, load_catalog()))
                   for i, row in enumerate(signs)]
-            got = affinity_matrix(vs).entries
+            got = affinity_matrix(vs)
             ref = np.empty((b, b))
             for i in range(b):
                 for j in range(b):
-                    yi = np.asarray(vs[i].values, dtype=np.float64)
-                    yj = np.asarray(vs[j].values, dtype=np.float64)
+                    yi = np.asarray(vs[i], dtype=np.float64)
+                    yj = np.asarray(vs[j], dtype=np.float64)
                     ref[i, j] = (yi @ yj) / (np.linalg.norm(yi) * np.linalg.norm(yj))
             worst = max(worst, float(np.abs(got - ref).max()))
             quantized &= bool(np.abs(got[..., None] - allowed).min(axis=-1).max() < 1e-12)
@@ -235,31 +235,20 @@ class TestCriterion5MetricOracles:
             labels = rng.integers(0, 2, size=n)
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
-            cases = [ScoredCase(str(i), float(s), bool(l))
-                     for i, (s, l) in enumerate(zip(scores, labels))]
             pos = scores[labels == 1]
             neg = scores[labels == 0]
             brute = float(((pos[:, None] > neg[None, :]).sum()
                            + 0.5 * (pos[:, None] == neg[None, :]).sum()) / (len(pos) * len(neg)))
-            exact &= auroc(cases) == pytest.approx(brute, abs=1e-12)
+            exact &= auroc(scores, labels) == pytest.approx(brute, abs=1e-12)
 
         grades = rng.integers(1, 6, size=80)
         gscores = rng.normal(0, 1, size=80) + 0.4 * grades
-        gs = GradeSet(cases=tuple((str(i), int(g), float(s))
-                                  for i, (g, s) in enumerate(zip(grades, gscores))))
         compositional = True
-        for t, value in ordinal_auroc(gs):
-            relabeled = [ScoredCase(str(i), float(s), bool(g > t))
-                         for i, (g, s) in enumerate(zip(grades, gscores))]
-            compositional &= value == pytest.approx(auroc(relabeled), abs=1e-12)
+        for t, value in ordinal_auroc(grades, gscores):
+            compositional &= value == pytest.approx(auroc(gscores, grades > t), abs=1e-12)
 
-        hits = []
-        pool = [str(i) for i in range(100)]
-        for _ in range(10_000):
-            order = rng.permutation(100)
-            ranked = RankedList(query_id="q", ranked_ids=tuple(pool[i] for i in order),
-                                scores=tuple(float(100 - i) for i in range(100)))
-            hits.append(recall_at_k(ranked, "0", 10))
+        # one query per random ranking of a pool of 100; its counterpart is item 0
+        hits = [recall_at_k([rng.permutation(100)], 10) for _ in range(10_000)]
         chance = float(np.mean(hits))
         chance_ok = abs(chance - 0.10) < 0.02
         report(

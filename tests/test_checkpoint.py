@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cardioclip.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
@@ -73,3 +75,94 @@ def test_manifest_is_sorted_and_self_describing(tmp_path):
     assert names == sorted(names)
     total = sum(4 * int(np.prod(t["shape"])) for t in manifest["tensors"])
     assert manifest["payload_bytes"] == total
+
+
+def _corrupt(tmp_path, edit):
+    """A saved checkpoint whose manifest is replaced by edit(manifest)."""
+    stem = tmp_path / "ckpt"
+    save_checkpoint(params_fixture(), "mae", stem)
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    (tmp_path / "ckpt.json").write_text(json.dumps(edit(manifest)))
+    return stem
+
+
+def _set_shape(shape):
+    def edit(m):
+        m["tensors"][0]["shape"] = shape
+        return m
+    return edit
+
+
+def _drop(*path):
+    def edit(m):
+        node = m
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return m
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _drop("payload_bytes"), _drop("tensors"), _drop("stage"), _drop("tensors", 0, "name"),
+    _drop("tensors", 0, "offset"), _drop("tensors", 0, "shape"), lambda m: [m],
+    lambda m: {**m, "tensors": [None]}, _set_shape([2.5, 2]), _set_shape("x"),
+    _set_shape([-2, -3]), _set_shape([True, 4]),
+], ids=["no-payload-bytes", "no-tensors", "no-stage", "no-name", "no-offset", "no-shape",
+        "list-manifest", "null-entry", "float-shape", "string-shape", "negative-shape",
+        "bool-shape"])
+def test_malformed_manifest_raises_checkpoint_error(tmp_path, edit):
+    with pytest.raises(CheckpointError):
+        load_checkpoint(_corrupt(tmp_path, edit))
+
+
+def test_duplicate_tensor_name_rejected(tmp_path):
+    def edit(m):
+        m["tensors"][1]["name"] = m["tensors"][0]["name"]
+        return m
+    with pytest.raises(CheckpointError, match="twice"):
+        load_checkpoint(_corrupt(tmp_path, edit))
+
+
+def test_invalid_json_rejected(tmp_path):
+    stem = tmp_path / "ckpt"
+    save_checkpoint(params_fixture(), "mae", stem)
+    (tmp_path / "ckpt.json").write_text("{not json")
+    with pytest.raises(CheckpointError, match="JSON"):
+        load_checkpoint(stem)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**40, 2**40) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+FIELDS = st.sampled_from([(), ("stage",), ("config_digest",), ("payload_bytes",), ("tensors",),
+                          ("tensors", 0), ("tensors", 1, "name"), ("tensors", 1, "dtype"),
+                          ("tensors", 1, "offset"), ("tensors", 2, "shape"),
+                          ("tensors", 2, "shape", 0)])
+
+
+@given(field=FIELDS, value=JSON_VALUES, delete=st.booleans())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_corrupted_manifest_loads_or_raises_checkpoint_error(tmp_path, field, value, delete):
+    """Replacing or deleting any one manifest field either leaves a checkpoint
+    that loads or raises CheckpointError, never another exception."""
+    def edit(m):
+        if not field:
+            return value
+        node = m
+        for key in field[:-1]:
+            node = node[key]
+        if delete:
+            del node[field[-1]]
+        else:
+            node[field[-1]] = value
+        return m
+
+    stem = _corrupt(tmp_path, edit)
+    try:
+        params, _ = load_checkpoint(stem)
+    except CheckpointError:
+        return
+    assert all(v.dtype == np.float32 for v in params.values())

@@ -179,7 +179,7 @@ class TestContrastivePairs:
         assert [(p[0], p[1]) for p in pairs] == [(c.volume, c.free_text) for c in cases]
         for c, (_, _, s, vec) in zip(cases, pairs):
             assert s.text() == structured_from_flags(c.case_id, c.flags, CAT).text()
-            assert vec.values == tuple(1 if f else -1 for f in c.flags)
+            assert vec.tolist() == [1 if f else -1 for f in c.flags]
             for text in (s.text(), c.free_text):
                 assert all(vocab.id_of(w) != UNK_ID for w in normalize_words(text))
 

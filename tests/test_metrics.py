@@ -2,22 +2,14 @@ import numpy as np
 import pytest
 
 from cardioclip.metrics import (
-    GradeSet,
-    RankedList,
-    ScoredCase,
     UndefinedMetricError,
     auroc,
     head_ordinal_auroc,
-    mean_recall_at_k,
     ordinal_auroc,
     precision_at_k,
     rank_pool,
     recall_at_k,
 )
-
-
-def cases(scores, labels):
-    return [ScoredCase(str(i), float(s), bool(l)) for i, (s, l) in enumerate(zip(scores, labels))]
 
 
 def brute_force_auroc(scores, labels):
@@ -32,17 +24,17 @@ def brute_force_auroc(scores, labels):
 
 class TestAUROC:
     def test_perfect_separation(self):
-        assert auroc(cases([0.9, 0.8, 0.3, 0.2], [1, 1, 0, 0])) == 1.0
+        assert auroc([0.9, 0.8, 0.3, 0.2], [1, 1, 0, 0]) == 1.0
 
     def test_all_ties(self):
-        assert auroc(cases([0.5] * 6, [1, 1, 1, 0, 0, 0])) == 0.5
+        assert auroc([0.5] * 6, [1, 1, 1, 0, 0, 0]) == 0.5
 
     def test_hand_counted_three_quarters(self):
-        assert auroc(cases([0.9, 0.2, 0.8, 0.3], [1, 0, 0, 1])) == pytest.approx(0.75)
+        assert auroc([0.9, 0.2, 0.8, 0.3], [1, 0, 0, 1]) == pytest.approx(0.75)
 
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
-            auroc(cases([0.1, 0.2], [1, 1]))
+            auroc([0.1, 0.2], [1, 1])
 
     def test_brute_force_oracle_on_100_random_sets(self):
         rng = np.random.default_rng(0)
@@ -52,113 +44,112 @@ class TestAUROC:
             labels = rng.integers(0, 2, size=n)
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
-            fast = auroc(cases(scores, labels))
+            fast = auroc(scores, labels)
             slow = brute_force_auroc(list(scores), list(labels))
             assert fast == pytest.approx(slow, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected_naming_its_index(self, bad):
+        with pytest.raises(ValueError, match="index 2 is non-finite"):
+            auroc([0.1, 0.2, bad, 0.4], [1, 0, 1, 0])
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            auroc([0.1, 0.2, 0.3], [1, 0])
+
 
 class TestRecallPrecision:
-    def ranked(self, ids, query="q"):
-        return RankedList(query_id=query, ranked_ids=tuple(ids),
-                          scores=tuple(float(len(ids) - i) for i in range(len(ids))))
-
+    # a ranking of the pool 0..n-1 listed best first
     def test_recall_hit_at_rank_one(self):
-        assert recall_at_k(self.ranked(["a", "b", "c", "d", "e", "f"]), "a", 5) == 1
+        assert recall_at_k([[0, 1, 2, 3, 4, 5]], 5) == 1.0
 
     def test_recall_boundary(self):
-        r = self.ranked(["a", "b", "c", "d", "e", "f", "g"])
-        assert recall_at_k(r, "f", 5) == 0
-        assert recall_at_k(r, "f", 10) == 1  # clamped to pool size
-
-    def test_recall_requires_candidate(self):
-        with pytest.raises(ValueError, match="not in"):
-            recall_at_k(self.ranked(["a", "b"]), "z", 1)
+        order = [[6, 1, 2, 3, 4, 0, 5]]  # the counterpart 0 ranks sixth
+        assert recall_at_k(order, 5) == 0.0
+        assert recall_at_k(order, 10) == 1.0  # clamped to pool size
 
     def test_recall_chance_level(self):
         rng = np.random.default_rng(1)
-        pool = [str(i) for i in range(100)]
-        hits = []
-        for _ in range(10_000):
-            order = rng.permutation(100)
-            r = RankedList(query_id="q", ranked_ids=tuple(pool[i] for i in order),
-                           scores=tuple(float(100 - i) for i in range(100)))
-            hits.append(recall_at_k(r, "0", 10))
+        hits = [recall_at_k([rng.permutation(100)], 10) for _ in range(10_000)]
         assert abs(np.mean(hits) - 0.10) < 0.02
 
     def test_precision_all_relevant(self):
-        assert precision_at_k(self.ranked(["a", "b", "c"]), {"a", "b", "c"}, 3) == 1.0
+        assert precision_at_k(np.array([0, 1, 2]), np.ones(3, dtype=bool), 3) == 1.0
 
     def test_precision_none_relevant(self):
-        assert precision_at_k(self.ranked(["a", "b", "c"]), set(), 3) == 0.0
+        assert precision_at_k(np.array([0, 1, 2]), np.zeros(3, dtype=bool), 3) == 0.0
 
     def test_precision_chance_level(self):
         rng = np.random.default_rng(2)
-        pool = [str(i) for i in range(50)]
-        positives = set(pool[:15])  # prevalence 0.3
-        vals = []
-        for _ in range(5_000):
-            order = rng.permutation(50)
-            r = RankedList(query_id="q", ranked_ids=tuple(pool[i] for i in order),
-                           scores=tuple(float(50 - i) for i in range(50)))
-            vals.append(precision_at_k(r, positives, 10))
+        positive = np.arange(50) < 15  # prevalence 0.3
+        vals = [precision_at_k(rng.permutation(50), positive, 10) for _ in range(5_000)]
         assert abs(np.mean(vals) - 0.3) < 0.02
 
     def test_precision_brute_force_definition(self):
         rng = np.random.default_rng(3)
-        pool = [str(i) for i in range(30)]
-        positives = {p for p in pool if rng.random() < 0.4}
+        positive = np.array([rng.random() < 0.4 for _ in range(30)])
         order = rng.permutation(30)
-        r = RankedList(query_id="q", ranked_ids=tuple(pool[i] for i in order),
-                       scores=tuple(float(30 - i) for i in range(30)))
         for k in (1, 5, 10, 30):
-            manual = sum(1 for rid in r.ranked_ids[:k] if rid in positives) / k
-            assert precision_at_k(r, positives, k) == pytest.approx(manual)
+            manual = sum(1 for i in order[:k] if positive[i]) / k
+            assert precision_at_k(order, positive, k) == pytest.approx(manual)
 
     def test_mean_recall(self):
-        r1 = self.ranked(["a", "b", "c"])
-        r2 = self.ranked(["c", "b", "a"])
-        assert mean_recall_at_k([r1, r2], ["a", "a"], 1) == 0.5
+        # query 0 ranks its counterpart first, query 1 ranks its counterpart last
+        assert recall_at_k([[0, 1, 2], [2, 0, 1]], 1) == 0.5
+
+    def test_recall_brute_force_definition(self):
+        rng = np.random.default_rng(6)
+        orders = np.array([rng.permutation(12) for _ in range(12)])
+        for k in (1, 3, 12):
+            manual = np.mean([i in list(orders[i][:k]) for i in range(12)])
+            assert recall_at_k(orders, k) == manual
 
 
 class TestOrdinalAUROC:
-    def grade_set(self, grades, scores):
-        return GradeSet(cases=tuple((str(i), g, float(s)) for i, (g, s) in
-                                    enumerate(zip(grades, scores))), n_grades=5)
-
     def test_perfect_ordering(self):
-        g = self.grade_set([1, 2, 3, 4, 5], [0.1, 0.2, 0.3, 0.4, 0.5])
-        assert [v for _, v in ordinal_auroc(g)] == [1.0, 1.0, 1.0, 1.0]
+        result = ordinal_auroc([1, 2, 3, 4, 5], [0.1, 0.2, 0.3, 0.4, 0.5])
+        assert [v for _, v in result] == [1.0, 1.0, 1.0, 1.0]
 
     def test_constant_scores(self):
-        g = self.grade_set([1, 2, 3, 4, 5], [0.5] * 5)
-        assert [v for _, v in ordinal_auroc(g)] == [0.5, 0.5, 0.5, 0.5]
+        assert [v for _, v in ordinal_auroc([1, 2, 3, 4, 5], [0.5] * 5)] == [0.5, 0.5, 0.5, 0.5]
 
     def test_hand_computed_example(self):
-        g = self.grade_set([1, 2, 3, 4, 5], [0.1, 0.3, 0.2, 0.8, 0.9])
-        result = dict(ordinal_auroc(g))
+        result = dict(ordinal_auroc([1, 2, 3, 4, 5], [0.1, 0.3, 0.2, 0.8, 0.9]))
         assert result[1] == pytest.approx(1.0)
         assert result[2] == pytest.approx(5.0 / 6.0)
         assert result[3] == pytest.approx(1.0)
         assert result[4] == pytest.approx(1.0)
 
     def test_undefined_threshold_reported_none(self):
-        g = self.grade_set([1, 1, 2, 2], [0.1, 0.2, 0.6, 0.7])
-        result = dict(ordinal_auroc(g))
+        result = dict(ordinal_auroc([1, 1, 2, 2], [0.1, 0.2, 0.6, 0.7]))
         assert result[1] == 1.0
         assert result[2] is None and result[3] is None and result[4] is None
 
     def test_single_grade_rejected(self):
         with pytest.raises(UndefinedMetricError):
-            ordinal_auroc(self.grade_set([3, 3, 3], [0.1, 0.2, 0.3]))
+            ordinal_auroc([3, 3, 3], [0.1, 0.2, 0.3])
+
+    def test_invalid_inputs_rejected(self):
+        with pytest.raises(ValueError, match="grades"):
+            ordinal_auroc([1, 6], [0.1, 0.2])
+        with pytest.raises(ValueError, match="scores"):
+            ordinal_auroc([1, 2], [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="non-finite"):
+            ordinal_auroc([1, 2], [0.1, np.nan])
 
     def test_compositional_equivalence_with_auroc(self):
         rng = np.random.default_rng(4)
         grades = rng.integers(1, 6, size=60)
         scores = rng.normal(0, 1, size=60) + 0.3 * grades
-        g = self.grade_set(grades, scores)
-        for t, value in ordinal_auroc(g):
-            relabeled = cases(scores, grades > t)
-            assert value == pytest.approx(auroc(relabeled), abs=1e-12)
+        for t, value in ordinal_auroc(grades, scores):
+            assert value == pytest.approx(auroc(scores, grades > t), abs=1e-12)
+
+    def test_per_cut_columns_rank_each_cut(self):
+        rng = np.random.default_rng(7)
+        grades = rng.integers(1, 6, size=30)
+        scores = rng.normal(0, 1, size=(30, 5))
+        for t, value in ordinal_auroc(grades, scores):
+            assert value == auroc(scores[:, t], grades > t)
 
 
 class TestHeadOrdinalAUROC:
@@ -173,9 +164,7 @@ class TestHeadOrdinalAUROC:
         # P(grade > 1): 0.5 vs 0.9, so the grade-2 case ranks first
         assert dict(head_ordinal_auroc(probs, grades))[1] == 1.0
         # the expected class index (2.0 vs 0.9) ranks them the other way
-        expected = probs @ np.arange(5)
-        g = GradeSet(cases=(("0", 1, expected[0]), ("1", 2, expected[1])), n_grades=5)
-        assert dict(ordinal_auroc(g))[1] == 0.0
+        assert dict(ordinal_auroc(grades, probs @ np.arange(5)))[1] == 0.0
 
     def test_each_cut_matches_auroc_of_its_tail_probability(self):
         rng = np.random.default_rng(5)
@@ -185,7 +174,7 @@ class TestHeadOrdinalAUROC:
         result = head_ordinal_auroc(probs, grades)
         assert [t for t, _ in result] == [1, 2, 3, 4]
         for t, value in result:
-            assert value == pytest.approx(auroc(cases(probs[:, t:].sum(axis=1), grades > t)),
+            assert value == pytest.approx(auroc(probs[:, t:].sum(axis=1), grades > t),
                                           abs=1e-12)
 
     def test_undefined_cut_reported_none(self):
@@ -206,12 +195,11 @@ class TestHeadOrdinalAUROC:
 
 class TestRankPool:
     def test_descending_with_stable_ties(self):
-        ranked = rank_pool(np.array([0.5, 0.9, 0.5, 0.1]), ["a", "b", "c", "d"], "q")
-        assert ranked.ranked_ids == ("b", "a", "c", "d")  # tie a/c keeps pool order
-        assert ranked.scores == (0.9, 0.5, 0.5, 0.1)
+        scores = np.array([0.5, 0.9, 0.5, 0.1])
+        order = rank_pool(scores)
+        assert order.tolist() == [1, 0, 2, 3]  # tie 0/2 keeps pool order
+        assert scores[order].tolist() == [0.9, 0.5, 0.5, 0.1]
 
-    def test_ranked_list_invariants(self):
-        with pytest.raises(ValueError, match="non-increasing"):
-            RankedList(query_id="q", ranked_ids=("a", "b"), scores=(0.1, 0.9))
-        with pytest.raises(ValueError, match="distinct"):
-            RankedList(query_id="q", ranked_ids=("a", "a"), scores=(0.9, 0.1))
+    def test_rows_of_a_matrix_rank_independently(self):
+        scores = np.array([[0.5, 0.9, 0.5], [0.2, 0.2, 0.7]])
+        assert rank_pool(scores).tolist() == [rank_pool(row).tolist() for row in scores]

@@ -8,10 +8,8 @@ from cardioclip.reports import (
     StructuredReport,
     load_catalog,
     make_prompt_pair,
-    parse_statement_flags,
     structure_report,
     structured_from_flags,
-    validate_structured,
 )
 
 
@@ -77,7 +75,9 @@ class TestStructureReport:
     def test_template_round_trip(self, cat):
         flags = (False, True, True, False, False, True, False)
         s = structured_from_flags("y", flags, cat)
-        assert parse_statement_flags(s.statements, cat) == flags
+        # statement d is the all-present report's statement d iff flag d is set
+        present = structured_from_flags("y", (True,) * cat.size, cat).statements
+        assert tuple(a == b for a, b in zip(s.statements, present)) == flags
 
 
 class TestPromptPair:
@@ -101,17 +101,22 @@ class TestPromptPair:
 
 
 class TestValidateStructured:
+    """A report is valid iff it equals structured_from_flags of its own flags."""
+
     def test_structurer_output_is_valid(self, cat):
         s = structure_report(FreeTextReport("v1", "There is cardiomegaly."), cat)
-        assert validate_structured(s, cat)
+        assert s == structured_from_flags("v1", s.flags, cat)
 
     def test_wrong_cardinality(self, cat):
         s = StructuredReport(case_id="v2", statements=("There is no coronary stenosis.",) * 6,
                              flags=(False,) * 6)
-        assert not validate_structured(s, cat)
+        assert s != structured_from_flags("v2", (False,) * cat.size, cat)
+        with pytest.raises(ValueError, match="expected 7 flags"):
+            structured_from_flags("v2", s.flags, cat)
 
     def test_statement_flag_disagreement(self, cat):
         good = structured_from_flags("v3", (True,) + (False,) * 6, cat)
         bad = StructuredReport(case_id="v3", statements=good.statements,
                                flags=(False,) * 7)
-        assert not validate_structured(bad, cat)
+        assert bad != structured_from_flags("v3", bad.flags, cat)
+        assert good == structured_from_flags("v3", good.flags, cat)

@@ -1,11 +1,13 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from test_acceptance import zero_shot_verdict
 
-from cardioclip import tasks
+from cardioclip import optim, tasks
 from cardioclip.encoders import TextEncoderConfig, VisualEncoderConfig, init_text_params, init_visual_params
-from cardioclip.metrics import GradeSet, ScoredCase, auroc, ordinal_auroc
+from cardioclip.metrics import auroc, ordinal_auroc
 from cardioclip.model import ModelBundle, embed_texts, embed_volumes, unit_rows
 from cardioclip.reports import load_catalog
 from cardioclip.seeding import substream
@@ -80,10 +82,8 @@ class TestZeroShot:
 
 
 def retrieve(bundle, v, t, flags, recall_ks=(1, 5), precision_ks=(1, 5)):
-    """retrieval_metrics over unit-norm rows v, t, with case ids "0", "1", ..."""
-    ids = [str(i) for i in range(len(v))]
-    return retrieval_metrics(v, t, ids, np.asarray(flags, dtype=bool), bundle,
-                             recall_ks, precision_ks)
+    """retrieval_metrics over unit-norm rows v, t, row i from case i."""
+    return retrieval_metrics(v, t, np.asarray(flags, dtype=bool), bundle, recall_ks, precision_ks)
 
 
 def no_flags(n):
@@ -159,8 +159,7 @@ class TestCaseLevelSteps:
                 assert got[name] is None
                 continue
             scores = zero_shot_scores([c.volume for c in cases], name, bundle)
-            assert got[name] == auroc([ScoredCase(c.case_id, float(s), lab)
-                                       for c, s, lab in zip(cases, scores, labels)])
+            assert got[name] == auroc(scores, labels)
 
     def test_criterion_8_fails_a_single_class_finding_and_prints_it(self):
         per_name = {"coronary stenosis": 0.9, "cardiomegaly": None}
@@ -174,8 +173,7 @@ class TestCaseLevelSteps:
                  for i in range(10)]
         per_cut, conf = cac_grading(cases, bundle)
         assert np.array_equal(conf, cac_confidences([c.volume for c in cases], bundle))
-        assert per_cut == ordinal_auroc(GradeSet(tuple(
-            (c.case_id, c.grade, float(s)) for c, s in zip(cases, conf))))
+        assert per_cut == ordinal_auroc([c.grade for c in cases], conf)
 
     def test_cac_grading_refuses_one_grade_before_embedding(self, bundle, monkeypatch):
         def refuse(*_):
@@ -229,6 +227,47 @@ class TestFinetune:
         cfg = FinetuneConfig(epochs=1, batch=2, lr=1e-3, head_lr=1e-3, freeze_encoder=True)
         with pytest.raises(ValueError, match="labels"):
             finetune_classifier(train, bundle.params, 2, cfg, bundle, seed=0)
+
+    @pytest.mark.parametrize("eval_labels, head_classes, match", [
+        ([0, 0], 2, r"class counts \[2, 0\]"),
+        ([1, 1, 1], 2, r"class counts \[0, 3\]"),
+        ([2, 2], 5, r"class counts \[0, 0, 2, 0, 0\]"),
+        ([0, 2], 2, r"eval labels must lie in \[0, 2\), got range \[0, 2\]"),
+        ([], 2, "eval set is empty"),
+    ], ids=["negatives-only", "positives-only", "one-grade", "label-out-of-range", "empty"])
+    def test_unscorable_eval_set_refused_before_training(self, bundle, monkeypatch,
+                                                         eval_labels, head_classes, match):
+        def refuse(*_):
+            raise AssertionError("an optimizer step ran")
+
+        monkeypatch.setattr(optim.Trainer, "step", refuse)
+        v = make_volume(1)
+        train = [(v, i % head_classes) for i in range(4)]
+        cfg = FinetuneConfig(epochs=1, batch=2, lr=1e-3, head_lr=1e-3, freeze_encoder=True)
+        with pytest.raises(ValueError, match=match):
+            finetune_classifier(train, bundle.params, head_classes, cfg, bundle,
+                                eval_set=[(v, y) for y in eval_labels])
+
+    def test_no_step_activations_outlive_the_step(self, bundle, monkeypatch):
+        # 6 cases at batch 2: 3 steps; when each forward starts, the patches,
+        # forward cache and gradients of every earlier step must be freed
+        real_fwd, real_step, refs = tasks.visual_embed_fwd, optim.Trainer.step, []
+
+        def spy_fwd(params, cfg, patches):
+            assert all(ref() is None for ref in refs), "an earlier step's array is alive"
+            out = real_fwd(params, cfg, patches)
+            refs.extend([weakref.ref(patches), weakref.ref(out[2][0][0])])
+            return out
+
+        def spy_step(self, loss, grads, lr=None):
+            refs.extend(weakref.ref(g) for g in grads.values())
+            real_step(self, loss, grads, lr)
+
+        monkeypatch.setattr(tasks, "visual_embed_fwd", spy_fwd)
+        monkeypatch.setattr(optim.Trainer, "step", spy_step)
+        cfg = FinetuneConfig(epochs=1, batch=2, lr=1e-3, head_lr=1e-3, freeze_encoder=False)
+        finetune_classifier(self.make_sets(6), bundle.params, 2, cfg, bundle, seed=5)
+        assert len(refs) > 6  # three forwards' arrays plus gradients
 
     def test_freeze_flag_controls_encoder_updates(self, bundle):
         train = self.make_sets(8)
