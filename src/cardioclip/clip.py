@@ -194,7 +194,8 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
     stmt_items = sorted(statements.items())
 
     n = len(cases)
-    for _ in range(cfg.text_warmup_steps):
+
+    def batch_step():
         idx = rng.choice(n, size=min(cfg.text_warmup_batch, n), replace=False)
         texts = []
         targets = np.empty((len(idx), n_out))
@@ -223,11 +224,14 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
                                ((p - targets) / targets.size).astype(feats.dtype), grads)
         # no txt.proj gradient: a zero one would still let AdamW decay it
         text_embed_bwd(warm, txt_cfg, cache, None, grads, dfeats=dfeats)
-        trainer.step(loss, grads, cfg.text_warmup_lr)
+        return loss, grads
+
+    for _ in range(cfg.text_warmup_steps):
+        trainer.step(*batch_step(), cfg.text_warmup_lr)
     for k in list(warm):
         if k.startswith("txt."):
             params[k] = warm[k]
-    return loss
+    return trainer.losses[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +271,16 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
     trainer = Trainer("contrastive", trainable, cfg.weight_decay,
                       lr_scale_of=lambda name: proj_scale if name in _PROJ_NAMES else 1.0)
     dtype = params["vis.patch.w"].dtype
+
+    def batch_step(vols, texts, vecs):
+        patches = batch_patches(vols, vis_cfg.patch_size, dtype)
+        ids, lengths = pad_batch([tokenize(t, vocab, txt_cfg.max_len) for t in texts])
+        targets = targets_from_affinity(affinity_matrix(vecs))
+        loss, grads, _ = clip_batch_fwd_bwd(
+            trainable, vis_cfg, txt_cfg, patches, ids, lengths, targets, cfg.temperature
+        )
+        return loss, grads
+
     # a trailing singleton batch has no contrastive signal: min_batch=2 skips it
     for epoch, batches, extra in trainer.epochs(n, cfg, cfg.lr, seed, "clip-batch-order",
                                                 trace_hook, min_batch=2):
@@ -275,19 +289,13 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
         n_texts = 0
         for idx in batches:
             vols, fts, sts, vecs = zip(*(pairs[i] for i in idx))
-            patches = batch_patches(vols, vis_cfg.patch_size, dtype)
             texts = [
                 sample_text_variant(ft, st, variant_rng, cfg.variant_prob)
                 for ft, st in zip(fts, sts)
             ]
             n_structured += sum(t == st.text() for t, st in zip(texts, sts))
             n_texts += len(texts)
-            ids, lengths = pad_batch([tokenize(t, vocab, txt_cfg.max_len) for t in texts])
-            targets = targets_from_affinity(affinity_matrix(vecs))
-            loss, grads, _ = clip_batch_fwd_bwd(
-                trainable, vis_cfg, txt_cfg, patches, ids, lengths, targets, cfg.temperature
-            )
-            trainer.step(loss, grads)
+            trainer.step(*batch_step(vols, texts, vecs))
         extra["variant_structured_frac"] = n_structured / max(1, n_texts)
     params.update(trainable)
     return params, trainer.trace

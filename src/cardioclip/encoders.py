@@ -249,8 +249,32 @@ def text_embed_bwd(params, cfg: TextEncoderConfig, cache, demb, grads,
     dx = nn.stack_bwd(params, "txt", c_stack, dx, grads)
     T = ids.shape[1]
     dtok = np.zeros_like(params["txt.tok"])
-    np.add.at(dtok, ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
+    add_rows_at(dtok, ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
     nn.accumulate(grads, "txt.tok", dtok)
     dpos = np.zeros_like(params["txt.pos"])
     dpos[:T] = dx.sum(axis=0)
     nn.accumulate(grads, "txt.pos", dpos)
+
+
+def add_rows_at(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """target[ids[i]] += rows[i] for every i, bit for bit as
+    np.add.at(target, ids, rows) does, with each sum cast to target's dtype.
+
+    A row of zeros is skipped (the PAD positions of a text batch give about
+    half the rows): adding it changes no entry but a -0.0, and sums onto a
+    zero-filled target never make one. The rest are added one occurrence
+    rank at a time, so each id still takes its rows in their original order;
+    np.add.at's mixed float32/float64 path is several times slower.
+    """
+    keep = np.flatnonzero(rows.any(axis=1))
+    ids, rows = ids[keep], rows[keep]
+    if ids.size == 0:
+        return
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    rank = np.arange(ids.size) - np.repeat(starts, np.diff(np.r_[starts, ids.size]))
+    for r in range(int(rank.max()) + 1):
+        sel = order[rank == r]
+        t = ids[sel]
+        target[t] = target[t] + rows[sel]

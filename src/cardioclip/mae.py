@@ -227,15 +227,19 @@ def train_mae(volumes, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
 
     trainer = Trainer("reconstruction", params, cfg.weight_decay)
     N = vis_cfg.n_patches
+
+    def batch_step(epoch, idx):
+        patches = batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, np.float32)
+        plans = [
+            sample_mask(N, cfg.mask_ratio, derive_seed(seed, "mask", epoch, int(i)))
+            for i in idx
+        ]
+        vis_idx = np.asarray([p.visible_idx for p in plans], dtype=np.int64)
+        mask_idx = np.asarray([p.masked_idx for p in plans], dtype=np.int64)
+        loss, cache = mae_batch_fwd(params, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
+        return loss, mae_batch_bwd(params, vis_cfg, dec_cfg, cache)
+
     for epoch, batches, _ in trainer.epochs(n, cfg, cfg.base_lr, seed, "batch-order", trace_hook):
         for idx in batches:
-            patches = batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, np.float32)
-            plans = [
-                sample_mask(N, cfg.mask_ratio, derive_seed(seed, "mask", epoch, int(i)))
-                for i in idx
-            ]
-            vis_idx = np.asarray([p.visible_idx for p in plans], dtype=np.int64)
-            mask_idx = np.asarray([p.masked_idx for p in plans], dtype=np.int64)
-            loss, cache = mae_batch_fwd(params, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
-            trainer.step(loss, mae_batch_bwd(params, vis_cfg, dec_cfg, cache))
+            trainer.step(*batch_step(epoch, idx))
     return params, trainer.trace

@@ -68,7 +68,10 @@ def embed_volumes(bundle: ModelBundle, volumes) -> np.ndarray:
 
 
 def embed_texts(bundle: ModelBundle, texts) -> np.ndarray:
-    """Projected embeddings (n, proj_dim) for a list of report texts."""
+    """Projected embeddings (n, proj_dim) for a list of report texts.
+    Refuses an empty list."""
+    if len(texts) == 0:
+        raise ValueError("no texts to embed: the list is empty")
     out = []
     for i in range(0, len(texts), TEXT_CHUNK):
         seqs = [tokenize(t, bundle.vocab, bundle.txt_cfg.max_len)

@@ -134,6 +134,11 @@ class Trainer:
     epochs()) the epoch, then takes one optimizer step. The text warmup,
     which samples its own batches at a constant rate, passes that rate;
     inside epochs() the rate follows the warmup + cosine schedule.
+
+    The loops hold one step of buffers: each builds a batch inside a local
+    batch_step(...) -> (loss, grads) and calls step(*batch_step(...)), so
+    the step's inputs and forward cache are freed when batch_step returns
+    and its gradients when step returns, all before the next batch is built.
     """
 
     def __init__(self, stage: str, params, weight_decay: float, lr_scale_of=None):

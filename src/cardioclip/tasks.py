@@ -193,25 +193,27 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
     head_scale = cfg.head_lr / cfg.lr
     trainer = Trainer("fine-tune", trainable, cfg.weight_decay,
                       lr_scale_of=lambda name: head_scale if name.startswith("head.") else 1.0)
+
+    def batch_step(idx):
+        nonlocal hits
+        y = labels_all[idx]
+        patches = batch_patches([train_set[i][0] for i in idx], vis_cfg.patch_size, dtype)
+        feats, _, cache = visual_embed_fwd(params, vis_cfg, patches)
+        logits, c_head = nn.linear_fwd(params, "head", feats)
+        loss, dlogits, probs = softmax_ce_logits(logits, y)
+        hits += int((probs.argmax(axis=1) == y).sum())
+        grads: dict = {}
+        dfeats = nn.linear_bwd(params, "head", c_head, dlogits, grads)
+        if not cfg.freeze_encoder:
+            zero_demb = np.zeros((len(y), params["vis.proj.w"].shape[1]), dtype=dfeats.dtype)
+            visual_embed_bwd(params, vis_cfg, cache, zero_demb, grads, dfeats=dfeats)
+        return loss, grads
+
     for _, batches, extra in trainer.epochs(len(train_set), cfg, cfg.lr, seed, "finetune-order"):
-        hits, seen = 0, 0
+        hits = 0
         for idx in batches:
-            vols = [train_set[i][0] for i in idx]
-            y = labels_all[idx]
-            patches = batch_patches(vols, vis_cfg.patch_size, dtype)
-            feats, _, cache = visual_embed_fwd(params, vis_cfg, patches)
-            logits, c_head = nn.linear_fwd(params, "head", feats)
-            loss, dlogits, probs = softmax_ce_logits(logits, y)
-            grads: dict = {}
-            dfeats = nn.linear_bwd(params, "head", c_head, dlogits, grads)
-            if not cfg.freeze_encoder:
-                zero_demb = np.zeros((len(y), params["vis.proj.w"].shape[1]), dtype=dfeats.dtype)
-                visual_embed_bwd(params, vis_cfg, cache, zero_demb, grads, dfeats=dfeats)
-            trainer.step(loss, grads)
-            del patches, cache, feats, c_head, grads  # freed before the next step's forward
-            hits += int((probs.argmax(axis=1) == y).sum())
-            seen += len(y)
-        extra["train_accuracy"] = hits / seen
+            trainer.step(*batch_step(idx))
+        extra["train_accuracy"] = hits / sum(idx.size for idx in batches)
 
     result = {"trace": trainer.trace, "train_accuracy": trainer.trace[-1]["train_accuracy"]}
     if eval_set is not None:

@@ -78,9 +78,11 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int | None = None) -> TokenS
 
 def pad_batch(seqs):
     """Stack sequences into (ids, lengths) int arrays, right-padding with PAD_ID
-    to the longest."""
+    to the longest. Refuses an empty list."""
     import numpy as np
 
+    if len(seqs) == 0:
+        raise ValueError("no sequences to pad: the list is empty")
     width = max(s.length for s in seqs)
     ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
     lengths = np.zeros(len(seqs), dtype=np.int64)

@@ -7,6 +7,7 @@ from cardioclip import model, nn
 from cardioclip.encoders import (
     TextEncoderConfig,
     VisualEncoderConfig,
+    add_rows_at,
     init_text_params,
     init_visual_params,
     patch_tokens_bwd,
@@ -15,7 +16,7 @@ from cardioclip.encoders import (
     visual_embed_fwd,
 )
 from cardioclip.gradcheck import gradient_check, toy_losses
-from cardioclip.model import ModelBundle, embed_volumes
+from cardioclip.model import ModelBundle, embed_texts, embed_volumes
 from cardioclip.reports import load_catalog
 from cardioclip.tasks import predict_logits
 from cardioclip.tokenizer import build_vocab, pad_batch, tokenize
@@ -181,6 +182,34 @@ class TestEncodeText:
         for bad in (10_000, -1):
             with pytest.raises(ValueError, match="out of range"):
                 text_embed_fwd(params, self.CFG, np.array([[2, bad]]), np.array([2]))
+
+    def test_empty_list(self):
+        with pytest.raises(ValueError, match="no sequences to pad: the list is empty"):
+            pad_batch([])
+        with pytest.raises(ValueError, match="no texts to embed: the list is empty"):
+            embed_texts(TestEncodeImage.bundle(), [])
+
+
+class TestTokenGradientScatter:
+    """add_rows_at, the txt.tok gradient scatter, against np.add.at."""
+
+    @pytest.mark.parametrize("target_dtype, rows_dtype, zero_frac, vocab", [
+        (np.float32, np.float64, 0.0, 40),
+        (np.float64, np.float64, 0.0, 40),
+        (np.float32, np.float64, 0.5, 3),  # repeated ids, half the rows zero
+    ])
+    def test_bitwise_equal_to_add_at(self, target_dtype, rows_dtype, zero_frac, vocab):
+        rng = np.random.default_rng(0)
+        for n in (0, 1, 7, 300):
+            ids = rng.integers(0, vocab, size=n)
+            rows = rng.normal(size=(n, 6)) * 10.0 ** rng.uniform(-4, 4, size=(n, 1))
+            rows[rng.random(n) < zero_frac] = 0.0
+            rows = rows.astype(rows_dtype)
+            start = rng.normal(size=(vocab, 6)).astype(target_dtype)
+            ref, got = start.copy(), start.copy()
+            np.add.at(ref, ids, rows)
+            add_rows_at(got, ids, rows)
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestEncodeImage:

@@ -1,11 +1,13 @@
 """The training loop the four stages share (optim.Trainer): the non-finite
-loss check, the per-epoch records handed to trace_hook, and stage 2's
-skipped trailing singleton batch."""
+loss check, the per-epoch records handed to trace_hook, stage 2's skipped
+trailing singleton batch, and that no step's buffers outlive the step."""
+
+import weakref
 
 import numpy as np
 import pytest
 
-from cardioclip import clip
+from cardioclip import clip, mae, optim
 from cardioclip.clip import ContrastiveConfig, train_clip, warmup_text_encoder
 from cardioclip.encoders import (
     TextEncoderConfig,
@@ -171,3 +173,68 @@ class TestContrastiveSingletonBatch:
         # steps 0, 1 ran in epoch 0 and steps 2, 3, the last scheduled, in epoch 1
         assert trace[0]["lr_last"] == lr_at_step(sched, 1)
         assert trace[-1]["lr_last"] == lr_at_step(sched, 3)
+
+
+def arrays_in(obj):
+    """Every ndarray in obj, looking through tuples, lists and dict values."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from arrays_in(x)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from arrays_in(x)
+
+
+def run_reconstruction():
+    train_mae(volumes(6), VIS, DEC, MAETrainConfig(epochs=1, batch=2), seed=0,
+              params=visual_params())
+
+
+def run_text_warmup():
+    cases = pairs(6)
+    params = visual_params()
+    txt, vocab = text_setup(cases, params)
+    cfg = ContrastiveConfig(text_warmup_steps=3, text_warmup_batch=2)
+    warmup_text_encoder(cases, params, txt, vocab, cfg, seed=0)
+
+
+def run_contrastive():
+    cases = pairs(6)
+    params = visual_params()
+    txt, vocab = text_setup(cases, params)
+    cfg = ContrastiveConfig(epochs=1, batch=2, text_warmup_steps=0)
+    train_clip(cases, params, VIS, txt, vocab, cfg, seed=0)
+
+
+class TestStepLifetimes:
+    """Each loop holds one step of buffers: when a step's first forward
+    starts, the inputs, forward cache and gradients of every earlier step
+    are freed. (Fine-tuning: test_tasks.py.)"""
+
+    @pytest.mark.parametrize("module, fwd_name, run", [
+        (mae, "mae_batch_fwd", run_reconstruction),
+        (clip, "text_embed_fwd", run_text_warmup),
+        (clip, "visual_embed_fwd", run_contrastive),
+    ], ids=["reconstruction", "text_warmup", "contrastive"])
+    def test_no_step_buffers_outlive_the_step(self, monkeypatch, module, fwd_name, run):
+        real_fwd, real_step, refs, forwards = getattr(module, fwd_name), optim.Trainer.step, [], []
+
+        def spy_fwd(params, *args):
+            assert all(ref() is None for ref in refs), "an earlier step's array is alive"
+            out = real_fwd(params, *args)
+            owned = {id(p) for p in params.values()}
+            refs.extend(weakref.ref(a) for a in arrays_in((args, out)) if id(a) not in owned)
+            forwards.append(len(refs))
+            return out
+
+        def spy_step(self, loss, grads, lr=None):
+            refs.extend(weakref.ref(g) for g in grads.values())
+            real_step(self, loss, grads, lr)
+
+        monkeypatch.setattr(module, fwd_name, spy_fwd)
+        monkeypatch.setattr(optim.Trainer, "step", spy_step)
+        run()
+        # three steps, the first forward's inputs and cache alone holding > 10 arrays
+        assert len(forwards) == 3 and forwards[0] > 10
