@@ -26,7 +26,7 @@ from .config import ConfigError, config_digest, load_config, stage_configs
 from .gradcheck import EPS, N_PROBES, TOLERANCE, stage_loss_errors
 from .mae import train_mae
 from .model import ModelBundle
-from .reports import FreeTextReport, load_catalog, structure_report
+from .reports import load_catalog, structure_report
 from .synth import SynthCase, calcium_wording_severity, generate_full_corpus, write_corpus
 from .tasks import (cac_grading, case_retrieval, finetune_classifier, finetune_labels,
                     zero_shot_aurocs)
@@ -184,7 +184,7 @@ def cmd_structure_reports(args, cfg: dict, root: str) -> None:
     total = 0
     with open(os.path.join(out, "structured.jsonl"), "w", encoding="utf-8") as fh:
         for case in train + evalset:
-            s = structure_report(FreeTextReport(case.case_id, case.free_text), cat)
+            s = structure_report(case.case_id, case.free_text, cat)
             fh.write(json.dumps({
                 "case_id": case.case_id,
                 "free_text": case.free_text,

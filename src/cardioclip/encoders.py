@@ -203,10 +203,11 @@ def visual_embed_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
 
 def visual_embed_bwd(params, cfg: VisualEncoderConfig, cache, demb, grads,
                      dfeats=None):
+    """Backward of visual_embed_fwd from demb, the gradient of the projected
+    embedding; or, with demb None, from dfeats, the gradient of the features,
+    and then vis.proj gets no gradient."""
     c_trunk, c_proj, yshape = cache
-    dpool = nn.linear_bwd(params, "vis.proj", c_proj, demb, grads)
-    if dfeats is not None:
-        dpool = dpool + dfeats
+    dpool = dfeats if demb is None else nn.linear_bwd(params, "vis.proj", c_proj, demb, grads)
     dy = np.zeros(yshape, dtype=dpool.dtype)
     dy[:, 1:] = dpool[:, None, :] / (yshape[1] - 1)
     return visual_trunk_bwd(params, cfg, c_trunk, dy, grads)
@@ -234,15 +235,11 @@ def text_embed_fwd(params, cfg: TextEncoderConfig, ids: np.ndarray, lengths: np.
 
 def text_embed_bwd(params, cfg: TextEncoderConfig, cache, demb, grads,
                    dfeats=None):
-    """demb: gradient of the projected embedding, or None to skip txt.proj's
-    backward (it then gets no gradient); dfeats: gradient of the features."""
+    """Backward of text_embed_fwd from demb, the gradient of the projected
+    embedding; or, with demb None, from dfeats, the gradient of the features,
+    and then txt.proj gets no gradient."""
     ids, c_stack, c_lnf, c_proj, yshape, mask, lengths = cache
-    if demb is None:
-        dpool = dfeats
-    else:
-        dpool = nn.linear_bwd(params, "txt.proj", c_proj, demb, grads)
-        if dfeats is not None:
-            dpool = dpool + dfeats
+    dpool = dfeats if demb is None else nn.linear_bwd(params, "txt.proj", c_proj, demb, grads)
     dy = np.zeros(yshape, dtype=dpool.dtype)
     dy += (dpool / lengths[:, None])[:, None, :] * mask[:, :, None]
     dx = nn.layernorm_bwd(params, "txt.lnf", c_lnf, dy, grads)

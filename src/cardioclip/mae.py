@@ -26,33 +26,6 @@ from .volume import batch_patches
 
 
 @dataclass(frozen=True)
-class MaskPlan:
-    """Partition of patch indices into visible and masked sets."""
-
-    n_total: int
-    visible_idx: tuple[int, ...]
-    masked_idx: tuple[int, ...]
-    seed: int
-
-    def __post_init__(self):
-        vis, msk = set(self.visible_idx), set(self.masked_idx)
-        if vis & msk:
-            raise ValueError("visible and masked index sets overlap")
-        if vis | msk != set(range(self.n_total)):
-            raise ValueError("visible and masked sets do not partition 0..n_total-1")
-        if list(self.visible_idx) != sorted(vis) or list(self.masked_idx) != sorted(msk):
-            raise ValueError("index lists must be sorted")
-
-    @property
-    def n_visible(self) -> int:
-        return len(self.visible_idx)
-
-    @property
-    def n_masked(self) -> int:
-        return len(self.masked_idx)
-
-
-@dataclass(frozen=True)
 class DecoderConfig:
     embed_dim: int = 64
     depth: int = 2
@@ -93,18 +66,14 @@ def masked_count(n_total: int, ratio: float) -> int:
     return n_masked
 
 
-def sample_mask(n_total: int, ratio: float, seed: int) -> MaskPlan:
-    """Uniform random masked subset of size floor(ratio * n_total)."""
+def sample_mask(n_total: int, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(visible, masked): sorted int64 index arrays partitioning 0..n_total-1,
+    masked a uniform random subset of size floor(ratio * n_total)."""
     n_masked = masked_count(n_total, ratio)
     rng = np.random.Generator(np.random.PCG64(seed))
     masked = np.sort(rng.choice(n_total, size=n_masked, replace=False))
     visible = np.setdiff1d(np.arange(n_total), masked, assume_unique=True)
-    return MaskPlan(
-        n_total=n_total,
-        visible_idx=tuple(int(i) for i in visible),
-        masked_idx=tuple(int(i) for i in masked),
-        seed=seed,
-    )
+    return visible, masked
 
 
 def init_decoder_params(rng, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
@@ -212,8 +181,10 @@ def train_mae(volumes, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
               trace_hook=None):
     """Train encoder + decoder from scratch (or given params); returns (params, trace).
 
-    One optimizer step per batch; a fresh MaskPlan per volume per epoch. The
-    trace holds one record per epoch: epoch, mean_loss, lr_last.
+    One optimizer step per batch; each volume draws a fresh sample_mask per
+    epoch, and the batch's visible and masked index arrays are stacked into
+    (B, N_v) and (B, N_m). The trace holds one record per epoch: epoch,
+    mean_loss, lr_last.
     """
     n = len(volumes)
     if n == 0:
@@ -230,12 +201,10 @@ def train_mae(volumes, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
 
     def batch_step(epoch, idx):
         patches = batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, np.float32)
-        plans = [
-            sample_mask(N, cfg.mask_ratio, derive_seed(seed, "mask", epoch, int(i)))
-            for i in idx
-        ]
-        vis_idx = np.asarray([p.visible_idx for p in plans], dtype=np.int64)
-        mask_idx = np.asarray([p.masked_idx for p in plans], dtype=np.int64)
+        masks = [sample_mask(N, cfg.mask_ratio, derive_seed(seed, "mask", epoch, int(i)))
+                 for i in idx]
+        vis_idx = np.stack([vis for vis, _ in masks])
+        mask_idx = np.stack([msk for _, msk in masks])
         loss, cache = mae_batch_fwd(params, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
         return loss, mae_batch_bwd(params, vis_cfg, dec_cfg, cache)
 

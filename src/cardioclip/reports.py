@@ -51,16 +51,6 @@ class AbnormalityCatalog:
 
 
 @dataclass(frozen=True)
-class FreeTextReport:
-    case_id: str
-    text: str
-
-    def __post_init__(self):
-        if not self.case_id:
-            raise ValueError("case_id must be non-empty")
-
-
-@dataclass(frozen=True)
 class StructuredReport:
     case_id: str
     statements: tuple[str, ...]
@@ -90,15 +80,16 @@ def _contains_phrase(words: list[str], phrase_words: tuple[str, ...]) -> bool:
     return any(tuple(words[i : i + k]) == phrase_words for i in range(len(words) - k + 1))
 
 
-def structure_report(r: FreeTextReport, cat: AbnormalityCatalog) -> StructuredReport:
-    """Flag a finding iff some clause mentions it without a negation cue."""
+def structure_report(case_id: str, text: str, cat: AbnormalityCatalog) -> StructuredReport:
+    """The structured report of case_id's free text: a finding is flagged iff
+    some clause of text mentions it without a negation cue."""
     cue_words = [tuple(normalize_words(c)) for c in cat.negation_cues]
     phrases = {
         d: [tuple(normalize_words(p)) for p in (name, *cat.synonyms[name])]
         for d, name in enumerate(cat.names)
     }
     flags = [False] * cat.size
-    for clause in _CLAUSE_SPLIT.split(r.text):
+    for clause in _CLAUSE_SPLIT.split(text):
         words = normalize_words(clause)
         if not words:
             continue
@@ -107,7 +98,7 @@ def structure_report(r: FreeTextReport, cat: AbnormalityCatalog) -> StructuredRe
         for d, plist in phrases.items():
             if not flags[d] and any(_contains_phrase(words, p) for p in plist):
                 flags[d] = True
-    return structured_from_flags(r.case_id, flags, cat)
+    return structured_from_flags(case_id, flags, cat)
 
 
 def structured_from_flags(case_id: str, flags, cat: AbnormalityCatalog) -> StructuredReport:

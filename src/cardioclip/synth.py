@@ -19,6 +19,7 @@ import numpy as np
 from .optim import count_rule, require
 from .reports import AbnormalityCatalog, structured_from_flags
 from .seeding import derive_seed, substream
+from .tokenizer import normalize_words
 from .volume import Volume3D, save_volume
 
 N_FINDINGS = 7
@@ -128,6 +129,7 @@ FALLBACK_SENTENCE = "Unremarkable cardiac study."
 # wording severity of the calcification templates, by ladder slot; the last
 # (free-variety) wording reads as heavy burden
 CAC_WORDING_SEVERITY = (0.25, 0.5, 0.75, 1.0, 1.0)
+_CAC_PHRASES = tuple(tuple(normalize_words(t)) for t in POSITIVE_TEMPLATES[1])
 
 
 def calcium_wording_severity(text: str) -> float:
@@ -136,12 +138,9 @@ def calcium_wording_severity(text: str) -> float:
     Matches the full positive-template word sequences, so negated statements
     ("there is no coronary calcification") conveying absence score 0.
     """
-    from .tokenizer import normalize_words
-
     words = tuple(normalize_words(text))
     best = 0.0
-    for tmpl, sev in zip(POSITIVE_TEMPLATES[1], CAC_WORDING_SEVERITY):
-        phrase = tuple(normalize_words(tmpl))
+    for phrase, sev in zip(_CAC_PHRASES, CAC_WORDING_SEVERITY):
         k = len(phrase)
         if any(words[i : i + k] == phrase for i in range(len(words) - k + 1)):
             best = max(best, sev)
@@ -158,8 +157,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        prev = self.prevalence
-        prev = (float(prev),) * N_FINDINGS if np.isscalar(prev) else tuple(float(p) for p in prev)
+        prev = tuple(float(p) for p in self.prevalence)
         require(
             (len(prev) == N_FINDINGS, f"prevalence needs {N_FINDINGS} entries, got {len(prev)}"),
             (all(0.0 <= p <= 1.0 for p in prev),
@@ -169,8 +167,10 @@ class SynthSpec:
             (self.signal_strength >= 0,
              f"signal_strength must be >= 0, got {self.signal_strength}"),
             count_rule(self, "n_cases", 1),
-            (len(self.dims) == 3 and all(d >= 16 and d % 16 == 0 for d in self.dims),
-             f"dims must be 3 multiples of 16 (default patch size), got {self.dims}"),
+            # each finding's region must be several voxels wide; a patch size
+            # that divides dims is the visual config's rule, not synth's
+            (len(self.dims) == 3 and all(d >= 16 for d in self.dims),
+             f"dims must be 3 sizes of at least 16, got {self.dims}"),
         )
         object.__setattr__(self, "prevalence", prev)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -304,7 +304,7 @@ def smooth_background(dims, rng) -> np.ndarray:
     return np.clip(field, 0.0, 1.0, out=field).astype(np.float32)
 
 
-def _case_text(flags, grade, rng, spec: SynthSpec) -> str:
+def _case_text(flags, grade, rng) -> str:
     sentences = []
     for d in range(N_FINDINGS):
         if flags[d]:
@@ -335,7 +335,7 @@ def _build_case(spec: SynthSpec, i: int, grade: int | None) -> SynthCase:
             plant_signature(vox, d, spec.signal_strength, rng_motif,
                             grade=grade if d == 1 else None)
     text = _case_text(flags, grade, np.random.Generator(
-        np.random.PCG64(derive_seed(spec.seed, "case-text", i))), spec)
+        np.random.PCG64(derive_seed(spec.seed, "case-text", i))))
     return SynthCase(
         case_id=f"case_{i:04d}",
         volume=Volume3D(voxels=vox),

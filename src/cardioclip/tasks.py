@@ -205,8 +205,7 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
         grads: dict = {}
         dfeats = nn.linear_bwd(params, "head", c_head, dlogits, grads)
         if not cfg.freeze_encoder:
-            zero_demb = np.zeros((len(y), params["vis.proj.w"].shape[1]), dtype=dfeats.dtype)
-            visual_embed_bwd(params, vis_cfg, cache, zero_demb, grads, dfeats=dfeats)
+            visual_embed_bwd(params, vis_cfg, cache, None, grads, dfeats=dfeats)
         return loss, grads
 
     for _, batches, extra in trainer.epochs(len(train_set), cfg, cfg.lr, seed, "finetune-order"):

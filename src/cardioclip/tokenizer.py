@@ -2,7 +2,8 @@
 
 A deterministic, dependency-free stand-in for a pretrained subword tokenizer.
 Ids 0, 1, 2 are reserved for PAD, UNK, CLS; the vocabulary file stores one
-token per line with line number = id.
+token per line with line number = id. tokenize gives a text's ids as a
+tuple with CLS first; pad_batch stacks such tuples into padded arrays.
 """
 
 from __future__ import annotations
@@ -41,22 +42,6 @@ class Vocabulary:
         return self.index.get(word, UNK_ID)
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """CLS-prefixed id sequence; padding only ever follows position length-1."""
-
-    token_ids: tuple[int, ...]
-    length: int
-
-    def __post_init__(self):
-        if self.length < 1 or self.length > len(self.token_ids):
-            raise ValueError(f"length {self.length} out of range for {len(self.token_ids)} ids")
-        if self.token_ids[0] != CLS_ID:
-            raise ValueError("position 0 must be the class token id")
-        if any(t != PAD_ID for t in self.token_ids[self.length:]):
-            raise ValueError("padding ids found before the end of content")
-
-
 def build_vocab(texts) -> Vocabulary:
     """Vocabulary over all words occurring in the given corpus, sorted for determinism."""
     words = set()
@@ -65,30 +50,28 @@ def build_vocab(texts) -> Vocabulary:
     return Vocabulary(tokens=SPECIALS + tuple(sorted(words)))
 
 
-def tokenize(text: str, vocab: Vocabulary, max_len: int | None = None) -> TokenSequence:
-    """Map text to ids: CLS + per-word ids (UNK for unknowns), truncated to max_len."""
+def tokenize(text: str, vocab: Vocabulary, max_len: int | None = None) -> tuple[int, ...]:
+    """Map text to ids: CLS, then one id per word (UNK for unknowns), the
+    whole truncated to max_len."""
     if len(vocab) <= len(SPECIALS):
         raise RuntimeError("vocabulary is empty; run build_vocab over the training corpus first")
     words = normalize_words(text)
     if max_len is not None:
         words = words[: max_len - 1]
-    ids = (CLS_ID,) + tuple(vocab.id_of(w) for w in words)
-    return TokenSequence(token_ids=ids, length=len(ids))
+    return (CLS_ID,) + tuple(vocab.id_of(w) for w in words)
 
 
 def pad_batch(seqs):
-    """Stack sequences into (ids, lengths) int arrays, right-padding with PAD_ID
-    to the longest. Refuses an empty list."""
+    """Stack tokenize's id tuples into (ids, lengths) int64 arrays, each row
+    right-padded with PAD_ID to the longest. Refuses an empty list."""
     import numpy as np
 
     if len(seqs) == 0:
         raise ValueError("no sequences to pad: the list is empty")
-    width = max(s.length for s in seqs)
-    ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
-    lengths = np.zeros(len(seqs), dtype=np.int64)
+    lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)
+    ids = np.full((len(seqs), int(lengths.max())), PAD_ID, dtype=np.int64)
     for i, s in enumerate(seqs):
-        ids[i, : s.length] = s.token_ids[: s.length]
-        lengths[i] = s.length
+        ids[i, : len(s)] = s
     return ids, lengths
 
 

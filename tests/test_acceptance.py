@@ -14,13 +14,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from acceptance_verdicts import zero_shot_verdict
+
 from cardioclip.clip import contrastive_loss, contrastive_pairs, train_clip
 from cardioclip.config import merge_config, stage_configs
 from cardioclip.gradcheck import TOLERANCE, stage_loss_errors
 from cardioclip.mae import masked_mse, sample_mask, train_mae
 from cardioclip.metrics import auroc, ordinal_auroc, recall_at_k
 from cardioclip.model import ModelBundle
-from cardioclip.reports import FreeTextReport, load_catalog, structure_report, structured_from_flags
+from cardioclip.reports import load_catalog, structure_report, structured_from_flags
 from cardioclip.supervision import affinity_matrix, pathology_vector
 from cardioclip.synth import SynthSpec, calcium_wording_severity, generate_full_corpus
 from cardioclip.tasks import (cac_grading, case_retrieval, finetune_classifier, finetune_labels,
@@ -147,9 +149,10 @@ class TestCriterion2MaskSemantics:
         partition_ok = True
         for seed in range(1000):
             n = 8 + (seed % 57)
-            plan = sample_mask(n, 0.75, seed)
-            partition_ok &= sorted(plan.visible_idx + plan.masked_idx) == list(range(n))
-            partition_ok &= plan.n_masked == math.floor(0.75 * n)
+            visible, masked = sample_mask(n, 0.75, seed)
+            partition_ok &= bool(np.all(np.diff(visible) > 0) and np.all(np.diff(masked) > 0))
+            partition_ok &= sorted(visible.tolist() + masked.tolist()) == list(range(n))
+            partition_ok &= masked.size == math.floor(0.75 * n)
         report(
             "criterion 2 (masked-loss semantics)",
             rows_ok and equal_ok and visible_ok and nonzero_ok and partition_ok,
@@ -270,7 +273,7 @@ class TestCriterion6Structurer:
         raw = resources.files("cardioclip.data").joinpath("golden_sentences.jsonl").read_text("utf-8")
         golden = [json.loads(line) for line in raw.splitlines() if line.strip()]
         golden_hits = sum(
-            list(structure_report(FreeTextReport(f"g{i}", e["text"]), catalog).flags) == e["flags"]
+            list(structure_report(f"g{i}", e["text"], catalog).flags) == e["flags"]
             for i, e in enumerate(golden)
         )
 
@@ -280,7 +283,7 @@ class TestCriterion6Structurer:
         closure_hits = 0
         for i in range(1000):
             case = _build_case(spec, i, None)
-            s = structure_report(FreeTextReport(case.case_id, case.free_text), catalog)
+            s = structure_report(case.case_id, case.free_text, catalog)
             closure_hits += s.flags == case.flags
         report(
             "criterion 6 (report structurer)",
@@ -307,20 +310,6 @@ class TestCriterion7Stage1:
 
 # ---------------------------------------------------------------------------
 # criterion 8: stage-2 + zero-shot AUROC >= 0.85 per finding
-
-
-def zero_shot_verdict(per_name: dict, runtime: float):
-    """Criterion 8's (passed, detail) for zero_shot_aurocs' output: every
-    finding at AUROC >= 0.85 within the stage-2 budget. A finding scored None
-    (one class only among the held-out cases) fails."""
-    def fmt(v):
-        return "None (one class)" if v is None else f"{v:.3f}"
-
-    worst = min(per_name.values(), key=lambda v: -math.inf if v is None else v)
-    detail = ", ".join(f"{k.split()[0][:4]}{k.split()[-1][:4]}={fmt(v)}"
-                       for k, v in per_name.items())
-    return (worst is not None and worst >= 0.85 and runtime < 1200,
-            f"{detail}; worst={fmt(worst)}, stage-2 runtime {runtime:.0f}s < 1200s")
 
 
 class TestCriterion8ZeroShot:

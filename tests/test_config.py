@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from cardioclip.config import (
 from cardioclip.encoders import TextEncoderConfig, VisualEncoderConfig
 from cardioclip.mae import DecoderConfig, MAETrainConfig
 from cardioclip.reports import load_catalog
-from cardioclip.synth import SynthSpec
+from cardioclip.synth import SynthSpec, generate_corpus
 from cardioclip.tasks import FinetuneConfig
 
 
@@ -43,12 +43,14 @@ def test_all_violations_listed_together():
     cfg = merge_config({
         "clip": {"temperature": 0.0, "variant_prob": 2.0},
         "geometry": {"dims": [60, 64, 64]},
+        "synth": {"signal_strength": -1.0},
     })
     violations = validate_config(cfg)
     text = "\n".join(violations)
     assert "temperature" in text
     assert "variant_prob" in text
     assert "60" in text
+    assert "signal_strength" in text
     assert len(violations) >= 3
 
 
@@ -101,6 +103,21 @@ def test_digest_is_stable_and_sensitive():
 def test_mask_ratio_feasibility_checked():
     cfg = merge_config({"mae": {"mask_ratio": 0.001}})
     assert any("mask_ratio" in v for v in validate_config(cfg))
+
+
+def test_dims_not_divisible_by_the_patch_size_are_refused_under_visual():
+    cfg = merge_config({"geometry": {"dims": [30, 32, 32]}})
+    violations = validate_config(cfg)
+    assert any(v.startswith("visual:") and "input dim 30" in v for v in violations)
+    assert not any(v.startswith("synth:") for v in violations)
+
+
+def test_dims_off_the_default_patch_grid_are_accepted_with_a_patch_size_that_divides_them():
+    cfg = apply_set_overrides(merge_config(None),
+                              ["geometry.dims=[24,24,24]", "geometry.patch_size=[8,8,8]"])
+    assert validate_config(cfg) == []
+    spec = replace(stage_configs(cfg)["synth"], n_cases=1)
+    assert generate_corpus(spec)[0].volume.dims == (24, 24, 24)
 
 
 def test_finetune_target_is_cac_or_a_catalog_name():
@@ -182,6 +199,7 @@ def test_wrong_types_are_refused_with_their_key():
     (lambda: MAETrainConfig(base_lr=1e-4, min_lr=1e-3), "base_lr"),
     (lambda: SynthSpec(prevalence=(0.3, 0.3)), "prevalence"),
     (lambda: SynthSpec(signal_strength=-1.0), "signal_strength"),
+    (lambda: SynthSpec(dims=(8, 32, 32)), "dims"),
     # counts must be integers (a bool is not one)
     (lambda: MAETrainConfig(epochs=2.5, batch=2), "epochs must be an integer"),
     (lambda: MAETrainConfig(epochs=True), "epochs must be an integer"),

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cardioclip import model, nn
+from cardioclip import gradcheck, model, nn
 from cardioclip.encoders import (
     TextEncoderConfig,
     VisualEncoderConfig,
@@ -12,13 +12,15 @@ from cardioclip.encoders import (
     init_visual_params,
     patch_tokens_bwd,
     patch_tokens_fwd,
+    text_embed_bwd,
     text_embed_fwd,
+    visual_embed_bwd,
     visual_embed_fwd,
 )
 from cardioclip.gradcheck import gradient_check, toy_losses
 from cardioclip.model import ModelBundle, embed_texts, embed_volumes
 from cardioclip.reports import load_catalog
-from cardioclip.tasks import predict_logits
+from cardioclip.tasks import predict_logits, softmax_ce_logits
 from cardioclip.tokenizer import build_vocab, pad_batch, tokenize
 from cardioclip.volume import Volume3D, batch_patches
 
@@ -301,3 +303,56 @@ class TestStageLossGradients:
     def test_contrastive_loss_gradients(self):
         fn, params = toy_losses(8)["contrastive"]
         assert gradient_check(fn, params, n_probes=48, eps=1e-5, seed=11) < 1e-4
+
+    # The fine-tune and text-warmup heads read the pooled features, so their
+    # backward enters each tower with demb None and dfeats only.
+
+    def test_finetune_head_loss_gradients_through_the_features(self):
+        cfg = gradcheck.TOY_VIS
+        rng = np.random.default_rng(3)
+        params = init_visual_params(rng, cfg, proj_dim=4, dtype=np.float64)
+        params["head.w"] = nn.trunc_normal(rng, (cfg.embed_dim, 3), dtype=np.float64)
+        params["head.b"] = nn.zeros(3, np.float64)
+        for k in params:
+            params[k] += rng.normal(0, 0.2, params[k].shape)
+        patches = rng.random((3, cfg.n_patches, cfg.patch_volume))
+        labels = np.array([0, 2, 1])
+
+        def loss_fn(p):
+            feats, _, cache = visual_embed_fwd(p, cfg, patches)
+            logits, c_head = nn.linear_fwd(p, "head", feats)
+            loss, dlogits, _ = softmax_ce_logits(logits, labels)
+            grads = {}
+            dfeats = nn.linear_bwd(p, "head", c_head, dlogits, grads)
+            visual_embed_bwd(p, cfg, cache, None, grads, dfeats=dfeats)
+            return loss, grads
+
+        assert not any(k.startswith("vis.proj") for k in loss_fn(params)[1])
+        assert gradient_check(loss_fn, params, n_probes=64, seed=13) < gradcheck.TOLERANCE
+
+    def test_text_warmup_head_loss_gradients_through_the_features(self):
+        vocab = build_vocab(gradcheck.TOY_TEXTS)
+        cfg = TextEncoderConfig(vocab_size=len(vocab), max_len=8, embed_dim=8, depth=1,
+                                heads=2, mlp_ratio=2.0)
+        rng = np.random.default_rng(4)
+        params = init_text_params(rng, cfg, 4, dtype=np.float64)
+        params["warm.head.w"] = nn.trunc_normal(rng, (cfg.embed_dim, 5), dtype=np.float64)
+        params["warm.head.b"] = nn.zeros(5, np.float64)
+        for k in params:
+            params[k] += rng.normal(0, 0.2, params[k].shape)
+        ids, lengths = pad_batch([tokenize(t, vocab, 8) for t in gradcheck.TOY_TEXTS])
+        targets = rng.random((len(gradcheck.TOY_TEXTS), 5))
+
+        def loss_fn(p):
+            # clip.warmup_text_encoder's loss: a sigmoid cross-entropy per output
+            feats, _, cache = text_embed_fwd(p, cfg, ids, lengths)
+            logits, c_head = nn.linear_fwd(p, "warm.head", feats)
+            prob = 1.0 / (1.0 + np.exp(-logits))
+            loss = float(-(targets * np.log(prob) + (1 - targets) * np.log(1 - prob)).mean())
+            grads = {}
+            dfeats = nn.linear_bwd(p, "warm.head", c_head, (prob - targets) / targets.size, grads)
+            text_embed_bwd(p, cfg, cache, None, grads, dfeats=dfeats)
+            return loss, grads
+
+        assert not any(k.startswith("txt.proj") for k in loss_fn(params)[1])
+        assert gradient_check(loss_fn, params, n_probes=64, seed=17) < gradcheck.TOLERANCE

@@ -8,7 +8,6 @@ from cardioclip.encoders import VisualEncoderConfig, init_visual_params, patch_t
 from cardioclip.mae import (
     DecoderConfig,
     MAETrainConfig,
-    MaskPlan,
     init_decoder_params,
     mae_batch_fwd,
     masked_mse,
@@ -63,19 +62,20 @@ class TestSchedule:
 
 class TestSampleMask:
     def test_paper_ratio_counts(self):
-        m = sample_mask(64, 0.75, seed=0)
-        assert m.n_masked == 48
-        assert m.n_visible == 16
+        visible, masked = sample_mask(64, 0.75, seed=0)
+        assert masked.shape == (48,) and visible.shape == (16,)
+        assert visible.dtype == masked.dtype == np.int64
 
     def test_deterministic_per_seed(self):
-        assert sample_mask(64, 0.75, seed=7) == sample_mask(64, 0.75, seed=7)
-        assert sample_mask(64, 0.75, seed=7) != sample_mask(64, 0.75, seed=8)
+        a, b, c = (sample_mask(64, 0.75, seed=s) for s in (7, 7, 8))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[1], c[1])
 
     def test_masking_frequency_matches_ratio(self):
         counts = np.zeros(4)
         trials = 10_000
         for seed in range(trials):
-            counts[list(sample_mask(4, 0.5, seed).masked_idx)] += 1
+            counts[sample_mask(4, 0.5, seed)[1]] += 1
         freq = counts / trials
         assert np.all(np.abs(freq - 0.5) < 0.02)
 
@@ -88,15 +88,11 @@ class TestSampleMask:
     def test_partition_invariant_over_1000_plans(self):
         for seed in range(1000):
             n = 8 + seed % 57
-            m = sample_mask(n, 0.75, seed)
-            assert sorted(m.visible_idx + m.masked_idx) == list(range(n))
-            assert m.n_masked == math.floor(0.75 * n)
-
-    def test_mask_plan_validation(self):
-        with pytest.raises(ValueError, match="overlap"):
-            MaskPlan(n_total=4, visible_idx=(0, 1), masked_idx=(1, 2), seed=0)
-        with pytest.raises(ValueError, match="partition"):
-            MaskPlan(n_total=4, visible_idx=(0, 1), masked_idx=(3,), seed=0)
+            visible, masked = sample_mask(n, 0.75, seed)
+            # each sorted, and together every index exactly once
+            assert np.all(np.diff(visible) > 0) and np.all(np.diff(masked) > 0)
+            assert sorted(visible.tolist() + masked.tolist()) == list(range(n))
+            assert masked.size == math.floor(0.75 * n)
 
 
 def masked_rows(a, mask_idx):
@@ -180,9 +176,9 @@ def full_decode(params, patches, vis_idx, mask_idx):
 
 def batch_of(volumes, ratio, seed):
     patches = batch_patches(volumes, VIS.patch_size, np.float32)
-    plans = [sample_mask(VIS.n_patches, ratio, seed + i) for i in range(len(volumes))]
-    vis_idx = np.asarray([p.visible_idx for p in plans], dtype=np.int64)
-    mask_idx = np.asarray([p.masked_idx for p in plans], dtype=np.int64)
+    masks = [sample_mask(VIS.n_patches, ratio, seed + i) for i in range(len(volumes))]
+    vis_idx = np.stack([vis for vis, _ in masks])
+    mask_idx = np.stack([msk for _, msk in masks])
     return patches, vis_idx, mask_idx
 
 

@@ -4,7 +4,6 @@ from importlib import resources
 import pytest
 
 from cardioclip.reports import (
-    FreeTextReport,
     StructuredReport,
     load_catalog,
     make_prompt_pair,
@@ -38,22 +37,20 @@ class TestCatalog:
 
 class TestStructureReport:
     def test_direct_mention(self, cat):
-        s = structure_report(FreeTextReport("c1", "Severe coronary stenosis is observed."), cat)
+        s = structure_report("c1", "Severe coronary stenosis is observed.", cat)
         assert s.flags == (True, False, False, False, False, False, False)
 
     def test_negation_and_absence(self, cat):
-        s = structure_report(FreeTextReport("c2", "No pericardial effusion. Heart size normal."), cat)
+        s = structure_report("c2", "No pericardial effusion. Heart size normal.", cat)
         assert s.flags == (False,) * 7
 
     def test_clause_scoped_negation(self, cat):
-        s = structure_report(
-            FreeTextReport("c3", "Calcified plaque in LAD; no aortic calcification."), cat
-        )
+        s = structure_report("c3", "Calcified plaque in LAD; no aortic calcification.", cat)
         assert s.flags[1] is True
         assert s.flags[2] is False
 
     def test_empty_text_all_false(self, cat):
-        s = structure_report(FreeTextReport("c4", ""), cat)
+        s = structure_report("c4", "", cat)
         assert s.flags == (False,) * 7
 
     def test_golden_corpus_exact(self, cat):
@@ -61,7 +58,7 @@ class TestStructureReport:
         assert len(corpus) == 50
         misses = []
         for i, entry in enumerate(corpus):
-            s = structure_report(FreeTextReport(f"g{i}", entry["text"]), cat)
+            s = structure_report(f"g{i}", entry["text"], cat)
             if list(s.flags) != entry["flags"]:
                 misses.append((entry["text"], list(s.flags), entry["flags"]))
         assert not misses, f"{len(misses)} golden sentences mislabeled: {misses[:5]}"
@@ -69,7 +66,7 @@ class TestStructureReport:
     def test_idempotent_on_own_statements(self, cat):
         for flags in [(True,) * 7, (False,) * 7, (True, False, True, False, True, False, True)]:
             s = structured_from_flags("x", flags, cat)
-            again = structure_report(FreeTextReport("x", s.text()), cat)
+            again = structure_report("x", s.text(), cat)
             assert again.flags == s.flags
 
     def test_template_round_trip(self, cat):
@@ -104,7 +101,7 @@ class TestValidateStructured:
     """A report is valid iff it equals structured_from_flags of its own flags."""
 
     def test_structurer_output_is_valid(self, cat):
-        s = structure_report(FreeTextReport("v1", "There is cardiomegaly."), cat)
+        s = structure_report("v1", "There is cardiomegaly.", cat)
         assert s == structured_from_flags("v1", s.flags, cat)
 
     def test_wrong_cardinality(self, cat):

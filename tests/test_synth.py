@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cardioclip.reports import FreeTextReport, load_catalog, structure_report
+from cardioclip.reports import load_catalog, structure_report
 from cardioclip.seeding import substream
 from cardioclip.synth import (
     FALLBACK_SENTENCE,
@@ -36,7 +36,7 @@ class TestGenerateCorpus:
                          cac_fraction=0.0, seed=1)
         for case in generate_corpus(spec):
             assert case.flags == (False,) * 7
-            s = structure_report(FreeTextReport(case.case_id, case.free_text), CAT)
+            s = structure_report(case.case_id, case.free_text, CAT)
             assert s.flags == (False,) * 7
 
     def test_prevalence_one_all_positive(self):
@@ -75,10 +75,6 @@ class TestGenerateCorpus:
             h.update(json.dumps([c.case_id, c.free_text, list(c.flags), c.grade]).encode())
         assert h.hexdigest() == \
             "09fffd1366ecabb519043721ab8b3c3b4656d2344e808ac0783d4bdc9e1ded4b"
-
-    def test_invalid_dims(self):
-        with pytest.raises(ValueError, match="16"):
-            SynthSpec(n_cases=1, dims=(30, 32, 32))
 
 
 class TestPlantSignature:
@@ -180,7 +176,7 @@ class TestCacGrades:
 class TestClosureProperty:
     def test_structurer_recovers_generator_flags(self, small_corpus):
         for case in small_corpus:
-            s = structure_report(FreeTextReport(case.case_id, case.free_text), CAT)
+            s = structure_report(case.case_id, case.free_text, CAT)
             assert s.flags == case.flags, case.free_text
 
     def test_templates_have_min_counts(self):
@@ -189,7 +185,7 @@ class TestClosureProperty:
             assert len(NEGATIVE_TEMPLATES[d]) >= 3
 
     def test_fallback_sentence_is_neutral(self):
-        s = structure_report(FreeTextReport("f", FALLBACK_SENTENCE), CAT)
+        s = structure_report("f", FALLBACK_SENTENCE, CAT)
         assert s.flags == (False,) * 7
 
 

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from test_acceptance import zero_shot_verdict
+from acceptance_verdicts import zero_shot_verdict
 
 from cardioclip import optim, tasks
 from cardioclip.encoders import TextEncoderConfig, VisualEncoderConfig, init_text_params, init_visual_params

@@ -5,7 +5,6 @@ from cardioclip.tokenizer import (
     PAD_ID,
     SPECIALS,
     UNK_ID,
-    TokenSequence,
     Vocabulary,
     build_vocab,
     load_vocab,
@@ -26,33 +25,30 @@ def test_reserved_ids():
 
 def test_tokenize_prepends_cls(vocab):
     seq = tokenize("There is coronary stenosis", vocab)
-    assert seq.token_ids[0] == CLS_ID
-    assert seq.length == 5
-    words = [vocab.tokens[i] for i in seq.token_ids[1:]]
+    assert seq[0] == CLS_ID
+    assert len(seq) == 5
+    words = [vocab.tokens[i] for i in seq[1:]]
     assert words == ["there", "is", "coronary", "stenosis"]
 
 
 def test_empty_text_is_cls_only(vocab):
-    seq = tokenize("", vocab)
-    assert seq.token_ids == (CLS_ID,)
-    assert seq.length == 1
+    assert tokenize("", vocab) == (CLS_ID,)
 
 
 def test_unknown_word_maps_to_unk(vocab):
     seq = tokenize("there is cardiomegaly", vocab)
-    assert seq.token_ids[3] == UNK_ID
+    assert seq[3] == UNK_ID
 
 
 def test_punctuation_and_case_are_normalized(vocab):
     a = tokenize("There is CORONARY stenosis.", vocab)
     b = tokenize("there is coronary stenosis", vocab)
-    assert a.token_ids == b.token_ids
+    assert a == b
 
 
 def test_truncation_to_max_len(vocab):
     seq = tokenize("there is coronary stenosis", vocab, max_len=3)
-    assert seq.length == 3
-    assert len(seq.token_ids) == 3
+    assert seq == (CLS_ID, vocab.id_of("there"), vocab.id_of("is"))
 
 
 def test_empty_vocab_raises():
@@ -61,19 +57,13 @@ def test_empty_vocab_raises():
         tokenize("anything", empty)
 
 
-def test_token_sequence_invariants():
-    with pytest.raises(ValueError, match="class token"):
-        TokenSequence(token_ids=(5, 6), length=2)
-    with pytest.raises(ValueError, match="padding"):
-        TokenSequence(token_ids=(CLS_ID, 7, PAD_ID, 7), length=2)
-
-
 def test_pad_batch(vocab):
     seqs = [tokenize("there is", vocab), tokenize("no pericardial effusion seen", vocab)]
     ids, lengths = pad_batch(seqs)
     assert ids.shape == (2, 5)
     assert lengths.tolist() == [3, 5]
-    assert ids[0, 3] == PAD_ID and ids[0, 4] == PAD_ID
+    assert ids[0].tolist() == [*seqs[0], PAD_ID, PAD_ID]
+    assert ids[1].tolist() == list(seqs[1])
 
 
 def test_vocab_file_round_trip(tmp_path, vocab):
