@@ -3,8 +3,10 @@ float32 payload. Round trips are bit-exact because parameters are stored float32
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 
 import numpy as np
 
@@ -13,36 +15,50 @@ class CheckpointError(ValueError):
     """Inconsistent manifest/payload pair."""
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "w"):
+    """Open <path>.tmp for writing; on a clean exit it replaces path
+    (os.replace), and on an error it is removed, so path is either left as
+    it was or holds the whole new content, and no temp file stays behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(params, tag: str, stem, config_digest: str = "") -> None:
-    """Write <stem>.json (manifest) and <stem>.bin (payload)."""
-    names = sorted(params.keys())
+    """Write <stem>.json (manifest) and <stem>.bin (payload), tensor by
+    tensor. Both go to temp files that replace the pair only once both are
+    whole: a save that fails (say, on a non-finite tensor) leaves the
+    previous checkpoint as it was."""
     tensors = []
     offset = 0
-    blobs = []
-    for name in names:
-        arr = np.ascontiguousarray(params[name], dtype="<f4")
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"tensor {name!r} contains non-finite values")
-        tensors.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": "f32",
-            "offset": offset,
-        })
-        blobs.append(arr.tobytes())
-        offset += arr.nbytes
-    manifest = {
-        "stage": tag,
-        "config_digest": config_digest,
-        "payload_bytes": offset,
-        "tensors": tensors,
-    }
-    with open(f"{stem}.json", "w", encoding="utf-8") as fh:
+    with replacing(f"{stem}.bin", "wb") as payload, replacing(f"{stem}.json") as fh:
+        for name in sorted(params.keys()):
+            arr = np.ascontiguousarray(params[name], dtype="<f4")
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"tensor {name!r} contains non-finite values")
+            tensors.append({
+                "name": name,
+                "shape": list(arr.shape),
+                "dtype": "f32",
+                "offset": offset,
+            })
+            payload.write(arr.data)
+            offset += arr.nbytes
+        manifest = {
+            "stage": tag,
+            "config_digest": config_digest,
+            "payload_bytes": offset,
+            "tensors": tensors,
+        }
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    with open(f"{stem}.bin", "wb") as fh:
-        for blob in blobs:
-            fh.write(blob)
 
 
 def _check_manifest(manifest) -> None:

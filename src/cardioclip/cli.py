@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, replacing, save_checkpoint
 from .clip import contrastive_pairs, train_clip
 from .config import ConfigError, config_digest, load_config, stage_configs
 from .gradcheck import EPS, N_PROBES, TOLERANCE, stage_loss_errors
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_root(args) -> str:
+def out_root(args) -> str:
     return args.out or os.environ.get("CARDIOCLIP_OUT") or "runs"
 
 
@@ -63,7 +63,7 @@ def _cmd_dir(root: str, command: str) -> str:
 
 
 def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -384,7 +384,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 3
-    root = _out_root(args)
+    root = out_root(args)
     os.makedirs(root, exist_ok=True)
     try:
         _HANDLERS[args.command](args, cfg, root)

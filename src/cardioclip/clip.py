@@ -139,8 +139,11 @@ def sample_text_variant(free_text: str, structured: StructuredReport, rng,
 def clip_batch_fwd_bwd(params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoderConfig,
                        patches: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
                        targets: np.ndarray, tau: float):
-    """One contrastive step: returns (loss, grads, S)."""
+    """One contrastive step: returns (loss, grads, S). Drops its reference to
+    patches once the visual forward has cached their standardized copy, so a
+    caller that keeps none holds one copy through the backward."""
     _, v_emb, c_vis = visual_embed_fwd(params, vis_cfg, patches)
+    del patches
     _, t_emb, c_txt = text_embed_fwd(params, txt_cfg, ids, lengths)
     S, c_cos = cosine_rows(v_emb, t_emb)
     loss, dS = contrastive_loss(S, targets, tau)
@@ -273,11 +276,11 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
     dtype = params["vis.patch.w"].dtype
 
     def batch_step(vols, texts, vecs):
-        patches = batch_patches(vols, vis_cfg.patch_size, dtype)
         ids, lengths = pad_batch([tokenize(t, vocab, txt_cfg.max_len) for t in texts])
         targets = targets_from_affinity(affinity_matrix(vecs))
         loss, grads, _ = clip_batch_fwd_bwd(
-            trainable, vis_cfg, txt_cfg, patches, ids, lengths, targets, cfg.temperature
+            trainable, vis_cfg, txt_cfg, batch_patches(vols, vis_cfg.patch_size, dtype),
+            ids, lengths, targets, cfg.temperature
         )
         return loss, grads
 

@@ -120,8 +120,8 @@ def mae_batch_fwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
     B, N, P = patches.shape
     ed = dec_cfg.embed_dim
     rows = np.arange(B)[:, None]
-    vis_patches = patches[rows, vis_idx]
-    x, c_tok = patch_tokens_fwd(params, vis_patches, positions=vis_idx)
+    # no local keeps the visible-patch gather: it dies once standardized
+    x, c_tok = patch_tokens_fwd(params, patches[rows, vis_idx], positions=vis_idx)
     x, c_enc = nn.stack_fwd(params, "vis", x, vis_cfg.depth, vis_cfg.heads)
     enc_out, c_lnf = nn.layernorm_fwd(params, "vis.lnf", x)
     dec_lin, c_emb = nn.linear_fwd(params, "dec.embed", enc_out)

@@ -27,13 +27,24 @@ class ModelBundle:
         return self.params["vis.patch.w"].dtype
 
 
-VOLUME_CHUNK = 32  # volumes per batched visual forward
+# most volumes per batched visual forward. A chunk's forward holds its raw
+# patches, their standardized copy and every block's activations at once: at
+# the 64^3 default a (32, 64, 4096) float32 batch is 33.5 MB per copy. At 32,
+# eval-zeroshot raised a 100-case pipeline's peak RSS from 208 to 304 MB; at
+# 8 it stays at 200 MB, and embedding 52 volumes takes about as long.
+VOLUME_CHUNK = 8
 TEXT_CHUNK = 64  # texts per batched text forward
 
 
 def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, dtype, readout) -> np.ndarray:
-    """readout(features, projected) of every volume, VOLUME_CHUNK volumes per
-    batched forward, stacked along axis 0.
+    """readout(features, projected) of every volume, stacked along axis 0.
+
+    The volumes go through ceil(n / VOLUME_CHUNK) batched forwards of
+    balanced size (np.array_split), so no chunk holds a single volume unless
+    n == 1: a one-row batch sends vis.proj down BLAS's gemv path, which
+    rounds differently from the gemm that embeds the same volume in a larger
+    chunk. Measured at the 64^3 default, every row is then bitwise the same
+    at chunk sizes 4 to 32 (not at 1).
 
     Refuses an empty list, and any volume whose dims are not
     vis_cfg.input_dims: a volume of another shape can have the same number
@@ -54,8 +65,8 @@ def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, dtype, readou
                 f"config's input_dims {vis_cfg.input_dims} with n_patches {vis_cfg.n_patches}"
             )
     out = []
-    for i in range(0, len(volumes), VOLUME_CHUNK):
-        patches = batch_patches(volumes[i : i + VOLUME_CHUNK], vis_cfg.patch_size, dtype)
+    for idx in np.array_split(np.arange(len(volumes)), -(-len(volumes) // VOLUME_CHUNK)):
+        patches = batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, dtype)
         feats, emb = visual_embed_fwd(params, vis_cfg, patches)[:2]
         out.append(readout(feats, emb))
     return np.concatenate(out, axis=0)

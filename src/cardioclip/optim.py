@@ -139,6 +139,9 @@ class Trainer:
     batch_step(...) -> (loss, grads) and calls step(*batch_step(...)), so
     the step's inputs and forward cache are freed when batch_step returns
     and its gradients when step returns, all before the next batch is built.
+    Within a step they hold one copy of its patches: the raw batch (stage 1:
+    its visible-patch gather) is handed straight to the forward and dies
+    once the forward has cached its standardized copy.
     """
 
     def __init__(self, stage: str, params, weight_decay: float, lr_scale_of=None):

@@ -197,8 +197,10 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
     def batch_step(idx):
         nonlocal hits
         y = labels_all[idx]
-        patches = batch_patches([train_set[i][0] for i in idx], vis_cfg.patch_size, dtype)
-        feats, _, cache = visual_embed_fwd(params, vis_cfg, patches)
+        vols = [train_set[i][0] for i in idx]
+        # no local keeps the raw batch: the forward caches its standardized copy
+        feats, _, cache = visual_embed_fwd(params, vis_cfg,
+                                           batch_patches(vols, vis_cfg.patch_size, dtype))
         logits, c_head = nn.linear_fwd(params, "head", feats)
         loss, dlogits, probs = softmax_ce_logits(logits, y)
         hits += int((probs.argmax(axis=1) == y).sum())

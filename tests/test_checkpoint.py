@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cardioclip import checkpoint
 from cardioclip.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
@@ -64,6 +65,31 @@ def test_non_finite_tensor_rejected_on_save(tmp_path):
     params["vis.cls"][0] = np.inf
     with pytest.raises(CheckpointError, match="finite"):
         save_checkpoint(params, "mae", tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("failure", ["payload", "manifest"])
+def test_save_failing_partway_leaves_the_previous_pair_and_no_temp_file(tmp_path, monkeypatch,
+                                                                        failure):
+    params = params_fixture()
+    stem = tmp_path / "ckpt"
+    save_checkpoint(params, "mae", stem, config_digest="old")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    params["txt.tok"] += 1.0
+    if failure == "payload":
+        # tensors are written in name order, so "vis.patch.w" fails after two are in
+        params["vis.patch.w"][0, 0] = np.nan
+        error, match = CheckpointError, "'vis.patch.w' contains non-finite"
+    else:
+        def dump_then_fail(doc, fh, **kwargs):
+            fh.write('{"stage": ')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(checkpoint.json, "dump", dump_then_fail)
+        error, match = OSError, "no space left"
+    with pytest.raises(error, match=match):
+        save_checkpoint(params, "clip", stem, config_digest="new")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert load_checkpoint(stem)[1]["config_digest"] == "old"
 
 
 def test_manifest_is_sorted_and_self_describing(tmp_path):

@@ -213,3 +213,14 @@ class TestEnvOverride:
         code = main(["gradcheck", "--config", str(workdir / "config.json")])
         assert code == 0
         assert (tmp_path / "env_runs" / "gradcheck" / "metrics.json").exists()
+
+
+def test_json_write_failing_partway_leaves_the_previous_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "metrics.json"
+    cli._write_json(path, {"a": 1})
+    before = path.read_bytes()
+    # json.dump has written '{"a": 2, ' when it meets the set
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._write_json(path, {"a": 2, "b": {3}})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["metrics.json"]

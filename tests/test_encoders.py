@@ -285,6 +285,28 @@ class TestEncodeImage:
         assert len(cached) == 3
         np.testing.assert_allclose(chunked, whole, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_rows_do_not_depend_on_the_chunk_size(self, monkeypatch, n):
+        # chunks are balanced, so none holds a single volume (which would take
+        # BLAS's gemv path and round differently) and none exceeds VOLUME_CHUNK
+        bundle = self.bundle()
+        vols = [toy_volume(s) for s in range(n)]
+        real, sizes = model.visual_embed_fwd, []
+
+        def spy(params, cfg, patches):
+            sizes.append(patches.shape[0])
+            return real(params, cfg, patches)
+
+        monkeypatch.setattr(model, "visual_embed_fwd", spy)
+        rows = {}
+        for chunk in (4, 8, 32):
+            monkeypatch.setattr(model, "VOLUME_CHUNK", chunk)
+            sizes.clear()
+            rows[chunk] = embed_volumes(bundle, vols)
+            assert sum(sizes) == n and len(sizes) == -(-n // chunk)
+            assert min(sizes) >= 2 and max(sizes) <= chunk, sizes
+        assert rows[4].tobytes() == rows[8].tobytes() == rows[32].tobytes()
+
     def test_empty_list(self):
         bundle = self.bundle()
         with pytest.raises(ValueError, match="no volumes to embed: the list is empty"):

@@ -1,13 +1,14 @@
 """The training loop the four stages share (optim.Trainer): the non-finite
 loss check, the per-epoch records handed to trace_hook, stage 2's skipped
-trailing singleton batch, and that no step's buffers outlive the step."""
+trailing singleton batch, that no step's buffers outlive the step, and that
+a step holds one copy of its patches."""
 
 import weakref
 
 import numpy as np
 import pytest
 
-from cardioclip import clip, mae, optim
+from cardioclip import clip, mae, optim, tasks
 from cardioclip.clip import ContrastiveConfig, train_clip, warmup_text_encoder
 from cardioclip.encoders import (
     TextEncoderConfig,
@@ -208,6 +209,16 @@ def run_contrastive():
     train_clip(cases, params, VIS, txt, vocab, cfg, seed=0)
 
 
+def run_fine_tune():
+    cases = pairs(6)
+    params = visual_params()
+    txt, vocab = text_setup(cases, params)
+    bundle = ModelBundle(params=params, vis_cfg=VIS, txt_cfg=txt, vocab=vocab, catalog=CAT)
+    train = [(v, i % 2) for i, (v, _, _, _) in enumerate(cases)]
+    cfg = FinetuneConfig(epochs=1, batch=2, freeze_encoder=False)
+    finetune_classifier(train, params, 2, cfg, bundle, seed=0)
+
+
 class TestStepLifetimes:
     """Each loop holds one step of buffers: when a step's first forward
     starts, the inputs, forward cache and gradients of every earlier step
@@ -238,3 +249,42 @@ class TestStepLifetimes:
         run()
         # three steps, the first forward's inputs and cache alone holding > 10 arrays
         assert len(forwards) == 3 and forwards[0] > 10
+
+
+class TestOneCopyOfPatches:
+    """Within a step, the raw patch batch dies once the forward has cached its
+    standardized copy: nothing but the forward holds it."""
+
+    @pytest.mark.parametrize("module, run", [(clip, run_contrastive), (tasks, run_fine_tune)],
+                             ids=["contrastive", "fine_tune"])
+    def test_raw_batch_is_freed_before_the_visual_backward(self, monkeypatch, module, run):
+        real_fwd, real_bwd, raw, freed = module.visual_embed_fwd, module.visual_embed_bwd, [], []
+
+        def spy_fwd(params, cfg, patches):
+            raw.append(weakref.ref(patches))
+            return real_fwd(params, cfg, patches)
+
+        def spy_bwd(*args, **kwargs):
+            freed.append(raw[-1]() is None)
+            return real_bwd(*args, **kwargs)
+
+        monkeypatch.setattr(module, "visual_embed_fwd", spy_fwd)
+        monkeypatch.setattr(module, "visual_embed_bwd", spy_bwd)
+        run()
+        assert freed == [True] * 3
+
+    def test_visible_patch_gather_is_freed_before_the_loss(self, monkeypatch):
+        real_tokens, real_mse, gathers, freed = mae.patch_tokens_fwd, mae.masked_mse, [], []
+
+        def spy_tokens(params, patches, positions=None):
+            gathers.append(weakref.ref(patches))
+            return real_tokens(params, patches, positions)
+
+        def spy_mse(*args):
+            freed.append(gathers[-1]() is None)
+            return real_mse(*args)
+
+        monkeypatch.setattr(mae, "patch_tokens_fwd", spy_tokens)
+        monkeypatch.setattr(mae, "masked_mse", spy_mse)
+        run_reconstruction()
+        assert freed == [True] * 3
