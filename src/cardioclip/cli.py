@@ -2,9 +2,11 @@
 pre-training stages, the evaluation suite, fine-tuning, and the gradient
 checker. Each command reads its inputs (the corpus as synth.SynthCase lists,
 a checkpoint), makes the library call the acceptance suite makes, and
-writes a self-describing output directory (config copy, manifest, metrics
-rounded to 6 places, checkpoints), mirroring its metrics to stdout as
-JSON. Exit codes: 0 success, 2 usage, 3 invalid configuration
+writes a self-describing output directory (config copy, manifest, metrics,
+checkpoints), mirroring its metrics to stdout as JSON. synth,
+structure-reports, the three eval commands and finetune round their
+metrics to 6 places; pretrain-mae, pretrain-clip and gradcheck write them
+unrounded. Exit codes: 0 success, 2 usage, 3 invalid configuration
 (an unknown key, a malformed --set, a value of the wrong type or out of
 bounds), 1 runtime failure."""
 
@@ -89,7 +91,7 @@ def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict, extra_manifest=N
     sys.stdout.write("\n")
 
 
-def _load_synth(root: str, cfg: dict, volumes=("train", "eval"), graded_only=False):
+def _load_synth(root: str, volumes=("train", "eval"), graded_only=False):
     """Read the synth output back as (train, eval) lists of SynthCase, each
     case's index its line in reports.jsonl.
 
@@ -178,7 +180,7 @@ def cmd_synth(args, cfg: dict, root: str) -> None:
 
 def cmd_structure_reports(args, cfg: dict, root: str) -> None:
     cat = load_catalog()
-    train, evalset = _load_synth(root, cfg, volumes=())
+    train, evalset = _load_synth(root, volumes=())
     out = _cmd_dir(root, "structure_reports")
     n_match = 0
     total = 0
@@ -199,7 +201,7 @@ def cmd_structure_reports(args, cfg: dict, root: str) -> None:
 
 def cmd_pretrain_mae(args, cfg: dict, root: str) -> None:
     stages = stage_configs(cfg)
-    train, _ = _load_synth(root, cfg, volumes=("train",))
+    train, _ = _load_synth(root, volumes=("train",))
     out = _cmd_dir(root, "pretrain_mae")
     with open(os.path.join(out, "trace.jsonl"), "w", encoding="utf-8") as fh:
         params, trace = train_mae(
@@ -218,7 +220,7 @@ def cmd_pretrain_mae(args, cfg: dict, root: str) -> None:
 
 
 def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
-    train, _ = _load_synth(root, cfg, volumes=("train",))
+    train, _ = _load_synth(root, volumes=("train",))
     params = _load_params(args.init or os.path.join(root, "pretrain_mae", "checkpoint"),
                           cfg, args.force)
     pairs, vocab = contrastive_pairs(train, load_catalog())
@@ -246,7 +248,7 @@ def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
 
 def cmd_eval_zeroshot(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    _, evalset = _load_synth(root, cfg, volumes=("eval",))
+    _, evalset = _load_synth(root, volumes=("eval",))
     per_name = zero_shot_aurocs(evalset, bundle)
     values = [v for v in per_name.values() if v is not None]
     metrics = {
@@ -260,7 +262,7 @@ def cmd_eval_zeroshot(args, cfg: dict, root: str) -> None:
 
 def cmd_eval_retrieval(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    _, evalset = _load_synth(root, cfg, volumes=("eval",))
+    _, evalset = _load_synth(root, volumes=("eval",))
     scores = case_retrieval(evalset, bundle, cfg["eval"]["recall_ks"], cfg["eval"]["precision_ks"])
     metrics = {
         "recall": {k: round(x, 6) for k, x in scores["recall"].items()},
@@ -300,7 +302,7 @@ def cmd_eval_cac(args, cfg: dict, root: str) -> None:
     zero-shot margin s_p - s_n of the calcium prompt pair, in [-2, 2].
     """
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    _, evalset = _load_synth(root, cfg, volumes=("eval",), graded_only=True)
+    _, evalset = _load_synth(root, volumes=("eval",), graded_only=True)
     graded = [c for c in evalset if c.grade is not None]
     per_threshold, conf = cac_grading(graded, bundle)
     grades = [c.grade for c in graded]
@@ -321,7 +323,7 @@ def cmd_eval_cac(args, cfg: dict, root: str) -> None:
 def cmd_finetune(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
     target = cfg["finetune"]["target"]
-    train, evalset = _load_synth(root, cfg, graded_only=target == "cac")
+    train, evalset = _load_synth(root, graded_only=target == "cac")
     train_pairs, head_classes = finetune_labels(train, target, bundle.catalog)
     eval_pairs, _ = finetune_labels(evalset, target, bundle.catalog)
     params, result = finetune_classifier(train_pairs, bundle.params, head_classes,

@@ -16,6 +16,7 @@ from . import nn
 from .encoders import (
     TextEncoderConfig,
     VisualEncoderConfig,
+    check_volume_dims,
     init_text_params,
     text_embed_bwd,
     text_embed_fwd,
@@ -32,12 +33,12 @@ from .volume import batch_patches
 
 @dataclass(frozen=True)
 class ContrastiveConfig:
-    temperature: float = 0.07
+    temperature: float = 0.2
     variant_prob: float = 0.5
     epochs: int = 10
     batch: int = 8
-    lr: float = 1e-5
-    proj_lr: float = 5e-5
+    lr: float = 1e-3
+    proj_lr: float = 5e-3
     weight_decay: float = 0.01
     warmup_frac: float = 0.05
     min_lr: float = 0.0
@@ -127,7 +128,7 @@ def contrastive_loss(S: np.ndarray, T: np.ndarray, tau: float):
 
 
 def sample_text_variant(free_text: str, structured: StructuredReport, rng,
-                        variant_prob: float = 0.5) -> str:
+                        variant_prob: float) -> str:
     """Structured statement concatenation with probability variant_prob, else free text."""
     return structured.text() if rng.random() < variant_prob else free_text
 
@@ -259,12 +260,14 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
     params must already carry the visual trunk (vis.*); text parameters are
     initialized here when absent. Two learning-rate groups: encoders at
     cfg.lr, projection heads at cfg.proj_lr. pairs holds one (volume, free
-    text, structured report, pathology vector) tuple per case. Returns
-    (params, trace).
+    text, structured report, pathology vector) tuple per case; fewer than 2
+    pairs, or a volume whose dims are not vis_cfg.input_dims, is refused
+    before any step. Returns (params, trace).
     """
     n = len(pairs)
     if n < 2:
         raise ValueError("contrastive training needs at least 2 paired cases")
+    check_volume_dims(vis_cfg, [p[0] for p in pairs])
     if "txt.tok" not in params:
         init_text_params(substream(seed, "init-text"), txt_cfg, params["vis.proj.w"].shape[1], params)
     warmup_text_encoder(pairs, params, txt_cfg, vocab, cfg, seed, severity_fn=severity_fn)

@@ -1,6 +1,12 @@
 """One JSON document of every tunable, and the stage config dataclasses
 built from its sections.
 
+Each stage default lives only on its dataclass: DEFAULT_CONFIG's sections
+are the field defaults of the dataclasses built from them (the geometry is
+the visual config's input_dims and patch_size), and it writes out only the
+values no dataclass holds: seed, proj_dim, synth.train_cases,
+finetune.target and eval.
+
 A --config file and each --set key.path=value are merged into the defaults
 by one function, which refuses unknown keys and values whose type is not
 that of the default (a float takes any finite number). Each section's
@@ -13,6 +19,7 @@ time.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,56 +31,27 @@ from .reports import load_catalog
 from .synth import SynthSpec
 from .tasks import FinetuneConfig
 
+
+def _section(cls, *drop) -> dict:
+    """The field defaults of a stage dataclass as a config section, tuples
+    written as JSON lists; fields named in drop are left out."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(cls) if f.name not in drop}
+
+
 DEFAULT_CONFIG = {
     "seed": 0,
-    "geometry": {"dims": [64, 64, 64], "patch_size": [16, 16, 16]},
-    "visual": {"embed_dim": 128, "depth": 4, "heads": 4, "mlp_ratio": 4.0},
-    "text": {"embed_dim": 128, "depth": 2, "heads": 4, "max_len": 64, "mlp_ratio": 4.0},
-    "decoder": {"embed_dim": 64, "depth": 2, "heads": 4, "mlp_ratio": 4.0},
+    "geometry": {"dims": list(VisualEncoderConfig.input_dims),
+                 "patch_size": list(VisualEncoderConfig.patch_size)},
+    "visual": _section(VisualEncoderConfig, "patch_size", "input_dims"),
+    "text": _section(TextEncoderConfig, "vocab_size"),
+    "decoder": _section(DecoderConfig),
     "proj_dim": 64,
-    "mae": {
-        "epochs": 20,
-        "batch": 16,
-        "base_lr": 1e-4,
-        "weight_decay": 0.01,
-        "warmup_frac": 0.05,
-        "min_lr": 0.0,
-        "mask_ratio": 0.75,
-    },
-    "clip": {
-        "epochs": 10,
-        "batch": 8,
-        "lr": 1e-3,
-        "proj_lr": 5e-3,
-        "weight_decay": 0.01,
-        "warmup_frac": 0.05,
-        "min_lr": 0.0,
-        "temperature": 0.2,
-        "variant_prob": 0.5,
-        "text_warmup_steps": 300,
-        "text_warmup_lr": 1e-3,
-        "text_warmup_batch": 16,
-        "text_warmup_statement_frac": 0.5,
-    },
-    "finetune": {
-        "epochs": 10,
-        "batch": 16,
-        "lr": 3e-4,
-        "head_lr": 1.5e-3,
-        "weight_decay": 0.01,
-        "warmup_frac": 0.05,
-        "freeze_encoder": False,
-        "target": "cac",
-    },
-    "synth": {
-        # per-finding prevalence; coronary calcification runs lower because
-        # uniform CAC grades add flag-positive cases on top of the base rate
-        "prevalence": [0.3, 0.1, 0.3, 0.3, 0.3, 0.3, 0.3],
-        "n_cases": 640,
-        "train_cases": 512,
-        "signal_strength": 0.4,
-        "cac_fraction": 0.4,
-    },
+    "mae": _section(MAETrainConfig),
+    "clip": _section(ContrastiveConfig),
+    # no finetune.min_lr key: fine-tuning always decays to the dataclass's 0.0
+    "finetune": {**_section(FinetuneConfig, "min_lr"), "target": "cac"},
+    "synth": {**_section(SynthSpec, "dims", "seed"), "train_cases": 512},
     "eval": {"recall_ks": [5, 10, 50], "precision_ks": [5, 10, 50]},
 }
 
@@ -148,13 +126,6 @@ def apply_set_overrides(cfg: dict, assignments) -> dict:
     return cfg
 
 
-def _synth_spec(cfg: dict) -> SynthSpec:
-    s = cfg["synth"]
-    return SynthSpec(n_cases=s["n_cases"], dims=tuple(cfg["geometry"]["dims"]),
-                     prevalence=tuple(s["prevalence"]), signal_strength=s["signal_strength"],
-                     cac_fraction=s["cac_fraction"], seed=cfg["seed"])
-
-
 # section name -> builder(cfg, vocab_size) of its stage config dataclass
 _BUILDERS = {
     "visual": lambda cfg, _: VisualEncoderConfig(patch_size=tuple(cfg["geometry"]["patch_size"]),
@@ -166,7 +137,9 @@ _BUILDERS = {
     "clip": lambda cfg, _: ContrastiveConfig(**cfg["clip"]),
     "finetune": lambda cfg, _: FinetuneConfig(
         **{k: v for k, v in cfg["finetune"].items() if k != "target"}),
-    "synth": lambda cfg, _: _synth_spec(cfg),
+    "synth": lambda cfg, _: SynthSpec(
+        dims=tuple(cfg["geometry"]["dims"]), seed=cfg["seed"],
+        **{k: v for k, v in cfg["synth"].items() if k != "train_cases"}),
 }
 
 

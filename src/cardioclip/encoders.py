@@ -57,6 +57,19 @@ class VisualEncoderConfig:
         return int(self.embed_dim * self.mlp_ratio)
 
 
+def check_volume_dims(cfg: VisualEncoderConfig, volumes) -> None:
+    """Refuse any volume whose dims are not cfg.input_dims: a volume of
+    another shape can have the same number of patches, which would then take
+    the positional vectors of the wrong grid cells."""
+    for i, v in enumerate(volumes):
+        if v.dims != tuple(cfg.input_dims):
+            n = int(np.prod([d // p for d, p in zip(v.dims, cfg.patch_size)]))
+            raise ValueError(
+                f"volume {i} has dims {v.dims}, {n} patches of {cfg.patch_size}, not the "
+                f"config's input_dims {cfg.input_dims} with n_patches {cfg.n_patches}"
+            )
+
+
 @dataclass(frozen=True)
 class TextEncoderConfig:
     vocab_size: int

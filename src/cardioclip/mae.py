@@ -15,6 +15,7 @@ import numpy as np
 from . import nn
 from .encoders import (
     VisualEncoderConfig,
+    check_volume_dims,
     init_visual_params,
     patch_tokens_bwd,
     patch_tokens_fwd,
@@ -44,7 +45,7 @@ class DecoderConfig:
 class MAETrainConfig:
     epochs: int = 20
     batch: int = 16
-    base_lr: float = 1e-3
+    base_lr: float = 1e-4
     weight_decay: float = 0.01
     warmup_frac: float = 0.05
     min_lr: float = 0.0
@@ -184,13 +185,13 @@ def train_mae(volumes, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
     One optimizer step per batch; each volume draws a fresh sample_mask per
     epoch, and the batch's visible and masked index arrays are stacked into
     (B, N_v) and (B, N_m). The trace holds one record per epoch: epoch,
-    mean_loss, lr_last.
+    mean_loss, lr_last. An empty corpus, or a volume whose dims are not
+    vis_cfg.input_dims, is refused before any step.
     """
     n = len(volumes)
     if n == 0:
         raise ValueError("training corpus is empty")
-    if any(v.dims != tuple(vis_cfg.input_dims) for v in volumes):
-        raise ValueError("corpus volume dims do not match config input_dims")
+    check_volume_dims(vis_cfg, volumes)
     if params is None:
         rng = substream(seed, "init")
         params = init_visual_params(rng, vis_cfg, proj_dim)

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import TextEncoderConfig, VisualEncoderConfig, text_embed_fwd, visual_embed_fwd
+from .encoders import (TextEncoderConfig, VisualEncoderConfig, check_volume_dims, text_embed_fwd,
+                       visual_embed_fwd)
 from .reports import AbnormalityCatalog
 from .tokenizer import Vocabulary, pad_batch, tokenize
 from .volume import batch_patches
@@ -22,10 +23,6 @@ class ModelBundle:
     vocab: Vocabulary
     catalog: AbnormalityCatalog
 
-    @property
-    def dtype(self):
-        return self.params["vis.patch.w"].dtype
-
 
 # most volumes per batched visual forward. A chunk's forward holds its raw
 # patches, their standardized copy and every block's activations at once: at
@@ -36,8 +33,9 @@ VOLUME_CHUNK = 8
 TEXT_CHUNK = 64  # texts per batched text forward
 
 
-def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, dtype, readout) -> np.ndarray:
+def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, readout) -> np.ndarray:
     """readout(features, projected) of every volume, stacked along axis 0.
+    The patches are standardized in the dtype of the params.
 
     The volumes go through ceil(n / VOLUME_CHUNK) batched forwards of
     balanced size (np.array_split), so no chunk holds a single volume unless
@@ -47,9 +45,7 @@ def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, dtype, readou
     at chunk sizes 4 to 32 (not at 1).
 
     Refuses an empty list, and any volume whose dims are not
-    vis_cfg.input_dims: a volume of another shape can have the same number
-    of patches, which would then take the positional vectors of the wrong
-    grid cells.
+    vis_cfg.input_dims (encoders.check_volume_dims).
 
     No chunk's activation cache outlives its forward: only the features and
     the projection are kept from each call, so at most one chunk of
@@ -57,13 +53,8 @@ def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, dtype, readou
     """
     if len(volumes) == 0:
         raise ValueError("no volumes to embed: the list is empty")
-    for i, v in enumerate(volumes):
-        if v.dims != tuple(vis_cfg.input_dims):
-            n = int(np.prod([d // p for d, p in zip(v.dims, vis_cfg.patch_size)]))
-            raise ValueError(
-                f"volume {i} has dims {v.dims}, {n} patches of {vis_cfg.patch_size}, not the "
-                f"config's input_dims {vis_cfg.input_dims} with n_patches {vis_cfg.n_patches}"
-            )
+    check_volume_dims(vis_cfg, volumes)
+    dtype = params["vis.patch.w"].dtype
     out = []
     for idx in np.array_split(np.arange(len(volumes)), -(-len(volumes) // VOLUME_CHUNK)):
         patches = batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, dtype)
@@ -74,8 +65,7 @@ def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, dtype, readou
 
 def embed_volumes(bundle: ModelBundle, volumes) -> np.ndarray:
     """Projected embeddings (n, proj_dim) for a list of volumes."""
-    return forward_volumes(bundle.params, bundle.vis_cfg, volumes, bundle.dtype,
-                           lambda _, emb: emb)
+    return forward_volumes(bundle.params, bundle.vis_cfg, volumes, lambda _, emb: emb)
 
 
 def embed_texts(bundle: ModelBundle, texts) -> np.ndarray:

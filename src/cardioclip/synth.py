@@ -151,9 +151,11 @@ def calcium_wording_severity(text: str) -> float:
 class SynthSpec:
     n_cases: int = 640
     dims: tuple[int, int, int] = (64, 64, 64)
-    prevalence: tuple = (0.3,) * N_FINDINGS
+    # per-finding prevalence; coronary calcification runs lower because
+    # uniform CAC grades add flag-positive cases on top of the base rate
+    prevalence: tuple = (0.3, 0.1, 0.3, 0.3, 0.3, 0.3, 0.3)
     signal_strength: float = 0.4
-    cac_fraction: float = 0.5
+    cac_fraction: float = 0.4
     seed: int = 0
 
     def __post_init__(self):

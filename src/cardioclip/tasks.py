@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .encoders import visual_embed_bwd, visual_embed_fwd
+from .encoders import check_volume_dims, visual_embed_bwd, visual_embed_fwd
 from .metrics import auroc, head_ordinal_auroc, ordinal_auroc, precision_at_k, rank_pool, recall_at_k
 from .model import ModelBundle, embed_texts, embed_volumes, forward_volumes, unit_rows
 from .optim import Trainer, require, schedule_rules
@@ -31,10 +31,15 @@ def prompt_margins(v: np.ndarray, name: str, bundle: ModelBundle) -> np.ndarray:
     """s_p - s_n of unit-norm volume embeddings v (n, proj_dim) against the
     finding's positive and negative prompts; embed the volumes once and call
     this per finding."""
-    pos, neg = make_prompt_pair(name, bundle.catalog)
-    t = unit_rows(embed_texts(bundle, [pos, neg]))
-    sims = v @ t.T
+    sims = v @ prompt_pair_rows(name, bundle).T
     return sims[:, 0] - sims[:, 1]
+
+
+def prompt_pair_rows(name: str, bundle: ModelBundle) -> np.ndarray:
+    """Unit-norm embeddings (2, proj_dim) of the finding's positive and
+    negative prompts, embedded as one batch: a prompt embedded alone goes
+    down BLAS's gemv path and differs from this row in its last bits."""
+    return unit_rows(embed_texts(bundle, list(make_prompt_pair(name, bundle.catalog))))
 
 
 def zero_shot_aurocs(cases, bundle: ModelBundle) -> dict:
@@ -77,8 +82,7 @@ def retrieval_metrics(v: np.ndarray, t: np.ndarray, flags: np.ndarray,
         positive = flags[:, d]
         if not positive.any():
             continue
-        pos, _ = make_prompt_pair(name, bundle.catalog)
-        order = rank_pool(v @ unit_rows(embed_texts(bundle, [pos]))[0])
+        order = rank_pool(v @ prompt_pair_rows(name, bundle)[0])
         keyword[name] = {"prevalence": int(positive.sum()) / len(v),
                          **{f"p@{k}": precision_at_k(order, positive, k) for k in precision_ks}}
     return {"recall": recall, "keyword": keyword}
@@ -134,8 +138,8 @@ def finetune_labels(cases, target: str, catalog):
 class FinetuneConfig:
     epochs: int = 10
     batch: int = 16
-    lr: float = 1e-5
-    head_lr: float = 5e-5
+    lr: float = 3e-4
+    head_lr: float = 1.5e-3
     weight_decay: float = 0.01
     warmup_frac: float = 0.05
     min_lr: float = 0.0
@@ -167,18 +171,21 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
     AUROC for 2 classes, per-threshold ordinal AUROC otherwise, where cut t
     is scored by the head's P(grade > t) (see metrics.head_ordinal_auroc).
     An eval set that cannot be scored (labels outside [0, head_classes), or
-    fewer than two classes present) is refused before any training. The
+    fewer than two classes present), and a volume of either set whose dims
+    are not vis_cfg.input_dims, are refused before any training. The
     caller's parameter arrays are left unchanged: the trained ones are
     copies.
     """
+    vis_cfg = bundle.vis_cfg
     labels_all = _labels(train_set, head_classes, "train")
+    check_volume_dims(vis_cfg, [v for v, _ in train_set])
     if eval_set is not None:
         y_eval = _labels(eval_set, head_classes, "eval")
         counts = np.bincount(y_eval, minlength=head_classes)
         if np.count_nonzero(counts) < 2:
             raise ValueError(f"eval set cannot be scored: it needs two classes, got class "
                              f"counts {counts.tolist()}")
-    vis_cfg = bundle.vis_cfg
+        check_volume_dims(vis_cfg, [v for v, _ in eval_set])
     dtype = params["vis.patch.w"].dtype
     rng = substream(seed, "head-init")
     params = dict(params)
@@ -218,7 +225,7 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
 
     result = {"trace": trainer.trace, "train_accuracy": trainer.trace[-1]["train_accuracy"]}
     if eval_set is not None:
-        logits = predict_logits(params, vis_cfg, [v for v, _ in eval_set], dtype)
+        logits = predict_logits(params, vis_cfg, [v for v, _ in eval_set])
         p = np.exp(nn.log_softmax(logits, axis=1))
         if head_classes == 2:
             result["auroc"] = auroc(p[:, 1], y_eval)
@@ -239,7 +246,7 @@ def _labels(pairs, head_classes: int, name: str) -> np.ndarray:
     return y
 
 
-def predict_logits(params, vis_cfg, volumes, dtype=np.float32) -> np.ndarray:
+def predict_logits(params, vis_cfg, volumes) -> np.ndarray:
     """The fine-tuned head's logits (n, head_classes) for a list of volumes."""
-    return forward_volumes(params, vis_cfg, volumes, dtype,
+    return forward_volumes(params, vis_cfg, volumes,
                            lambda feats, _: nn.linear_fwd(params, "head", feats)[0])

@@ -277,7 +277,7 @@ class TestCriterion6Structurer:
             for i, e in enumerate(golden)
         )
 
-        spec = SynthSpec(n_cases=1000, dims=(32, 32, 32), seed=123)
+        spec = SynthSpec(n_cases=1000, dims=(32, 32, 32), prevalence=(0.3,) * 7, seed=123)
         from cardioclip.synth import _build_case  # flags/text only; volumes unused
 
         closure_hits = 0

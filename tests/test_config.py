@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import os
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from cardioclip.clip import ContrastiveConfig
 from cardioclip.config import (
+    DEFAULT_CONFIG,
     ConfigError,
     apply_set_overrides,
     config_digest,
@@ -98,6 +102,35 @@ def test_digest_is_stable_and_sensitive():
     assert config_digest(a) == config_digest(b)
     c = merge_config({"seed": 1})
     assert config_digest(a) != config_digest(c)
+
+
+def test_default_config_digest_is_pinned():
+    # every checkpoint and manifest carries this digest; a default that moves
+    # changes it
+    assert config_digest(DEFAULT_CONFIG) == (
+        "b462f85aea6d639ffe1ec963165b4d37aa482ec0dd76551f6d1dc3835b3feb41")
+
+
+def test_each_default_section_builds_its_dataclass_default():
+    stages = stage_configs(DEFAULT_CONFIG, vocab_size=50)
+    assert stages == {
+        "visual": VisualEncoderConfig(), "text": TextEncoderConfig(vocab_size=50),
+        "decoder": DecoderConfig(), "mae": MAETrainConfig(), "clip": ContrastiveConfig(),
+        "finetune": FinetuneConfig(), "synth": SynthSpec(),
+    }
+
+
+def test_benchmark_pipeline_configs_are_valid(monkeypatch):
+    # the benchmark's pipeline_cli workload runs the CLI on these overrides
+    bench_dir = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    monkeypatch.syspath_prepend(bench_dir)
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  os.path.join(bench_dir, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for overrides in (workloads.PIPELINE_OVERRIDES, workloads.WARMUP_PIPELINE):
+        assert validate_config(merge_config(overrides)) == []
 
 
 def test_mask_ratio_feasibility_checked():

@@ -237,6 +237,15 @@ class TestEncodeImage:
         assert e1.shape == (2, 4)
         assert predict_logits(bundle.params, TOY_VIS, vols).shape == (2, 2)
 
+    def test_patches_are_standardized_in_the_params_dtype(self):
+        # float64 params: the head reads float64 features, as in fine-tuning
+        params = {k: v.astype(np.float64) for k, v in self.bundle().params.items()}
+        vols = [toy_volume(3), toy_volume(4)]
+        feats = visual_embed_fwd(params, TOY_VIS, batch_patches(vols, TOY_VIS.patch_size,
+                                                                np.float64))[0]
+        want = nn.linear_fwd(params, "head", feats)[0]
+        assert predict_logits(params, TOY_VIS, vols).tobytes() == want.tobytes()
+
     def test_dim_mismatch(self):
         # a 4^3 volume under an 8^3 config has 8 patches, not 64; an 8^3 volume
         # under a 4^3 config has 64, not 8

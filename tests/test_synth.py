@@ -22,7 +22,8 @@ from cardioclip.synth import (
 from cardioclip.volume import load_volume
 
 CAT = load_catalog()
-SMALL = SynthSpec(n_cases=24, dims=(32, 32, 32), seed=7)
+SMALL = SynthSpec(n_cases=24, dims=(32, 32, 32), prevalence=(0.3,) * 7, cac_fraction=0.5,
+                  seed=7)
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from cardioclip import optim, tasks
 from cardioclip.encoders import TextEncoderConfig, VisualEncoderConfig, init_text_params, init_visual_params
 from cardioclip.metrics import auroc, ordinal_auroc
 from cardioclip.model import ModelBundle, embed_texts, embed_volumes, unit_rows
-from cardioclip.reports import load_catalog
+from cardioclip.reports import load_catalog, make_prompt_pair
 from cardioclip.seeding import substream
 from cardioclip.synth import SynthCase, plant_signature, smooth_background
 from cardioclip.tasks import (
@@ -138,6 +138,22 @@ class TestRetrieval:
         scores = retrieve(bundle, v, v, flags, precision_ks=(6,))
         # all positives are counted at K = pool
         assert scores["keyword"] == {"coronary calcification": {"prevalence": 0.5, "p@6": 0.5}}
+
+    def test_keyword_query_is_the_prompt_pairs_positive_row(self, bundle, monkeypatch):
+        # with v the identity, each keyword's scores are its query row exactly;
+        # it must be the positive row of the [pos, neg] batch prompt_margins
+        # embeds, not the prompt embedded alone (a gemv, rounding differently)
+        real, scored = tasks.rank_pool, []
+        monkeypatch.setattr(tasks, "rank_pool", lambda s: scored.append(s) or real(s))
+        v = np.eye(16)
+        flags = no_flags(16)
+        flags[0] = True
+        retrieve(bundle, v, v, flags)
+        queries = scored[2:]  # after image-to-text and text-to-image
+        assert len(queries) == CAT.size
+        for name, row in zip(CAT.names, queries):
+            pair = unit_rows(embed_texts(bundle, list(make_prompt_pair(name, CAT))))
+            assert row.tobytes() == pair[0].tobytes(), name
 
 
 def make_case(i, flags=(False,) * CAT.size, grade=None, volume=None):

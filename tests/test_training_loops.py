@@ -1,7 +1,8 @@
 """The training loop the four stages share (optim.Trainer): the non-finite
 loss check, the per-epoch records handed to trace_hook, stage 2's skipped
-trailing singleton batch, that no step's buffers outlive the step, and that
-a step holds one copy of its patches."""
+trailing singleton batch, that no step's buffers outlive the step, that
+a step holds one copy of its patches, and that each loop refuses a volume of
+the wrong shape."""
 
 import weakref
 
@@ -288,3 +289,50 @@ class TestOneCopyOfPatches:
         monkeypatch.setattr(mae, "masked_mse", spy_mse)
         run_reconstruction()
         assert freed == [True] * 3
+
+
+class TestWrongShapeRefused:
+    """Every loop refuses, before any step, a volume whose dims are not the
+    config's input_dims even when it has as many patches: 4x8x16 at 4^3
+    patches is 1*2*4 = 8 patches, as many as 8^3, on another grid."""
+
+    MSG = r"volume 1 has dims \(4, 8, 16\), 8 patches .* input_dims \(8, 8, 8\)"
+
+    @staticmethod
+    def mixed(n):
+        bad = Volume3D(voxels=np.ones((4, 8, 16), dtype=np.float32))
+        return [bad if i == 1 else v for i, v in enumerate(volumes(n))]
+
+    def fine_tune(self, on_eval):
+        cases = pairs(4)
+        params = visual_params()
+        txt, vocab = text_setup(cases, params)
+        bundle = ModelBundle(params=params, vis_cfg=VIS, txt_cfg=txt, vocab=vocab, catalog=CAT)
+        good = [(v, i % 2) for i, v in enumerate(volumes(4))]
+        bad = [(v, i % 2) for i, v in enumerate(self.mixed(4))]
+        finetune_classifier(good if on_eval else bad, params, 2,
+                            FinetuneConfig(epochs=1, batch=2), bundle, seed=0,
+                            eval_set=bad if on_eval else good)
+
+    def contrastive(self):
+        cases = [(v, *rest) for v, (_, *rest) in zip(self.mixed(4), pairs(4))]
+        params = visual_params()
+        txt, vocab = text_setup(cases, params)
+        train_clip(cases, params, VIS, txt, vocab, ContrastiveConfig(epochs=1, batch=2), seed=0)
+
+    @pytest.mark.parametrize("stage", ["reconstruction", "contrastive", "fine_tune_train",
+                                       "fine_tune_eval"])
+    def test_refused_before_any_step(self, monkeypatch, stage):
+        def refuse(*_, **__):
+            raise AssertionError("an optimizer step ran")
+
+        monkeypatch.setattr(optim.Trainer, "step", refuse)
+        run = {
+            "reconstruction": lambda: train_mae(self.mixed(4), VIS, DEC,
+                                                MAETrainConfig(epochs=1, batch=2), seed=0),
+            "contrastive": self.contrastive,
+            "fine_tune_train": lambda: self.fine_tune(on_eval=False),
+            "fine_tune_eval": lambda: self.fine_tune(on_eval=True),
+        }[stage]
+        with pytest.raises(ValueError, match=self.MSG):
+            run()
