@@ -70,7 +70,7 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict, extra_manifest=None) -> None:
+def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict) -> None:
     """metrics.json is deterministic; timestamps and peak memory live only in
     the manifest."""
     _write_json(os.path.join(cmd_dir, "metrics.json"), metrics)
@@ -84,8 +84,6 @@ def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict, extra_manifest=N
         # the process's peak resident set so far (ru_maxrss is in KiB on Linux)
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
-    if extra_manifest:
-        manifest.update(extra_manifest)
     _write_json(os.path.join(cmd_dir, "manifest.json"), manifest)
     json.dump(metrics, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
@@ -327,7 +325,7 @@ def cmd_finetune(args, cfg: dict, root: str) -> None:
     train_pairs, head_classes = finetune_labels(train, target, bundle.catalog)
     eval_pairs, _ = finetune_labels(evalset, target, bundle.catalog)
     params, result = finetune_classifier(train_pairs, bundle.params, head_classes,
-                                         stage_configs(cfg)["finetune"], bundle,
+                                         stage_configs(cfg)["finetune"], bundle.vis_cfg,
                                          seed=cfg["seed"], eval_set=eval_pairs)
     out = _cmd_dir(root, "finetune")
     save_checkpoint(params, f"finetune-{target}", os.path.join(out, "checkpoint"),

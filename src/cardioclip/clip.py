@@ -140,7 +140,7 @@ def sample_text_variant(free_text: str, structured: StructuredReport, rng,
 def clip_batch_fwd_bwd(params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoderConfig,
                        patches: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
                        targets: np.ndarray, tau: float):
-    """One contrastive step: returns (loss, grads, S). Drops its reference to
+    """One contrastive step: returns (loss, grads). Drops its reference to
     patches once the visual forward has cached their standardized copy, so a
     caller that keeps none holds one copy through the backward."""
     _, v_emb, c_vis = visual_embed_fwd(params, vis_cfg, patches)
@@ -152,7 +152,7 @@ def clip_batch_fwd_bwd(params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncode
     grads: nn.Grads = {}
     visual_embed_bwd(params, vis_cfg, c_vis, dv, grads)
     text_embed_bwd(params, txt_cfg, c_txt, dt, grads)
-    return loss, grads, S
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +232,6 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
 
     for _ in range(cfg.text_warmup_steps):
         trainer.step(*batch_step(), cfg.text_warmup_lr)
-    for k in list(warm):
-        if k.startswith("txt."):
-            params[k] = warm[k]
     return trainer.losses[-1]
 
 
@@ -281,11 +278,10 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
     def batch_step(vols, texts, vecs):
         ids, lengths = pad_batch([tokenize(t, vocab, txt_cfg.max_len) for t in texts])
         targets = targets_from_affinity(affinity_matrix(vecs))
-        loss, grads, _ = clip_batch_fwd_bwd(
+        return clip_batch_fwd_bwd(
             trainable, vis_cfg, txt_cfg, batch_patches(vols, vis_cfg.patch_size, dtype),
             ids, lengths, targets, cfg.temperature
         )
-        return loss, grads
 
     # a trailing singleton batch has no contrastive signal: min_batch=2 skips it
     for epoch, batches, extra in trainer.epochs(n, cfg, cfg.lr, seed, "clip-batch-order",
@@ -303,5 +299,4 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
             n_texts += len(texts)
             trainer.step(*batch_step(vols, texts, vecs))
         extra["variant_structured_frac"] = n_structured / max(1, n_texts)
-    params.update(trainable)
     return params, trainer.trace

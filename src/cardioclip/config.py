@@ -49,8 +49,7 @@ DEFAULT_CONFIG = {
     "proj_dim": 64,
     "mae": _section(MAETrainConfig),
     "clip": _section(ContrastiveConfig),
-    # no finetune.min_lr key: fine-tuning always decays to the dataclass's 0.0
-    "finetune": {**_section(FinetuneConfig, "min_lr"), "target": "cac"},
+    "finetune": {**_section(FinetuneConfig), "target": "cac"},
     "synth": {**_section(SynthSpec, "dims", "seed"), "train_cases": 512},
     "eval": {"recall_ks": [5, 10, 50], "precision_ks": [5, 10, 50]},
 }

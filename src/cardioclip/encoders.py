@@ -7,8 +7,11 @@ with length-masked attention. Both mean-pool their output tokens (the
 visual tower over its patch tokens, the text tower over the valid tokens)
 and project to a common width.
 
-Each tower has one batched *_fwd/*_bwd pair, shared by training, evaluation
-and the gradient checker.
+Each tower has one batched *_fwd/*_bwd pair from its input to its
+projection, visual_embed_* and text_embed_*, shared by stage 2, the text
+warmup, fine-tuning, evaluation and the gradient checker. Stage 1 (mae.py)
+runs the visual patch embedding (patch_tokens_*) and blocks itself, on its
+visible patches only.
 """
 
 from __future__ import annotations
@@ -186,21 +189,6 @@ def patch_tokens_bwd(params, cache, positions, dx: np.ndarray, grads):
     return nn.matmul(dtok, params["vis.patch.w"].T)
 
 
-def visual_trunk_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
-    """Patches through embedding + blocks + final norm. Returns (B, n+1, E)."""
-    x, c_tok = patch_tokens_fwd(params, patches)
-    x, c_stack = nn.stack_fwd(params, "vis", x, cfg.depth, cfg.heads)
-    y, c_lnf = nn.layernorm_fwd(params, "vis.lnf", x)
-    return y, (c_tok, c_stack, c_lnf)
-
-
-def visual_trunk_bwd(params, cfg: VisualEncoderConfig, cache, dy, grads):
-    c_tok, c_stack, c_lnf = cache
-    dx = nn.layernorm_bwd(params, "vis.lnf", c_lnf, dy, grads)
-    dx = nn.stack_bwd(params, "vis", c_stack, dx, grads)
-    return patch_tokens_bwd(params, c_tok, None, dx, grads)
-
-
 def visual_embed_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
     """Full (unmasked) patches -> (features (B, E), projected (B, Dp), cache)."""
     if patches.shape[1:] != (cfg.n_patches, cfg.patch_volume):
@@ -208,10 +196,12 @@ def visual_embed_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
             f"{patches.shape[1]} patches of {patches.shape[2]} voxels do not match the config's "
             f"n_patches {cfg.n_patches} of {cfg.patch_volume} (input_dims {cfg.input_dims})"
         )
-    y, c_trunk = visual_trunk_fwd(params, cfg, patches)
+    x, c_tok = patch_tokens_fwd(params, patches)
+    x, c_stack = nn.stack_fwd(params, "vis", x, cfg.depth, cfg.heads)
+    y, c_lnf = nn.layernorm_fwd(params, "vis.lnf", x)
     feats = y[:, 1:].mean(axis=1)
     emb, c_proj = nn.linear_fwd(params, "vis.proj", feats)
-    return feats, emb, (c_trunk, c_proj, y.shape)
+    return feats, emb, (c_tok, c_stack, c_lnf, c_proj, y.shape)
 
 
 def visual_embed_bwd(params, cfg: VisualEncoderConfig, cache, demb, grads,
@@ -219,11 +209,13 @@ def visual_embed_bwd(params, cfg: VisualEncoderConfig, cache, demb, grads,
     """Backward of visual_embed_fwd from demb, the gradient of the projected
     embedding; or, with demb None, from dfeats, the gradient of the features,
     and then vis.proj gets no gradient."""
-    c_trunk, c_proj, yshape = cache
+    c_tok, c_stack, c_lnf, c_proj, yshape = cache
     dpool = dfeats if demb is None else nn.linear_bwd(params, "vis.proj", c_proj, demb, grads)
     dy = np.zeros(yshape, dtype=dpool.dtype)
     dy[:, 1:] = dpool[:, None, :] / (yshape[1] - 1)
-    return visual_trunk_bwd(params, cfg, c_trunk, dy, grads)
+    dx = nn.layernorm_bwd(params, "vis.lnf", c_lnf, dy, grads)
+    dx = nn.stack_bwd(params, "vis", c_stack, dx, grads)
+    patch_tokens_bwd(params, c_tok, None, dx, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -199,9 +199,10 @@ def train_mae(volumes, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
 
     trainer = Trainer("reconstruction", params, cfg.weight_decay)
     N = vis_cfg.n_patches
+    dtype = params["vis.patch.w"].dtype
 
     def batch_step(epoch, idx):
-        patches = batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, np.float32)
+        patches = batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, dtype)
         masks = [sample_mask(N, cfg.mask_ratio, derive_seed(seed, "mask", epoch, int(i)))
                  for i in idx]
         vis_idx = np.stack([vis for vis, _ in masks])

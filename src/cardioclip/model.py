@@ -33,16 +33,22 @@ VOLUME_CHUNK = 8
 TEXT_CHUNK = 64  # texts per batched text forward
 
 
+def balanced_chunks(n: int, most: int) -> list:
+    """Index arrays cutting range(n) into ceil(n / most) runs of balanced
+    size (np.array_split), so no run holds a single item unless n == 1: a
+    one-row batch sends the tower's projection down BLAS's gemv path, which
+    rounds differently from the gemm that embeds the same item in a larger
+    batch."""
+    return np.array_split(np.arange(n), -(-n // most))
+
+
 def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, readout) -> np.ndarray:
     """readout(features, projected) of every volume, stacked along axis 0.
     The patches are standardized in the dtype of the params.
 
-    The volumes go through ceil(n / VOLUME_CHUNK) batched forwards of
-    balanced size (np.array_split), so no chunk holds a single volume unless
-    n == 1: a one-row batch sends vis.proj down BLAS's gemv path, which
-    rounds differently from the gemm that embeds the same volume in a larger
-    chunk. Measured at the 64^3 default, every row is then bitwise the same
-    at chunk sizes 4 to 32 (not at 1).
+    The volumes go through balanced_chunks(n, VOLUME_CHUNK) batched
+    forwards. Measured at the 64^3 default, every row is then bitwise the
+    same at chunk sizes 4 to 32 (not at 1).
 
     Refuses an empty list, and any volume whose dims are not
     vis_cfg.input_dims (encoders.check_volume_dims).
@@ -56,7 +62,7 @@ def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, readout) -> n
     check_volume_dims(vis_cfg, volumes)
     dtype = params["vis.patch.w"].dtype
     out = []
-    for idx in np.array_split(np.arange(len(volumes)), -(-len(volumes) // VOLUME_CHUNK)):
+    for idx in balanced_chunks(len(volumes), VOLUME_CHUNK):
         patches = batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, dtype)
         feats, emb = visual_embed_fwd(params, vis_cfg, patches)[:2]
         out.append(readout(feats, emb))
@@ -69,15 +75,14 @@ def embed_volumes(bundle: ModelBundle, volumes) -> np.ndarray:
 
 
 def embed_texts(bundle: ModelBundle, texts) -> np.ndarray:
-    """Projected embeddings (n, proj_dim) for a list of report texts.
-    Refuses an empty list."""
+    """Projected embeddings (n, proj_dim) for a list of report texts, in
+    balanced_chunks(n, TEXT_CHUNK) batched forwards. Refuses an empty list."""
     if len(texts) == 0:
         raise ValueError("no texts to embed: the list is empty")
     out = []
-    for i in range(0, len(texts), TEXT_CHUNK):
-        seqs = [tokenize(t, bundle.vocab, bundle.txt_cfg.max_len)
-                for t in texts[i : i + TEXT_CHUNK]]
-        ids, lengths = pad_batch(seqs)
+    for idx in balanced_chunks(len(texts), TEXT_CHUNK):
+        ids, lengths = pad_batch([tokenize(texts[i], bundle.vocab, bundle.txt_cfg.max_len)
+                                  for i in idx])
         _, emb, _ = text_embed_fwd(bundle.params, bundle.txt_cfg, ids, lengths)
         out.append(emb)
     return np.concatenate(out, axis=0)

@@ -135,6 +135,11 @@ class Trainer:
     which samples its own batches at a constant rate, passes that rate;
     inside epochs() the rate follows the warmup + cosine schedule.
 
+    AdamW.step updates the arrays of params in place, so any dict holding
+    those same arrays (a stage's own params, or the one it took a trainable
+    subset from) holds the trained values after each step; no loop copies
+    them back.
+
     The loops hold one step of buffers: each builds a batch inside a local
     batch_step(...) -> (loss, grads) and calls step(*batch_step(...)), so
     the step's inputs and forward cache are freed when batch_step returns

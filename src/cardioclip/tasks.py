@@ -7,11 +7,12 @@ plain arrays and return unrounded values."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import nn
-from .encoders import check_volume_dims, visual_embed_bwd, visual_embed_fwd
+from .encoders import VisualEncoderConfig, check_volume_dims, visual_embed_bwd, visual_embed_fwd
 from .metrics import auroc, head_ordinal_auroc, ordinal_auroc, precision_at_k, rank_pool, recall_at_k
 from .model import ModelBundle, embed_texts, embed_volumes, forward_volumes, unit_rows
 from .optim import Trainer, require, schedule_rules
@@ -142,7 +143,7 @@ class FinetuneConfig:
     head_lr: float = 1.5e-3
     weight_decay: float = 0.01
     warmup_frac: float = 0.05
-    min_lr: float = 0.0
+    min_lr: ClassVar[float] = 0.0  # not a config key: fine-tuning always decays to 0
     freeze_encoder: bool = False
 
     def __post_init__(self):
@@ -162,7 +163,7 @@ def softmax_ce_logits(logits: np.ndarray, labels: np.ndarray):
 
 
 def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfig,
-                        bundle: ModelBundle, seed: int = 0, eval_set=None):
+                        vis_cfg: VisualEncoderConfig, seed: int = 0, eval_set=None):
     """Train an affine head on the mean-pooled visual feature (optionally with
     the encoder). Labels are ints in [0, head_classes).
 
@@ -176,7 +177,6 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
     caller's parameter arrays are left unchanged: the trained ones are
     copies.
     """
-    vis_cfg = bundle.vis_cfg
     labels_all = _labels(train_set, head_classes, "train")
     check_volume_dims(vis_cfg, [v for v, _ in train_set])
     if eval_set is not None:

@@ -368,7 +368,7 @@ class TestCriterion10CAC:
         # the default finetune section, shortened to 4 epochs
         ft_cfg = replace(stage_configs(cfg)["finetune"], epochs=4)
         _, result = finetune_classifier(graded_train, bundle.params, head_classes, ft_cfg,
-                                        bundle, seed=SEED, eval_set=eval_pairs)
+                                        bundle.vis_cfg, seed=SEED, eval_set=eval_pairs)
         tuned = dict(result["ordinal_auroc"])
         ft_ok = all(
             tuned[t] is not None and (tuned[t] >= zero_shot[t] + 0.05 or tuned[t] >= 0.9)

@@ -120,6 +120,14 @@ def test_each_default_section_builds_its_dataclass_default():
     }
 
 
+def test_finetune_min_lr_is_a_constant_not_a_field():
+    # fine-tuning always decays to 0: no config key and no constructor field sets it
+    assert FinetuneConfig().min_lr == 0.0
+    assert "min_lr" not in DEFAULT_CONFIG["finetune"]
+    with pytest.raises(TypeError):
+        FinetuneConfig(min_lr=0.1)
+
+
 def test_benchmark_pipeline_configs_are_valid(monkeypatch):
     # the benchmark's pipeline_cli workload runs the CLI on these overrides
     bench_dir = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")

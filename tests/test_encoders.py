@@ -191,6 +191,19 @@ class TestEncodeText:
         with pytest.raises(ValueError, match="no texts to embed: the list is empty"):
             embed_texts(TestEncodeImage.bundle(), [])
 
+    @pytest.mark.parametrize("n", [65, 129])
+    def test_embed_texts_rows_do_not_depend_on_their_chunk(self, n):
+        # n copies of one report under a default-width tower: chunks are
+        # balanced, so no text goes alone down BLAS's gemv path (with fixed
+        # runs of TEXT_CHUNK the last one did, and its row differed)
+        report = "there is coronary stenosis no pericardial effusion seen"
+        cfg = TextEncoderConfig(vocab_size=len(self.VOCAB))
+        params = init_text_params(np.random.default_rng(0), cfg, proj_dim=64)
+        bundle = ModelBundle(params=params, vis_cfg=TOY_VIS, txt_cfg=cfg, vocab=self.VOCAB,
+                             catalog=load_catalog())
+        rows = embed_texts(bundle, [report] * n)
+        assert all(r.tobytes() == rows[0].tobytes() for r in rows)
+
 
 class TestTokenGradientScatter:
     """add_rows_at, the txt.tok gradient scatter, against np.add.at."""
@@ -285,7 +298,7 @@ class TestEncodeImage:
         def spy(params, cfg, patches):
             assert all(ref() is None for ref in cached), "an earlier chunk's cache is alive"
             out = real(params, cfg, patches)
-            cached.append(weakref.ref(out[2][0][0]))  # (c_trunk, ...) -> c_tok
+            cached.append(weakref.ref(out[2][0]))  # the standardized patches
             return out
 
         monkeypatch.setattr(model, "VOLUME_CHUNK", 2)

@@ -296,3 +296,16 @@ class TestTrainMAE:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train_mae([], VIS, DEC, MAETrainConfig(), seed=0)
+
+    def test_patches_are_in_the_params_dtype(self, monkeypatch):
+        seen = []
+
+        def spy(params, patches, positions=None):
+            seen.append(patches.dtype)
+            return patch_tokens_fwd(params, patches, positions)
+
+        monkeypatch.setattr(mae, "patch_tokens_fwd", spy)
+        params = {k: v.astype(np.float64) for k, v in small_params().items()}
+        train_mae(self.corpus(2), VIS, DEC, MAETrainConfig(epochs=1, batch=2), seed=0,
+                  params=params)
+        assert seen == [np.float64]

@@ -235,14 +235,14 @@ class TestFinetune:
         cfg = FinetuneConfig(epochs=100, batch=8, lr=1e-2, head_lr=5e-2,
                              warmup_frac=0.0, freeze_encoder=True)
         # 2 steps/epoch -> 200 steps total
-        _, result = finetune_classifier(train, bundle.params, 2, cfg, bundle, seed=0)
+        _, result = finetune_classifier(train, bundle.params, 2, cfg, VIS, seed=0)
         assert result["train_accuracy"] == 1.0
 
     def test_label_range_checked(self, bundle):
         train = [(make_volume(1), 2)]
         cfg = FinetuneConfig(epochs=1, batch=2, lr=1e-3, head_lr=1e-3, freeze_encoder=True)
         with pytest.raises(ValueError, match="labels"):
-            finetune_classifier(train, bundle.params, 2, cfg, bundle, seed=0)
+            finetune_classifier(train, bundle.params, 2, cfg, VIS, seed=0)
 
     @pytest.mark.parametrize("eval_labels, head_classes, match", [
         ([0, 0], 2, r"class counts \[2, 0\]"),
@@ -261,7 +261,7 @@ class TestFinetune:
         train = [(v, i % head_classes) for i in range(4)]
         cfg = FinetuneConfig(epochs=1, batch=2, lr=1e-3, head_lr=1e-3, freeze_encoder=True)
         with pytest.raises(ValueError, match=match):
-            finetune_classifier(train, bundle.params, head_classes, cfg, bundle,
+            finetune_classifier(train, bundle.params, head_classes, cfg, VIS,
                                 eval_set=[(v, y) for y in eval_labels])
 
     def test_no_step_activations_outlive_the_step(self, bundle, monkeypatch):
@@ -272,7 +272,7 @@ class TestFinetune:
         def spy_fwd(params, cfg, patches):
             assert all(ref() is None for ref in refs), "an earlier step's array is alive"
             out = real_fwd(params, cfg, patches)
-            refs.extend([weakref.ref(patches), weakref.ref(out[2][0][0])])
+            refs.extend([weakref.ref(patches), weakref.ref(out[2][0])])
             return out
 
         def spy_step(self, loss, grads, lr=None):
@@ -282,18 +282,18 @@ class TestFinetune:
         monkeypatch.setattr(tasks, "visual_embed_fwd", spy_fwd)
         monkeypatch.setattr(optim.Trainer, "step", spy_step)
         cfg = FinetuneConfig(epochs=1, batch=2, lr=1e-3, head_lr=1e-3, freeze_encoder=False)
-        finetune_classifier(self.make_sets(6), bundle.params, 2, cfg, bundle, seed=5)
+        finetune_classifier(self.make_sets(6), bundle.params, 2, cfg, VIS, seed=5)
         assert len(refs) > 6  # three forwards' arrays plus gradients
 
     def test_freeze_flag_controls_encoder_updates(self, bundle):
         train = self.make_sets(8)
         before = {k: v.copy() for k, v in bundle.params.items()}
         cfg = FinetuneConfig(epochs=1, batch=4, lr=1e-3, head_lr=1e-3, freeze_encoder=True)
-        params_frozen, _ = finetune_classifier(train, bundle.params, 2, cfg, bundle, seed=1)
+        params_frozen, _ = finetune_classifier(train, bundle.params, 2, cfg, VIS, seed=1)
         assert all(np.array_equal(params_frozen[k], before[k]) for k in before
                    if k.startswith("vis."))
         cfg = FinetuneConfig(epochs=1, batch=4, lr=1e-3, head_lr=1e-3, freeze_encoder=False)
-        params_full, _ = finetune_classifier(train, bundle.params, 2, cfg, bundle, seed=1)
+        params_full, _ = finetune_classifier(train, bundle.params, 2, cfg, VIS, seed=1)
         changed = [k for k in before if k.startswith("vis.blk") and
                    not np.array_equal(params_full[k], before[k])]
         assert changed  # encoder moved when unfrozen
@@ -302,7 +302,7 @@ class TestFinetune:
         train = self.make_sets(8)
         before = {k: v.copy() for k, v in bundle.params.items()}
         cfg = FinetuneConfig(epochs=1, batch=4, lr=1e-2, head_lr=1e-2, freeze_encoder=False)
-        finetune_classifier(train, bundle.params, 2, cfg, bundle, seed=4)
+        finetune_classifier(train, bundle.params, 2, cfg, VIS, seed=4)
         assert before.keys() == bundle.params.keys()
         for k in before:
             assert bundle.params[k].tobytes() == before[k].tobytes(), k
@@ -312,7 +312,7 @@ class TestFinetune:
         evalset = self.make_sets(8)
         cfg = FinetuneConfig(epochs=5, batch=6, lr=5e-3, head_lr=2e-2,
                              warmup_frac=0.0, freeze_encoder=True)
-        _, result = finetune_classifier(train, bundle.params, 2, cfg, bundle,
+        _, result = finetune_classifier(train, bundle.params, 2, cfg, VIS,
                                         seed=2, eval_set=evalset)
         assert "auroc" in result
         assert 0.0 <= result["auroc"] <= 1.0
@@ -323,7 +323,7 @@ class TestFinetune:
                               strength=0.2 * g), g - 1)
                  for i, g in enumerate(rng.integers(1, 6, size=15))]
         cfg = FinetuneConfig(epochs=2, batch=8, lr=1e-3, head_lr=5e-3, freeze_encoder=True)
-        _, result = finetune_classifier(train, bundle.params, 5, cfg, bundle,
+        _, result = finetune_classifier(train, bundle.params, 5, cfg, VIS,
                                         seed=3, eval_set=train)
         assert "ordinal_auroc" in result
         assert [t for t, _ in result["ordinal_auroc"]] == [1, 2, 3, 4]

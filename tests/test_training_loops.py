@@ -18,7 +18,6 @@ from cardioclip.encoders import (
     init_visual_params,
 )
 from cardioclip.mae import DecoderConfig, MAETrainConfig, init_decoder_params, train_mae
-from cardioclip.model import ModelBundle
 from cardioclip.optim import ScheduleConfig, Trainer, lr_at_step
 from cardioclip.reports import load_catalog, structured_from_flags
 from cardioclip.supervision import pathology_vector
@@ -118,16 +117,13 @@ class TestNonFiniteLoss:
 
     @pytest.mark.parametrize("freeze", [True, False])
     def test_fine_tune(self, freeze):
-        cases = pairs(4)
         params = visual_params()
-        txt, vocab = text_setup(cases, params)
         params["vis.lnf.b"][0] = np.nan
-        bundle = ModelBundle(params=params, vis_cfg=VIS, txt_cfg=txt, vocab=vocab, catalog=CAT)
-        train = [(v, i % 2) for i, (v, _, _, _) in enumerate(cases)]
+        train = [(v, i % 2) for i, v in enumerate(volumes(4))]
         cfg = FinetuneConfig(epochs=1, batch=2, freeze_encoder=freeze)
         with pytest.raises(FloatingPointError,
                            match=r"non-finite fine-tune loss at step 0 \(epoch 0\)"):
-            finetune_classifier(train, params, 2, cfg, bundle, seed=0)
+            finetune_classifier(train, params, 2, cfg, VIS, seed=0)
 
 
 class TestTraceHook:
@@ -211,13 +207,9 @@ def run_contrastive():
 
 
 def run_fine_tune():
-    cases = pairs(6)
-    params = visual_params()
-    txt, vocab = text_setup(cases, params)
-    bundle = ModelBundle(params=params, vis_cfg=VIS, txt_cfg=txt, vocab=vocab, catalog=CAT)
-    train = [(v, i % 2) for i, (v, _, _, _) in enumerate(cases)]
+    train = [(v, i % 2) for i, v in enumerate(volumes(6))]
     cfg = FinetuneConfig(epochs=1, batch=2, freeze_encoder=False)
-    finetune_classifier(train, params, 2, cfg, bundle, seed=0)
+    finetune_classifier(train, visual_params(), 2, cfg, VIS, seed=0)
 
 
 class TestStepLifetimes:
@@ -304,14 +296,10 @@ class TestWrongShapeRefused:
         return [bad if i == 1 else v for i, v in enumerate(volumes(n))]
 
     def fine_tune(self, on_eval):
-        cases = pairs(4)
-        params = visual_params()
-        txt, vocab = text_setup(cases, params)
-        bundle = ModelBundle(params=params, vis_cfg=VIS, txt_cfg=txt, vocab=vocab, catalog=CAT)
         good = [(v, i % 2) for i, v in enumerate(volumes(4))]
         bad = [(v, i % 2) for i, v in enumerate(self.mixed(4))]
-        finetune_classifier(good if on_eval else bad, params, 2,
-                            FinetuneConfig(epochs=1, batch=2), bundle, seed=0,
+        finetune_classifier(good if on_eval else bad, visual_params(), 2,
+                            FinetuneConfig(epochs=1, batch=2), VIS, seed=0,
                             eval_set=bad if on_eval else good)
 
     def contrastive(self):
