@@ -31,11 +31,11 @@ def replacing(path, mode: str = "w"):
         raise
 
 
-def save_checkpoint(params, tag: str, stem, config_digest: str = "") -> None:
-    """Write <stem>.json (manifest) and <stem>.bin (payload), tensor by
-    tensor. Both go to temp files that replace the pair only once both are
-    whole: a save that fails (say, on a non-finite tensor) leaves the
-    previous checkpoint as it was."""
+def save_checkpoint(params, tag: str, stem, config_digest: str) -> None:
+    """Write <stem>.json (the manifest: stage tag, config digest and tensor
+    table) and <stem>.bin (the payload), tensor by tensor. Both go to temp
+    files that replace the pair only once both are whole: a save that fails
+    (say, on a non-finite tensor) leaves the previous checkpoint as it was."""
     tensors = []
     offset = 0
     with replacing(f"{stem}.bin", "wb") as payload, replacing(f"{stem}.json") as fh:

@@ -90,8 +90,7 @@ def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict) -> None:
 
 
 def _load_synth(root: str, volumes=("train", "eval"), graded_only=False):
-    """Read the synth output back as (train, eval) lists of SynthCase, each
-    case's index its line in reports.jsonl.
+    """Read the synth output back as (train, eval) lists of SynthCase.
 
     Only the cases of the splits named in `volumes` (and of those, only the
     graded ones with graded_only) have their volume read; the rest carry
@@ -114,14 +113,14 @@ def _load_synth(root: str, volumes=("train", "eval"), graded_only=False):
         splits = json.load(fh)
     read = {cid for split in volumes for cid in splits[split]}
     by_id = {}
-    for index, doc in enumerate(reports):
+    for doc in reports:
         cid = doc["case_id"]
         grade = grades.get(cid)
         wanted = cid in read and (grade is not None or not graded_only)
         volume = (load_volume(os.path.join(synth_dir, "volumes", f"{cid}.ccv1"))
                   if wanted else None)
         by_id[cid] = SynthCase(cid, volume, tuple(bool(f) for f in doc["flags"]),
-                               doc["free_text"], grade, index)
+                               doc["free_text"], grade)
     train = [by_id[cid] for cid in splits["train"]]
     evalset = [by_id[cid] for cid in splits["eval"]]
     return train, evalset
@@ -140,7 +139,7 @@ def _load_params(stem: str, cfg: dict, force: bool) -> dict:
     return params
 
 
-def _load_bundle(root: str, cfg: dict, stem=None, force=False) -> ModelBundle:
+def _load_bundle(root: str, cfg: dict, stem, force: bool) -> ModelBundle:
     stem = stem or os.path.join(root, "pretrain_clip", "checkpoint")
     params = _load_params(stem, cfg, force)
     vocab = load_vocab(os.path.join(os.path.dirname(stem), "vocab.txt"))
@@ -224,7 +223,6 @@ def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
     pairs, vocab = contrastive_pairs(train, load_catalog())
     stages = stage_configs(cfg, len(vocab))
     out = _cmd_dir(root, "pretrain_clip")
-    save_vocab(vocab, os.path.join(out, "vocab.txt"))
     with open(os.path.join(out, "trace.jsonl"), "w", encoding="utf-8") as fh:
         params, trace = train_clip(
             pairs, params, stages["visual"], stages["text"], vocab, stages["clip"],
@@ -234,6 +232,9 @@ def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
         )
     keep = {k: v for k, v in params.items() if not k.startswith("dec.")}
     save_checkpoint(keep, "clip", os.path.join(out, "checkpoint"), config_digest(cfg))
+    # written only once training and the checkpoint succeeded: the eval
+    # commands load the vocab and the checkpoint next to it as a pair
+    save_vocab(vocab, os.path.join(out, "vocab.txt"))
     metrics = {
         "first_epoch_loss": trace[0]["mean_loss"],
         "final_epoch_loss": trace[-1]["mean_loss"],

@@ -107,7 +107,6 @@ def contrastive_loss(S: np.ndarray, T: np.ndarray, tau: float):
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    S = np.asarray(S, dtype=np.float64) if not isinstance(S, np.ndarray) else S
     if S.shape != T.shape or S.shape[0] != S.shape[1]:
         raise ValueError(f"shape mismatch: S {S.shape} vs T {T.shape}")
     B = S.shape[0]
@@ -181,7 +180,7 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
     rng = substream(seed, "text-warmup")
     head_w = nn.trunc_normal(rng, (txt_cfg.embed_dim, n_out),
                              dtype=params["txt.tok"].dtype)
-    head_b = nn.zeros(head_w.shape[1], params["txt.tok"].dtype)
+    head_b = np.zeros(head_w.shape[1], params["txt.tok"].dtype)
     warm = {k: v for k, v in params.items() if k.startswith("txt.")}
     warm["warm.head.w"] = head_w
     warm["warm.head.b"] = head_b

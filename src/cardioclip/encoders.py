@@ -109,20 +109,20 @@ def tower_rules(cfg) -> tuple:
 # parameter initialization
 
 
-def init_visual_params(rng, cfg: VisualEncoderConfig, proj_dim: int, params=None,
+def init_visual_params(rng, cfg: VisualEncoderConfig, proj_dim: int,
                        dtype=np.float32) -> nn.Params:
-    p = params if params is not None else {}
+    p = {}
     p["vis.patch.w"] = nn.trunc_normal(rng, (cfg.patch_volume, cfg.embed_dim), dtype=dtype)
-    p["vis.patch.b"] = nn.zeros(cfg.embed_dim, dtype)
+    p["vis.patch.b"] = np.zeros(cfg.embed_dim, dtype)
     p["vis.pos"] = nn.trunc_normal(rng, (cfg.n_patches, cfg.embed_dim), dtype=dtype)
     p["vis.cls"] = nn.trunc_normal(rng, (cfg.embed_dim,), dtype=dtype)
     nn.init_stack(rng, p, "vis", cfg.embed_dim, cfg.depth, cfg.mlp_hidden, dtype)
     p["vis.proj.w"] = nn.trunc_normal(rng, (cfg.embed_dim, proj_dim), dtype=dtype)
-    p["vis.proj.b"] = nn.zeros(proj_dim, dtype)
+    p["vis.proj.b"] = np.zeros(proj_dim, dtype)
     return p
 
 
-def init_text_params(rng, cfg: TextEncoderConfig, proj_dim: int, params=None,
+def init_text_params(rng, cfg: TextEncoderConfig, proj_dim: int, params,
                      dtype=np.float32) -> nn.Params:
     # hotter-than-usual init on purpose (std 0.2 for token embeddings, 0.1
     # for the blocks): token embeddings must dominate the pooled feature from
@@ -130,13 +130,12 @@ def init_text_params(rng, cfg: TextEncoderConfig, proj_dim: int, params=None,
     # saddle of the contrastive loss), and attention needs non-degenerate
     # logits to break symmetry fast enough to learn negation binding within
     # the short alignment stage
-    p = params if params is not None else {}
-    p["txt.tok"] = nn.trunc_normal(rng, (cfg.vocab_size, cfg.embed_dim), std=0.2, dtype=dtype)
-    p["txt.pos"] = nn.trunc_normal(rng, (cfg.max_len, cfg.embed_dim), dtype=dtype)
-    nn.init_stack(rng, p, "txt", cfg.embed_dim, cfg.depth, cfg.mlp_hidden, dtype, std=0.1)
-    p["txt.proj.w"] = nn.trunc_normal(rng, (cfg.embed_dim, proj_dim), dtype=dtype)
-    p["txt.proj.b"] = nn.zeros(proj_dim, dtype)
-    return p
+    params["txt.tok"] = nn.trunc_normal(rng, (cfg.vocab_size, cfg.embed_dim), std=0.2, dtype=dtype)
+    params["txt.pos"] = nn.trunc_normal(rng, (cfg.max_len, cfg.embed_dim), dtype=dtype)
+    nn.init_stack(rng, params, "txt", cfg.embed_dim, cfg.depth, cfg.mlp_hidden, dtype, std=0.1)
+    params["txt.proj.w"] = nn.trunc_normal(rng, (cfg.embed_dim, proj_dim), dtype=dtype)
+    params["txt.proj.b"] = np.zeros(proj_dim, dtype)
+    return params
 
 
 # ---------------------------------------------------------------------------

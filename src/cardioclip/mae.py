@@ -78,17 +78,16 @@ def sample_mask(n_total: int, ratio: float, seed: int) -> tuple[np.ndarray, np.n
 
 
 def init_decoder_params(rng, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
-                        params=None, dtype=np.float32) -> nn.Params:
-    p = params if params is not None else {}
+                        params, dtype=np.float32) -> nn.Params:
     ed = dec_cfg.embed_dim
-    p["dec.embed.w"] = nn.trunc_normal(rng, (vis_cfg.embed_dim, ed), dtype=dtype)
-    p["dec.embed.b"] = nn.zeros(ed, dtype)
-    p["dec.mask"] = nn.trunc_normal(rng, (ed,), dtype=dtype)
-    p["dec.pos"] = nn.trunc_normal(rng, (vis_cfg.n_patches + 1, ed), dtype=dtype)
-    nn.init_stack(rng, p, "dec", ed, dec_cfg.depth, dec_cfg.mlp_hidden, dtype)
-    p["dec.head.w"] = nn.trunc_normal(rng, (ed, vis_cfg.patch_volume), dtype=dtype)
-    p["dec.head.b"] = nn.zeros(vis_cfg.patch_volume, dtype)
-    return p
+    params["dec.embed.w"] = nn.trunc_normal(rng, (vis_cfg.embed_dim, ed), dtype=dtype)
+    params["dec.embed.b"] = np.zeros(ed, dtype)
+    params["dec.mask"] = nn.trunc_normal(rng, (ed,), dtype=dtype)
+    params["dec.pos"] = nn.trunc_normal(rng, (vis_cfg.n_patches + 1, ed), dtype=dtype)
+    nn.init_stack(rng, params, "dec", ed, dec_cfg.depth, dec_cfg.mlp_hidden, dtype)
+    params["dec.head.w"] = nn.trunc_normal(rng, (ed, vis_cfg.patch_volume), dtype=dtype)
+    params["dec.head.b"] = np.zeros(vis_cfg.patch_volume, dtype)
+    return params
 
 
 def masked_mse(recon: np.ndarray, targets: np.ndarray, masked_idx: np.ndarray):

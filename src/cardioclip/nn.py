@@ -46,10 +46,6 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.fl
     return out.astype(dtype)
 
 
-def zeros(shape, dtype=np.float32) -> np.ndarray:
-    return np.zeros(shape, dtype=dtype)
-
-
 # ---------------------------------------------------------------------------
 # dense products
 
@@ -235,17 +231,17 @@ def stack_bwd(params: Params, prefix: str, caches, dy: np.ndarray, grads: Grads)
 def init_block(rng: np.random.Generator, params: Params, prefix: str, dim: int,
                mlp_hidden: int, dtype=np.float32, std: float = 0.02) -> None:
     params[f"{prefix}.ln1.g"] = np.ones(dim, dtype=dtype)
-    params[f"{prefix}.ln1.b"] = zeros(dim, dtype)
+    params[f"{prefix}.ln1.b"] = np.zeros(dim, dtype)
     params[f"{prefix}.attn.qkv.w"] = trunc_normal(rng, (dim, 3 * dim), std=std, dtype=dtype)
-    params[f"{prefix}.attn.qv.b"] = zeros(2 * dim, dtype)
+    params[f"{prefix}.attn.qv.b"] = np.zeros(2 * dim, dtype)
     params[f"{prefix}.attn.proj.w"] = trunc_normal(rng, (dim, dim), std=std, dtype=dtype)
-    params[f"{prefix}.attn.proj.b"] = zeros(dim, dtype)
+    params[f"{prefix}.attn.proj.b"] = np.zeros(dim, dtype)
     params[f"{prefix}.ln2.g"] = np.ones(dim, dtype=dtype)
-    params[f"{prefix}.ln2.b"] = zeros(dim, dtype)
+    params[f"{prefix}.ln2.b"] = np.zeros(dim, dtype)
     params[f"{prefix}.fc1.w"] = trunc_normal(rng, (dim, mlp_hidden), std=std, dtype=dtype)
-    params[f"{prefix}.fc1.b"] = zeros(mlp_hidden, dtype)
+    params[f"{prefix}.fc1.b"] = np.zeros(mlp_hidden, dtype)
     params[f"{prefix}.fc2.w"] = trunc_normal(rng, (mlp_hidden, dim), std=std, dtype=dtype)
-    params[f"{prefix}.fc2.b"] = zeros(dim, dtype)
+    params[f"{prefix}.fc2.b"] = np.zeros(dim, dtype)
 
 
 def init_stack(rng: np.random.Generator, params: Params, prefix: str, dim: int,
@@ -253,4 +249,4 @@ def init_stack(rng: np.random.Generator, params: Params, prefix: str, dim: int,
     for layer in range(depth):
         init_block(rng, params, f"{prefix}.blk{layer}", dim, mlp_hidden, dtype, std=std)
     params[f"{prefix}.lnf.g"] = np.ones(dim, dtype=dtype)
-    params[f"{prefix}.lnf.b"] = zeros(dim, dtype)
+    params[f"{prefix}.lnf.b"] = np.zeros(dim, dtype)

@@ -89,7 +89,7 @@ class AdamW:
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, weight_decay: float = 0.01, lr_scale_of=None):
+    def __init__(self, params, weight_decay: float, lr_scale_of=None):
         self.weight_decay = weight_decay
         self.lr_scale_of = lr_scale_of or (lambda name: 1.0)
         self.t = 0

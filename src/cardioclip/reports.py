@@ -73,7 +73,8 @@ def load_catalog() -> AbnormalityCatalog:
     )
 
 
-def _contains_phrase(words: list[str], phrase_words: tuple[str, ...]) -> bool:
+def contains_phrase(words: list[str], phrase_words: tuple[str, ...]) -> bool:
+    """Whether phrase_words occurs as a contiguous run of words."""
     k = len(phrase_words)
     if k == 0 or k > len(words):
         return False
@@ -93,10 +94,10 @@ def structure_report(case_id: str, text: str, cat: AbnormalityCatalog) -> Struct
         words = normalize_words(clause)
         if not words:
             continue
-        if any(_contains_phrase(words, cue) for cue in cue_words):
+        if any(contains_phrase(words, cue) for cue in cue_words):
             continue
         for d, plist in phrases.items():
-            if not flags[d] and any(_contains_phrase(words, p) for p in plist):
+            if not flags[d] and any(contains_phrase(words, p) for p in plist):
                 flags[d] = True
     return structured_from_flags(case_id, flags, cat)
 

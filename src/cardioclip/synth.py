@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import replacing
 from .optim import count_rule, require
-from .reports import AbnormalityCatalog, structured_from_flags
+from .reports import AbnormalityCatalog, contains_phrase, structured_from_flags
 from .seeding import derive_seed, substream
 from .tokenizer import normalize_words
 from .volume import Volume3D, save_volume
@@ -138,13 +139,9 @@ def calcium_wording_severity(text: str) -> float:
     Matches the full positive-template word sequences, so negated statements
     ("there is no coronary calcification") conveying absence score 0.
     """
-    words = tuple(normalize_words(text))
-    best = 0.0
-    for phrase, sev in zip(_CAC_PHRASES, CAC_WORDING_SEVERITY):
-        k = len(phrase)
-        if any(words[i : i + k] == phrase for i in range(len(words) - k + 1)):
-            best = max(best, sev)
-    return best
+    words = normalize_words(text)
+    return max((sev for phrase, sev in zip(_CAC_PHRASES, CAC_WORDING_SEVERITY)
+                if contains_phrase(words, phrase)), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -185,7 +182,6 @@ class SynthCase:
     flags: tuple[bool, ...]
     free_text: str
     grade: int | None = None
-    index: int = 0  # position in the corpus; keys the per-case substreams
 
 
 def finding_region(dims, d: int):
@@ -344,14 +340,7 @@ def _build_case(spec: SynthSpec, i: int, grade: int | None) -> SynthCase:
         flags=tuple(flags),
         free_text=text,
         grade=grade,
-        index=i,
     )
-
-
-def generate_corpus(spec: SynthSpec) -> list[SynthCase]:
-    """Ungraded corpus: flags from per-finding Bernoulli draws, motifs planted
-    accordingly, free text sampled from the templates. Bit-deterministic."""
-    return [_build_case(spec, i, grade=None) for i in range(spec.n_cases)]
 
 
 def _draw_grade(rng, spec: SynthSpec) -> int | None:
@@ -361,29 +350,25 @@ def _draw_grade(rng, spec: SynthSpec) -> int | None:
     return None
 
 
-def generate_cac_grades(cases, spec: SynthSpec, rng) -> list[SynthCase]:
-    """Assign uniform grades 1..5 to a cac_fraction subset and rebuild those
-    cases so the calcification motif tracks the grade."""
-    out = []
-    for case in cases:
-        grade = _draw_grade(rng, spec)
-        out.append(case if grade is None else _build_case(spec, case.index, grade=grade))
-    return out
-
-
 def generate_full_corpus(spec: SynthSpec) -> list[SynthCase]:
-    """Equal, case for case, to generate_cac_grades(generate_corpus(spec), spec,
-    substream(spec.seed, "cac")), but builds each case once, with its grade."""
+    """The corpus of spec, bit-deterministic: case i draws its flags from
+    per-finding Bernoulli trials, its volume with the motifs of those flags
+    planted, and its free text from the templates, each from its own
+    (spec.seed, i) substream. A cac_fraction share of the cases, drawn in
+    order from the (spec.seed, "cac") stream, get a uniform grade 1..5 that
+    sets the calcification flag, motif and wording."""
     rng = substream(spec.seed, "cac")
     return [_build_case(spec, i, _draw_grade(rng, spec)) for i in range(spec.n_cases)]
 
 
 def write_corpus(cases, out_dir, cat: AbnormalityCatalog) -> None:
-    """Emit CCV1 volumes, the JSONL report corpus, and grades.jsonl."""
+    """Emit CCV1 volumes, the JSONL report corpus, and grades.jsonl. The two
+    JSONL files replace the previous pair only once both are whole, so a
+    write that fails partway leaves the previous ones as they were."""
     vol_dir = os.path.join(out_dir, "volumes")
     os.makedirs(vol_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "reports.jsonl"), "w", encoding="utf-8") as rep_fh, \
-         open(os.path.join(out_dir, "grades.jsonl"), "w", encoding="utf-8") as grade_fh:
+    with replacing(os.path.join(out_dir, "reports.jsonl")) as rep_fh, \
+         replacing(os.path.join(out_dir, "grades.jsonl")) as grade_fh:
         for case in cases:
             save_volume(case.volume, os.path.join(vol_dir, f"{case.case_id}.ccv1"))
             structured = structured_from_flags(case.case_id, case.flags, cat)

@@ -167,8 +167,8 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
     """Train an affine head on the mean-pooled visual feature (optionally with
     the encoder). Labels are ints in [0, head_classes).
 
-    Returns (params, result) where result carries the per-epoch loss trace,
-    final train accuracy, and held-out metrics when eval_set is given:
+    Returns (params, result) where result carries the final epoch's train
+    accuracy, and held-out metrics when eval_set is given:
     AUROC for 2 classes, per-threshold ordinal AUROC otherwise, where cut t
     is scored by the head's P(grade > t) (see metrics.head_ordinal_auroc).
     An eval set that cannot be scored (labels outside [0, head_classes), or
@@ -194,7 +194,7 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
     # AdamW.step updates in place, so train copies of the caller's arrays
     params.update({k: params[k].copy() for k in encoder})
     params["head.w"] = nn.trunc_normal(rng, (vis_cfg.embed_dim, head_classes), dtype=dtype)
-    params["head.b"] = nn.zeros(head_classes, dtype)
+    params["head.b"] = np.zeros(head_classes, dtype)
     trainable = {k: params[k] for k in (*encoder, "head.w", "head.b")}
 
     head_scale = cfg.head_lr / cfg.lr
@@ -223,7 +223,7 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
             trainer.step(*batch_step(idx))
         extra["train_accuracy"] = hits / sum(idx.size for idx in batches)
 
-    result = {"trace": trainer.trace, "train_accuracy": trainer.trace[-1]["train_accuracy"]}
+    result = {"train_accuracy": trainer.trace[-1]["train_accuracy"]}
     if eval_set is not None:
         logits = predict_logits(params, vis_cfg, [v for v, _ in eval_set])
         p = np.exp(nn.log_softmax(logits, axis=1))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .checkpoint import replacing
+
 PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
@@ -50,14 +52,12 @@ def build_vocab(texts) -> Vocabulary:
     return Vocabulary(tokens=SPECIALS + tuple(sorted(words)))
 
 
-def tokenize(text: str, vocab: Vocabulary, max_len: int | None = None) -> tuple[int, ...]:
+def tokenize(text: str, vocab: Vocabulary, max_len: int) -> tuple[int, ...]:
     """Map text to ids: CLS, then one id per word (UNK for unknowns), the
     whole truncated to max_len."""
     if len(vocab) <= len(SPECIALS):
         raise RuntimeError("vocabulary is empty; run build_vocab over the training corpus first")
-    words = normalize_words(text)
-    if max_len is not None:
-        words = words[: max_len - 1]
+    words = normalize_words(text)[: max_len - 1]
     return (CLS_ID,) + tuple(vocab.id_of(w) for w in words)
 
 
@@ -76,7 +76,8 @@ def pad_batch(seqs):
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the tokens one per line, replacing path only once whole."""
+    with replacing(path) as fh:
         for tok in vocab.tokens:
             fh.write(tok + "\n")
 

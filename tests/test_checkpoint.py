@@ -33,8 +33,8 @@ def test_round_trip_bit_exact(tmp_path):
 
 def test_save_twice_identical_bytes(tmp_path):
     params = params_fixture()
-    save_checkpoint(params, "mae", tmp_path / "a")
-    save_checkpoint(params, "mae", tmp_path / "b")
+    save_checkpoint(params, "mae", tmp_path / "a", "abc123")
+    save_checkpoint(params, "mae", tmp_path / "b", "abc123")
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
@@ -42,7 +42,7 @@ def test_save_twice_identical_bytes(tmp_path):
 def test_tampered_payload_length_rejected(tmp_path):
     params = params_fixture()
     stem = tmp_path / "ckpt"
-    save_checkpoint(params, "mae", stem)
+    save_checkpoint(params, "mae", stem, "abc123")
     payload = (tmp_path / "ckpt.bin").read_bytes()
     (tmp_path / "ckpt.bin").write_bytes(payload[:-8])
     with pytest.raises(CheckpointError, match="payload"):
@@ -52,7 +52,7 @@ def test_tampered_payload_length_rejected(tmp_path):
 def test_non_contiguous_offsets_rejected(tmp_path):
     params = params_fixture()
     stem = tmp_path / "ckpt"
-    save_checkpoint(params, "mae", stem)
+    save_checkpoint(params, "mae", stem, "abc123")
     manifest = json.loads((tmp_path / "ckpt.json").read_text())
     manifest["tensors"][1]["offset"] += 4
     (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
@@ -64,7 +64,7 @@ def test_non_finite_tensor_rejected_on_save(tmp_path):
     params = params_fixture()
     params["vis.cls"][0] = np.inf
     with pytest.raises(CheckpointError, match="finite"):
-        save_checkpoint(params, "mae", tmp_path / "ckpt")
+        save_checkpoint(params, "mae", tmp_path / "ckpt", "abc123")
 
 
 @pytest.mark.parametrize("failure", ["payload", "manifest"])
@@ -95,7 +95,7 @@ def test_save_failing_partway_leaves_the_previous_pair_and_no_temp_file(tmp_path
 def test_manifest_is_sorted_and_self_describing(tmp_path):
     params = params_fixture()
     stem = tmp_path / "ckpt"
-    save_checkpoint(params, "clip", stem)
+    save_checkpoint(params, "clip", stem, "abc123")
     manifest = json.loads((tmp_path / "ckpt.json").read_text())
     names = [t["name"] for t in manifest["tensors"]]
     assert names == sorted(names)
@@ -106,7 +106,7 @@ def test_manifest_is_sorted_and_self_describing(tmp_path):
 def _corrupt(tmp_path, edit):
     """A saved checkpoint whose manifest is replaced by edit(manifest)."""
     stem = tmp_path / "ckpt"
-    save_checkpoint(params_fixture(), "mae", stem)
+    save_checkpoint(params_fixture(), "mae", stem, "abc123")
     manifest = json.loads((tmp_path / "ckpt.json").read_text())
     (tmp_path / "ckpt.json").write_text(json.dumps(edit(manifest)))
     return stem
@@ -152,7 +152,7 @@ def test_duplicate_tensor_name_rejected(tmp_path):
 
 def test_invalid_json_rejected(tmp_path):
     stem = tmp_path / "ckpt"
-    save_checkpoint(params_fixture(), "mae", stem)
+    save_checkpoint(params_fixture(), "mae", stem, "abc123")
     (tmp_path / "ckpt.json").write_text("{not json")
     with pytest.raises(CheckpointError, match="JSON"):
         load_checkpoint(stem)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import shutil
@@ -199,6 +200,28 @@ class TestErrorPaths:
         assert "warning" in err and "digest" in err
         assert (tmp_path / "pretrain_clip" / "checkpoint.bin").exists()
 
+    def test_pretrain_clip_failing_in_training_leaves_the_previous_vocab(self, workdir, tmp_path,
+                                                                         monkeypatch, capsys):
+        # a root of its own holding the shared corpus and a previous stage-2
+        # output whose vocab differs from the one this run would build
+        shutil.copytree(workdir / "runs" / "synth", tmp_path / "synth")
+        shutil.copytree(workdir / "runs" / "pretrain_clip", tmp_path / "pretrain_clip")
+        (tmp_path / "pretrain_clip" / "vocab.txt").write_text("<pad>\n<unk>\n<cls>\nprevious\n")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "pretrain_clip").iterdir()
+                  if p.name != "trace.jsonl"}
+
+        def failing_train_clip(*args, **kwargs):
+            raise FloatingPointError("non-finite contrastive loss at step 0")
+
+        monkeypatch.setattr(cli, "train_clip", failing_train_clip)
+        assert main(["pretrain-clip", "--config", str(workdir / "config.json"),
+                     "--out", str(tmp_path),
+                     "--init", str(workdir / "runs" / "pretrain_mae" / "checkpoint")]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in (tmp_path / "pretrain_clip").iterdir()
+                 if p.name != "trace.jsonl"}
+        assert after == before
+
     def test_missing_synth_dir_is_clean_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(TINY))
@@ -224,3 +247,21 @@ def test_json_write_failing_partway_leaves_the_previous_file_and_no_temp_file(tm
         cli._write_json(path, {"a": 2, "b": {3}})
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["metrics.json"]
+
+
+def _load_by_path(monkeypatch, directory, name):
+    monkeypatch.syspath_prepend(directory)
+    spec = importlib.util.spec_from_file_location(f"_path_{name}",
+                                                  os.path.join(directory, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pipeline_script_runs_the_commands_the_benchmark_times(monkeypatch):
+    # perfbench's pipeline_cli workload times "the run_pipeline.py commands"
+    repo = os.path.join(os.path.dirname(__file__), os.pardir)
+    stages = _load_by_path(monkeypatch, os.path.join(repo, "scripts"), "run_pipeline").STAGES
+    layers = _load_by_path(monkeypatch, os.path.join(repo, "perfbench"), "layers")
+    assert tuple(stages) == tuple(layers.PIPELINE_COMMANDS)
+    assert set(stages) <= set(cli._HANDLERS)

@@ -173,7 +173,7 @@ class TestVariantSampling:
 class TestContrastivePairs:
     def test_vocab_covers_structured_texts_and_vectors_match_flags(self):
         flags = [tuple(bool((i >> d) & 1) for d in range(CAT.size)) for i in (0, 5, 127)]
-        cases = [SynthCase(f"c{i}", f"vol{i}", f, f"free text {i}", None, i)
+        cases = [SynthCase(f"c{i}", f"vol{i}", f, f"free text {i}", None)
                  for i, f in enumerate(flags)]
         pairs, vocab = contrastive_pairs(cases, CAT)
         assert [(p[0], p[1]) for p in pairs] == [(c.volume, c.free_text) for c in cases]

@@ -21,7 +21,7 @@ from cardioclip.config import (
 from cardioclip.encoders import TextEncoderConfig, VisualEncoderConfig
 from cardioclip.mae import DecoderConfig, MAETrainConfig
 from cardioclip.reports import load_catalog
-from cardioclip.synth import SynthSpec, generate_corpus
+from cardioclip.synth import SynthSpec, generate_full_corpus
 from cardioclip.tasks import FinetuneConfig
 
 
@@ -158,7 +158,7 @@ def test_dims_off_the_default_patch_grid_are_accepted_with_a_patch_size_that_div
                               ["geometry.dims=[24,24,24]", "geometry.patch_size=[8,8,8]"])
     assert validate_config(cfg) == []
     spec = replace(stage_configs(cfg)["synth"], n_cases=1)
-    assert generate_corpus(spec)[0].volume.dims == (24, 24, 24)
+    assert generate_full_corpus(spec)[0].volume.dims == (24, 24, 24)
 
 
 def test_finetune_target_is_cac_or_a_catalog_name():

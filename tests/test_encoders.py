@@ -151,7 +151,7 @@ class TestEncodeText:
 
     def params(self, seed=0):
         rng = np.random.default_rng(seed)
-        return init_text_params(rng, self.CFG, proj_dim=4)
+        return init_text_params(rng, self.CFG, 4, {})
 
     def batch(self, *texts):
         return pad_batch([tokenize(t, self.VOCAB, 8) for t in texts])
@@ -198,7 +198,7 @@ class TestEncodeText:
         # runs of TEXT_CHUNK the last one did, and its row differed)
         report = "there is coronary stenosis no pericardial effusion seen"
         cfg = TextEncoderConfig(vocab_size=len(self.VOCAB))
-        params = init_text_params(np.random.default_rng(0), cfg, proj_dim=64)
+        params = init_text_params(np.random.default_rng(0), cfg, 64, {})
         bundle = ModelBundle(params=params, vis_cfg=TOY_VIS, txt_cfg=cfg, vocab=self.VOCAB,
                              catalog=load_catalog())
         rows = embed_texts(bundle, [report] * n)
@@ -236,7 +236,7 @@ class TestEncodeImage:
         params = init_visual_params(rng, vis_cfg, proj_dim=4)
         init_text_params(rng, TestEncodeText.CFG, 4, params)
         params["head.w"] = nn.trunc_normal(rng, (vis_cfg.embed_dim, 2))
-        params["head.b"] = nn.zeros(2, np.float32)
+        params["head.b"] = np.zeros(2, np.float32)
         return ModelBundle(params=params, vis_cfg=vis_cfg, txt_cfg=TestEncodeText.CFG,
                            vocab=TestEncodeText.VOCAB, catalog=load_catalog())
 
@@ -356,7 +356,7 @@ class TestStageLossGradients:
         rng = np.random.default_rng(3)
         params = init_visual_params(rng, cfg, proj_dim=4, dtype=np.float64)
         params["head.w"] = nn.trunc_normal(rng, (cfg.embed_dim, 3), dtype=np.float64)
-        params["head.b"] = nn.zeros(3, np.float64)
+        params["head.b"] = np.zeros(3, np.float64)
         for k in params:
             params[k] += rng.normal(0, 0.2, params[k].shape)
         patches = rng.random((3, cfg.n_patches, cfg.patch_volume))
@@ -379,9 +379,9 @@ class TestStageLossGradients:
         cfg = TextEncoderConfig(vocab_size=len(vocab), max_len=8, embed_dim=8, depth=1,
                                 heads=2, mlp_ratio=2.0)
         rng = np.random.default_rng(4)
-        params = init_text_params(rng, cfg, 4, dtype=np.float64)
+        params = init_text_params(rng, cfg, 4, {}, dtype=np.float64)
         params["warm.head.w"] = nn.trunc_normal(rng, (cfg.embed_dim, 5), dtype=np.float64)
-        params["warm.head.b"] = nn.zeros(5, np.float64)
+        params["warm.head.b"] = np.zeros(5, np.float64)
         for k in params:
             params[k] += rng.normal(0, 0.2, params[k].shape)
         ids, lengths = pad_batch([tokenize(t, vocab, 8) for t in gradcheck.TOY_TEXTS])

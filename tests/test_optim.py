@@ -60,6 +60,6 @@ def test_step_leaves_grads_untouched():
     params = _params(rng)
     grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
     before = {k: g.copy() for k, g in grads.items()}
-    AdamW(params).step(params, grads, lr=1e-3)
+    AdamW(params, 0.01).step(params, grads, lr=1e-3)
     for k in grads:
         assert grads[k].tobytes() == before[k].tobytes()

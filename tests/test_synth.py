@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from cardioclip import synth
 from cardioclip.reports import load_catalog, structure_report
 from cardioclip.seeding import substream
 from cardioclip.synth import (
@@ -12,8 +14,6 @@ from cardioclip.synth import (
     POSITIVE_TEMPLATES,
     SynthSpec,
     finding_region,
-    generate_cac_grades,
-    generate_corpus,
     generate_full_corpus,
     plant_signature,
     smooth_background,
@@ -35,7 +35,7 @@ class TestGenerateCorpus:
     def test_prevalence_zero_all_negative(self):
         spec = SynthSpec(n_cases=10, dims=(32, 32, 32), prevalence=(0.0,) * 7,
                          cac_fraction=0.0, seed=1)
-        for case in generate_corpus(spec):
+        for case in generate_full_corpus(spec):
             assert case.flags == (False,) * 7
             s = structure_report(case.case_id, case.free_text, CAT)
             assert s.flags == (False,) * 7
@@ -43,7 +43,7 @@ class TestGenerateCorpus:
     def test_prevalence_one_all_positive(self):
         spec = SynthSpec(n_cases=5, dims=(32, 32, 32), prevalence=(1.0,) * 7,
                          cac_fraction=0.0, seed=2)
-        for case in generate_corpus(spec):
+        for case in generate_full_corpus(spec):
             assert case.flags == (True,) * 7
 
     def test_prevalence_binomial(self):
@@ -69,7 +69,9 @@ class TestGenerateCorpus:
 
     def test_golden_digest(self, small_corpus):
         # volume bytes, texts, flags and grades of SMALL, pinned (numpy 2.x
-        # Generator streams): any change to a case's bytes moves it
+        # Generator streams): any change to a case's bytes moves it. SMALL
+        # holds graded and ungraded cases, so the digest pins both kinds.
+        assert {c.grade is None for c in small_corpus} == {True, False}
         h = hashlib.sha256()
         for c in small_corpus:
             h.update(c.volume.voxels.tobytes())
@@ -127,9 +129,7 @@ class TestCacGrades:
     def test_grades_uniform_and_fraction(self):
         spec = SynthSpec(n_cases=600, dims=(32, 32, 32), prevalence=(0.0,) * 7,
                          cac_fraction=0.5, seed=4)
-        cases = generate_corpus(spec)
-        # grade assignment itself is cheap; rebuild only happens for graded cases
-        graded = generate_cac_grades(cases, spec, substream(4, "cac"))
+        graded = generate_full_corpus(spec)
         grades = [c.grade for c in graded if c.grade is not None]
         frac = len(grades) / len(graded)
         assert abs(frac - 0.5) < 0.06
@@ -151,27 +151,6 @@ class TestCacGrades:
             means[c.grade].append(float(c.volume.voxels[region].mean()))
         avg = [np.mean(means[g]) for g in range(1, 6)]
         assert all(a < b for a, b in zip(avg, avg[1:]))
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_full_corpus_equals_grading_the_ungraded_corpus(self, seed):
-        spec = SynthSpec(n_cases=30, dims=(32, 32, 32), cac_fraction=0.4, seed=seed)
-        full = generate_full_corpus(spec)
-        graded = generate_cac_grades(generate_corpus(spec), spec, substream(seed, "cac"))
-        assert len(full) == len(graded) == 30
-        assert any(c.grade is not None for c in full) and any(c.grade is None for c in full)
-        for a, b in zip(full, graded):
-            assert (a.case_id, a.index, a.flags, a.free_text, a.grade) == \
-                (b.case_id, b.index, b.flags, b.free_text, b.grade)
-            assert a.volume.voxels.dtype == b.volume.voxels.dtype
-            assert a.volume.voxels.tobytes() == b.volume.voxels.tobytes()
-
-    def test_ungraded_cases_unchanged(self):
-        spec = SynthSpec(n_cases=10, dims=(32, 32, 32), cac_fraction=0.0, seed=6)
-        cases = generate_corpus(spec)
-        graded = generate_cac_grades(cases, spec, substream(6, "cac"))
-        for a, b in zip(cases, graded):
-            assert b.grade is None
-            assert np.array_equal(a.volume.voxels, b.volume.voxels)
 
 
 class TestClosureProperty:
@@ -202,3 +181,22 @@ class TestWriteCorpus:
         assert len(grades) == len(graded)
         vol = load_volume(tmp_path / "volumes" / f"{small_corpus[0].case_id}.ccv1")
         assert np.array_equal(vol.voxels, small_corpus[0].volume.voxels)
+
+    def test_write_failing_partway_leaves_the_previous_files_and_no_temp_file(
+            self, tmp_path, monkeypatch, small_corpus):
+        write_corpus(small_corpus[:4], tmp_path, CAT)
+        names = ("reports.jsonl", "grades.jsonl")
+        before = {n: (tmp_path / n).read_bytes() for n in names}
+        calls = []
+
+        def save_then_fail(volume, path):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(synth, "save_volume", save_then_fail)
+        with pytest.raises(OSError, match="no space left"):
+            write_corpus(small_corpus, tmp_path, CAT)
+        assert {n: (tmp_path / n).read_bytes() for n in names} == before
+        assert not [f for _, _, files in os.walk(tmp_path) for f in files
+                    if f.endswith(".tmp")]

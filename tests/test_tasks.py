@@ -158,7 +158,7 @@ class TestRetrieval:
 
 def make_case(i, flags=(False,) * CAT.size, grade=None, volume=None):
     return SynthCase(f"c{i}", volume if volume is not None else make_volume(i),
-                     tuple(flags), f"report {i}", grade, i)
+                     tuple(flags), f"report {i}", grade)
 
 
 class TestCaseLevelSteps:

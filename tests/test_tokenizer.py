@@ -24,7 +24,7 @@ def test_reserved_ids():
 
 
 def test_tokenize_prepends_cls(vocab):
-    seq = tokenize("There is coronary stenosis", vocab)
+    seq = tokenize("There is coronary stenosis", vocab, 16)
     assert seq[0] == CLS_ID
     assert len(seq) == 5
     words = [vocab.tokens[i] for i in seq[1:]]
@@ -32,17 +32,17 @@ def test_tokenize_prepends_cls(vocab):
 
 
 def test_empty_text_is_cls_only(vocab):
-    assert tokenize("", vocab) == (CLS_ID,)
+    assert tokenize("", vocab, 16) == (CLS_ID,)
 
 
 def test_unknown_word_maps_to_unk(vocab):
-    seq = tokenize("there is cardiomegaly", vocab)
+    seq = tokenize("there is cardiomegaly", vocab, 16)
     assert seq[3] == UNK_ID
 
 
 def test_punctuation_and_case_are_normalized(vocab):
-    a = tokenize("There is CORONARY stenosis.", vocab)
-    b = tokenize("there is coronary stenosis", vocab)
+    a = tokenize("There is CORONARY stenosis.", vocab, 16)
+    b = tokenize("there is coronary stenosis", vocab, 16)
     assert a == b
 
 
@@ -54,11 +54,11 @@ def test_truncation_to_max_len(vocab):
 def test_empty_vocab_raises():
     empty = Vocabulary(tokens=SPECIALS)
     with pytest.raises(RuntimeError, match="empty"):
-        tokenize("anything", empty)
+        tokenize("anything", empty, 16)
 
 
 def test_pad_batch(vocab):
-    seqs = [tokenize("there is", vocab), tokenize("no pericardial effusion seen", vocab)]
+    seqs = [tokenize("there is", vocab, 16), tokenize("no pericardial effusion seen", vocab, 16)]
     ids, lengths = pad_batch(seqs)
     assert ids.shape == (2, 5)
     assert lengths.tolist() == [3, 5]
