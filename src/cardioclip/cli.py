@@ -33,7 +33,9 @@ from .synth import SynthCase, calcium_wording_severity, generate_full_corpus, wr
 from .tasks import (cac_grading, case_retrieval, finetune_classifier, finetune_labels,
                     zero_shot_aurocs)
 from .tokenizer import load_vocab, save_vocab
-from .volume import load_volume
+# cli calls no load_volume; the name stays bound here because
+# perfbench/tests/test_tracer.py checks that the benchmark's tracer rebinds it
+from .volume import VolumeFile, load_volume  # noqa: F401
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,12 +91,13 @@ def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _load_synth(root: str, volumes=("train", "eval"), graded_only=False):
+def _load_synth(root: str):
     """Read the synth output back as (train, eval) lists of SynthCase.
 
-    Only the cases of the splits named in `volumes` (and of those, only the
-    graded ones with graded_only) have their volume read; the rest carry
-    volume None.
+    Each case's volume is a VolumeFile on its CCV1 file, and no payload is
+    read here: a command reads a volume only when a batch (or an eval chunk)
+    needs its voxels, and again each epoch, so its memory grows with the
+    batch, not with the corpus.
     """
     synth_dir = os.path.join(root, "synth")
     reports_path = os.path.join(synth_dir, "reports.jsonl")
@@ -111,16 +114,12 @@ def _load_synth(root: str, volumes=("train", "eval"), graded_only=False):
                 grades[doc["case_id"]] = doc["grade"]
     with open(os.path.join(synth_dir, "splits.json"), "r", encoding="utf-8") as fh:
         splits = json.load(fh)
-    read = {cid for split in volumes for cid in splits[split]}
     by_id = {}
     for doc in reports:
         cid = doc["case_id"]
-        grade = grades.get(cid)
-        wanted = cid in read and (grade is not None or not graded_only)
-        volume = (load_volume(os.path.join(synth_dir, "volumes", f"{cid}.ccv1"))
-                  if wanted else None)
+        volume = VolumeFile(os.path.join(synth_dir, "volumes", f"{cid}.ccv1"))
         by_id[cid] = SynthCase(cid, volume, tuple(bool(f) for f in doc["flags"]),
-                               doc["free_text"], grade)
+                               doc["free_text"], grades.get(cid))
     train = [by_id[cid] for cid in splits["train"]]
     evalset = [by_id[cid] for cid in splits["eval"]]
     return train, evalset
@@ -177,7 +176,7 @@ def cmd_synth(args, cfg: dict, root: str) -> None:
 
 def cmd_structure_reports(args, cfg: dict, root: str) -> None:
     cat = load_catalog()
-    train, evalset = _load_synth(root, volumes=())
+    train, evalset = _load_synth(root)
     out = _cmd_dir(root, "structure_reports")
     n_match = 0
     total = 0
@@ -198,7 +197,7 @@ def cmd_structure_reports(args, cfg: dict, root: str) -> None:
 
 def cmd_pretrain_mae(args, cfg: dict, root: str) -> None:
     stages = stage_configs(cfg)
-    train, _ = _load_synth(root, volumes=("train",))
+    train, _ = _load_synth(root)
     out = _cmd_dir(root, "pretrain_mae")
     with open(os.path.join(out, "trace.jsonl"), "w", encoding="utf-8") as fh:
         params, trace = train_mae(
@@ -217,7 +216,7 @@ def cmd_pretrain_mae(args, cfg: dict, root: str) -> None:
 
 
 def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
-    train, _ = _load_synth(root, volumes=("train",))
+    train, _ = _load_synth(root)
     params = _load_params(args.init or os.path.join(root, "pretrain_mae", "checkpoint"),
                           cfg, args.force)
     pairs, vocab = contrastive_pairs(train, load_catalog())
@@ -247,7 +246,7 @@ def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
 
 def cmd_eval_zeroshot(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    _, evalset = _load_synth(root, volumes=("eval",))
+    _, evalset = _load_synth(root)
     per_name = zero_shot_aurocs(evalset, bundle)
     values = [v for v in per_name.values() if v is not None]
     metrics = {
@@ -261,7 +260,7 @@ def cmd_eval_zeroshot(args, cfg: dict, root: str) -> None:
 
 def cmd_eval_retrieval(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    _, evalset = _load_synth(root, volumes=("eval",))
+    _, evalset = _load_synth(root)
     scores = case_retrieval(evalset, bundle, cfg["eval"]["recall_ks"], cfg["eval"]["precision_ks"])
     metrics = {
         "recall": {k: round(x, 6) for k, x in scores["recall"].items()},
@@ -301,7 +300,7 @@ def cmd_eval_cac(args, cfg: dict, root: str) -> None:
     zero-shot margin s_p - s_n of the calcium prompt pair, in [-2, 2].
     """
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    _, evalset = _load_synth(root, volumes=("eval",), graded_only=True)
+    _, evalset = _load_synth(root)
     graded = [c for c in evalset if c.grade is not None]
     per_threshold, conf = cac_grading(graded, bundle)
     grades = [c.grade for c in graded]
@@ -322,7 +321,7 @@ def cmd_eval_cac(args, cfg: dict, root: str) -> None:
 def cmd_finetune(args, cfg: dict, root: str) -> None:
     bundle = _load_bundle(root, cfg, args.init, args.force)
     target = cfg["finetune"]["target"]
-    train, evalset = _load_synth(root, graded_only=target == "cac")
+    train, evalset = _load_synth(root)
     train_pairs, head_classes = finetune_labels(train, target, bundle.catalog)
     eval_pairs, _ = finetune_labels(evalset, target, bundle.catalog)
     params, result = finetune_classifier(train_pairs, bundle.params, head_classes,

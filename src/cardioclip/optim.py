@@ -146,7 +146,10 @@ class Trainer:
     and its gradients when step returns, all before the next batch is built.
     Within a step they hold one copy of its patches: the raw batch (stage 1:
     its visible-patch gather) is handed straight to the forward and dies
-    once the forward has cached its standardized copy.
+    once the forward has cached its standardized copy. The batch's volumes
+    are read only while its patches are built (volume.batch_patches), so a
+    corpus of volume.VolumeFile handles, as the CLI passes, is read from
+    disk one volume at a time, once per epoch.
     """
 
     def __init__(self, stage: str, params, weight_decay: float, lr_scale_of=None):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .optim import count_rule, require
 from .reports import AbnormalityCatalog, contains_phrase, structured_from_flags
 from .seeding import derive_seed, substream
 from .tokenizer import normalize_words
-from .volume import Volume3D, save_volume
+from .volume import Volume3D, VolumeFile, save_volume
 
 N_FINDINGS = 7
 NEGATION_PROB = 0.5  # chance an absent finding is explicitly negated in the report
@@ -177,8 +178,12 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class SynthCase:
+    """One corpus case. The generator holds its volume in memory; a corpus
+    read back from disk (cli._load_synth) holds a VolumeFile on its CCV1 file,
+    whose voxels are read only when a batch needs them."""
+
     case_id: str
-    volume: Volume3D | None  # None when a reader skipped it (cli._load_synth)
+    volume: Volume3D | VolumeFile
     flags: tuple[bool, ...]
     free_text: str
     grade: int | None = None
@@ -362,22 +367,47 @@ def generate_full_corpus(spec: SynthSpec) -> list[SynthCase]:
 
 
 def write_corpus(cases, out_dir, cat: AbnormalityCatalog) -> None:
-    """Emit CCV1 volumes, the JSONL report corpus, and grades.jsonl. The two
-    JSONL files replace the previous pair only once both are whole, so a
-    write that fails partway leaves the previous ones as they were."""
+    """Emit CCV1 volumes, the JSONL report corpus, and grades.jsonl.
+
+    The volumes go to a fresh volumes.tmp directory next to volumes/ and the
+    JSONL pair to temp files. Only once every volume and both JSONL files are
+    whole does volumes.tmp replace volumes/ and the pair replace the previous
+    pair, so a write that fails partway leaves the previous corpus as it was
+    and removes what it staged.
+    """
     vol_dir = os.path.join(out_dir, "volumes")
-    os.makedirs(vol_dir, exist_ok=True)
-    with replacing(os.path.join(out_dir, "reports.jsonl")) as rep_fh, \
-         replacing(os.path.join(out_dir, "grades.jsonl")) as grade_fh:
-        for case in cases:
-            save_volume(case.volume, os.path.join(vol_dir, f"{case.case_id}.ccv1"))
-            structured = structured_from_flags(case.case_id, case.flags, cat)
-            rep_fh.write(json.dumps({
-                "case_id": case.case_id,
-                "free_text": case.free_text,
-                "structured": list(structured.statements),
-                "flags": list(case.flags),
-            }, sort_keys=True) + "\n")
-            if case.grade is not None:
-                grade_fh.write(json.dumps(
-                    {"case_id": case.case_id, "grade": case.grade}, sort_keys=True) + "\n")
+    staging = f"{vol_dir}.tmp"
+    shutil.rmtree(staging, ignore_errors=True)  # left by a killed earlier write
+    os.makedirs(staging)
+    try:
+        with replacing(os.path.join(out_dir, "reports.jsonl")) as rep_fh, \
+             replacing(os.path.join(out_dir, "grades.jsonl")) as grade_fh:
+            for case in cases:
+                save_volume(case.volume, os.path.join(staging, f"{case.case_id}.ccv1"))
+                structured = structured_from_flags(case.case_id, case.flags, cat)
+                rep_fh.write(json.dumps({
+                    "case_id": case.case_id,
+                    "free_text": case.free_text,
+                    "structured": list(structured.statements),
+                    "flags": list(case.flags),
+                }, sort_keys=True) + "\n")
+                if case.grade is not None:
+                    grade_fh.write(json.dumps(
+                        {"case_id": case.case_id, "grade": case.grade}, sort_keys=True) + "\n")
+            rep_fh.flush()  # a failed write raises here, before the swap
+            grade_fh.flush()
+            _replace_dir(staging, vol_dir)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _replace_dir(src: str, dst: str) -> None:
+    """Move directory src to dst, removing any previous dst: a directory
+    cannot be renamed over a non-empty one, so the old one is renamed aside
+    first."""
+    old = f"{dst}.old"
+    shutil.rmtree(old, ignore_errors=True)
+    if os.path.exists(dst):
+        os.replace(dst, old)
+    os.replace(src, dst)
+    shutil.rmtree(old, ignore_errors=True)

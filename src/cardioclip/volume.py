@@ -2,11 +2,13 @@
 
 All functions here are pure. A Volume3D's voxels are read-only: the
 constructor keeps a C-contiguous float32 array as is and marks it read-only,
-and copies any other input.
+and copies any other input. A VolumeFile stands in for a Volume3D wherever
+only dims and voxels are read, reading its CCV1 file on each access.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -49,31 +51,70 @@ class Volume3D:
         return self.voxels.shape
 
 
+def _read_header(fh, path):
+    """((d, h, w), spacing) from the CCV1 header at the start of the open file
+    fh. Raises VolumeFormatError on a short header, a bad magic, or a
+    non-positive dims or spacing field."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise VolumeFormatError(f"{path}: truncated header ({len(head)} bytes)")
+    magic, d, h, w, sz, sy, sx = _HEADER.unpack(head)
+    if magic != CCV1_MAGIC:
+        raise VolumeFormatError(f"{path}: bad magic {magic!r}, expected {CCV1_MAGIC!r}")
+    if min(d, h, w) < 1:
+        raise VolumeFormatError(f"{path}: non-positive dims field ({d}, {h}, {w})")
+    if not all(np.isfinite(s) and s > 0 for s in (sz, sy, sx)):
+        raise VolumeFormatError(f"{path}: invalid spacing field ({sz}, {sy}, {sx})")
+    return (d, h, w), (sz, sy, sx)
+
+
+def _check_payload_size(path, dims, n_bytes: int) -> None:
+    d, h, w = dims
+    n = d * h * w
+    if n_bytes != 4 * n:
+        raise VolumeFormatError(
+            f"{path}: payload size mismatch, header implies {4 * n} bytes "
+            f"but file carries {n_bytes}"
+        )
+
+
 def load_volume(path) -> Volume3D:
     """Read a CCV1 file. Raises VolumeFormatError on any malformed content."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise VolumeFormatError(f"{path}: truncated header ({len(head)} bytes)")
-        magic, d, h, w, sz, sy, sx = _HEADER.unpack(head)
-        if magic != CCV1_MAGIC:
-            raise VolumeFormatError(f"{path}: bad magic {magic!r}, expected {CCV1_MAGIC!r}")
-        if min(d, h, w) < 1:
-            raise VolumeFormatError(f"{path}: non-positive dims field ({d}, {h}, {w})")
-        if not all(np.isfinite(s) and s > 0 for s in (sz, sy, sx)):
-            raise VolumeFormatError(f"{path}: invalid spacing field ({sz}, {sy}, {sx})")
+        dims, spacing = _read_header(fh, path)
         payload = fh.read()
-    n = d * h * w
-    if len(payload) != 4 * n:
-        raise VolumeFormatError(
-            f"{path}: payload size mismatch, header implies {4 * n} bytes "
-            f"but file carries {len(payload)}"
-        )
-    vox = np.frombuffer(payload, dtype="<f4").reshape(d, h, w)
+    _check_payload_size(path, dims, len(payload))
+    vox = np.frombuffer(payload, dtype="<f4").reshape(dims)
     try:  # the header is checked, so only Volume3D's finiteness check can fail
-        return Volume3D(voxels=vox, spacing=(sz, sy, sx))
+        return Volume3D(voxels=vox, spacing=spacing)
     except ValueError as exc:
         raise VolumeFormatError(f"{path}: payload {exc}") from exc
+
+
+@dataclass(frozen=True)
+class VolumeFile:
+    """A CCV1 file standing in for the Volume3D it holds, read on demand.
+
+    It keeps only its path. dims reads and checks the header, and checks the
+    payload size against the file size, so a truncated or misshaped file is
+    refused before any voxel is read. voxels is load_volume(path).voxels,
+    read again (and checked for finiteness again) on every access; nothing
+    is cached, so a list of these costs no memory until a batch reads it.
+    """
+
+    path: str
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        with open(self.path, "rb") as fh:
+            dims, _ = _read_header(fh, self.path)
+            n_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
+        _check_payload_size(self.path, dims, n_bytes)
+        return dims
+
+    @property
+    def voxels(self) -> np.ndarray:
+        return load_volume(self.path).voxels
 
 
 def save_volume(v: Volume3D, path) -> None:
@@ -120,11 +161,14 @@ def patches_of(voxels: np.ndarray, patch_size: tuple[int, int, int],
 def batch_patches(volumes, patch_size: tuple[int, int, int], dtype) -> np.ndarray:
     """(B, N, patch_volume) patches of B equal-sized volumes in dtype, one copy each.
 
+    The volumes are Volume3D or VolumeFile: the shape comes from the first
+    one's dims, and each volume's voxels are read once, so a batch of
+    VolumeFiles reads each file once and holds one volume's voxels at a time.
     Equal to np.stack([patches_of(v.voxels, patch_size) for v in volumes]).astype(dtype).
     """
     if len(volumes) == 0:
         raise ValueError("need at least one volume")
-    D, H, W = volumes[0].voxels.shape
+    D, H, W = volumes[0].dims
     pz, py, px = patch_size
     out = np.empty((len(volumes), (D // pz) * (H // py) * (W // px), pz * py * px), dtype=dtype)
     for v, row in zip(volumes, out):

@@ -3,9 +3,10 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
-from cardioclip import cli, tasks
+from cardioclip import cli, tasks, volume
 from cardioclip.cli import main
 
 TINY = {
@@ -130,16 +131,34 @@ class TestPipeline:
             # TINY fine-tunes the calcium grade, so only graded cases are read
             "finetune": [c for c in splits["train"] + splits["eval"] if c in graded],
         }.get(command, [])
+        # each stage runs one epoch on TINY, so each volume it uses is read once
         read = []
-        base = cli.load_volume
+        base = volume.load_volume
 
         def recording(path):
             read.append(os.path.basename(path).removesuffix(".ccv1"))
             return base(path)
 
-        monkeypatch.setattr(cli, "load_volume", recording)
+        # the VolumeFile handles _load_synth attaches call volume.load_volume
+        monkeypatch.setattr(volume, "load_volume", recording)
         assert run(workdir, command) == 0
         assert sorted(read) == sorted(expected)
+
+    def test_10b_load_synth_reads_no_payload(self, workdir, monkeypatch):
+        opened = []
+        base_open = open
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return base_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        train, evalset = cli._load_synth(str(workdir / "runs"))
+        monkeypatch.undo()
+        assert sorted(opened) == ["grades.jsonl", "reports.jsonl", "splits.json"]
+        vol_dir = workdir / "runs" / "synth" / "volumes"
+        for case in train + evalset:
+            assert case.volume == volume.VolumeFile(str(vol_dir / f"{case.case_id}.ccv1"))
 
     def test_11_manifests_record_peak_rss(self, workdir):
         for command in cli._HANDLERS:
@@ -221,6 +240,25 @@ class TestErrorPaths:
         after = {p.name: p.read_bytes() for p in (tmp_path / "pretrain_clip").iterdir()
                  if p.name != "trace.jsonl"}
         assert after == before
+
+    def test_non_finite_volume_fails_pretrain_mae_naming_the_file(self, workdir, tmp_path,
+                                                                   capsys):
+        # a root of its own holding the shared corpus with one train volume's
+        # last voxel set to NaN: the header and size stay valid, so the
+        # volume is refused when its batch reads it
+        shutil.copytree(workdir / "runs" / "synth", tmp_path / "synth")
+        cid = json.loads((tmp_path / "synth" / "splits.json").read_text())["train"][-1]
+        path = tmp_path / "synth" / "volumes" / f"{cid}.ccv1"
+        data = bytearray(path.read_bytes())
+        data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        code = main(["pretrain-mae", "--config", str(workdir / "config.json"),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{cid}.ccv1" in err and "non-finite" in err
+        out = tmp_path / "pretrain_mae"
+        assert not (out / "checkpoint.json").exists() and not (out / "checkpoint.bin").exists()
 
     def test_missing_synth_dir_is_clean_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ from cardioclip.synth import (
     smooth_background,
     write_corpus,
 )
-from cardioclip.volume import load_volume
+from cardioclip.volume import Volume3D, load_volume
 
 CAT = load_catalog()
 SMALL = SynthSpec(n_cases=24, dims=(32, 32, 32), prevalence=(0.3,) * 7, cac_fraction=0.5,
@@ -184,15 +185,23 @@ class TestWriteCorpus:
 
     def test_write_failing_partway_leaves_the_previous_files_and_no_temp_file(
             self, tmp_path, monkeypatch, small_corpus):
-        write_corpus(small_corpus[:4], tmp_path, CAT)
+        # the previous corpus has the same case ids but other voxels, so a
+        # volume overwritten in place would show
+        previous = [dataclasses.replace(c, volume=Volume3D(c.volume.voxels + 1.0))
+                    for c in small_corpus[:4]]
+        write_corpus(previous, tmp_path, CAT)
         names = ("reports.jsonl", "grades.jsonl")
         before = {n: (tmp_path / n).read_bytes() for n in names}
+        vol_dir = tmp_path / "volumes"
+        volumes_before = {p.name: p.read_bytes() for p in vol_dir.iterdir()}
         calls = []
+        save = synth.save_volume
 
         def save_then_fail(volume, path):
             calls.append(path)
             if len(calls) == 3:
                 raise OSError("no space left on device")
+            save(volume, path)
 
         monkeypatch.setattr(synth, "save_volume", save_then_fail)
         with pytest.raises(OSError, match="no space left"):
@@ -200,3 +209,12 @@ class TestWriteCorpus:
         assert {n: (tmp_path / n).read_bytes() for n in names} == before
         assert not [f for _, _, files in os.walk(tmp_path) for f in files
                     if f.endswith(".tmp")]
+        assert {p.name: p.read_bytes() for p in vol_dir.iterdir()} == volumes_before
+        assert sorted(os.listdir(tmp_path)) == ["grades.jsonl", "reports.jsonl", "volumes"]
+
+    def test_rewrite_replaces_every_volume(self, tmp_path, small_corpus):
+        write_corpus(small_corpus, tmp_path, CAT)
+        write_corpus(small_corpus[:3], tmp_path, CAT)
+        assert sorted(os.listdir(tmp_path)) == ["grades.jsonl", "reports.jsonl", "volumes"]
+        assert sorted(p.name for p in (tmp_path / "volumes").iterdir()) == [
+            f"{c.case_id}.ccv1" for c in small_corpus[:3]]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from cardioclip import volume
 from cardioclip.volume import (
     Volume3D,
+    VolumeFile,
     VolumeFormatError,
     batch_patches,
     load_volume,
@@ -158,3 +160,71 @@ class TestBatchPatches:
                           np.float32)
         with pytest.raises(ValueError):
             batch_patches([], (4, 4, 4), np.float32)
+
+
+class TestVolumeFile:
+    def saved(self, tmp_path, dims=(4, 6, 8), seed=9):
+        path = tmp_path / f"v{seed}.ccv1"
+        save_volume(rand_volume(np.random.default_rng(seed), dims=dims,
+                                spacing=(0.5, 1.0, 2.0)), path)
+        return path
+
+    def test_dims_and_voxels_equal_load_volumes(self, tmp_path):
+        path = self.saved(tmp_path)
+        handle, loaded = VolumeFile(str(path)), load_volume(path)
+        assert handle.dims == loaded.dims == (4, 6, 8)
+        assert handle.voxels.dtype == loaded.voxels.dtype
+        assert handle.voxels.tobytes() == loaded.voxels.tobytes()
+
+    def test_truncated_file_and_bad_magic_are_refused_at_dims(self, tmp_path):
+        path = self.saved(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-4])  # drop one voxel
+        with pytest.raises(VolumeFormatError, match="size mismatch"):
+            VolumeFile(str(path)).dims
+        path.write_bytes(b"XXXX" + data[4:])
+        with pytest.raises(VolumeFormatError, match="magic"):
+            VolumeFile(str(path)).dims
+        path.write_bytes(data[:10])
+        with pytest.raises(VolumeFormatError, match="truncated header"):
+            VolumeFile(str(path)).dims
+
+    def test_non_finite_payload_is_refused_at_voxels(self, tmp_path):
+        path = self.saved(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        handle = VolumeFile(str(path))
+        assert handle.dims == (4, 6, 8)  # the header and size are valid
+        with pytest.raises(VolumeFormatError, match=r"v9\.ccv1: payload .*non-finite"):
+            handle.voxels
+
+    def test_every_voxels_access_reads_the_file(self, tmp_path, monkeypatch):
+        path = self.saved(tmp_path)
+        calls = []
+        base = volume.load_volume
+
+        def counting(p):
+            calls.append(p)
+            return base(p)
+
+        monkeypatch.setattr(volume, "load_volume", counting)
+        handle = VolumeFile(str(path))
+        handle.dims
+        assert calls == []
+        first, second = handle.voxels, handle.voxels
+        assert calls == [str(path), str(path)]
+        assert first is not second
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_patches_of_handles_equal_those_of_loaded_volumes(self, tmp_path,
+                                                                    monkeypatch, dtype):
+        paths = [self.saved(tmp_path, dims=(8, 12, 16), seed=i) for i in range(3)]
+        calls = []
+        base = volume.load_volume
+        monkeypatch.setattr(volume, "load_volume", lambda p: calls.append(p) or base(p))
+        got = batch_patches([VolumeFile(str(p)) for p in paths], (4, 4, 8), dtype)
+        assert calls == [str(p) for p in paths]  # each volume read once
+        ref = batch_patches([base(p) for p in paths], (4, 4, 8), dtype)
+        assert got.dtype == ref.dtype and got.shape == ref.shape == (3, 12, 128)
+        assert got.tobytes() == ref.tobytes()
