@@ -155,18 +155,13 @@ def cmd_synth(args, cfg: dict, root: str) -> None:
     cat = load_catalog()
     cases = generate_full_corpus(stage_configs(cfg)["synth"])
     out = _cmd_dir(root, "synth")
-    write_corpus(cases, out, cat)
-    n_train = cfg["synth"]["train_cases"]
-    splits = {
-        "train": [c.case_id for c in cases[:n_train]],
-        "eval": [c.case_id for c in cases[n_train:]],
-    }
-    _write_json(os.path.join(out, "splits.json"), splits)
+    n_train = len(cases[:cfg["synth"]["train_cases"]])
+    write_corpus(cases, out, cat, n_train)
     flags = np.array([c.flags for c in cases])
     metrics = {
         "n_cases": len(cases),
-        "n_train": len(splits["train"]),
-        "n_eval": len(splits["eval"]),
+        "n_train": n_train,
+        "n_eval": len(cases) - n_train,
         "n_graded": int(sum(c.grade is not None for c in cases)),
         "prevalence": {name: round(float(flags[:, d].mean()), 6)
                        for d, name in enumerate(cat.names)},

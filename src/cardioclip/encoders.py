@@ -196,6 +196,7 @@ def visual_embed_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
             f"n_patches {cfg.n_patches} of {cfg.patch_volume} (input_dims {cfg.input_dims})"
         )
     x, c_tok = patch_tokens_fwd(params, patches)
+    del patches  # c_tok holds the standardized copy; the raw batch may die now
     x, c_stack = nn.stack_fwd(params, "vis", x, cfg.depth, cfg.heads)
     y, c_lnf = nn.layernorm_fwd(params, "vis.lnf", x)
     feats = y[:, 1:].mean(axis=1)

@@ -73,8 +73,9 @@ def sample_mask(n_total: int, ratio: float, seed: int) -> tuple[np.ndarray, np.n
     n_masked = masked_count(n_total, ratio)
     rng = np.random.Generator(np.random.PCG64(seed))
     masked = np.sort(rng.choice(n_total, size=n_masked, replace=False))
-    visible = np.setdiff1d(np.arange(n_total), masked, assume_unique=True)
-    return visible, masked
+    keep = np.ones(n_total, dtype=bool)
+    keep[masked] = False
+    return np.flatnonzero(keep), masked
 
 
 def init_decoder_params(rng, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,

@@ -24,9 +24,10 @@ class ModelBundle:
     catalog: AbnormalityCatalog
 
 
-# most volumes per batched visual forward. A chunk's forward holds its raw
-# patches, their standardized copy and every block's activations at once: at
-# the 64^3 default a (32, 64, 4096) float32 batch is 33.5 MB per copy. At 32,
+# most volumes per batched visual forward. A chunk's forward holds its
+# standardized patches and every block's activations at once (its raw patches
+# die once standardized): at the 64^3 default a (32, 64, 4096) float32 batch
+# is 33.5 MB per copy. With the raw batch also held to the end, at 32
 # eval-zeroshot raised a 100-case pipeline's peak RSS from 208 to 304 MB; at
 # 8 it stays at 200 MB, and embedding 52 volumes takes about as long.
 VOLUME_CHUNK = 8
@@ -63,8 +64,9 @@ def forward_volumes(params, vis_cfg: VisualEncoderConfig, volumes, readout) -> n
     dtype = params["vis.patch.w"].dtype
     out = []
     for idx in balanced_chunks(len(volumes), VOLUME_CHUNK):
-        patches = batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, dtype)
-        feats, emb = visual_embed_fwd(params, vis_cfg, patches)[:2]
+        # no local keeps the raw batch: the forward drops it once standardized
+        feats, emb = visual_embed_fwd(
+            params, vis_cfg, batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, dtype))[:2]
         out.append(readout(feats, emb))
     return np.concatenate(out, axis=0)
 

@@ -14,6 +14,16 @@ Every dense-layer product goes through `matmul`/`matmul_tn`, which cast both
 operands to their common dtype before one 2-D BLAS call; numpy would
 otherwise run a (B, T, K) @ (K, N) product as B small GEMMs, and a mixed
 float32/float64 product on its slower internal casting path.
+
+Ownership: no kernel writes into its arguments (inputs, params, gradients
+or caches); the elementwise kernels compute in place only into buffers they
+allocated themselves, in the operation order and dtypes of the plain numpy
+expression, so results are bitwise those of that expression. A parameter
+has the dtype of the activations it meets, and a gradient that of its
+cache or wider. A *_bwd may consume its cache: block_bwd drops each
+sub-cache once its backward has read it, and stack_bwd pops each block's
+cache off its list, leaving the list empty, so a cache is back-propagated
+once and each activation is freed as soon as the backward is done with it.
 """
 
 from __future__ import annotations
@@ -87,46 +97,87 @@ def linear_bwd(params: Params, prefix: str, cache, dy: np.ndarray, grads: Grads)
 
 
 def layernorm_fwd(params: Params, prefix: str, x: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
-    xhat = (x - mu) * inv
-    y = xhat * params[f"{prefix}.g"] + params[f"{prefix}.b"]
+    # np.var's own arithmetic (down to its intp divisor) on one deviation
+    # buffer, whose square's buffer then takes y: bitwise equal to
+    # (x - mu) / sqrt(x.var() + eps) * g + b
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    y = np.multiply(xhat, xhat)
+    inv = y.sum(axis=-1, keepdims=True)
+    inv /= np.intp(x.shape[-1])
+    inv += np.asarray(LN_EPS, dtype=x.dtype)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, params[f"{prefix}.g"], out=y)
+    y += params[f"{prefix}.b"]
     return y, (xhat, inv)
 
 
 def layernorm_bwd(params: Params, prefix: str, cache, dy: np.ndarray, grads: Grads):
     xhat, inv = cache
-    g = params[f"{prefix}.g"]
-    accumulate(grads, f"{prefix}.g", (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0))
-    accumulate(grads, f"{prefix}.b", dy.reshape(-1, xhat.shape[-1]).sum(axis=0))
-    dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    return (dxhat - m1 - xhat * m2) * inv
+    E = xhat.shape[-1]
+    t = dy * xhat
+    accumulate(grads, f"{prefix}.g", t.reshape(-1, E).sum(axis=0))
+    accumulate(grads, f"{prefix}.b", dy.reshape(-1, E).sum(axis=0))
+    # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv, dxhat = dy * g
+    dx = dy * params[f"{prefix}.g"]
+    m1 = dx.mean(axis=-1, keepdims=True)
+    np.multiply(dx, xhat, out=t)
+    m2 = t.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, m2, out=t)
+    dx -= m1
+    dx -= t
+    dx *= inv
+    return dx
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu_fwd(x: np.ndarray):
-    # x * x * x, not x**3: numpy sends a float32 cube through pow, ~100x slower
-    u = np.asarray(_GELU_C, dtype=x.dtype) * (x + np.asarray(0.044715, dtype=x.dtype) * (x * x * x))
-    t = np.tanh(u)
-    y = 0.5 * x * (1.0 + t)
+    # u = C * (x + 0.044715 * x^3) and t = tanh(u) in one buffer; the cube
+    # is x * x * x, not x**3: numpy sends a float32 cube through pow, ~100x slower
+    t = x * x
+    t *= x
+    t *= np.asarray(0.044715, dtype=x.dtype)
+    t += x
+    t *= np.asarray(_GELU_C, dtype=x.dtype)
+    np.tanh(t, out=t)
+    y = np.add(t, 1.0)
+    y *= 0.5 * x  # 0.5 * x * (1 + t), in that order
     return y, (x, t)
 
 
 def gelu_bwd(cache, dy: np.ndarray):
     x, t = cache
-    du = np.asarray(_GELU_C, dtype=x.dtype) * (1.0 + 3.0 * np.asarray(0.044715, dtype=x.dtype) * x**2)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+    # dy * (0.5 * (1 + t) + 0.5 * x * (1 - t^2) * du), du = C * (1 + 3 * 0.044715 * x^2),
+    # in two buffers: every sum and product takes its operands as written, in
+    # x's dtype up to the one with dy
+    h = 0.5 * x
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    h *= s
+    np.multiply(x, x, out=s)
+    s *= 3.0 * np.asarray(0.044715, dtype=x.dtype)
+    s += 1.0
+    s *= np.asarray(_GELU_C, dtype=x.dtype)
+    h *= s
+    np.add(t, 1.0, out=s)
+    s *= 0.5
+    s += h
+    del h
+    return np.multiply(dy, s, out=s if s.dtype == dy.dtype else None)
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return _exp_normalize(z - z.max(axis=axis, keepdims=True), axis)
+
+
+def _exp_normalize(e: np.ndarray, axis: int) -> np.ndarray:
+    """exp(e) / its sum along axis, computed in e's own buffer."""
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -138,33 +189,39 @@ def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 # multi-head self-attention
 
 
+def _heads(a: np.ndarray, i: int, heads: int) -> np.ndarray:
+    """The (B, heads, T, dh) view of the i-th E-wide third of a (B, T, 3E) array."""
+    B, T, E3 = a.shape
+    E = E3 // 3
+    return a[..., i * E:(i + 1) * E].reshape(B, T, heads, E // heads).transpose(0, 2, 1, 3)
+
+
 def attention_fwd(params: Params, prefix: str, x: np.ndarray, heads: int, key_mask=None):
     """x: (B, T, E); key_mask: optional (B, T) with 1 = attend, 0 = ignore.
 
     Biases exist for q and v only: a key bias shifts every logit in a query
     row equally, so it is an exact null direction of the softmax (zero
-    gradient forever); leaving it out keeps every parameter live.
+    gradient forever); leaving it out keeps every parameter live. q, k and v
+    are views of the one (B, T, 3E) projection, their biases added in place.
     """
     B, T, E = x.shape
-    dh = E // heads
     qkv = matmul(x, params[f"{prefix}.qkv.w"])
-    c_qkv = x
     qv_b = params[f"{prefix}.qv.b"]
-    q, k, v = np.split(qkv, 3, axis=-1)
-    q = q + qv_b[:E]
-    v = v + qv_b[E:]
-    q = q.reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
-    k = k.reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
-    v = v.reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
-    scale = np.asarray(1.0 / math.sqrt(dh), dtype=x.dtype)
-    logits = (q @ k.swapaxes(-1, -2)) * scale
+    qkv[..., :E] += qv_b[:E]
+    qkv[..., 2 * E:] += qv_b[E:]
+    q, k, v = (_heads(qkv, i, heads) for i in range(3))
+    scale = np.asarray(1.0 / math.sqrt(E // heads), dtype=x.dtype)
+    logits = q @ k.swapaxes(-1, -2)
+    logits *= scale
     if key_mask is not None:
         bias = (key_mask.astype(x.dtype) - 1.0) * np.asarray(_MASK_BIG, dtype=x.dtype)
-        logits = logits + bias[:, None, None, :]
-    attn = softmax(logits, axis=-1)
-    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(B, T, E)
+        logits += bias[:, None, None, :]
+    logits -= logits.max(axis=-1, keepdims=True)
+    attn = _exp_normalize(logits, -1)
+    ctx = np.empty((B, T, E), dtype=attn.dtype)
+    np.matmul(attn, v, out=ctx.reshape(B, T, heads, E // heads).transpose(0, 2, 1, 3))
     y, c_proj = linear_fwd(params, f"{prefix}.proj", ctx)
-    return y, (c_qkv, c_proj, q, k, v, attn, scale)
+    return y, (x, c_proj, q, k, v, attn, scale)
 
 
 def attention_bwd(params: Params, prefix: str, cache, dy: np.ndarray, grads: Grads):
@@ -173,18 +230,21 @@ def attention_bwd(params: Params, prefix: str, cache, dy: np.ndarray, grads: Gra
     E = H * dh
     dctx = linear_bwd(params, f"{prefix}.proj", c_proj, dy, grads)
     dctx = dctx.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
-    dattn = dctx @ v.swapaxes(-1, -2)
-    dv = attn.swapaxes(-1, -2) @ dctx
-    dlogits = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dq = (dlogits @ k) * scale
-    dk = (dlogits.swapaxes(-1, -2) @ q) * scale
-    dq_flat, dk_flat, dv_flat = (
-        d.transpose(0, 2, 1, 3).reshape(B, T, E) for d in (dq, dk, dv)
-    )
+    # dlogits = attn * (dattn - rowsum(dattn * attn)), in dattn's buffer
+    dlogits = dctx @ v.swapaxes(-1, -2)
+    dlogits -= (dlogits * attn).sum(axis=-1, keepdims=True)
+    dlogits *= attn
+    # dq, dk and dv are written straight into their thirds of dqkv
+    dqkv = np.empty((B, T, 3 * E), dtype=dlogits.dtype)
+    dq, dk, dv = (_heads(dqkv, i, H) for i in range(3))
+    np.matmul(dlogits, k, out=dq)
+    dq *= scale
+    np.matmul(dlogits.swapaxes(-1, -2), q, out=dk)
+    dk *= scale
+    np.matmul(attn.swapaxes(-1, -2), dctx, out=dv)
     accumulate(grads, f"{prefix}.qv.b", np.concatenate([
-        dq_flat.reshape(-1, E).sum(axis=0), dv_flat.reshape(-1, E).sum(axis=0)
+        dqkv[..., :E].reshape(-1, E).sum(axis=0), dqkv[..., 2 * E:].reshape(-1, E).sum(axis=0)
     ]))
-    dqkv = np.concatenate([dq_flat, dk_flat, dv_flat], axis=-1)
     accumulate(grads, f"{prefix}.qkv.w", matmul_tn(c_qkv, dqkv))
     return matmul(dqkv, params[f"{prefix}.qkv.w"].T)
 
@@ -195,23 +255,36 @@ def attention_bwd(params: Params, prefix: str, cache, dy: np.ndarray, grads: Gra
 
 def block_fwd(params: Params, prefix: str, x: np.ndarray, heads: int, key_mask=None):
     h1, c_ln1 = layernorm_fwd(params, f"{prefix}.ln1", x)
-    a, c_attn = attention_fwd(params, f"{prefix}.attn", h1, heads, key_mask)
-    x1 = x + a
+    x1, c_attn = attention_fwd(params, f"{prefix}.attn", h1, heads, key_mask)
+    x1 += x  # the residuals are added into the branch outputs' buffers
     h2, c_ln2 = layernorm_fwd(params, f"{prefix}.ln2", x1)
     m, c_fc1 = linear_fwd(params, f"{prefix}.fc1", h2)
     g, c_gelu = gelu_fwd(m)
-    m2, c_fc2 = linear_fwd(params, f"{prefix}.fc2", g)
-    return x1 + m2, (c_ln1, c_attn, c_ln2, c_fc1, c_gelu, c_fc2)
+    y, c_fc2 = linear_fwd(params, f"{prefix}.fc2", g)
+    y += x1
+    return y, (c_ln1, c_attn, c_ln2, c_fc1, c_gelu, c_fc2)
 
 
 def block_bwd(params: Params, prefix: str, cache, dy: np.ndarray, grads: Grads):
+    """Consumes cache: each sub-cache is dropped once its backward has read
+    it, so with the caller holding no other reference to the cache tuple,
+    each activation is freed as soon as it is no longer needed."""
     c_ln1, c_attn, c_ln2, c_fc1, c_gelu, c_fc2 = cache
+    del cache
     dg = linear_bwd(params, f"{prefix}.fc2", c_fc2, dy, grads)
+    del c_fc2
     dm = gelu_bwd(c_gelu, dg)
+    del c_gelu, dg
     dh2 = linear_bwd(params, f"{prefix}.fc1", c_fc1, dm, grads)
-    dx1 = dy + layernorm_bwd(params, f"{prefix}.ln2", c_ln2, dh2, grads)
+    del c_fc1, dm
+    dx1 = layernorm_bwd(params, f"{prefix}.ln2", c_ln2, dh2, grads)
+    del c_ln2, dh2
+    dx1 += dy
     da = attention_bwd(params, f"{prefix}.attn", c_attn, dx1, grads)
-    return dx1 + layernorm_bwd(params, f"{prefix}.ln1", c_ln1, da, grads)
+    del c_attn
+    dx = layernorm_bwd(params, f"{prefix}.ln1", c_ln1, da, grads)
+    dx += dx1
+    return dx
 
 
 def stack_fwd(params: Params, prefix: str, x: np.ndarray, depth: int, heads: int, key_mask=None):
@@ -223,8 +296,11 @@ def stack_fwd(params: Params, prefix: str, x: np.ndarray, depth: int, heads: int
 
 
 def stack_bwd(params: Params, prefix: str, caches, dy: np.ndarray, grads: Grads):
+    """Pops each block's cache off the caches list as it back-propagates
+    through that block, so the list is empty on return and every block's
+    activations are freed before the layers below run their backward."""
     for layer in reversed(range(len(caches))):
-        dy = block_bwd(params, f"{prefix}.blk{layer}", caches[layer], dy, grads)
+        dy = block_bwd(params, f"{prefix}.blk{layer}", caches.pop(), dy, grads)
     return dy
 
 

@@ -146,7 +146,10 @@ class Trainer:
     and its gradients when step returns, all before the next batch is built.
     Within a step they hold one copy of its patches: the raw batch (stage 1:
     its visible-patch gather) is handed straight to the forward and dies
-    once the forward has cached its standardized copy. The batch's volumes
+    once the forward has cached its standardized copy. Within the backward,
+    each block's activations die as soon as its backward has read them
+    (nn.stack_bwd pops each block's cache), so the patch embedding's
+    backward runs with no block's activations alive. The batch's volumes
     are read only while its patches are built (volume.batch_patches), so a
     corpus of volume.VolumeFile handles, as the CLI passes, is read from
     disk one volume at a time, once per epoch.

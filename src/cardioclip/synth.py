@@ -366,22 +366,25 @@ def generate_full_corpus(spec: SynthSpec) -> list[SynthCase]:
     return [_build_case(spec, i, _draw_grade(rng, spec)) for i in range(spec.n_cases)]
 
 
-def write_corpus(cases, out_dir, cat: AbnormalityCatalog) -> None:
-    """Emit CCV1 volumes, the JSONL report corpus, and grades.jsonl.
+def write_corpus(cases, out_dir, cat: AbnormalityCatalog, n_train: int) -> None:
+    """Emit CCV1 volumes, the JSONL report corpus, grades.jsonl, and
+    splits.json: the case ids of the first n_train cases ("train") and of the
+    rest ("eval").
 
     The volumes go to a fresh volumes.tmp directory next to volumes/ and the
-    JSONL pair to temp files. Only once every volume and both JSONL files are
-    whole does volumes.tmp replace volumes/ and the pair replace the previous
-    pair, so a write that fails partway leaves the previous corpus as it was
-    and removes what it staged.
+    three files to temp files. Only once every volume and all three files are
+    whole does volumes.tmp replace volumes/ and the files replace the
+    previous ones, so a write that fails partway leaves the previous corpus
+    and its splits as they were and removes what it staged.
     """
     vol_dir = os.path.join(out_dir, "volumes")
     staging = f"{vol_dir}.tmp"
     shutil.rmtree(staging, ignore_errors=True)  # left by a killed earlier write
     os.makedirs(staging)
     try:
-        with replacing(os.path.join(out_dir, "reports.jsonl")) as rep_fh, \
-             replacing(os.path.join(out_dir, "grades.jsonl")) as grade_fh:
+        with (replacing(os.path.join(out_dir, "reports.jsonl")) as rep_fh,
+              replacing(os.path.join(out_dir, "grades.jsonl")) as grade_fh,
+              replacing(os.path.join(out_dir, "splits.json")) as split_fh):
             for case in cases:
                 save_volume(case.volume, os.path.join(staging, f"{case.case_id}.ccv1"))
                 structured = structured_from_flags(case.case_id, case.flags, cat)
@@ -394,8 +397,12 @@ def write_corpus(cases, out_dir, cat: AbnormalityCatalog) -> None:
                 if case.grade is not None:
                     grade_fh.write(json.dumps(
                         {"case_id": case.case_id, "grade": case.grade}, sort_keys=True) + "\n")
-            rep_fh.flush()  # a failed write raises here, before the swap
-            grade_fh.flush()
+            json.dump({"train": [c.case_id for c in cases[:n_train]],
+                       "eval": [c.case_id for c in cases[n_train:]]},
+                      split_fh, sort_keys=True, indent=1)
+            split_fh.write("\n")
+            for fh in (rep_fh, grade_fh, split_fh):
+                fh.flush()  # a failed write raises here, before the swap
             _replace_dir(staging, vol_dir)
     finally:
         shutil.rmtree(staging, ignore_errors=True)

@@ -85,6 +85,14 @@ class TestSampleMask:
         with pytest.raises(ValueError):
             sample_mask(4, 1.0, seed=0)  # nothing visible
 
+    @pytest.mark.parametrize("n", [2, 8, 64, 512])
+    @pytest.mark.parametrize("ratio", [0.5, 0.75, 0.9])
+    def test_visible_equals_the_setdiff_of_masked(self, n, ratio):
+        for seed in range(20):
+            visible, masked = sample_mask(n, ratio, seed)
+            expected = np.setdiff1d(np.arange(n), masked, assume_unique=True)
+            assert visible.dtype == expected.dtype and np.array_equal(visible, expected)
+
     def test_partition_invariant_over_1000_plans(self):
         for seed in range(1000):
             n = 8 + seed % 57

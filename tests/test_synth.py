@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -172,7 +173,7 @@ class TestClosureProperty:
 
 class TestWriteCorpus:
     def test_emits_expected_files(self, tmp_path, small_corpus):
-        write_corpus(small_corpus, tmp_path, CAT)
+        write_corpus(small_corpus, tmp_path, CAT, 20)
         reports = [json.loads(l) for l in (tmp_path / "reports.jsonl").read_text().splitlines()]
         assert len(reports) == len(small_corpus)
         assert set(reports[0]) == {"case_id", "free_text", "structured", "flags"}
@@ -182,6 +183,9 @@ class TestWriteCorpus:
         assert len(grades) == len(graded)
         vol = load_volume(tmp_path / "volumes" / f"{small_corpus[0].case_id}.ccv1")
         assert np.array_equal(vol.voxels, small_corpus[0].volume.voxels)
+        ids = [c.case_id for c in small_corpus]
+        assert (tmp_path / "splits.json").read_text() == json.dumps(
+            {"eval": ids[20:], "train": ids[:20]}, indent=1) + "\n"
 
     def test_write_failing_partway_leaves_the_previous_files_and_no_temp_file(
             self, tmp_path, monkeypatch, small_corpus):
@@ -189,8 +193,8 @@ class TestWriteCorpus:
         # volume overwritten in place would show
         previous = [dataclasses.replace(c, volume=Volume3D(c.volume.voxels + 1.0))
                     for c in small_corpus[:4]]
-        write_corpus(previous, tmp_path, CAT)
-        names = ("reports.jsonl", "grades.jsonl")
+        write_corpus(previous, tmp_path, CAT, 2)
+        names = ("reports.jsonl", "grades.jsonl", "splits.json")
         before = {n: (tmp_path / n).read_bytes() for n in names}
         vol_dir = tmp_path / "volumes"
         volumes_before = {p.name: p.read_bytes() for p in vol_dir.iterdir()}
@@ -205,16 +209,60 @@ class TestWriteCorpus:
 
         monkeypatch.setattr(synth, "save_volume", save_then_fail)
         with pytest.raises(OSError, match="no space left"):
-            write_corpus(small_corpus, tmp_path, CAT)
+            write_corpus(small_corpus, tmp_path, CAT, 20)
         assert {n: (tmp_path / n).read_bytes() for n in names} == before
         assert not [f for _, _, files in os.walk(tmp_path) for f in files
                     if f.endswith(".tmp")]
         assert {p.name: p.read_bytes() for p in vol_dir.iterdir()} == volumes_before
-        assert sorted(os.listdir(tmp_path)) == ["grades.jsonl", "reports.jsonl", "volumes"]
+        assert sorted(os.listdir(tmp_path)) == ["grades.jsonl", "reports.jsonl", "splits.json",
+                                                "volumes"]
+
+    def test_failing_splits_write_leaves_the_previous_corpus_and_no_temp_file(
+            self, tmp_path, monkeypatch, small_corpus):
+        previous = [dataclasses.replace(c, volume=Volume3D(c.volume.voxels + 1.0))
+                    for c in small_corpus[:4]]
+        write_corpus(previous, tmp_path, CAT, 2)
+        names = ("reports.jsonl", "grades.jsonl", "splits.json")
+        before = {n: (tmp_path / n).read_bytes() for n in names}
+        vol_dir = tmp_path / "volumes"
+        volumes_before = {p.name: p.read_bytes() for p in vol_dir.iterdir()}
+        real_replacing, written = synth.replacing, []
+
+        class FullDevice:
+            """A file whose first write lands and whose next one fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                if written:
+                    raise OSError("no space left on device")
+                written.append(text)
+                return self.fh.write(text)
+
+            def flush(self):
+                self.fh.flush()
+
+        @contextlib.contextmanager
+        def replacing(path, mode="w"):
+            with real_replacing(path, mode) as fh:
+                yield FullDevice(fh) if str(path).endswith("splits.json") else fh
+
+        monkeypatch.setattr(synth, "replacing", replacing)
+        with pytest.raises(OSError, match="no space left"):
+            write_corpus(small_corpus, tmp_path, CAT, 20)
+        assert written  # the splits write started after every volume was staged
+        assert {n: (tmp_path / n).read_bytes() for n in names} == before
+        assert not [f for _, _, files in os.walk(tmp_path) for f in files
+                    if f.endswith(".tmp")]
+        assert {p.name: p.read_bytes() for p in vol_dir.iterdir()} == volumes_before
+        assert sorted(os.listdir(tmp_path)) == ["grades.jsonl", "reports.jsonl", "splits.json",
+                                                "volumes"]
 
     def test_rewrite_replaces_every_volume(self, tmp_path, small_corpus):
-        write_corpus(small_corpus, tmp_path, CAT)
-        write_corpus(small_corpus[:3], tmp_path, CAT)
-        assert sorted(os.listdir(tmp_path)) == ["grades.jsonl", "reports.jsonl", "volumes"]
+        write_corpus(small_corpus, tmp_path, CAT, 20)
+        write_corpus(small_corpus[:3], tmp_path, CAT, 2)
+        assert sorted(os.listdir(tmp_path)) == ["grades.jsonl", "reports.jsonl", "splits.json",
+                                                "volumes"]
         assert sorted(p.name for p in (tmp_path / "volumes").iterdir()) == [
             f"{c.case_id}.ccv1" for c in small_corpus[:3]]

@@ -1,15 +1,16 @@
 """The training loop the four stages share (optim.Trainer): the non-finite
 loss check, the per-epoch records handed to trace_hook, stage 2's skipped
 trailing singleton batch, that no step's buffers outlive the step, that
-a step holds one copy of its patches, and that each loop refuses a volume of
-the wrong shape."""
+a step holds one copy of its patches, that the backward frees every block's
+activations before the patch embedding's backward, and that each loop
+refuses a volume of the wrong shape."""
 
 import weakref
 
 import numpy as np
 import pytest
 
-from cardioclip import clip, mae, optim, tasks
+from cardioclip import clip, encoders, mae, nn, optim, tasks
 from cardioclip.clip import ContrastiveConfig, train_clip, warmup_text_encoder
 from cardioclip.encoders import (
     TextEncoderConfig,
@@ -281,6 +282,42 @@ class TestOneCopyOfPatches:
         monkeypatch.setattr(mae, "masked_mse", spy_mse)
         run_reconstruction()
         assert freed == [True] * 3
+
+
+class TestActivationsDieInTheBackward:
+    """Each block's activations are freed as soon as the backward has read
+    them: when the patch embedding's backward starts, no array of any block
+    cache of the visual tower (or of stage 1's decoder) is alive, and
+    stack_bwd has emptied its caches list."""
+
+    @pytest.mark.parametrize("run", [run_contrastive, run_fine_tune, run_reconstruction],
+                             ids=["contrastive", "fine_tune", "reconstruction"])
+    def test_block_caches_die_before_patch_tokens_bwd(self, monkeypatch, run):
+        real_stack_fwd, real_tokens_bwd = nn.stack_fwd, encoders.patch_tokens_bwd
+        refs, stacks, seen = [], [], []
+
+        def spy_stack_fwd(params, prefix, *args, **kwargs):
+            x, caches = real_stack_fwd(params, prefix, *args, **kwargs)
+            if prefix in ("vis", "dec"):  # the text tower's backward runs after the visual one
+                refs.extend(weakref.ref(a) for c in caches for a in arrays_in(c))
+                stacks.append(caches)
+            return x, caches
+
+        def spy_tokens_bwd(*args):
+            seen.append((len(refs), sum(r() is not None for r in refs),
+                         [len(caches) for caches in stacks]))
+            refs.clear()
+            stacks.clear()
+            return real_tokens_bwd(*args)
+
+        monkeypatch.setattr(nn, "stack_fwd", spy_stack_fwd)
+        monkeypatch.setattr(encoders, "patch_tokens_bwd", spy_tokens_bwd)
+        monkeypatch.setattr(mae, "patch_tokens_bwd", spy_tokens_bwd)
+        run()
+        n_stacks = 2 if run is run_reconstruction else 1
+        # three steps, each with 15 arrays per one-block stack: ln1 (2),
+        # attention (7), ln2 (2), fc1, gelu (2) and fc2
+        assert seen == [(15 * n_stacks, 0, [0] * n_stacks)] * 3
 
 
 class TestWrongShapeRefused:
