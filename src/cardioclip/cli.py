@@ -1,18 +1,18 @@
 """Command-line driver: corpus generation, report structuring, both
 pre-training stages, the evaluation suite, fine-tuning, and the gradient
 checker. Each command reads its inputs (the corpus as synth.SynthCase lists,
-a checkpoint), makes the library call the acceptance suite makes, and
-writes a self-describing output directory (config copy, manifest, metrics,
-checkpoints), mirroring its metrics to stdout as JSON. synth,
-structure-reports, the three eval commands and finetune round their
-metrics to 6 places; pretrain-mae, pretrain-clip and gradcheck write them
-unrounded. Exit codes: 0 success, 2 usage, 3 invalid configuration
-(an unknown key, a malformed --set, a value of the wrong type or out of
-bounds), 1 runtime failure."""
+a checkpoint), makes the library call the acceptance suite makes, writes its
+own outputs (corpus, checkpoints, traces) and returns its metrics; main
+writes them with the manifest and mirrors them to stdout as JSON, every
+float rounded to 6 places unless the command is in _RAW. A "pass": false
+doc (gradcheck's) is written, then fails the run. Exit codes: 0 success,
+2 usage, 3 invalid configuration (an unknown key, a malformed --set, a value
+of the wrong type or out of bounds), 1 runtime failure."""
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import resource
@@ -29,13 +29,15 @@ from .gradcheck import EPS, N_PROBES, TOLERANCE, stage_loss_errors
 from .mae import train_mae
 from .model import ModelBundle
 from .reports import load_catalog, structure_report
-from .synth import SynthCase, calcium_wording_severity, generate_full_corpus, write_corpus
+from .synth import calcium_wording_severity, generate_full_corpus, read_corpus, write_corpus
 from .tasks import (cac_grading, case_retrieval, finetune_classifier, finetune_labels,
                     zero_shot_aurocs)
 from .tokenizer import load_vocab, save_vocab
 # cli calls no load_volume; the name stays bound here because
 # perfbench/tests/test_tracer.py checks that the benchmark's tracer rebinds it
-from .volume import VolumeFile, load_volume  # noqa: F401
+from .volume import load_volume  # noqa: F401
+
+_RAW = ("pretrain-mae", "pretrain-clip", "gradcheck")  # commands whose metrics stay unrounded
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,9 +74,21 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def _rounded(doc):
+    """doc with every float (np.float64 included) rounded to 6 places, in
+    nested dicts and lists; None, bools, ints and strings pass through."""
+    if isinstance(doc, dict):
+        return {k: _rounded(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_rounded(v) for v in doc]
+    return round(float(doc), 6) if isinstance(doc, float) else doc
+
+
 def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict) -> None:
     """metrics.json is deterministic; timestamps and peak memory live only in
     the manifest."""
+    if command not in _RAW:
+        metrics = _rounded(metrics)
     _write_json(os.path.join(cmd_dir, "metrics.json"), metrics)
     manifest = {
         "command": command,
@@ -89,40 +103,6 @@ def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict) -> None:
     _write_json(os.path.join(cmd_dir, "manifest.json"), manifest)
     json.dump(metrics, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
-
-
-def _load_synth(root: str):
-    """Read the synth output back as (train, eval) lists of SynthCase.
-
-    Each case's volume is a VolumeFile on its CCV1 file, and no payload is
-    read here: a command reads a volume only when a batch (or an eval chunk)
-    needs its voxels, and again each epoch, so its memory grows with the
-    batch, not with the corpus.
-    """
-    synth_dir = os.path.join(root, "synth")
-    reports_path = os.path.join(synth_dir, "reports.jsonl")
-    if not os.path.exists(reports_path):
-        raise FileNotFoundError(f"{reports_path} not found; run `cardioclip synth` first")
-    with open(reports_path, "r", encoding="utf-8") as fh:
-        reports = [json.loads(line) for line in fh]
-    grades = {}
-    grades_path = os.path.join(synth_dir, "grades.jsonl")
-    if os.path.exists(grades_path):
-        with open(grades_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                doc = json.loads(line)
-                grades[doc["case_id"]] = doc["grade"]
-    with open(os.path.join(synth_dir, "splits.json"), "r", encoding="utf-8") as fh:
-        splits = json.load(fh)
-    by_id = {}
-    for doc in reports:
-        cid = doc["case_id"]
-        volume = VolumeFile(os.path.join(synth_dir, "volumes", f"{cid}.ccv1"))
-        by_id[cid] = SynthCase(cid, volume, tuple(bool(f) for f in doc["flags"]),
-                               doc["free_text"], grades.get(cid))
-    train = [by_id[cid] for cid in splits["train"]]
-    evalset = [by_id[cid] for cid in splits["eval"]]
-    return train, evalset
 
 
 def _load_params(stem: str, cfg: dict, force: bool) -> dict:
@@ -147,35 +127,46 @@ def _load_bundle(root: str, cfg: dict, stem, force: bool) -> ModelBundle:
                        vocab=vocab, catalog=load_catalog())
 
 
+@contextlib.contextmanager
+def _trace_lines(out: str):
+    """A trace_hook streaming each record as one JSON line of out/trace.jsonl."""
+    with open(os.path.join(out, "trace.jsonl"), "w", encoding="utf-8") as fh:
+        yield lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def _epoch_losses(trace) -> dict:
+    return {"first_epoch_loss": trace[0]["mean_loss"],
+            "final_epoch_loss": trace[-1]["mean_loss"], "epochs": len(trace)}
+
+
+def _by_cut(per_threshold) -> dict:
+    return {f"grade>{t}": v for t, v in per_threshold}
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its metrics, which main writes
 
 
-def cmd_synth(args, cfg: dict, root: str) -> None:
+def cmd_synth(args, cfg: dict, root: str) -> dict:
     cat = load_catalog()
     cases = generate_full_corpus(stage_configs(cfg)["synth"])
-    out = _cmd_dir(root, "synth")
     n_train = len(cases[:cfg["synth"]["train_cases"]])
-    write_corpus(cases, out, cat, n_train)
+    write_corpus(cases, _cmd_dir(root, "synth"), cat, n_train)
     flags = np.array([c.flags for c in cases])
-    metrics = {
+    return {
         "n_cases": len(cases),
         "n_train": n_train,
         "n_eval": len(cases) - n_train,
         "n_graded": int(sum(c.grade is not None for c in cases)),
-        "prevalence": {name: round(float(flags[:, d].mean()), 6)
-                       for d, name in enumerate(cat.names)},
+        "prevalence": {name: flags[:, d].mean() for d, name in enumerate(cat.names)},
     }
-    _emit(out, cfg, "synth", metrics)
 
 
-def cmd_structure_reports(args, cfg: dict, root: str) -> None:
+def cmd_structure_reports(args, cfg: dict, root: str) -> dict:
     cat = load_catalog()
-    train, evalset = _load_synth(root)
-    out = _cmd_dir(root, "structure_reports")
+    train, evalset = read_corpus(os.path.join(root, "synth"))
     n_match = 0
-    total = 0
-    with open(os.path.join(out, "structured.jsonl"), "w", encoding="utf-8") as fh:
+    with replacing(os.path.join(_cmd_dir(root, "structure_reports"), "structured.jsonl")) as fh:
         for case in train + evalset:
             s = structure_report(case.case_id, case.free_text, cat)
             fh.write(json.dumps({
@@ -185,90 +176,66 @@ def cmd_structure_reports(args, cfg: dict, root: str) -> None:
                 "flags": list(s.flags),
             }, sort_keys=True) + "\n")
             n_match += int(s.flags == case.flags)
-            total += 1
-    metrics = {"n_reports": total, "flag_accuracy": round(n_match / total, 6)}
-    _emit(out, cfg, "structure-reports", metrics)
+    n_reports = len(train) + len(evalset)
+    return {"n_reports": n_reports, "flag_accuracy": n_match / n_reports}
 
 
-def cmd_pretrain_mae(args, cfg: dict, root: str) -> None:
+def cmd_pretrain_mae(args, cfg: dict, root: str) -> dict:
     stages = stage_configs(cfg)
-    train, _ = _load_synth(root)
+    train, _ = read_corpus(os.path.join(root, "synth"))
     out = _cmd_dir(root, "pretrain_mae")
-    with open(os.path.join(out, "trace.jsonl"), "w", encoding="utf-8") as fh:
+    with _trace_lines(out) as hook:
         params, trace = train_mae(
             [c.volume for c in train], stages["visual"], stages["decoder"], stages["mae"],
-            seed=cfg["seed"], proj_dim=cfg["proj_dim"],
-            trace_hook=lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n"),
+            seed=cfg["seed"], proj_dim=cfg["proj_dim"], trace_hook=hook,
         )
     save_checkpoint(params, "mae", os.path.join(out, "checkpoint"), config_digest(cfg))
-    metrics = {
-        "first_epoch_loss": trace[0]["mean_loss"],
-        "final_epoch_loss": trace[-1]["mean_loss"],
-        "loss_ratio": trace[-1]["mean_loss"] / trace[0]["mean_loss"],
-        "epochs": len(trace),
-    }
-    _emit(out, cfg, "pretrain-mae", metrics)
+    return {**_epoch_losses(trace),
+            "loss_ratio": trace[-1]["mean_loss"] / trace[0]["mean_loss"]}
 
 
-def cmd_pretrain_clip(args, cfg: dict, root: str) -> None:
-    train, _ = _load_synth(root)
+def cmd_pretrain_clip(args, cfg: dict, root: str) -> dict:
+    train, _ = read_corpus(os.path.join(root, "synth"))
     params = _load_params(args.init or os.path.join(root, "pretrain_mae", "checkpoint"),
                           cfg, args.force)
     pairs, vocab = contrastive_pairs(train, load_catalog())
     stages = stage_configs(cfg, len(vocab))
     out = _cmd_dir(root, "pretrain_clip")
-    with open(os.path.join(out, "trace.jsonl"), "w", encoding="utf-8") as fh:
+    with _trace_lines(out) as hook:
         params, trace = train_clip(
             pairs, params, stages["visual"], stages["text"], vocab, stages["clip"],
-            seed=cfg["seed"],
-            trace_hook=lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n"),
-            severity_fn=calcium_wording_severity,
+            seed=cfg["seed"], trace_hook=hook, severity_fn=calcium_wording_severity,
         )
     keep = {k: v for k, v in params.items() if not k.startswith("dec.")}
     save_checkpoint(keep, "clip", os.path.join(out, "checkpoint"), config_digest(cfg))
     # written only once training and the checkpoint succeeded: the eval
     # commands load the vocab and the checkpoint next to it as a pair
     save_vocab(vocab, os.path.join(out, "vocab.txt"))
-    metrics = {
-        "first_epoch_loss": trace[0]["mean_loss"],
-        "final_epoch_loss": trace[-1]["mean_loss"],
-        "variant_structured_frac": trace[-1]["variant_structured_frac"],
-        "vocab_size": len(vocab),
-        "epochs": len(trace),
-    }
-    _emit(out, cfg, "pretrain-clip", metrics)
+    return {**_epoch_losses(trace),
+            "variant_structured_frac": trace[-1]["variant_structured_frac"],
+            "vocab_size": len(vocab)}
 
 
-def cmd_eval_zeroshot(args, cfg: dict, root: str) -> None:
+def cmd_eval_zeroshot(args, cfg: dict, root: str) -> dict:
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    _, evalset = _load_synth(root)
+    _, evalset = read_corpus(os.path.join(root, "synth"))
     per_name = zero_shot_aurocs(evalset, bundle)
     values = [v for v in per_name.values() if v is not None]
-    metrics = {
-        "zero_shot_auroc": {k: (round(v, 6) if v is not None else None)
-                            for k, v in per_name.items()},
-        "mean_auroc": round(float(np.mean(values)), 6) if values else None,
-        "n_eval": len(evalset),
-    }
-    _emit(_cmd_dir(root, "eval_zeroshot"), cfg, "eval-zeroshot", metrics)
+    return {"zero_shot_auroc": per_name,
+            "mean_auroc": float(np.mean(values)) if values else None,
+            "n_eval": len(evalset)}
 
 
-def cmd_eval_retrieval(args, cfg: dict, root: str) -> None:
+def cmd_eval_retrieval(args, cfg: dict, root: str) -> dict:
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    _, evalset = _load_synth(root)
+    _, evalset = read_corpus(os.path.join(root, "synth"))
     scores = case_retrieval(evalset, bundle, cfg["eval"]["recall_ks"], cfg["eval"]["precision_ks"])
-    metrics = {
-        "recall": {k: round(x, 6) for k, x in scores["recall"].items()},
-        "keyword": {name: {k: round(x, 6) for k, x in kw.items()}
-                    for name, kw in scores["keyword"].items()},
-        "pool_size": len(evalset),
-    }
-    _emit(_cmd_dir(root, "eval_retrieval"), cfg, "eval-retrieval", metrics)
+    return {**scores, "pool_size": len(evalset)}
 
 
 def _grade_plot(path_stem: str, grades, scores) -> None:
     """Score-vs-grade distribution as a CSV plus a small standalone SVG."""
-    with open(f"{path_stem}.csv", "w", encoding="utf-8") as fh:
+    with replacing(f"{path_stem}.csv") as fh:
         fh.write("grade,score\n")
         for g, s in zip(grades, scores):
             fh.write(f"{g},{s:.6f}\n")
@@ -284,75 +251,59 @@ def _grade_plot(path_stem: str, grades, scores) -> None:
     pieces.append(f'<text x="{w/2}" y="{h-6}" font-size="11" text-anchor="middle">grade</text>')
     pieces.append(f'<text x="10" y="{h/2}" font-size="11" transform="rotate(-90 10 {h/2})" text-anchor="middle">confidence (s_p - s_n)</text>')
     pieces.append("</svg>")
-    with open(f"{path_stem}.svg", "w", encoding="utf-8") as fh:
+    with replacing(f"{path_stem}.svg") as fh:
         fh.write("\n".join(pieces) + "\n")
 
 
-def cmd_eval_cac(args, cfg: dict, root: str) -> None:
+def cmd_eval_cac(args, cfg: dict, root: str) -> dict:
     """Ordinal AUROC of the calcium confidence on the graded held-out cases.
 
     The confidence (mean_confidence_by_grade, cac_scores.csv/.svg) is the
     zero-shot margin s_p - s_n of the calcium prompt pair, in [-2, 2].
     """
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    _, evalset = _load_synth(root)
+    _, evalset = read_corpus(os.path.join(root, "synth"))
     graded = [c for c in evalset if c.grade is not None]
     per_threshold, conf = cac_grading(graded, bundle)
     grades = [c.grade for c in graded]
-    out = _cmd_dir(root, "eval_cac")
-    _grade_plot(os.path.join(out, "cac_scores"), grades, conf)
-    metrics = {
-        "ordinal_auroc": {f"grade>{t}": (round(v, 6) if v is not None else None)
-                          for t, v in per_threshold},
+    _grade_plot(os.path.join(_cmd_dir(root, "eval_cac"), "cac_scores"), grades, conf)
+    return {
+        "ordinal_auroc": _by_cut(per_threshold),
         "n_graded": len(graded),
         "mean_confidence_by_grade": {
-            str(g): round(float(np.mean([s for h, s in zip(grades, conf) if h == g])), 6)
+            str(g): np.mean([s for h, s in zip(grades, conf) if h == g])
             for g in sorted(set(grades))
         },
     }
-    _emit(out, cfg, "eval-cac", metrics)
 
 
-def cmd_finetune(args, cfg: dict, root: str) -> None:
+def cmd_finetune(args, cfg: dict, root: str) -> dict:
     bundle = _load_bundle(root, cfg, args.init, args.force)
     target = cfg["finetune"]["target"]
-    train, evalset = _load_synth(root)
+    train, evalset = read_corpus(os.path.join(root, "synth"))
     train_pairs, head_classes = finetune_labels(train, target, bundle.catalog)
     eval_pairs, _ = finetune_labels(evalset, target, bundle.catalog)
     params, result = finetune_classifier(train_pairs, bundle.params, head_classes,
                                          stage_configs(cfg)["finetune"], bundle.vis_cfg,
                                          seed=cfg["seed"], eval_set=eval_pairs)
-    out = _cmd_dir(root, "finetune")
-    save_checkpoint(params, f"finetune-{target}", os.path.join(out, "checkpoint"),
-                    config_digest(cfg))
-    metrics = {
-        "target": target,
-        "head_classes": head_classes,
-        "train_accuracy": round(result["train_accuracy"], 6),
-        "n_train": len(train_pairs),
-        "n_eval": len(eval_pairs),
-    }
-    if "auroc" in result:
-        metrics["auroc"] = round(result["auroc"], 6)
+    save_checkpoint(params, f"finetune-{target}",
+                    os.path.join(_cmd_dir(root, "finetune"), "checkpoint"), config_digest(cfg))
     if "ordinal_auroc" in result:
-        metrics["ordinal_auroc"] = {f"grade>{t}": (round(v, 6) if v is not None else None)
-                                    for t, v in result["ordinal_auroc"]}
-    _emit(out, cfg, "finetune", metrics)
+        result["ordinal_auroc"] = _by_cut(result["ordinal_auroc"])
+    return {"target": target, "head_classes": head_classes, "n_train": len(train_pairs),
+            "n_eval": len(eval_pairs), **result}
 
 
-def cmd_gradcheck(args, cfg: dict, root: str) -> None:
+def cmd_gradcheck(args, cfg: dict, root: str) -> dict:
     # the float64 toy problem; independent of the main geometry
     errors = stage_loss_errors(cfg["seed"])
-    metrics = {
+    return {
         "mae_loss_max_rel_error": float(errors["mae"]),
         "contrastive_loss_max_rel_error": float(errors["contrastive"]),
         "n_probes": N_PROBES,
         "eps": EPS,
         "pass": all(e < TOLERANCE for e in errors.values()),
     }
-    _emit(_cmd_dir(root, "gradcheck"), cfg, "gradcheck", metrics)
-    if not metrics["pass"]:
-        raise FloatingPointError(f"gradient check exceeded {TOLERANCE:.0e} max relative error")
 
 
 _HANDLERS = {
@@ -382,7 +333,10 @@ def main(argv=None) -> int:
     root = out_root(args)
     os.makedirs(root, exist_ok=True)
     try:
-        _HANDLERS[args.command](args, cfg, root)
+        metrics = _HANDLERS[args.command](args, cfg, root)
+        _emit(_cmd_dir(root, args.command), cfg, args.command, metrics)
+        if metrics.get("pass") is False:  # gradcheck's verdict, written before the run fails
+            raise FloatingPointError(f"gradient check exceeded {TOLERANCE:.0e} max relative error")
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns failures into exit codes
         print(f"error: {exc}", file=sys.stderr)
         return 1

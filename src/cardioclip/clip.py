@@ -139,18 +139,21 @@ def sample_text_variant(free_text: str, structured: StructuredReport, rng,
 def clip_batch_fwd_bwd(params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoderConfig,
                        patches: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
                        targets: np.ndarray, tau: float):
-    """One contrastive step: returns (loss, grads). Drops its reference to
-    patches once the visual forward has cached their standardized copy, so a
-    caller that keeps none holds one copy through the backward."""
-    _, v_emb, c_vis = visual_embed_fwd(params, vis_cfg, patches)
+    """One contrastive step on both towers' projected features: returns
+    (loss, grads). Drops its reference to patches once the visual forward has
+    cached their standardized copy, so a caller that keeps none holds one copy
+    through the backward."""
+    feats, c_vis = visual_embed_fwd(params, vis_cfg, patches)
     del patches
-    _, t_emb, c_txt = text_embed_fwd(params, txt_cfg, ids, lengths)
+    v_emb, c_vproj = nn.linear_fwd(params, "vis.proj", feats)
+    feats, c_txt = text_embed_fwd(params, txt_cfg, ids, lengths)
+    t_emb, c_tproj = nn.linear_fwd(params, "txt.proj", feats)
     S, c_cos = cosine_rows(v_emb, t_emb)
     loss, dS = contrastive_loss(S, targets, tau)
     dv, dt = cosine_rows_bwd(c_cos, dS)
     grads: nn.Grads = {}
-    visual_embed_bwd(params, vis_cfg, c_vis, dv, grads)
-    text_embed_bwd(params, txt_cfg, c_txt, dt, grads)
+    visual_embed_bwd(params, c_vis, nn.linear_bwd(params, "vis.proj", c_vproj, dv, grads), grads)
+    text_embed_bwd(params, c_txt, nn.linear_bwd(params, "txt.proj", c_tproj, dt, grads), grads)
     return loss, grads
 
 
@@ -216,7 +219,7 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
             if severity_fn is not None:
                 targets[row, n_flags] = severity_fn(texts[-1])
         ids, lengths = pad_batch([tokenize(t, vocab, txt_cfg.max_len) for t in texts])
-        feats, _, cache = text_embed_fwd(warm, txt_cfg, ids, lengths)
+        feats, cache = text_embed_fwd(warm, txt_cfg, ids, lengths)
         logits, c_head = nn.linear_fwd(warm, "warm.head", feats)
         z = np.clip(logits, -30, 30)
         p = 1.0 / (1.0 + np.exp(-z))
@@ -226,7 +229,7 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
         dfeats = nn.linear_bwd(warm, "warm.head", c_head,
                                ((p - targets) / targets.size).astype(feats.dtype), grads)
         # no txt.proj gradient: a zero one would still let AdamW decay it
-        text_embed_bwd(warm, txt_cfg, cache, None, grads, dfeats=dfeats)
+        text_embed_bwd(warm, cache, dfeats, grads)
         return loss, grads
 
     for _ in range(cfg.text_warmup_steps):

@@ -5,13 +5,15 @@ per-volume standardized, flattened patches plus learned positional vectors
 and a class token. The textual encoder is a small transformer over word ids
 with length-masked attention. Both mean-pool their output tokens (the
 visual tower over its patch tokens, the text tower over the valid tokens)
-and project to a common width.
+into features.
 
-Each tower has one batched *_fwd/*_bwd pair from its input to its
-projection, visual_embed_* and text_embed_*, shared by stage 2, the text
-warmup, fine-tuning, evaluation and the gradient checker. Stage 1 (mae.py)
-runs the visual patch embedding (patch_tokens_*) and blocks itself, on its
-visible patches only.
+Each tower has one batched *_fwd/*_bwd pair from its input to its features,
+visual_embed_* and text_embed_*, shared by stage 2, the text warmup,
+fine-tuning, evaluation and the gradient checker. The projection to the
+common width (vis.proj, txt.proj) is its callers' layer: stage 2 and the
+embedding helpers apply it, while fine-tuning and the text warmup put their
+own heads on the features. Stage 1 (mae.py) runs the visual patch embedding
+(patch_tokens_*) and blocks itself, on its visible patches only.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ def patch_tokens_bwd(params, cache, positions, dx: np.ndarray, grads):
 
 
 def visual_embed_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
-    """Full (unmasked) patches -> (features (B, E), projected (B, Dp), cache)."""
+    """Full (unmasked) patches -> (features (B, E), cache)."""
     if patches.shape[1:] != (cfg.n_patches, cfg.patch_volume):
         raise ValueError(
             f"{patches.shape[1]} patches of {patches.shape[2]} voxels do not match the config's "
@@ -199,20 +201,14 @@ def visual_embed_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
     del patches  # c_tok holds the standardized copy; the raw batch may die now
     x, c_stack = nn.stack_fwd(params, "vis", x, cfg.depth, cfg.heads)
     y, c_lnf = nn.layernorm_fwd(params, "vis.lnf", x)
-    feats = y[:, 1:].mean(axis=1)
-    emb, c_proj = nn.linear_fwd(params, "vis.proj", feats)
-    return feats, emb, (c_tok, c_stack, c_lnf, c_proj, y.shape)
+    return y[:, 1:].mean(axis=1), (c_tok, c_stack, c_lnf, y.shape)
 
 
-def visual_embed_bwd(params, cfg: VisualEncoderConfig, cache, demb, grads,
-                     dfeats=None):
-    """Backward of visual_embed_fwd from demb, the gradient of the projected
-    embedding; or, with demb None, from dfeats, the gradient of the features,
-    and then vis.proj gets no gradient."""
-    c_tok, c_stack, c_lnf, c_proj, yshape = cache
-    dpool = dfeats if demb is None else nn.linear_bwd(params, "vis.proj", c_proj, demb, grads)
-    dy = np.zeros(yshape, dtype=dpool.dtype)
-    dy[:, 1:] = dpool[:, None, :] / (yshape[1] - 1)
+def visual_embed_bwd(params, cache, dfeats, grads):
+    """Backward of visual_embed_fwd from dfeats, the gradient of the features."""
+    c_tok, c_stack, c_lnf, yshape = cache
+    dy = np.zeros(yshape, dtype=dfeats.dtype)
+    dy[:, 1:] = dfeats[:, None, :] / (yshape[1] - 1)
     dx = nn.layernorm_bwd(params, "vis.lnf", c_lnf, dy, grads)
     dx = nn.stack_bwd(params, "vis", c_stack, dx, grads)
     patch_tokens_bwd(params, c_tok, None, dx, grads)
@@ -223,7 +219,7 @@ def visual_embed_bwd(params, cfg: VisualEncoderConfig, cache, demb, grads,
 
 
 def text_embed_fwd(params, cfg: TextEncoderConfig, ids: np.ndarray, lengths: np.ndarray):
-    """(B, T) ids with lengths -> (features (B, E), projected (B, Dp), cache)."""
+    """(B, T) ids with lengths -> (features (B, E), cache)."""
     if ids.max() >= params["txt.tok"].shape[0] or ids.min() < 0:
         raise ValueError(f"token id out of range [0, {params['txt.tok'].shape[0]})")
     B, T = ids.shape
@@ -234,19 +230,14 @@ def text_embed_fwd(params, cfg: TextEncoderConfig, ids: np.ndarray, lengths: np.
     x, c_stack = nn.stack_fwd(params, "txt", x, cfg.depth, cfg.heads, key_mask=mask)
     y, c_lnf = nn.layernorm_fwd(params, "txt.lnf", x)
     feats = (y * mask[:, :, None]).sum(axis=1) / lengths[:, None]
-    emb, c_proj = nn.linear_fwd(params, "txt.proj", feats)
-    return feats, emb, (ids, c_stack, c_lnf, c_proj, y.shape, mask, lengths)
+    return feats, (ids, c_stack, c_lnf, y.shape, mask, lengths)
 
 
-def text_embed_bwd(params, cfg: TextEncoderConfig, cache, demb, grads,
-                   dfeats=None):
-    """Backward of text_embed_fwd from demb, the gradient of the projected
-    embedding; or, with demb None, from dfeats, the gradient of the features,
-    and then txt.proj gets no gradient."""
-    ids, c_stack, c_lnf, c_proj, yshape, mask, lengths = cache
-    dpool = dfeats if demb is None else nn.linear_bwd(params, "txt.proj", c_proj, demb, grads)
-    dy = np.zeros(yshape, dtype=dpool.dtype)
-    dy += (dpool / lengths[:, None])[:, None, :] * mask[:, :, None]
+def text_embed_bwd(params, cache, dfeats, grads):
+    """Backward of text_embed_fwd from dfeats, the gradient of the features."""
+    ids, c_stack, c_lnf, yshape, mask, lengths = cache
+    dy = np.zeros(yshape, dtype=dfeats.dtype)
+    dy += (dfeats / lengths[:, None])[:, None, :] * mask[:, :, None]
     dx = nn.layernorm_bwd(params, "txt.lnf", c_lnf, dy, grads)
     dx = nn.stack_bwd(params, "txt", c_stack, dx, grads)
     T = ids.shape[1]

@@ -142,7 +142,7 @@ def mae_batch_fwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
     return loss, cache
 
 
-def mae_batch_bwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig, cache):
+def mae_batch_bwd(params, dec_cfg: DecoderConfig, cache):
     """Backward for mae_batch_fwd; returns the gradient dict."""
     (c_tok, c_enc, c_lnf, c_emb, c_dec, c_dlnf, c_head, d_recon,
      vis_idx, mask_idx, (B, N, P)) = cache
@@ -208,7 +208,7 @@ def train_mae(volumes, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
         vis_idx = np.stack([vis for vis, _ in masks])
         mask_idx = np.stack([msk for _, msk in masks])
         loss, cache = mae_batch_fwd(params, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
-        return loss, mae_batch_bwd(params, vis_cfg, dec_cfg, cache)
+        return loss, mae_batch_bwd(params, dec_cfg, cache)
 
     for epoch, batches, _ in trainer.epochs(n, cfg, cfg.base_lr, seed, "batch-order", trace_hook):
         for idx in batches:

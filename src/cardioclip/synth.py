@@ -179,7 +179,7 @@ class SynthSpec:
 @dataclass(frozen=True)
 class SynthCase:
     """One corpus case. The generator holds its volume in memory; a corpus
-    read back from disk (cli._load_synth) holds a VolumeFile on its CCV1 file,
+    read back from disk (read_corpus) holds a VolumeFile on its CCV1 file,
     whose voxels are read only when a batch needs them."""
 
     case_id: str
@@ -418,3 +418,32 @@ def _replace_dir(src: str, dst: str) -> None:
         os.replace(dst, old)
     os.replace(src, dst)
     shutil.rmtree(old, ignore_errors=True)
+
+
+def read_corpus(synth_dir) -> tuple[list[SynthCase], list[SynthCase]]:
+    """Read write_corpus's output back as (train, eval) lists of SynthCase,
+    in the order of splits.json.
+
+    Each case's volume is a VolumeFile on its CCV1 file, and no payload is
+    read here: a caller reads a volume only when a batch (or an eval chunk)
+    needs its voxels, and again each epoch, so its memory grows with the
+    batch, not with the corpus.
+    """
+    reports_path = os.path.join(synth_dir, "reports.jsonl")
+    if not os.path.exists(reports_path):
+        raise FileNotFoundError(f"{reports_path} not found; run `cardioclip synth` first")
+    grades = {}
+    grades_path = os.path.join(synth_dir, "grades.jsonl")
+    if os.path.exists(grades_path):
+        with open(grades_path, "r", encoding="utf-8") as fh:
+            grades = {doc["case_id"]: doc["grade"] for doc in map(json.loads, fh)}
+    by_id = {}
+    with open(reports_path, "r", encoding="utf-8") as fh:
+        for doc in map(json.loads, fh):
+            cid = doc["case_id"]
+            volume = VolumeFile(os.path.join(synth_dir, "volumes", f"{cid}.ccv1"))
+            by_id[cid] = SynthCase(cid, volume, tuple(bool(f) for f in doc["flags"]),
+                                   doc["free_text"], grades.get(cid))
+    with open(os.path.join(synth_dir, "splits.json"), "r", encoding="utf-8") as fh:
+        splits = json.load(fh)
+    return [by_id[cid] for cid in splits["train"]], [by_id[cid] for cid in splits["eval"]]

@@ -206,15 +206,15 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
         y = labels_all[idx]
         vols = [train_set[i][0] for i in idx]
         # no local keeps the raw batch: the forward caches its standardized copy
-        feats, _, cache = visual_embed_fwd(params, vis_cfg,
-                                           batch_patches(vols, vis_cfg.patch_size, dtype))
+        feats, cache = visual_embed_fwd(params, vis_cfg,
+                                        batch_patches(vols, vis_cfg.patch_size, dtype))
         logits, c_head = nn.linear_fwd(params, "head", feats)
         loss, dlogits, probs = softmax_ce_logits(logits, y)
         hits += int((probs.argmax(axis=1) == y).sum())
         grads: dict = {}
         dfeats = nn.linear_bwd(params, "head", c_head, dlogits, grads)
         if not cfg.freeze_encoder:
-            visual_embed_bwd(params, vis_cfg, cache, None, grads, dfeats=dfeats)
+            visual_embed_bwd(params, cache, dfeats, grads)
         return loss, grads
 
     for _, batches, extra in trainer.epochs(len(train_set), cfg, cfg.lr, seed, "finetune-order"):
@@ -247,6 +247,6 @@ def _labels(pairs, head_classes: int, name: str) -> np.ndarray:
 
 
 def predict_logits(params, vis_cfg, volumes) -> np.ndarray:
-    """The fine-tuned head's logits (n, head_classes) for a list of volumes."""
-    return forward_volumes(params, vis_cfg, volumes,
-                           lambda feats, _: nn.linear_fwd(params, "head", feats)[0])
+    """The fine-tuned head's logits (n, head_classes) for a list of volumes:
+    the head over their forward_volumes features."""
+    return nn.linear_fwd(params, "head", forward_volumes(params, vis_cfg, volumes))[0]

@@ -139,26 +139,10 @@ class TestPipeline:
             read.append(os.path.basename(path).removesuffix(".ccv1"))
             return base(path)
 
-        # the VolumeFile handles _load_synth attaches call volume.load_volume
+        # the VolumeFile handles synth.read_corpus attaches call volume.load_volume
         monkeypatch.setattr(volume, "load_volume", recording)
         assert run(workdir, command) == 0
         assert sorted(read) == sorted(expected)
-
-    def test_10b_load_synth_reads_no_payload(self, workdir, monkeypatch):
-        opened = []
-        base_open = open
-
-        def recording_open(path, *args, **kwargs):
-            opened.append(os.path.basename(path))
-            return base_open(path, *args, **kwargs)
-
-        monkeypatch.setattr("builtins.open", recording_open)
-        train, evalset = cli._load_synth(str(workdir / "runs"))
-        monkeypatch.undo()
-        assert sorted(opened) == ["grades.jsonl", "reports.jsonl", "splits.json"]
-        vol_dir = workdir / "runs" / "synth" / "volumes"
-        for case in train + evalset:
-            assert case.volume == volume.VolumeFile(str(vol_dir / f"{case.case_id}.ccv1"))
 
     def test_11_manifests_record_peak_rss(self, workdir):
         for command in cli._HANDLERS:
@@ -241,6 +225,41 @@ class TestErrorPaths:
                  if p.name != "trace.jsonl"}
         assert after == before
 
+    def test_structure_reports_failing_partway_leaves_the_previous_output(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        # a root of its own holding the shared corpus and a previous
+        # structure-reports output
+        shutil.copytree(workdir / "runs" / "synth", tmp_path / "synth")
+        shutil.copytree(workdir / "runs" / "structure_reports", tmp_path / "structure_reports")
+        out = tmp_path / "structure_reports"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        calls = []
+        real = cli.structure_report
+
+        def fail_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ValueError("report structurer failed")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "structure_report", fail_third)
+        assert main(["structure-reports", "--config", str(workdir / "config.json"),
+                     "--out", str(tmp_path)]) == 1
+        assert "structurer failed" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_gradcheck_failure_writes_its_metrics_then_exits_1(self, workdir, tmp_path,
+                                                               monkeypatch, capsys):
+        monkeypatch.setattr(cli, "stage_loss_errors", lambda seed: {"mae": 1.0,
+                                                                    "contrastive": 0.0})
+        assert main(["gradcheck", "--config", str(workdir / "config.json"),
+                     "--out", str(tmp_path)]) == 1
+        m = json.loads((tmp_path / "gradcheck" / "metrics.json").read_text())
+        assert m["pass"] is False
+        assert m["mae_loss_max_rel_error"] == 1.0 and m["contrastive_loss_max_rel_error"] == 0.0
+        assert f"{cli.TOLERANCE:.0e}" in capsys.readouterr().err
+
     def test_non_finite_volume_fails_pretrain_mae_naming_the_file(self, workdir, tmp_path,
                                                                    capsys):
         # a root of its own holding the shared corpus with one train volume's
@@ -285,6 +304,17 @@ def test_json_write_failing_partway_leaves_the_previous_file_and_no_temp_file(tm
         cli._write_json(path, {"a": 2, "b": {3}})
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["metrics.json"]
+
+
+def test_rounded_rounds_only_the_floats():
+    doc = {"none": None, "flag": True, "count": 3, "np": np.float64(0.12345678901),
+           "nested": {"x": 2.0000004, "cuts": [1.23456789, False, None, 7]}}
+    out = cli._rounded(doc)
+    assert out == {"none": None, "flag": True, "count": 3, "np": 0.123457,
+                   "nested": {"x": 2.0, "cuts": [1.234568, False, None, 7]}}
+    assert out["flag"] is True and out["nested"]["cuts"][1] is False
+    assert type(out["count"]) is int and type(out["nested"]["cuts"][3]) is int
+    assert type(out["np"]) is float
 
 
 def _load_by_path(monkeypatch, directory, name):

@@ -156,11 +156,16 @@ class TestEncodeText:
     def batch(self, *texts):
         return pad_batch([tokenize(t, self.VOCAB, 8) for t in texts])
 
+    def embed(self, params, ids, lengths):
+        """(features, projected): the tower's features and txt.proj over them."""
+        feats, _ = text_embed_fwd(params, self.CFG, ids, lengths)
+        return feats, nn.linear_fwd(params, "txt.proj", feats)[0]
+
     def test_deterministic(self):
         params = self.params()
         ids, lengths = self.batch("there is coronary stenosis", "no pericardial effusion")
-        _, e1, _ = text_embed_fwd(params, self.CFG, ids, lengths)
-        _, e2, _ = text_embed_fwd(params, self.CFG, ids, lengths)
+        _, e1 = self.embed(params, ids, lengths)
+        _, e2 = self.embed(params, ids, lengths)
         assert np.array_equal(e1, e2)
 
     def test_padding_does_not_change_embedding(self):
@@ -168,16 +173,17 @@ class TestEncodeText:
         ids, lengths = self.batch("coronary stenosis", "there is no pericardial effusion")
         padded = np.pad(ids, ((0, 0), (0, self.CFG.max_len - ids.shape[1])))
         assert padded.shape[1] > ids.shape[1]
-        f1, e1, _ = text_embed_fwd(params, self.CFG, ids, lengths)
-        f2, e2, _ = text_embed_fwd(params, self.CFG, padded, lengths)
+        f1, e1 = self.embed(params, ids, lengths)
+        f2, e2 = self.embed(params, padded, lengths)
         assert np.allclose(f1, f2, atol=1e-6)
         assert np.allclose(e1, e2, atol=1e-6)
 
     def test_output_width_is_projection_dim(self):
         params = self.params()
-        feats, emb, _ = text_embed_fwd(params, self.CFG, *self.batch("stenosis", "no effusion"))
+        feats, emb = self.embed(params, *self.batch("stenosis", "no effusion"))
         assert feats.shape == (2, 8)
         assert emb.shape == (2, 4)
+        assert embed_texts(TestEncodeImage.bundle(), ["stenosis", "no effusion"]).shape == (2, 4)
 
     def test_out_of_range_token_id(self):
         params = self.params()
@@ -298,7 +304,7 @@ class TestEncodeImage:
         def spy(params, cfg, patches):
             assert all(ref() is None for ref in cached), "an earlier chunk's cache is alive"
             out = real(params, cfg, patches)
-            cached.append(weakref.ref(out[2][0]))  # the standardized patches
+            cached.append(weakref.ref(out[1][0]))  # the standardized patches
             return out
 
         monkeypatch.setattr(model, "VOLUME_CHUNK", 2)
@@ -348,8 +354,8 @@ class TestStageLossGradients:
         fn, params = toy_losses(8)["contrastive"]
         assert gradient_check(fn, params, n_probes=48, eps=1e-5, seed=11) < 1e-4
 
-    # The fine-tune and text-warmup heads read the pooled features, so their
-    # backward enters each tower with demb None and dfeats only.
+    # The fine-tune and text-warmup heads read the pooled features, so no
+    # projection runs on their path and it gets no gradient.
 
     def test_finetune_head_loss_gradients_through_the_features(self):
         cfg = gradcheck.TOY_VIS
@@ -363,12 +369,12 @@ class TestStageLossGradients:
         labels = np.array([0, 2, 1])
 
         def loss_fn(p):
-            feats, _, cache = visual_embed_fwd(p, cfg, patches)
+            feats, cache = visual_embed_fwd(p, cfg, patches)
             logits, c_head = nn.linear_fwd(p, "head", feats)
             loss, dlogits, _ = softmax_ce_logits(logits, labels)
             grads = {}
             dfeats = nn.linear_bwd(p, "head", c_head, dlogits, grads)
-            visual_embed_bwd(p, cfg, cache, None, grads, dfeats=dfeats)
+            visual_embed_bwd(p, cache, dfeats, grads)
             return loss, grads
 
         assert not any(k.startswith("vis.proj") for k in loss_fn(params)[1])
@@ -389,13 +395,13 @@ class TestStageLossGradients:
 
         def loss_fn(p):
             # clip.warmup_text_encoder's loss: a sigmoid cross-entropy per output
-            feats, _, cache = text_embed_fwd(p, cfg, ids, lengths)
+            feats, cache = text_embed_fwd(p, cfg, ids, lengths)
             logits, c_head = nn.linear_fwd(p, "warm.head", feats)
             prob = 1.0 / (1.0 + np.exp(-logits))
             loss = float(-(targets * np.log(prob) + (1 - targets) * np.log(1 - prob)).mean())
             grads = {}
             dfeats = nn.linear_bwd(p, "warm.head", c_head, (prob - targets) / targets.size, grads)
-            text_embed_bwd(p, cfg, cache, None, grads, dfeats=dfeats)
+            text_embed_bwd(p, cache, dfeats, grads)
             return loss, grads
 
         assert not any(k.startswith("txt.proj") for k in loss_fn(params)[1])

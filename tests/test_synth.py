@@ -18,10 +18,11 @@ from cardioclip.synth import (
     finding_region,
     generate_full_corpus,
     plant_signature,
+    read_corpus,
     smooth_background,
     write_corpus,
 )
-from cardioclip.volume import Volume3D, load_volume
+from cardioclip.volume import Volume3D, VolumeFile, load_volume
 
 CAT = load_catalog()
 SMALL = SynthSpec(n_cases=24, dims=(32, 32, 32), prevalence=(0.3,) * 7, cac_fraction=0.5,
@@ -266,3 +267,33 @@ class TestWriteCorpus:
                                                 "volumes"]
         assert sorted(p.name for p in (tmp_path / "volumes").iterdir()) == [
             f"{c.case_id}.ccv1" for c in small_corpus[:3]]
+
+
+class TestReadCorpus:
+    def test_reads_back_the_written_corpus(self, tmp_path, monkeypatch, small_corpus):
+        write_corpus(small_corpus, tmp_path, CAT, 20)
+        opened = []
+        base_open = open
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return base_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        train, evalset = read_corpus(tmp_path)
+        monkeypatch.undo()
+        # no volume payload (nor header) is read until a batch asks for it
+        assert sorted(opened) == ["grades.jsonl", "reports.jsonl", "splits.json"]
+        splits = json.loads((tmp_path / "splits.json").read_text())
+        assert [c.case_id for c in train] == splits["train"]
+        assert [c.case_id for c in evalset] == splits["eval"]
+        assert len(train) == 20 and len(train) + len(evalset) == len(small_corpus)
+        assert {c.grade is None for c in small_corpus} == {True, False}
+        for got, want in zip(train + evalset, small_corpus):
+            assert (got.case_id, got.flags, got.free_text, got.grade) == (
+                want.case_id, want.flags, want.free_text, want.grade)
+            assert got.volume == VolumeFile(os.path.join(tmp_path, "volumes",
+                                                         f"{want.case_id}.ccv1"))
+            voxels = got.volume.voxels
+            assert voxels.dtype == want.volume.voxels.dtype
+            assert voxels.tobytes() == want.volume.voxels.tobytes()

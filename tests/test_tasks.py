@@ -272,7 +272,7 @@ class TestFinetune:
         def spy_fwd(params, cfg, patches):
             assert all(ref() is None for ref in refs), "an earlier step's array is alive"
             out = real_fwd(params, cfg, patches)
-            refs.extend([weakref.ref(patches), weakref.ref(out[2][0])])
+            refs.extend([weakref.ref(patches), weakref.ref(out[1][0])])
             return out
 
         def spy_step(self, loss, grads, lr=None):
