@@ -234,25 +234,25 @@ def cmd_eval_retrieval(args, cfg: dict, root: str) -> dict:
 
 
 def _grade_plot(path_stem: str, grades, scores) -> None:
-    """Score-vs-grade distribution as a CSV plus a small standalone SVG."""
-    with replacing(f"{path_stem}.csv") as fh:
-        fh.write("grade,score\n")
-        for g, s in zip(grades, scores):
-            fh.write(f"{g},{s:.6f}\n")
+    """Score-vs-grade distribution as a CSV plus a small standalone SVG,
+    replacing the previous pair only once both are whole."""
     w, h, pad = 360, 220, 30
-    lo, hi = float(min(scores)), float(max(scores))
-    span = (hi - lo) or 1.0
-    pieces = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
-              f'<rect width="{w}" height="{h}" fill="white"/>']
-    for g, s in zip(grades, scores):
-        x = pad + (g - 1) / 4 * (w - 2 * pad)
-        y = h - pad - (s - lo) / span * (h - 2 * pad)
-        pieces.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.5" fill="steelblue" fill-opacity="0.6"/>')
-    pieces.append(f'<text x="{w/2}" y="{h-6}" font-size="11" text-anchor="middle">grade</text>')
-    pieces.append(f'<text x="10" y="{h/2}" font-size="11" transform="rotate(-90 10 {h/2})" text-anchor="middle">confidence (s_p - s_n)</text>')
-    pieces.append("</svg>")
-    with replacing(f"{path_stem}.svg") as fh:
-        fh.write("\n".join(pieces) + "\n")
+    with replacing(f"{path_stem}.csv") as csv, replacing(f"{path_stem}.svg") as svg:
+        csv.write("grade,score\n")
+        for g, s in zip(grades, scores):
+            csv.write(f"{g},{s:.6f}\n")
+        lo, hi = float(min(scores)), float(max(scores))
+        span = (hi - lo) or 1.0
+        pieces = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
+                  f'<rect width="{w}" height="{h}" fill="white"/>']
+        for g, s in zip(grades, scores):
+            x = pad + (g - 1) / 4 * (w - 2 * pad)
+            y = h - pad - (s - lo) / span * (h - 2 * pad)
+            pieces.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.5" fill="steelblue" fill-opacity="0.6"/>')
+        pieces.append(f'<text x="{w/2}" y="{h-6}" font-size="11" text-anchor="middle">grade</text>')
+        pieces.append(f'<text x="10" y="{h/2}" font-size="11" transform="rotate(-90 10 {h/2})" text-anchor="middle">confidence (s_p - s_n)</text>')
+        pieces.append("</svg>")
+        svg.write("\n".join(pieces) + "\n")
 
 
 def cmd_eval_cac(args, cfg: dict, root: str) -> dict:

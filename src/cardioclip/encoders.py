@@ -12,8 +12,8 @@ visual_embed_* and text_embed_*, shared by stage 2, the text warmup,
 fine-tuning, evaluation and the gradient checker. The projection to the
 common width (vis.proj, txt.proj) is its callers' layer: stage 2 and the
 embedding helpers apply it, while fine-tuning and the text warmup put their
-own heads on the features. Stage 1 (mae.py) runs the visual patch embedding
-(patch_tokens_*) and blocks itself, on its visible patches only.
+own heads on the features. Stage 1 (mae.py) encodes its visible patches
+with the tower's patch_tokens_* and "vis" stack, and pools nothing.
 """
 
 from __future__ import annotations
@@ -199,18 +199,16 @@ def visual_embed_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
         )
     x, c_tok = patch_tokens_fwd(params, patches)
     del patches  # c_tok holds the standardized copy; the raw batch may die now
-    x, c_stack = nn.stack_fwd(params, "vis", x, cfg.depth, cfg.heads)
-    y, c_lnf = nn.layernorm_fwd(params, "vis.lnf", x)
-    return y[:, 1:].mean(axis=1), (c_tok, c_stack, c_lnf, y.shape)
+    y, c_stack = nn.stack_fwd(params, "vis", x, cfg.depth, cfg.heads)
+    return y[:, 1:].mean(axis=1), (c_tok, c_stack, y.shape)
 
 
 def visual_embed_bwd(params, cache, dfeats, grads):
     """Backward of visual_embed_fwd from dfeats, the gradient of the features."""
-    c_tok, c_stack, c_lnf, yshape = cache
+    c_tok, c_stack, yshape = cache
     dy = np.zeros(yshape, dtype=dfeats.dtype)
     dy[:, 1:] = dfeats[:, None, :] / (yshape[1] - 1)
-    dx = nn.layernorm_bwd(params, "vis.lnf", c_lnf, dy, grads)
-    dx = nn.stack_bwd(params, "vis", c_stack, dx, grads)
+    dx = nn.stack_bwd(params, "vis", c_stack, dy, grads)
     patch_tokens_bwd(params, c_tok, None, dx, grads)
 
 
@@ -227,19 +225,17 @@ def text_embed_fwd(params, cfg: TextEncoderConfig, ids: np.ndarray, lengths: np.
         raise ValueError(f"sequence width {T} exceeds max_len {cfg.max_len}")
     x = params["txt.tok"][ids] + params["txt.pos"][:T]
     mask = (np.arange(T)[None, :] < lengths[:, None])
-    x, c_stack = nn.stack_fwd(params, "txt", x, cfg.depth, cfg.heads, key_mask=mask)
-    y, c_lnf = nn.layernorm_fwd(params, "txt.lnf", x)
+    y, c_stack = nn.stack_fwd(params, "txt", x, cfg.depth, cfg.heads, key_mask=mask)
     feats = (y * mask[:, :, None]).sum(axis=1) / lengths[:, None]
-    return feats, (ids, c_stack, c_lnf, y.shape, mask, lengths)
+    return feats, (ids, c_stack, y.shape, mask, lengths)
 
 
 def text_embed_bwd(params, cache, dfeats, grads):
     """Backward of text_embed_fwd from dfeats, the gradient of the features."""
-    ids, c_stack, c_lnf, yshape, mask, lengths = cache
+    ids, c_stack, yshape, mask, lengths = cache
     dy = np.zeros(yshape, dtype=dfeats.dtype)
     dy += (dfeats / lengths[:, None])[:, None, :] * mask[:, :, None]
-    dx = nn.layernorm_bwd(params, "txt.lnf", c_lnf, dy, grads)
-    dx = nn.stack_bwd(params, "txt", c_stack, dx, grads)
+    dx = nn.stack_bwd(params, "txt", c_stack, dy, grads)
     T = ids.shape[1]
     dtok = np.zeros_like(params["txt.tok"])
     add_rows_at(dtok, ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))

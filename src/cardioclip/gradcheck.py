@@ -84,7 +84,7 @@ def toy_losses(seed: int) -> dict:
 
     def mae_loss(p):
         loss, cache = mae_batch_fwd(p, TOY_VIS, TOY_DEC, patches, vis_idx, mask_idx)
-        return loss, mae_batch_bwd(p, TOY_DEC, cache)
+        return loss, mae_batch_bwd(p, cache)
 
     vocab = build_vocab(TOY_TEXTS)
     txt_cfg = TextEncoderConfig(vocab_size=len(vocab), max_len=8, embed_dim=8, depth=1,

@@ -115,60 +115,52 @@ def mae_batch_fwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
                   patches: np.ndarray, vis_idx: np.ndarray, mask_idx: np.ndarray):
     """patches (B, N, P), vis_idx (B, N_v), mask_idx (B, N_m) -> (loss, cache).
 
-    Layernorm and the head are per-row, so only the masked rows of the
-    decoder output go through dec.lnf and dec.head.
+    The encoder is the visual tower's patch embedding and "vis" stack on the
+    visible patches. Only dec.head is restricted to the masked rows: dec.lnf
+    works row by row, so on those rows it is bitwise what normalizing them
+    alone gives, and the other rows' zero gradient adds nothing to its own.
     """
-    B, N, P = patches.shape
-    ed = dec_cfg.embed_dim
+    B, N = patches.shape[:2]
     rows = np.arange(B)[:, None]
     # no local keeps the visible-patch gather: it dies once standardized
     x, c_tok = patch_tokens_fwd(params, patches[rows, vis_idx], positions=vis_idx)
     x, c_enc = nn.stack_fwd(params, "vis", x, vis_cfg.depth, vis_cfg.heads)
-    enc_out, c_lnf = nn.layernorm_fwd(params, "vis.lnf", x)
-    dec_lin, c_emb = nn.linear_fwd(params, "dec.embed", enc_out)
+    dec_lin, c_emb = nn.linear_fwd(params, "dec.embed", x)
 
-    full = np.empty((B, N + 1, ed), dtype=dec_lin.dtype)
+    full = np.empty((B, N + 1, dec_cfg.embed_dim), dtype=dec_lin.dtype)
     full[:, 0] = dec_lin[:, 0]
     full[rows, mask_idx + 1] = params["dec.mask"]
     full[rows, vis_idx + 1] = dec_lin[:, 1:]
-    full += params["dec.pos"][: N + 1]
+    full += params["dec.pos"]
 
     y, c_dec = nn.stack_fwd(params, "dec", full, dec_cfg.depth, dec_cfg.heads)
-    y, c_dlnf = nn.layernorm_fwd(params, "dec.lnf", y[rows, mask_idx + 1])
-    recon, c_head = nn.linear_fwd(params, "dec.head", y)
+    recon, c_head = nn.linear_fwd(params, "dec.head", y[rows, mask_idx + 1])
     loss, d_recon = masked_mse(recon, patches, mask_idx)
-    cache = (c_tok, c_enc, c_lnf, c_emb, c_dec, c_dlnf, c_head, d_recon,
-             vis_idx, mask_idx, (B, N, P))
+    cache = (c_tok, c_enc, c_emb, c_dec, c_head, d_recon, vis_idx, mask_idx, N)
     return loss, cache
 
 
-def mae_batch_bwd(params, dec_cfg: DecoderConfig, cache):
+def mae_batch_bwd(params, cache):
     """Backward for mae_batch_fwd; returns the gradient dict."""
-    (c_tok, c_enc, c_lnf, c_emb, c_dec, c_dlnf, c_head, d_recon,
-     vis_idx, mask_idx, (B, N, P)) = cache
+    c_tok, c_enc, c_emb, c_dec, c_head, d_recon, vis_idx, mask_idx, N = cache
     grads: nn.Grads = {}
-    ed = dec_cfg.embed_dim
 
-    rows = np.arange(B)[:, None]
     dy = nn.linear_bwd(params, "dec.head", c_head, d_recon, grads)
-    dy = nn.layernorm_bwd(params, "dec.lnf", c_dlnf, dy, grads)
+    B, _, ed = dy.shape
+    rows = np.arange(B)[:, None]
     dfull = np.zeros((B, N + 1, ed), dtype=dy.dtype)  # unscored rows get no gradient
     dfull[rows, mask_idx + 1] = dy
     dfull = nn.stack_bwd(params, "dec", c_dec, dfull, grads)
 
-    dpos = np.zeros_like(params["dec.pos"])
-    dpos[: N + 1] = dfull.sum(axis=0)
-    nn.accumulate(grads, "dec.pos", dpos)
-    dmask = dfull[rows, mask_idx + 1]
-    nn.accumulate(grads, "dec.mask", dmask.reshape(-1, ed).sum(axis=0))
+    nn.accumulate(grads, "dec.pos", dfull.sum(axis=0))
+    nn.accumulate(grads, "dec.mask", dfull[rows, mask_idx + 1].reshape(-1, ed).sum(axis=0))
 
     d_dec_lin = np.empty((B, vis_idx.shape[1] + 1, ed), dtype=dfull.dtype)
     d_dec_lin[:, 0] = dfull[:, 0]
     d_dec_lin[:, 1:] = dfull[rows, vis_idx + 1]
 
     denc = nn.linear_bwd(params, "dec.embed", c_emb, d_dec_lin, grads)
-    dx = nn.layernorm_bwd(params, "vis.lnf", c_lnf, denc, grads)
-    dx = nn.stack_bwd(params, "vis", c_enc, dx, grads)
+    dx = nn.stack_bwd(params, "vis", c_enc, denc, grads)
     patch_tokens_bwd(params, c_tok, vis_idx, dx, grads)
     return grads
 
@@ -208,7 +200,7 @@ def train_mae(volumes, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
         vis_idx = np.stack([vis for vis, _ in masks])
         mask_idx = np.stack([msk for _, msk in masks])
         loss, cache = mae_batch_fwd(params, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
-        return loss, mae_batch_bwd(params, dec_cfg, cache)
+        return loss, mae_batch_bwd(params, cache)
 
     for epoch, batches, _ in trainer.epochs(n, cfg, cfg.base_lr, seed, "batch-order", trace_hook):
         for idx in batches:

@@ -21,9 +21,11 @@ allocated themselves, in the operation order and dtypes of the plain numpy
 expression, so results are bitwise those of that expression. A parameter
 has the dtype of the activations it meets, and a gradient that of its
 cache or wider. A *_bwd may consume its cache: block_bwd drops each
-sub-cache once its backward has read it, and stack_bwd pops each block's
-cache off its list, leaving the list empty, so a cache is back-propagated
-once and each activation is freed as soon as the backward is done with it.
+sub-cache once its backward has read it, and stack_bwd pops each cache off
+its list, leaving the list empty, so a cache is back-propagated once and
+each activation is freed as soon as the backward is done with it. A stack
+is its blocks closed by its final norm {prefix}.lnf, and its caches list
+holds one cache per block, then the norm's.
 """
 
 from __future__ import annotations
@@ -169,10 +171,6 @@ def gelu_bwd(cache, dy: np.ndarray):
     return np.multiply(dy, s, out=s if s.dtype == dy.dtype else None)
 
 
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    return _exp_normalize(z - z.max(axis=axis, keepdims=True), axis)
-
-
 def _exp_normalize(e: np.ndarray, axis: int) -> np.ndarray:
     """exp(e) / its sum along axis, computed in e's own buffer."""
     np.exp(e, out=e)
@@ -288,17 +286,22 @@ def block_bwd(params: Params, prefix: str, cache, dy: np.ndarray, grads: Grads):
 
 
 def stack_fwd(params: Params, prefix: str, x: np.ndarray, depth: int, heads: int, key_mask=None):
+    """The blocks {prefix}.blk0.. then the final norm {prefix}.lnf -> (y, caches),
+    one cache per block in forward order, then the norm's."""
     caches = []
     for layer in range(depth):
         x, c = block_fwd(params, f"{prefix}.blk{layer}", x, heads, key_mask)
         caches.append(c)
-    return x, caches
+    y, c = layernorm_fwd(params, f"{prefix}.lnf", x)
+    caches.append(c)
+    return y, caches
 
 
 def stack_bwd(params: Params, prefix: str, caches, dy: np.ndarray, grads: Grads):
-    """Pops each block's cache off the caches list as it back-propagates
-    through that block, so the list is empty on return and every block's
-    activations are freed before the layers below run their backward."""
+    """Pops the norm's cache, then each block's, off the caches list as it
+    back-propagates through them, so the list is empty on return and every
+    block's activations are freed before the layers below run their backward."""
+    dy = layernorm_bwd(params, f"{prefix}.lnf", caches.pop(), dy, grads)
     for layer in reversed(range(len(caches))):
         dy = block_bwd(params, f"{prefix}.blk{layer}", caches.pop(), dy, grads)
     return dy

@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .checkpoint import replacing
 
 PAD_ID = 0
@@ -64,8 +66,6 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> tuple[int, ...]:
 def pad_batch(seqs):
     """Stack tokenize's id tuples into (ids, lengths) int64 arrays, each row
     right-padded with PAD_ID to the longest. Refuses an empty list."""
-    import numpy as np
-
     if len(seqs) == 0:
         raise ValueError("no sequences to pad: the list is empty")
     lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)

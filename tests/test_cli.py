@@ -306,6 +306,17 @@ def test_json_write_failing_partway_leaves_the_previous_file_and_no_temp_file(tm
     assert os.listdir(tmp_path) == ["metrics.json"]
 
 
+def test_grade_plot_failing_on_the_svg_leaves_the_previous_pair(tmp_path):
+    stem = str(tmp_path / "cac_scores")
+    cli._grade_plot(stem, [1, 3, 5], [0.1, -0.2, 0.3])
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    # the CSV line takes any grade; the SVG's (g - 1) arithmetic refuses a string
+    with pytest.raises(TypeError):
+        cli._grade_plot(stem, ["x"], [0.5])
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+    assert sorted(before) == ["cac_scores.csv", "cac_scores.svg"]
+
+
 def test_rounded_rounds_only_the_floats():
     doc = {"none": None, "flag": True, "count": 3, "np": np.float64(0.12345678901),
            "nested": {"x": 2.0000004, "cuts": [1.23456789, False, None, 7]}}

@@ -119,14 +119,15 @@ class TestPatchTokens:
 class TestEncodeVisible:
     """The visual block stack: nn.stack_fwd over the "vis" blocks."""
 
-    def test_depth_zero_is_identity(self):
+    def test_depth_zero_is_final_norm_alone(self):
         cfg = VisualEncoderConfig(patch_size=(2, 2, 2), embed_dim=8, depth=0, heads=2,
                                   input_dims=(4, 4, 4))
         rng = np.random.default_rng(0)
         params = init_visual_params(rng, cfg, proj_dim=4)
         tokens = np.random.default_rng(1).normal(0, 1, (2, 5, 8))
         out, _ = nn.stack_fwd(params, "vis", tokens, cfg.depth, cfg.heads)
-        assert np.array_equal(out, tokens)
+        want, _ = nn.layernorm_fwd(params, "vis.lnf", tokens)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
 
     def test_duplicate_rows_stay_duplicates(self):
         params = toy_visual_params()

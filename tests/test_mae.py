@@ -170,7 +170,6 @@ def full_decode(params, patches, vis_idx, mask_idx):
     rows = np.arange(B)[:, None]
     x, _ = patch_tokens_fwd(params, patches[rows, vis_idx], positions=vis_idx)
     x, _ = nn.stack_fwd(params, "vis", x, VIS.depth, VIS.heads)
-    x, _ = nn.layernorm_fwd(params, "vis.lnf", x)
     x, _ = nn.linear_fwd(params, "dec.embed", x)
     full = np.empty((B, N + 1, DEC.embed_dim), dtype=x.dtype)
     full[:, 0] = x[:, 0]
@@ -178,7 +177,6 @@ def full_decode(params, patches, vis_idx, mask_idx):
     full[rows, vis_idx + 1] = x[:, 1:]
     full += params["dec.pos"][: N + 1]
     y, _ = nn.stack_fwd(params, "dec", full, DEC.depth, DEC.heads)
-    y, _ = nn.layernorm_fwd(params, "dec.lnf", y)
     return nn.linear_fwd(params, "dec.head", y[:, 1:])[0]
 
 

@@ -138,10 +138,8 @@ def test_block_stack_backward():
 
     def loss_fn(p):
         y, caches = nn.stack_fwd(p, "s", x, depth, heads)
-        y, c_lnf = nn.layernorm_fwd(p, "s.lnf", y)
         grads = {}
-        dy = nn.layernorm_bwd(p, "s.lnf", c_lnf, w_out, grads)
-        nn.stack_bwd(p, "s", caches, dy, grads)
+        nn.stack_bwd(p, "s", caches, w_out, grads)
         return float((y * w_out).sum()), grads
 
     assert gradient_check(loss_fn, params, n_probes=60, seed=6) < 1e-6
@@ -149,9 +147,8 @@ def test_block_stack_backward():
 
 def test_softmax_rows_sum_to_one():
     z = RNG.normal(0, 10, (5, 7))
-    p = nn.softmax(z)
-    assert np.allclose(p.sum(axis=1), 1.0)
-    assert np.allclose(np.exp(nn.log_softmax(z)), p)
+    assert np.allclose(np.exp(nn.log_softmax(z)).sum(axis=1), 1.0)
+    assert np.allclose(np.exp(nn.log_softmax(z, axis=0)).sum(axis=0), 1.0)
 
 
 def test_trunc_normal_bounds():

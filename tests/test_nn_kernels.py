@@ -222,12 +222,13 @@ def test_layernorm(name, fdt, gdt):
 
 @pytest.mark.parametrize("name,fdt,gdt", CASES, ids=IDS)
 def test_softmax(name, fdt, gdt):
+    """attention_fwd's in-place normalizer, on max-shifted logits, is the
+    plain softmax expression in the shifted logits' own buffer."""
     B, T, E, _, _ = SHAPES[name]
     z = np.random.default_rng(2).normal(0, 3.0, (B, HEADS, T, T)).astype(gdt)
-    frozen = Frozen(z)
-    for axis in (-1, 0):
-        assert _bitwise(nn.softmax(z, axis=axis), ref_softmax(z, axis=axis))
-    assert frozen.unchanged()
+    e = z - z.max(axis=-1, keepdims=True)
+    p = nn._exp_normalize(e, -1)
+    assert p is e and _bitwise(p, ref_softmax(z, axis=-1))
 
 
 @pytest.mark.parametrize("name,fdt,gdt", CASES, ids=IDS)
@@ -254,17 +255,21 @@ def test_block_and_stack(name, fdt, gdt):
     E, hidden = SHAPES[name][2], SHAPES[name][3]
     nn.init_block(rng, params, "s.blk0", E, hidden, dtype=fdt, std=0.1)
     nn.init_block(rng, params, "s.blk1", E, hidden, dtype=fdt, std=0.1)
+    params["s.lnf.g"] = rng.normal(1.0, 0.2, E).astype(fdt)
+    params["s.lnf.b"] = rng.normal(0.0, 0.2, E).astype(fdt)
     frozen = Frozen((params, x, dy, mask))
 
     y, caches = nn.stack_fwd(params, "s", x, 2, HEADS, key_mask=mask)
     h_ref, c0 = ref_block_fwd(params, "s.blk0", x, HEADS, mask)
-    y_ref, c1 = ref_block_fwd(params, "s.blk1", h_ref, HEADS, mask)
-    assert _same((y, caches), (y_ref, [c0, c1]))
+    h_ref, c1 = ref_block_fwd(params, "s.blk1", h_ref, HEADS, mask)
+    y_ref, c_lnf = ref_layernorm_fwd(params, "s.lnf", h_ref)
+    assert _same((y, caches), (y_ref, [c0, c1, c_lnf]))
     grads, grads_ref = {}, {}
     dx = nn.stack_bwd(params, "s", caches, dy, grads)
     assert caches == []
+    dh_ref = ref_layernorm_bwd(params, "s.lnf", c_lnf, dy, grads_ref)
     dx_ref = ref_block_bwd(params, "s.blk0", c0,
-                           ref_block_bwd(params, "s.blk1", c1, dy, grads_ref), grads_ref)
+                           ref_block_bwd(params, "s.blk1", c1, dh_ref, grads_ref), grads_ref)
     assert _bitwise(dx, dx_ref)
-    assert _same(grads, grads_ref) and len(grads) == 24
+    assert _same(grads, grads_ref) and len(grads) == 26
     assert frozen.unchanged()

@@ -315,9 +315,9 @@ class TestActivationsDieInTheBackward:
         monkeypatch.setattr(mae, "patch_tokens_bwd", spy_tokens_bwd)
         run()
         n_stacks = 2 if run is run_reconstruction else 1
-        # three steps, each with 15 arrays per one-block stack: ln1 (2),
-        # attention (7), ln2 (2), fc1, gelu (2) and fc2
-        assert seen == [(15 * n_stacks, 0, [0] * n_stacks)] * 3
+        # three steps, each with 17 arrays per one-block stack: ln1 (2),
+        # attention (7), ln2 (2), fc1, gelu (2) and fc2, then lnf (2)
+        assert seen == [(17 * n_stacks, 0, [0] * n_stacks)] * 3
 
 
 class TestWrongShapeRefused:
