@@ -3,10 +3,8 @@ float32 payload. Round trips are bit-exact because parameters are stored float32
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 
 import numpy as np
 
@@ -15,30 +13,15 @@ class CheckpointError(ValueError):
     """Inconsistent manifest/payload pair."""
 
 
-@contextlib.contextmanager
-def replacing(path, mode: str = "w"):
-    """Open <path>.tmp for writing; on a clean exit it replaces path
-    (os.replace), and on an error it is removed, so path is either left as
-    it was or holds the whole new content, and no temp file stays behind."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
 def save_checkpoint(params, tag: str, stem, config_digest: str) -> None:
     """Write <stem>.json (the manifest: stage tag, config digest and tensor
-    table) and <stem>.bin (the payload), tensor by tensor. Both go to temp
-    files that replace the pair only once both are whole: a save that fails
-    (say, on a non-finite tensor) leaves the previous checkpoint as it was."""
+    table) and <stem>.bin (the payload), tensor by tensor. A non-finite
+    tensor raises CheckpointError partway through; the CLI writes into a
+    staged directory that a failed command never swaps in, so the previous
+    checkpoint pair stays as it was."""
     tensors = []
     offset = 0
-    with replacing(f"{stem}.bin", "wb") as payload, replacing(f"{stem}.json") as fh:
+    with open(f"{stem}.bin", "wb") as payload, open(f"{stem}.json", "w", encoding="utf-8") as fh:
         for name in sorted(params.keys()):
             arr = np.ascontiguousarray(params[name], dtype="<f4")
             if not np.all(np.isfinite(arr)):

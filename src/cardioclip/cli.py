@@ -1,13 +1,16 @@
 """Command-line driver: corpus generation, report structuring, both
 pre-training stages, the evaluation suite, fine-tuning, and the gradient
 checker. Each command reads its inputs (the corpus as synth.SynthCase lists,
-a checkpoint), makes the library call the acceptance suite makes, writes its
-own outputs (corpus, checkpoints, traces) and returns its metrics; main
-writes them with the manifest and mirrors them to stdout as JSON, every
-float rounded to 6 places unless the command is in _RAW. A "pass": false
-doc (gradcheck's) is written, then fails the run. Exit codes: 0 success,
-2 usage, 3 invalid configuration (an unknown key, a malformed --set, a value
-of the wrong type or out of bounds), 1 runtime failure."""
+a checkpoint) from the output root, makes the library call the acceptance
+suite makes, writes its own outputs (corpus, checkpoints, traces) into the
+directory it is handed and returns its metrics; main writes them with the
+manifest, every float rounded to 6 places unless the command is in _RAW.
+A command's directory is replaced whole (_staged): a failed command leaves
+the previous one exactly as it was. Only then are the metrics mirrored to
+stdout as JSON, and a "pass": false doc (gradcheck's) fails the run.
+Exit codes: 0 success, 2 usage, 3 invalid configuration (an unknown key, a
+malformed --set, a value of the wrong type or out of bounds), 1 runtime
+failure."""
 
 from __future__ import annotations
 
@@ -16,13 +19,14 @@ import contextlib
 import json
 import os
 import resource
+import shutil
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointError, load_checkpoint, replacing, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .clip import contrastive_pairs, train_clip
 from .config import ConfigError, config_digest, load_config, stage_configs
 from .gradcheck import EPS, N_PROBES, TOLERANCE, stage_loss_errors
@@ -62,14 +66,30 @@ def out_root(args) -> str:
     return args.out or os.environ.get("CARDIOCLIP_OUT") or "runs"
 
 
-def _cmd_dir(root: str, command: str) -> str:
-    path = os.path.join(root, command.replace("-", "_"))
-    os.makedirs(path, exist_ok=True)
-    return path
+@contextlib.contextmanager
+def _staged(path: str):
+    """Yield a fresh <path>.tmp directory for a command to write into. On a
+    clean exit it replaces path whole: a directory cannot be renamed over a
+    non-empty one, so the previous path is renamed aside to <path>.old,
+    <path>.tmp takes its name, and <path>.old is removed. On any error
+    <path>.tmp is removed, so path stays exactly as it was."""
+    tmp, old = f"{path}.tmp", f"{path}.old"
+    shutil.rmtree(tmp, ignore_errors=True)  # left by a killed earlier run
+    os.makedirs(tmp)
+    try:
+        yield tmp
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+    if os.path.exists(path):
+        os.replace(path, old)
+    os.replace(tmp, path)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def _write_json(path, doc) -> None:
-    with replacing(path) as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -84,12 +104,13 @@ def _rounded(doc):
     return round(float(doc), 6) if isinstance(doc, float) else doc
 
 
-def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict) -> None:
-    """metrics.json is deterministic; timestamps and peak memory live only in
-    the manifest."""
+def _emit(out: str, cfg: dict, command: str, metrics: dict) -> dict:
+    """Write metrics.json, then manifest.json, and return the metrics as
+    written. metrics.json is deterministic; timestamps and peak memory live
+    only in the manifest."""
     if command not in _RAW:
         metrics = _rounded(metrics)
-    _write_json(os.path.join(cmd_dir, "metrics.json"), metrics)
+    _write_json(os.path.join(out, "metrics.json"), metrics)
     manifest = {
         "command": command,
         "version": __version__,
@@ -100,16 +121,15 @@ def _emit(cmd_dir: str, cfg: dict, command: str, metrics: dict) -> None:
         # the process's peak resident set so far (ru_maxrss is in KiB on Linux)
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
-    _write_json(os.path.join(cmd_dir, "manifest.json"), manifest)
-    json.dump(metrics, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    _write_json(os.path.join(out, "manifest.json"), manifest)
+    return metrics
 
 
 def _load_params(stem: str, cfg: dict, force: bool) -> dict:
     """The checkpoint's parameters, refused (unless force) when it was written
     under a config with another digest."""
     params, manifest = load_checkpoint(stem)
-    if manifest.get("config_digest") and manifest["config_digest"] != config_digest(cfg):
+    if manifest["config_digest"] != config_digest(cfg):
         msg = (f"checkpoint {stem} config digest does not match the current config; "
                "pass --force to proceed")
         if not force:
@@ -144,14 +164,15 @@ def _by_cut(per_threshold) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns its metrics, which main writes
+# commands: each reads its inputs from root, writes only into out, and
+# returns its metrics, which main writes
 
 
-def cmd_synth(args, cfg: dict, root: str) -> dict:
+def cmd_synth(args, cfg: dict, root: str, out: str) -> dict:
     cat = load_catalog()
     cases = generate_full_corpus(stage_configs(cfg)["synth"])
     n_train = len(cases[:cfg["synth"]["train_cases"]])
-    write_corpus(cases, _cmd_dir(root, "synth"), cat, n_train)
+    write_corpus(cases, out, cat, n_train)
     flags = np.array([c.flags for c in cases])
     return {
         "n_cases": len(cases),
@@ -162,11 +183,11 @@ def cmd_synth(args, cfg: dict, root: str) -> dict:
     }
 
 
-def cmd_structure_reports(args, cfg: dict, root: str) -> dict:
+def cmd_structure_reports(args, cfg: dict, root: str, out: str) -> dict:
     cat = load_catalog()
     train, evalset = read_corpus(os.path.join(root, "synth"))
     n_match = 0
-    with replacing(os.path.join(_cmd_dir(root, "structure_reports"), "structured.jsonl")) as fh:
+    with open(os.path.join(out, "structured.jsonl"), "w", encoding="utf-8") as fh:
         for case in train + evalset:
             s = structure_report(case.case_id, case.free_text, cat)
             fh.write(json.dumps({
@@ -180,10 +201,9 @@ def cmd_structure_reports(args, cfg: dict, root: str) -> dict:
     return {"n_reports": n_reports, "flag_accuracy": n_match / n_reports}
 
 
-def cmd_pretrain_mae(args, cfg: dict, root: str) -> dict:
+def cmd_pretrain_mae(args, cfg: dict, root: str, out: str) -> dict:
     stages = stage_configs(cfg)
     train, _ = read_corpus(os.path.join(root, "synth"))
-    out = _cmd_dir(root, "pretrain_mae")
     with _trace_lines(out) as hook:
         params, trace = train_mae(
             [c.volume for c in train], stages["visual"], stages["decoder"], stages["mae"],
@@ -194,13 +214,12 @@ def cmd_pretrain_mae(args, cfg: dict, root: str) -> dict:
             "loss_ratio": trace[-1]["mean_loss"] / trace[0]["mean_loss"]}
 
 
-def cmd_pretrain_clip(args, cfg: dict, root: str) -> dict:
+def cmd_pretrain_clip(args, cfg: dict, root: str, out: str) -> dict:
     train, _ = read_corpus(os.path.join(root, "synth"))
     params = _load_params(args.init or os.path.join(root, "pretrain_mae", "checkpoint"),
                           cfg, args.force)
     pairs, vocab = contrastive_pairs(train, load_catalog())
     stages = stage_configs(cfg, len(vocab))
-    out = _cmd_dir(root, "pretrain_clip")
     with _trace_lines(out) as hook:
         params, trace = train_clip(
             pairs, params, stages["visual"], stages["text"], vocab, stages["clip"],
@@ -208,15 +227,13 @@ def cmd_pretrain_clip(args, cfg: dict, root: str) -> dict:
         )
     keep = {k: v for k, v in params.items() if not k.startswith("dec.")}
     save_checkpoint(keep, "clip", os.path.join(out, "checkpoint"), config_digest(cfg))
-    # written only once training and the checkpoint succeeded: the eval
-    # commands load the vocab and the checkpoint next to it as a pair
     save_vocab(vocab, os.path.join(out, "vocab.txt"))
     return {**_epoch_losses(trace),
             "variant_structured_frac": trace[-1]["variant_structured_frac"],
             "vocab_size": len(vocab)}
 
 
-def cmd_eval_zeroshot(args, cfg: dict, root: str) -> dict:
+def cmd_eval_zeroshot(args, cfg: dict, root: str, out: str) -> dict:
     bundle = _load_bundle(root, cfg, args.init, args.force)
     _, evalset = read_corpus(os.path.join(root, "synth"))
     per_name = zero_shot_aurocs(evalset, bundle)
@@ -226,7 +243,7 @@ def cmd_eval_zeroshot(args, cfg: dict, root: str) -> dict:
             "n_eval": len(evalset)}
 
 
-def cmd_eval_retrieval(args, cfg: dict, root: str) -> dict:
+def cmd_eval_retrieval(args, cfg: dict, root: str, out: str) -> dict:
     bundle = _load_bundle(root, cfg, args.init, args.force)
     _, evalset = read_corpus(os.path.join(root, "synth"))
     scores = case_retrieval(evalset, bundle, cfg["eval"]["recall_ks"], cfg["eval"]["precision_ks"])
@@ -234,10 +251,10 @@ def cmd_eval_retrieval(args, cfg: dict, root: str) -> dict:
 
 
 def _grade_plot(path_stem: str, grades, scores) -> None:
-    """Score-vs-grade distribution as a CSV plus a small standalone SVG,
-    replacing the previous pair only once both are whole."""
+    """Score-vs-grade distribution as a CSV plus a small standalone SVG."""
     w, h, pad = 360, 220, 30
-    with replacing(f"{path_stem}.csv") as csv, replacing(f"{path_stem}.svg") as svg:
+    with (open(f"{path_stem}.csv", "w", encoding="utf-8") as csv,
+          open(f"{path_stem}.svg", "w", encoding="utf-8") as svg):
         csv.write("grade,score\n")
         for g, s in zip(grades, scores):
             csv.write(f"{g},{s:.6f}\n")
@@ -255,7 +272,7 @@ def _grade_plot(path_stem: str, grades, scores) -> None:
         svg.write("\n".join(pieces) + "\n")
 
 
-def cmd_eval_cac(args, cfg: dict, root: str) -> dict:
+def cmd_eval_cac(args, cfg: dict, root: str, out: str) -> dict:
     """Ordinal AUROC of the calcium confidence on the graded held-out cases.
 
     The confidence (mean_confidence_by_grade, cac_scores.csv/.svg) is the
@@ -266,7 +283,7 @@ def cmd_eval_cac(args, cfg: dict, root: str) -> dict:
     graded = [c for c in evalset if c.grade is not None]
     per_threshold, conf = cac_grading(graded, bundle)
     grades = [c.grade for c in graded]
-    _grade_plot(os.path.join(_cmd_dir(root, "eval_cac"), "cac_scores"), grades, conf)
+    _grade_plot(os.path.join(out, "cac_scores"), grades, conf)
     return {
         "ordinal_auroc": _by_cut(per_threshold),
         "n_graded": len(graded),
@@ -277,7 +294,7 @@ def cmd_eval_cac(args, cfg: dict, root: str) -> dict:
     }
 
 
-def cmd_finetune(args, cfg: dict, root: str) -> dict:
+def cmd_finetune(args, cfg: dict, root: str, out: str) -> dict:
     bundle = _load_bundle(root, cfg, args.init, args.force)
     target = cfg["finetune"]["target"]
     train, evalset = read_corpus(os.path.join(root, "synth"))
@@ -286,15 +303,15 @@ def cmd_finetune(args, cfg: dict, root: str) -> dict:
     params, result = finetune_classifier(train_pairs, bundle.params, head_classes,
                                          stage_configs(cfg)["finetune"], bundle.vis_cfg,
                                          seed=cfg["seed"], eval_set=eval_pairs)
-    save_checkpoint(params, f"finetune-{target}",
-                    os.path.join(_cmd_dir(root, "finetune"), "checkpoint"), config_digest(cfg))
+    save_checkpoint(params, f"finetune-{target}", os.path.join(out, "checkpoint"),
+                    config_digest(cfg))
     if "ordinal_auroc" in result:
         result["ordinal_auroc"] = _by_cut(result["ordinal_auroc"])
     return {"target": target, "head_classes": head_classes, "n_train": len(train_pairs),
             "n_eval": len(eval_pairs), **result}
 
 
-def cmd_gradcheck(args, cfg: dict, root: str) -> dict:
+def cmd_gradcheck(args, cfg: dict, root: str, out: str) -> dict:
     # the float64 toy problem; independent of the main geometry
     errors = stage_loss_errors(cfg["seed"])
     return {
@@ -331,10 +348,11 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 3
     root = out_root(args)
-    os.makedirs(root, exist_ok=True)
     try:
-        metrics = _HANDLERS[args.command](args, cfg, root)
-        _emit(_cmd_dir(root, args.command), cfg, args.command, metrics)
+        with _staged(os.path.join(root, args.command.replace("-", "_"))) as out:
+            metrics = _emit(out, cfg, args.command, _HANDLERS[args.command](args, cfg, root, out))
+        json.dump(metrics, sys.stdout, sort_keys=True)
+        sys.stdout.write("\n")
         if metrics.get("pass") is False:  # gradcheck's verdict, written before the run fails
             raise FloatingPointError(f"gradient check exceeded {TOLERANCE:.0e} max relative error")
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns failures into exit codes

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import replacing
 from .optim import count_rule, require
 from .reports import AbnormalityCatalog, contains_phrase, structured_from_flags
 from .seeding import derive_seed, substream
@@ -371,53 +369,30 @@ def write_corpus(cases, out_dir, cat: AbnormalityCatalog, n_train: int) -> None:
     splits.json: the case ids of the first n_train cases ("train") and of the
     rest ("eval").
 
-    The volumes go to a fresh volumes.tmp directory next to volumes/ and the
-    three files to temp files. Only once every volume and all three files are
-    whole does volumes.tmp replace volumes/ and the files replace the
-    previous ones, so a write that fails partway leaves the previous corpus
-    and its splits as they were and removes what it staged.
+    out_dir must not hold a corpus yet: the CLI hands synth a fresh staged
+    directory and swaps it in whole once every file is written and closed,
+    so a write that fails partway leaves the previous corpus as it was.
     """
     vol_dir = os.path.join(out_dir, "volumes")
-    staging = f"{vol_dir}.tmp"
-    shutil.rmtree(staging, ignore_errors=True)  # left by a killed earlier write
-    os.makedirs(staging)
-    try:
-        with (replacing(os.path.join(out_dir, "reports.jsonl")) as rep_fh,
-              replacing(os.path.join(out_dir, "grades.jsonl")) as grade_fh,
-              replacing(os.path.join(out_dir, "splits.json")) as split_fh):
-            for case in cases:
-                save_volume(case.volume, os.path.join(staging, f"{case.case_id}.ccv1"))
-                structured = structured_from_flags(case.case_id, case.flags, cat)
-                rep_fh.write(json.dumps({
-                    "case_id": case.case_id,
-                    "free_text": case.free_text,
-                    "structured": list(structured.statements),
-                    "flags": list(case.flags),
-                }, sort_keys=True) + "\n")
-                if case.grade is not None:
-                    grade_fh.write(json.dumps(
-                        {"case_id": case.case_id, "grade": case.grade}, sort_keys=True) + "\n")
-            json.dump({"train": [c.case_id for c in cases[:n_train]],
-                       "eval": [c.case_id for c in cases[n_train:]]},
-                      split_fh, sort_keys=True, indent=1)
-            split_fh.write("\n")
-            for fh in (rep_fh, grade_fh, split_fh):
-                fh.flush()  # a failed write raises here, before the swap
-            _replace_dir(staging, vol_dir)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-
-
-def _replace_dir(src: str, dst: str) -> None:
-    """Move directory src to dst, removing any previous dst: a directory
-    cannot be renamed over a non-empty one, so the old one is renamed aside
-    first."""
-    old = f"{dst}.old"
-    shutil.rmtree(old, ignore_errors=True)
-    if os.path.exists(dst):
-        os.replace(dst, old)
-    os.replace(src, dst)
-    shutil.rmtree(old, ignore_errors=True)
+    os.makedirs(vol_dir)
+    with (open(os.path.join(out_dir, "reports.jsonl"), "w", encoding="utf-8") as rep_fh,
+          open(os.path.join(out_dir, "grades.jsonl"), "w", encoding="utf-8") as grade_fh):
+        for case in cases:
+            save_volume(case.volume, os.path.join(vol_dir, f"{case.case_id}.ccv1"))
+            structured = structured_from_flags(case.case_id, case.flags, cat)
+            rep_fh.write(json.dumps({
+                "case_id": case.case_id,
+                "free_text": case.free_text,
+                "structured": list(structured.statements),
+                "flags": list(case.flags),
+            }, sort_keys=True) + "\n")
+            if case.grade is not None:
+                grade_fh.write(json.dumps(
+                    {"case_id": case.case_id, "grade": case.grade}, sort_keys=True) + "\n")
+    with open(os.path.join(out_dir, "splits.json"), "w", encoding="utf-8") as fh:
+        json.dump({"train": [c.case_id for c in cases[:n_train]],
+                   "eval": [c.case_id for c in cases[n_train:]]}, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def read_corpus(synth_dir) -> tuple[list[SynthCase], list[SynthCase]]:

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import replacing
-
 PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
@@ -76,8 +74,10 @@ def pad_batch(seqs):
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
-    """Write the tokens one per line, replacing path only once whole."""
-    with replacing(path) as fh:
+    """Write the tokens one per line. The eval commands load the vocab and the
+    checkpoint next to it as a pair; the CLI swaps both in with the rest of
+    pretrain-clip's directory, or neither."""
+    with open(path, "w", encoding="utf-8") as fh:
         for tok in vocab.tokens:
             fh.write(tok + "\n")
 

@@ -1,11 +1,12 @@
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cardioclip import checkpoint
+from cardioclip import checkpoint, cli
 from cardioclip.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
@@ -67,29 +68,61 @@ def test_non_finite_tensor_rejected_on_save(tmp_path):
         save_checkpoint(params, "mae", tmp_path / "ckpt", "abc123")
 
 
+# the smallest CLI run that trains a checkpoint: pretrain-mae on 8 cases of 32^3
+CLI_CONFIG = {
+    "geometry": {"dims": [32, 32, 32]},
+    "synth": {"n_cases": 8, "train_cases": 4},
+    "visual": {"embed_dim": 16, "depth": 1, "heads": 2, "mlp_ratio": 2.0},
+    "decoder": {"embed_dim": 16, "depth": 1, "heads": 2, "mlp_ratio": 2.0},
+    "proj_dim": 16,
+    "mae": {"epochs": 1, "batch": 4},
+}
+
+
 @pytest.mark.parametrize("failure", ["payload", "manifest"])
 def test_save_failing_partway_leaves_the_previous_pair_and_no_temp_file(tmp_path, monkeypatch,
-                                                                        failure):
-    params = params_fixture()
-    stem = tmp_path / "ckpt"
-    save_checkpoint(params, "mae", stem, config_digest="old")
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    params["txt.tok"] += 1.0
+                                                                        capsys, failure):
+    # the checkpoint pair is replaced together with the rest of the command's
+    # directory, or not at all
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CLI_CONFIG))
+    root = tmp_path / "runs"
+
+    def run(command, *extra):
+        return cli.main([command, "--config", str(cfg), "--out", str(root), *extra])
+
+    assert run("synth") == 0
+    assert run("pretrain-mae", "--set", "seed=1") == 0
+    out = root / "pretrain_mae"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    old_digest = load_checkpoint(out / "checkpoint")[1]["config_digest"]
     if failure == "payload":
-        # tensors are written in name order, so "vis.patch.w" fails after two are in
-        params["vis.patch.w"][0, 0] = np.nan
-        error, match = CheckpointError, "'vis.patch.w' contains non-finite"
+        train = cli.train_mae
+
+        def train_to_non_finite(*args, **kwargs):
+            params, trace = train(*args, **kwargs)
+            # tensors are written in name order, so the middle one fails halfway
+            params[sorted(params)[len(params) // 2]].flat[0] = np.nan
+            return params, trace
+
+        monkeypatch.setattr(cli, "train_mae", train_to_non_finite)
+        match = "contains non-finite"
     else:
+        dump = json.dump
+
         def dump_then_fail(doc, fh, **kwargs):
+            if not fh.name.endswith("checkpoint.json"):
+                return dump(doc, fh, **kwargs)
             fh.write('{"stage": ')
             raise OSError("no space left on device")
 
         monkeypatch.setattr(checkpoint.json, "dump", dump_then_fail)
-        error, match = OSError, "no space left"
-    with pytest.raises(error, match=match):
-        save_checkpoint(params, "clip", stem, config_digest="new")
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-    assert load_checkpoint(stem)[1]["config_digest"] == "old"
+        match = "no space left"
+    assert run("pretrain-mae") == 1
+    assert match in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert sorted(os.listdir(root)) == ["pretrain_mae", "synth"]
+    assert load_checkpoint(out / "checkpoint")[1]["config_digest"] == old_digest
 
 
 def test_manifest_is_sorted_and_self_describing(tmp_path):

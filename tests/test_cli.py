@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cardioclip import cli, tasks, volume
+from cardioclip.checkpoint import load_checkpoint, save_checkpoint
 from cardioclip.cli import main
 
 TINY = {
@@ -39,6 +40,23 @@ def run(workdir, command, *extra):
 def read_metrics(workdir, command):
     path = workdir / "runs" / command.replace("-", "_") / "metrics.json"
     return json.loads(path.read_text())
+
+
+def copy_runs(workdir, root, *names):
+    """A root of its own holding the named command directories of the shared
+    pipeline run, so the shared outputs stay as the pipeline wrote them."""
+    for name in names:
+        shutil.copytree(workdir / "runs" / name, root / name)
+    return root
+
+
+def files_under(path) -> dict:
+    """Every file below path, by relative path, with its bytes."""
+    return {str(p.relative_to(path)): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+
+
+def staging_debris(root) -> list:
+    return [name for name in os.listdir(root) if name.endswith((".tmp", ".old"))]
 
 
 class TestPipeline:
@@ -210,8 +228,7 @@ class TestErrorPaths:
         shutil.copytree(workdir / "runs" / "synth", tmp_path / "synth")
         shutil.copytree(workdir / "runs" / "pretrain_clip", tmp_path / "pretrain_clip")
         (tmp_path / "pretrain_clip" / "vocab.txt").write_text("<pad>\n<unk>\n<cls>\nprevious\n")
-        before = {p.name: p.read_bytes() for p in (tmp_path / "pretrain_clip").iterdir()
-                  if p.name != "trace.jsonl"}
+        before = files_under(tmp_path / "pretrain_clip")
 
         def failing_train_clip(*args, **kwargs):
             raise FloatingPointError("non-finite contrastive loss at step 0")
@@ -221,9 +238,8 @@ class TestErrorPaths:
                      "--out", str(tmp_path),
                      "--init", str(workdir / "runs" / "pretrain_mae" / "checkpoint")]) == 1
         assert "non-finite" in capsys.readouterr().err
-        after = {p.name: p.read_bytes() for p in (tmp_path / "pretrain_clip").iterdir()
-                 if p.name != "trace.jsonl"}
-        assert after == before
+        assert files_under(tmp_path / "pretrain_clip") == before
+        assert staging_debris(tmp_path) == []
 
     def test_structure_reports_failing_partway_leaves_the_previous_output(
             self, workdir, tmp_path, monkeypatch, capsys):
@@ -248,6 +264,7 @@ class TestErrorPaths:
         assert "structurer failed" in capsys.readouterr().err
         assert len(calls) == 3
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert staging_debris(tmp_path) == []
 
     def test_gradcheck_failure_writes_its_metrics_then_exits_1(self, workdir, tmp_path,
                                                                monkeypatch, capsys):
@@ -279,6 +296,65 @@ class TestErrorPaths:
         out = tmp_path / "pretrain_mae"
         assert not (out / "checkpoint.json").exists() and not (out / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("command, failing", [
+        *((command, "manifest.json") for command in cli._HANDLERS),
+        # the previous checkpoint pair is already replaced by then at the parent
+        ("pretrain-clip", "vocab.txt"),
+    ])
+    def test_a_failed_command_leaves_its_previous_directory_whole(
+            self, workdir, tmp_path, monkeypatch, capsys, command, failing):
+        shutil.copytree(workdir / "runs", tmp_path, dirs_exist_ok=True)
+        args = [command, "--config", str(workdir / "config.json"), "--out", str(tmp_path)]
+        assert main(args) == 0
+        out = tmp_path / command.replace("-", "_")
+        # mark every previous file, so any file this run wrote in place would show
+        for path in out.rglob("*"):
+            if path.is_file():
+                path.write_bytes(b"previous\n" + path.read_bytes())
+        before = files_under(out)
+        if failing == "manifest.json":  # every command's last write
+            real = cli._write_json
+
+            def write_json(path, doc):
+                if os.path.basename(path) == "manifest.json":
+                    raise OSError("no space left on device")
+                real(path, doc)
+
+            monkeypatch.setattr(cli, "_write_json", write_json)
+        else:  # after the checkpoint is saved
+            def save_vocab(vocab, path):
+                raise OSError("no space left on device")
+
+            monkeypatch.setattr(cli, "save_vocab", save_vocab)
+        assert main(args) == 1
+        assert "no space left" in capsys.readouterr().err
+        assert files_under(out) == before
+        assert staging_debris(tmp_path) == []
+
+    def test_pretrain_clip_continues_from_the_checkpoint_in_its_own_directory(
+            self, workdir, tmp_path):
+        # the --init checkpoint sits in the very directory the run replaces
+        copy_runs(workdir, tmp_path, "synth", "pretrain_clip")
+        out = tmp_path / "pretrain_clip"
+        previous = (out / "checkpoint.bin").read_bytes()
+        assert main(["pretrain-clip", "--config", str(workdir / "config.json"),
+                     "--out", str(tmp_path), "--init", str(out / "checkpoint")]) == 0
+        assert (out / "checkpoint.bin").read_bytes() != previous
+        # eval-zeroshot loads the new checkpoint and the vocab next to it as a pair
+        assert main(["eval-zeroshot", "--config", str(workdir / "config.json"),
+                     "--out", str(tmp_path)]) == 0
+        assert staging_debris(tmp_path) == []
+
+    def test_empty_checkpoint_digest_requires_force(self, workdir, tmp_path, capsys):
+        copy_runs(workdir, tmp_path, "synth", "pretrain_clip")
+        stem = tmp_path / "pretrain_clip" / "checkpoint"
+        params, manifest = load_checkpoint(stem)
+        save_checkpoint(params, manifest["stage"], stem, config_digest="")
+        args = ["eval-zeroshot", "--config", str(workdir / "config.json"), "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert "digest" in capsys.readouterr().err
+        assert main([*args, "--force"]) == 0
+
     def test_missing_synth_dir_is_clean_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(TINY))
@@ -295,26 +371,52 @@ class TestEnvOverride:
         assert (tmp_path / "env_runs" / "gradcheck" / "metrics.json").exists()
 
 
-def test_json_write_failing_partway_leaves_the_previous_file_and_no_temp_file(tmp_path):
-    path = tmp_path / "metrics.json"
-    cli._write_json(path, {"a": 1})
-    before = path.read_bytes()
-    # json.dump has written '{"a": 2, ' when it meets the set
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        cli._write_json(path, {"a": 2, "b": {3}})
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["metrics.json"]
+def test_json_write_failing_partway_leaves_the_previous_file_and_no_temp_file(
+        workdir, tmp_path, monkeypatch, capsys):
+    args = ["gradcheck", "--config", str(workdir / "config.json"), "--out", str(tmp_path)]
+    assert main(args) == 0
+    before = files_under(tmp_path / "gradcheck")
+    # json.dump has written the metrics up to "n_probes" when it meets the set
+    monkeypatch.setattr(cli, "N_PROBES", {3})
+    assert main(args) == 1
+    assert "not JSON serializable" in capsys.readouterr().err
+    assert files_under(tmp_path / "gradcheck") == before
+    assert os.listdir(tmp_path) == ["gradcheck"]
 
 
-def test_grade_plot_failing_on_the_svg_leaves_the_previous_pair(tmp_path):
-    stem = str(tmp_path / "cac_scores")
-    cli._grade_plot(stem, [1, 3, 5], [0.1, -0.2, 0.3])
-    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
-    # the CSV line takes any grade; the SVG's (g - 1) arithmetic refuses a string
-    with pytest.raises(TypeError):
-        cli._grade_plot(stem, ["x"], [0.5])
-    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
-    assert sorted(before) == ["cac_scores.csv", "cac_scores.svg"]
+def test_grade_plot_failing_on_the_svg_leaves_the_previous_pair(workdir, tmp_path, monkeypatch,
+                                                                capsys):
+    out = copy_runs(workdir, tmp_path, "synth", "pretrain_clip", "eval_cac") / "eval_cac"
+    # a previous pair that differs from the one this run would write
+    for name in ("cac_scores.csv", "cac_scores.svg"):
+        (out / name).write_text(f"previous {name}\n")
+    before = files_under(out)
+
+    class FullDevice:
+        """The SVG on a device that takes no write; the CSV is written whole first."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            raise OSError("no space left on device")
+
+    def opening(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return FullDevice(fh) if str(path).endswith(".svg") else fh
+
+    monkeypatch.setattr(cli, "open", opening, raising=False)
+    assert main(["eval-cac", "--config", str(workdir / "config.json"),
+                 "--out", str(tmp_path)]) == 1
+    assert "no space left" in capsys.readouterr().err
+    assert files_under(out) == before
+    assert staging_debris(tmp_path) == []
 
 
 def test_rounded_rounds_only_the_floats():

@@ -31,3 +31,17 @@ def test_missing_directory_exits_2(tmp_path):
     assert out.returncode == 2
     assert out.stdout == ""
     assert "usage" in out.stderr
+
+
+def test_staging_debris_exits_1_naming_each_entry(tmp_path):
+    (tmp_path / "synth").mkdir()
+    (tmp_path / "synth" / "metrics.json").write_text("{}")
+    (tmp_path / "pretrain_clip.tmp").mkdir()
+    (tmp_path / "eval_cac.old").mkdir()
+    (tmp_path / "eval_cac.old" / "cac_scores.csv").write_text("grade,score\n")
+    (tmp_path / "synth" / "splits.json.tmp").write_text("{")
+    out = digests(tmp_path)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.splitlines()[1:] == ["eval_cac.old", "pretrain_clip.tmp",
+                                           os.path.join("synth", "splits.json.tmp")]

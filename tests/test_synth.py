@@ -1,5 +1,3 @@
-import contextlib
-import dataclasses
 import hashlib
 import json
 import os
@@ -7,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from cardioclip import synth
+from cardioclip import cli, synth
 from cardioclip.reports import load_catalog, structure_report
 from cardioclip.seeding import substream
 from cardioclip.synth import (
@@ -22,7 +20,7 @@ from cardioclip.synth import (
     smooth_background,
     write_corpus,
 )
-from cardioclip.volume import Volume3D, VolumeFile, load_volume
+from cardioclip.volume import VolumeFile, load_volume
 
 CAT = load_catalog()
 SMALL = SynthSpec(n_cases=24, dims=(32, 32, 32), prevalence=(0.3,) * 7, cac_fraction=0.5,
@@ -32,6 +30,19 @@ SMALL = SynthSpec(n_cases=24, dims=(32, 32, 32), prevalence=(0.3,) * 7, cac_frac
 @pytest.fixture(scope="module")
 def small_corpus():
     return generate_full_corpus(SMALL)
+
+
+def run_synth(tmp_path, *assignments) -> int:
+    """`cardioclip synth` of a 24-case 32^3 corpus into tmp_path/runs."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"geometry": {"dims": [32, 32, 32]},
+                               "synth": {"n_cases": 24, "train_cases": 20}}))
+    sets = [arg for a in assignments for arg in ("--set", a)]
+    return cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "runs"), *sets])
+
+
+def files_under(path) -> dict:
+    return {str(p.relative_to(path)): p.read_bytes() for p in path.rglob("*") if p.is_file()}
 
 
 class TestGenerateCorpus:
@@ -188,17 +199,14 @@ class TestWriteCorpus:
         assert (tmp_path / "splits.json").read_text() == json.dumps(
             {"eval": ids[20:], "train": ids[:20]}, indent=1) + "\n"
 
+    # a failing synth leaves the previous corpus, volumes, metrics and
+    # manifest byte-identical and no synth.tmp or synth.old next to it
     def test_write_failing_partway_leaves_the_previous_files_and_no_temp_file(
-            self, tmp_path, monkeypatch, small_corpus):
+            self, tmp_path, monkeypatch, capsys):
         # the previous corpus has the same case ids but other voxels, so a
         # volume overwritten in place would show
-        previous = [dataclasses.replace(c, volume=Volume3D(c.volume.voxels + 1.0))
-                    for c in small_corpus[:4]]
-        write_corpus(previous, tmp_path, CAT, 2)
-        names = ("reports.jsonl", "grades.jsonl", "splits.json")
-        before = {n: (tmp_path / n).read_bytes() for n in names}
-        vol_dir = tmp_path / "volumes"
-        volumes_before = {p.name: p.read_bytes() for p in vol_dir.iterdir()}
+        assert run_synth(tmp_path, "seed=1") == 0
+        before = files_under(tmp_path / "runs" / "synth")
         calls = []
         save = synth.save_volume
 
@@ -209,25 +217,16 @@ class TestWriteCorpus:
             save(volume, path)
 
         monkeypatch.setattr(synth, "save_volume", save_then_fail)
-        with pytest.raises(OSError, match="no space left"):
-            write_corpus(small_corpus, tmp_path, CAT, 20)
-        assert {n: (tmp_path / n).read_bytes() for n in names} == before
-        assert not [f for _, _, files in os.walk(tmp_path) for f in files
-                    if f.endswith(".tmp")]
-        assert {p.name: p.read_bytes() for p in vol_dir.iterdir()} == volumes_before
-        assert sorted(os.listdir(tmp_path)) == ["grades.jsonl", "reports.jsonl", "splits.json",
-                                                "volumes"]
+        assert run_synth(tmp_path) == 1
+        assert "no space left" in capsys.readouterr().err
+        assert files_under(tmp_path / "runs" / "synth") == before
+        assert os.listdir(tmp_path / "runs") == ["synth"]
 
     def test_failing_splits_write_leaves_the_previous_corpus_and_no_temp_file(
-            self, tmp_path, monkeypatch, small_corpus):
-        previous = [dataclasses.replace(c, volume=Volume3D(c.volume.voxels + 1.0))
-                    for c in small_corpus[:4]]
-        write_corpus(previous, tmp_path, CAT, 2)
-        names = ("reports.jsonl", "grades.jsonl", "splits.json")
-        before = {n: (tmp_path / n).read_bytes() for n in names}
-        vol_dir = tmp_path / "volumes"
-        volumes_before = {p.name: p.read_bytes() for p in vol_dir.iterdir()}
-        real_replacing, written = synth.replacing, []
+            self, tmp_path, monkeypatch, capsys):
+        assert run_synth(tmp_path, "seed=1") == 0
+        before = files_under(tmp_path / "runs" / "synth")
+        written = []
 
         class FullDevice:
             """A file whose first write lands and whose next one fails."""
@@ -235,38 +234,39 @@ class TestWriteCorpus:
             def __init__(self, fh):
                 self.fh = fh
 
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
             def write(self, text):
                 if written:
                     raise OSError("no space left on device")
                 written.append(text)
                 return self.fh.write(text)
 
-            def flush(self):
-                self.fh.flush()
+        def opening(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return FullDevice(fh) if str(path).endswith("splits.json") else fh
 
-        @contextlib.contextmanager
-        def replacing(path, mode="w"):
-            with real_replacing(path, mode) as fh:
-                yield FullDevice(fh) if str(path).endswith("splits.json") else fh
+        monkeypatch.setattr(synth, "open", opening, raising=False)
+        assert run_synth(tmp_path) == 1
+        assert "no space left" in capsys.readouterr().err
+        assert written  # the splits write started after every volume was written
+        assert files_under(tmp_path / "runs" / "synth") == before
+        assert os.listdir(tmp_path / "runs") == ["synth"]
 
-        monkeypatch.setattr(synth, "replacing", replacing)
-        with pytest.raises(OSError, match="no space left"):
-            write_corpus(small_corpus, tmp_path, CAT, 20)
-        assert written  # the splits write started after every volume was staged
-        assert {n: (tmp_path / n).read_bytes() for n in names} == before
-        assert not [f for _, _, files in os.walk(tmp_path) for f in files
-                    if f.endswith(".tmp")]
-        assert {p.name: p.read_bytes() for p in vol_dir.iterdir()} == volumes_before
-        assert sorted(os.listdir(tmp_path)) == ["grades.jsonl", "reports.jsonl", "splits.json",
-                                                "volumes"]
-
-    def test_rewrite_replaces_every_volume(self, tmp_path, small_corpus):
-        write_corpus(small_corpus, tmp_path, CAT, 20)
-        write_corpus(small_corpus[:3], tmp_path, CAT, 2)
-        assert sorted(os.listdir(tmp_path)) == ["grades.jsonl", "reports.jsonl", "splits.json",
-                                                "volumes"]
-        assert sorted(p.name for p in (tmp_path / "volumes").iterdir()) == [
-            f"{c.case_id}.ccv1" for c in small_corpus[:3]]
+    def test_rewrite_replaces_every_volume(self, tmp_path):
+        assert run_synth(tmp_path) == 0
+        assert run_synth(tmp_path, "synth.n_cases=4", "synth.train_cases=2") == 0
+        out = tmp_path / "runs" / "synth"
+        assert sorted(os.listdir(out)) == ["grades.jsonl", "manifest.json", "metrics.json",
+                                           "reports.jsonl", "splits.json", "volumes"]
+        splits = json.loads((out / "splits.json").read_text())
+        assert len(splits["train"] + splits["eval"]) == 4
+        assert sorted(p.name for p in (out / "volumes").iterdir()) == sorted(
+            f"{cid}.ccv1" for cid in splits["train"] + splits["eval"])
 
 
 class TestReadCorpus:
