@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every file under a CLI output root.
+"""Print the sha256 of every file under a CLI output root, or compare two roots.
 
-Each line is `<sha256>  <path relative to RUNS_DIR>`, sorted by path, the
-format of `sha256sum`. manifest.json files are skipped: they hold
-timestamps and peak memory. Diffing the output of two runs of one config (say,
-before and after a refactor) shows every output file whose bytes moved.
+With one root, each line is `<sha256>  <path relative to RUNS_DIR>`, sorted
+by path, the format of `sha256sum`. manifest.json files are skipped: they
+hold timestamps and peak memory.
+
+With two roots (say, runs of one config before and after a refactor), each
+line names one path whose bytes moved, sorted by path: `changed  <path>`
+when both roots hold it with other digests, `removed  <path>` when only
+BEFORE holds it, `added  <path>` when only AFTER does. The exit code is 1
+when any line is printed and 0 when the roots match.
 
 A root holding a `.tmp` or `.old` entry (a command killed mid-write or
 mid-swap left it) is refused: the entries go to stderr and the exit code is 1,
 so no comparison passes over a half-replaced output.
 
     python scripts/output_digests.py runs/tiny > before.txt
+    python scripts/output_digests.py runs/before runs/after
 """
 
 import hashlib
@@ -37,13 +43,37 @@ def staging_debris(root: str) -> list[str]:
                   if name.endswith((".tmp", ".old")))
 
 
+def differences(before: dict[str, str], after: dict[str, str]) -> list[str]:
+    """One line per path whose digest differs or that one side lacks."""
+    lines = []
+    for rel in sorted(before.keys() | after.keys()):
+        if rel not in after:
+            lines.append(f"removed  {rel}")
+        elif rel not in before:
+            lines.append(f"added  {rel}")
+        elif before[rel] != after[rel]:
+            lines.append(f"changed  {rel}")
+    return lines
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2 or not os.path.isdir(sys.argv[1]):
-        print("usage: output_digests.py RUNS_DIR", file=sys.stderr)
+    roots = sys.argv[1:]
+    if len(roots) not in (1, 2) or not all(os.path.isdir(root) for root in roots):
+        print("usage: output_digests.py RUNS_DIR | output_digests.py BEFORE AFTER",
+              file=sys.stderr)
         sys.exit(2)
-    debris = staging_debris(sys.argv[1])
-    if debris:
-        print("staging debris under RUNS_DIR:", *debris, sep="\n", file=sys.stderr)
+    refused = False
+    for root in roots:
+        debris = staging_debris(root)
+        if debris:
+            print(f"staging debris under {root}:", *debris, sep="\n", file=sys.stderr)
+            refused = True
+    if refused:
         sys.exit(1)
-    for rel, digest in sorted(output_digests(sys.argv[1]).items()):
+    if len(roots) == 2:
+        lines = differences(*map(output_digests, roots))
+        for line in lines:
+            print(line)
+        sys.exit(1 if lines else 0)
+    for rel, digest in sorted(output_digests(roots[0]).items()):
         print(f"{digest}  {rel}")

@@ -32,7 +32,7 @@ from .config import ConfigError, config_digest, load_config, stage_configs
 from .gradcheck import EPS, N_PROBES, TOLERANCE, stage_loss_errors
 from .mae import train_mae
 from .model import ModelBundle
-from .reports import load_catalog, structure_report
+from .reports import load_catalog, report_record, structure_report
 from .synth import calcium_wording_severity, generate_full_corpus, read_corpus, write_corpus
 from .tasks import (cac_grading, case_retrieval, finetune_classifier, finetune_labels,
                     zero_shot_aurocs)
@@ -72,8 +72,12 @@ def _staged(path: str):
     clean exit it replaces path whole: a directory cannot be renamed over a
     non-empty one, so the previous path is renamed aside to <path>.old,
     <path>.tmp takes its name, and <path>.old is removed. On any error
-    <path>.tmp is removed, so path stays exactly as it was."""
+    <path>.tmp is removed, so path stays exactly as it was. A run stopped
+    between the two renames leaves <path>.old alone; the next run renames it
+    back first."""
     tmp, old = f"{path}.tmp", f"{path}.old"
+    if not os.path.exists(path) and os.path.exists(old):
+        os.replace(old, path)
     shutil.rmtree(tmp, ignore_errors=True)  # left by a killed earlier run
     os.makedirs(tmp)
     try:
@@ -190,12 +194,8 @@ def cmd_structure_reports(args, cfg: dict, root: str, out: str) -> dict:
     with open(os.path.join(out, "structured.jsonl"), "w", encoding="utf-8") as fh:
         for case in train + evalset:
             s = structure_report(case.case_id, case.free_text, cat)
-            fh.write(json.dumps({
-                "case_id": case.case_id,
-                "free_text": case.free_text,
-                "structured": list(s.statements),
-                "flags": list(s.flags),
-            }, sort_keys=True) + "\n")
+            fh.write(json.dumps(report_record(case.case_id, case.free_text, s),
+                                sort_keys=True) + "\n")
             n_match += int(s.flags == case.flags)
     n_reports = len(train) + len(evalset)
     return {"n_reports": n_reports, "flag_accuracy": n_match / n_reports}

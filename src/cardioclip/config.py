@@ -94,11 +94,11 @@ def _merge(base: dict, override: dict, path: str, errors: list,
     return out
 
 
-def merge_config(overrides: dict | None) -> dict:
-    if overrides is not None and not isinstance(overrides, dict):
+def merge_config(overrides: dict) -> dict:
+    if not isinstance(overrides, dict):
         raise ConfigError([f"the config must be a JSON object, got {overrides!r}"])
     errors: list = []
-    cfg = _merge(DEFAULT_CONFIG, overrides or {}, "", errors)
+    cfg = _merge(DEFAULT_CONFIG, overrides, "", errors)
     if errors:
         raise ConfigError(errors)
     return cfg

@@ -112,6 +112,13 @@ def structured_from_flags(case_id: str, flags, cat: AbnormalityCatalog) -> Struc
     return StructuredReport(case_id=case_id, statements=statements, flags=tuple(bool(f) for f in flags))
 
 
+def report_record(case_id: str, free_text: str, s: StructuredReport) -> dict:
+    """The JSON record of one structured report: the corpus row's report
+    fields and a structured.jsonl row."""
+    return {"case_id": case_id, "free_text": free_text,
+            "structured": list(s.statements), "flags": list(s.flags)}
+
+
 def make_prompt_pair(name: str, cat: AbnormalityCatalog) -> tuple[str, str]:
     """Positive and negative zero-shot prompts for a catalog finding.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import count_rule, require
-from .reports import AbnormalityCatalog, contains_phrase, structured_from_flags
+from .reports import AbnormalityCatalog, contains_phrase, report_record, structured_from_flags
 from .seeding import derive_seed, substream
 from .tokenizer import normalize_words
 from .volume import Volume3D, VolumeFile, save_volume
@@ -176,9 +176,10 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class SynthCase:
-    """One corpus case. The generator holds its volume in memory; a corpus
-    read back from disk (read_corpus) holds a VolumeFile on its CCV1 file,
-    whose voxels are read only when a batch needs them."""
+    """One corpus case: one row of cases.jsonl plus its volume. The
+    generator holds the volume in memory; a corpus read back from disk
+    (read_corpus) holds a VolumeFile on its CCV1 file, whose voxels are read
+    only when a batch needs them. grade is None for an ungraded case."""
 
     case_id: str
     volume: Volume3D | VolumeFile
@@ -365,9 +366,11 @@ def generate_full_corpus(spec: SynthSpec) -> list[SynthCase]:
 
 
 def write_corpus(cases, out_dir, cat: AbnormalityCatalog, n_train: int) -> None:
-    """Emit CCV1 volumes, the JSONL report corpus, grades.jsonl, and
-    splits.json: the case ids of the first n_train cases ("train") and of the
-    rest ("eval").
+    """Emit a CCV1 volume per case under volumes/ and cases.jsonl, one row
+    per case in generation order: its report record (reports.report_record,
+    the structured statements from its flags), its grade (null when
+    ungraded) and its split, "train" for the first n_train cases and "eval"
+    for the rest.
 
     out_dir must not hold a corpus yet: the CLI hands synth a fresh staged
     directory and swaps it in whole once every file is written and closed,
@@ -375,50 +378,34 @@ def write_corpus(cases, out_dir, cat: AbnormalityCatalog, n_train: int) -> None:
     """
     vol_dir = os.path.join(out_dir, "volumes")
     os.makedirs(vol_dir)
-    with (open(os.path.join(out_dir, "reports.jsonl"), "w", encoding="utf-8") as rep_fh,
-          open(os.path.join(out_dir, "grades.jsonl"), "w", encoding="utf-8") as grade_fh):
-        for case in cases:
+    with open(os.path.join(out_dir, "cases.jsonl"), "w", encoding="utf-8") as fh:
+        for i, case in enumerate(cases):
             save_volume(case.volume, os.path.join(vol_dir, f"{case.case_id}.ccv1"))
             structured = structured_from_flags(case.case_id, case.flags, cat)
-            rep_fh.write(json.dumps({
-                "case_id": case.case_id,
-                "free_text": case.free_text,
-                "structured": list(structured.statements),
-                "flags": list(case.flags),
+            fh.write(json.dumps({
+                **report_record(case.case_id, case.free_text, structured),
+                "grade": case.grade, "split": "train" if i < n_train else "eval",
             }, sort_keys=True) + "\n")
-            if case.grade is not None:
-                grade_fh.write(json.dumps(
-                    {"case_id": case.case_id, "grade": case.grade}, sort_keys=True) + "\n")
-    with open(os.path.join(out_dir, "splits.json"), "w", encoding="utf-8") as fh:
-        json.dump({"train": [c.case_id for c in cases[:n_train]],
-                   "eval": [c.case_id for c in cases[n_train:]]}, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def read_corpus(synth_dir) -> tuple[list[SynthCase], list[SynthCase]]:
-    """Read write_corpus's output back as (train, eval) lists of SynthCase,
-    in the order of splits.json.
+    """Read write_corpus's output back as (train, eval) lists of SynthCase:
+    each row of cases.jsonl joins the list of its split, in file order.
 
     Each case's volume is a VolumeFile on its CCV1 file, and no payload is
     read here: a caller reads a volume only when a batch (or an eval chunk)
     needs its voxels, and again each epoch, so its memory grows with the
     batch, not with the corpus.
     """
-    reports_path = os.path.join(synth_dir, "reports.jsonl")
-    if not os.path.exists(reports_path):
-        raise FileNotFoundError(f"{reports_path} not found; run `cardioclip synth` first")
-    grades = {}
-    grades_path = os.path.join(synth_dir, "grades.jsonl")
-    if os.path.exists(grades_path):
-        with open(grades_path, "r", encoding="utf-8") as fh:
-            grades = {doc["case_id"]: doc["grade"] for doc in map(json.loads, fh)}
-    by_id = {}
-    with open(reports_path, "r", encoding="utf-8") as fh:
+    path = os.path.join(synth_dir, "cases.jsonl")
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"{path} not found; run `cardioclip synth` first")
+    splits = {"train": [], "eval": []}
+    with open(path, "r", encoding="utf-8") as fh:
         for doc in map(json.loads, fh):
             cid = doc["case_id"]
             volume = VolumeFile(os.path.join(synth_dir, "volumes", f"{cid}.ccv1"))
-            by_id[cid] = SynthCase(cid, volume, tuple(bool(f) for f in doc["flags"]),
-                                   doc["free_text"], grades.get(cid))
-    with open(os.path.join(synth_dir, "splits.json"), "r", encoding="utf-8") as fh:
-        splits = json.load(fh)
-    return [by_id[cid] for cid in splits["train"]], [by_id[cid] for cid in splits["eval"]]
+            splits[doc["split"]].append(SynthCase(
+                cid, volume, tuple(bool(f) for f in doc["flags"]), doc["free_text"],
+                doc["grade"]))
+    return splits["train"], splits["eval"]

@@ -59,6 +59,14 @@ def staging_debris(root) -> list:
     return [name for name in os.listdir(root) if name.endswith((".tmp", ".old"))]
 
 
+def corpus_rows(synth_dir) -> list:
+    return [json.loads(line) for line in (synth_dir / "cases.jsonl").read_text().splitlines()]
+
+
+def split_ids(rows, split) -> list:
+    return [row["case_id"] for row in rows if row["split"] == split]
+
+
 class TestPipeline:
     def test_01_synth(self, workdir):
         assert run(workdir, "synth") == 0
@@ -71,6 +79,16 @@ class TestPipeline:
         assert run(workdir, "structure-reports") == 0
         m = read_metrics(workdir, "structure-reports")
         assert m["flag_accuracy"] == 1.0
+
+    def test_02b_structured_rows_are_the_corpus_report_records(self, workdir):
+        # the closure property on the files: structuring each case's free
+        # text gives back the report record synth wrote for it
+        keys = ("case_id", "free_text", "structured", "flags")
+        corpus = [{k: row[k] for k in keys} for row in corpus_rows(workdir / "runs" / "synth")]
+        path = workdir / "runs" / "structure_reports" / "structured.jsonl"
+        structured = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(corpus) == 20
+        assert structured == corpus
 
     def test_03_pretrain_mae(self, workdir):
         assert run(workdir, "pretrain-mae") == 0
@@ -135,19 +153,18 @@ class TestPipeline:
 
     @pytest.mark.parametrize("command", cli._HANDLERS)
     def test_10_reads_only_the_volumes_it_uses(self, workdir, monkeypatch, command):
-        synth_dir = workdir / "runs" / "synth"
-        splits = json.loads((synth_dir / "splits.json").read_text())
-        graded = {json.loads(line)["case_id"]
-                  for line in (synth_dir / "grades.jsonl").read_text().splitlines()}
+        rows = corpus_rows(workdir / "runs" / "synth")
+        train, evalset = split_ids(rows, "train"), split_ids(rows, "eval")
+        graded = {row["case_id"] for row in rows if row["grade"] is not None}
         expected = {
             "structure-reports": [],
-            "pretrain-mae": splits["train"],
-            "pretrain-clip": splits["train"],
-            "eval-zeroshot": splits["eval"],
-            "eval-retrieval": splits["eval"],
-            "eval-cac": [c for c in splits["eval"] if c in graded],
+            "pretrain-mae": train,
+            "pretrain-clip": train,
+            "eval-zeroshot": evalset,
+            "eval-retrieval": evalset,
+            "eval-cac": [c for c in evalset if c in graded],
             # TINY fine-tunes the calcium grade, so only graded cases are read
-            "finetune": [c for c in splits["train"] + splits["eval"] if c in graded],
+            "finetune": [c for c in train + evalset if c in graded],
         }.get(command, [])
         # each stage runs one epoch on TINY, so each volume it uses is read once
         read = []
@@ -174,6 +191,14 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", ["null", "[]"])
+    def test_config_file_not_an_object_exits_3(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
+        assert "the config must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_invalid_config_exits_3(self, workdir, capsys):
         code = run(workdir, "synth", "--set", "clip.temperature=0")
@@ -283,7 +308,7 @@ class TestErrorPaths:
         # last voxel set to NaN: the header and size stay valid, so the
         # volume is refused when its batch reads it
         shutil.copytree(workdir / "runs" / "synth", tmp_path / "synth")
-        cid = json.loads((tmp_path / "synth" / "splits.json").read_text())["train"][-1]
+        cid = split_ids(corpus_rows(tmp_path / "synth"), "train")[-1]
         path = tmp_path / "synth" / "volumes" / f"{cid}.ccv1"
         data = bytearray(path.read_bytes())
         data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
@@ -381,6 +406,38 @@ def test_json_write_failing_partway_leaves_the_previous_file_and_no_temp_file(
     assert main(args) == 1
     assert "not JSON serializable" in capsys.readouterr().err
     assert files_under(tmp_path / "gradcheck") == before
+    assert os.listdir(tmp_path) == ["gradcheck"]
+
+
+def test_a_run_stopped_mid_swap_leaves_the_previous_output_for_the_next_run(
+        workdir, tmp_path, monkeypatch, capsys):
+    args = ["gradcheck", "--config", str(workdir / "config.json"), "--out", str(tmp_path)]
+    assert main(args) == 0
+    out = tmp_path / "gradcheck"
+    # mark the first run's files, so a later run's output cannot pass for them
+    for path in out.iterdir():
+        path.write_bytes(b"previous\n" + path.read_bytes())
+    before = files_under(out)
+    real_replace = os.replace
+
+    def stop_before_the_new_output_lands(src, dst):
+        if str(src) == f"{out}.tmp":
+            raise KeyboardInterrupt
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", stop_before_the_new_output_lands)
+    with pytest.raises(KeyboardInterrupt):
+        main(args)
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == ["gradcheck.old", "gradcheck.tmp"]
+
+    def failing(seed):
+        raise FloatingPointError("non-finite loss in the toy problem")
+
+    monkeypatch.setattr(cli, "stage_loss_errors", failing)
+    assert main(args) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert files_under(out) == before
     assert os.listdir(tmp_path) == ["gradcheck"]
 
 

@@ -26,7 +26,7 @@ from cardioclip.tasks import FinetuneConfig
 
 
 def test_defaults_are_valid():
-    cfg = merge_config(None)
+    cfg = merge_config({})
     assert validate_config(cfg) == []
 
 
@@ -38,7 +38,7 @@ def test_unknown_key_rejected():
 
 
 def test_removed_raw_affinity_switch_is_an_unknown_key():
-    assert "raw_affinity" not in merge_config(None)["clip"]
+    assert "raw_affinity" not in merge_config({})["clip"]
     with pytest.raises(ConfigError, match="unknown key 'clip.raw_affinity'"):
         merge_config({"clip": {"raw_affinity": False}})
 
@@ -59,7 +59,7 @@ def test_all_violations_listed_together():
 
 
 def test_set_overrides_parse_json_values():
-    cfg = merge_config(None)
+    cfg = merge_config({})
     cfg = apply_set_overrides(cfg, ["clip.temperature=0.25", "synth.n_cases=16",
                                     "finetune.freeze_encoder=true"])
     assert cfg["clip"]["temperature"] == 0.25
@@ -68,7 +68,7 @@ def test_set_overrides_parse_json_values():
 
 
 def test_set_override_unknown_key():
-    cfg = merge_config(None)
+    cfg = merge_config({})
     with pytest.raises(ConfigError, match="unknown key"):
         apply_set_overrides(cfg, ["clip.tau=0.1"])
 
@@ -97,8 +97,8 @@ def test_load_config_rejects_invalid(tmp_path):
 
 
 def test_digest_is_stable_and_sensitive():
-    a = merge_config(None)
-    b = merge_config(None)
+    a = merge_config({})
+    b = merge_config({})
     assert config_digest(a) == config_digest(b)
     c = merge_config({"seed": 1})
     assert config_digest(a) != config_digest(c)
@@ -154,7 +154,7 @@ def test_dims_not_divisible_by_the_patch_size_are_refused_under_visual():
 
 
 def test_dims_off_the_default_patch_grid_are_accepted_with_a_patch_size_that_divides_them():
-    cfg = apply_set_overrides(merge_config(None),
+    cfg = apply_set_overrides(merge_config({}),
                               ["geometry.dims=[24,24,24]", "geometry.patch_size=[8,8,8]"])
     assert validate_config(cfg) == []
     spec = replace(stage_configs(cfg)["synth"], n_cases=1)
@@ -195,7 +195,7 @@ def test_set_merges_a_whole_section_like_a_config_file(tmp_path):
     path.write_text(json.dumps({"clip": {"temperature": 0.1}}))
     from_set = load_config(None, ['clip={"temperature": 0.1}'])
     assert from_set["clip"]["temperature"] == 0.1
-    assert from_set["clip"]["epochs"] == merge_config(None)["clip"]["epochs"]
+    assert from_set["clip"]["epochs"] == merge_config({})["clip"]["epochs"]
     assert config_digest(from_set) == config_digest(load_config(path))
 
 

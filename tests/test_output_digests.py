@@ -5,19 +5,26 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "output_digests.py")
 
 
-def digests(path):
-    return subprocess.run([sys.executable, SCRIPT, str(path)], capture_output=True, text=True)
+def digests(*paths):
+    return subprocess.run([sys.executable, SCRIPT, *map(str, paths)], capture_output=True,
+                          text=True)
+
+
+def write_files(root, files):
+    for rel, data in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(data)
 
 
 def test_sorted_sha256_lines_skipping_every_manifest(tmp_path):
     files = {"synth/metrics.json": b"{}", "b.bin": b"\x00\x01", "a/z/deep.txt": b"deep",
              "a/checkpoint.json": b"[1]"}
-    for rel, data in files.items():
-        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / rel).write_bytes(data)
+    write_files(tmp_path, files)
     for rel in ("manifest.json", "synth/manifest.json", "a/z/manifest.json"):
         (tmp_path / rel).write_text("timestamps")
     out = digests(tmp_path)
@@ -39,9 +46,53 @@ def test_staging_debris_exits_1_naming_each_entry(tmp_path):
     (tmp_path / "pretrain_clip.tmp").mkdir()
     (tmp_path / "eval_cac.old").mkdir()
     (tmp_path / "eval_cac.old" / "cac_scores.csv").write_text("grade,score\n")
-    (tmp_path / "synth" / "splits.json.tmp").write_text("{")
+    (tmp_path / "synth" / "cases.jsonl.tmp").write_text("{")
     out = digests(tmp_path)
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr.splitlines()[1:] == ["eval_cac.old", "pretrain_clip.tmp",
-                                           os.path.join("synth", "splits.json.tmp")]
+                                           os.path.join("synth", "cases.jsonl.tmp")]
+
+
+def test_two_roots_list_each_changed_removed_and_added_path_and_exit_1(tmp_path):
+    same = {"synth/volumes/case_0000.ccv1": b"vox", "eval_cac/metrics.json": b"{}"}
+    write_files(tmp_path / "before", {**same, "synth/reports.jsonl": b"r\n",
+                                      "finetune/metrics.json": b"1"})
+    write_files(tmp_path / "after", {**same, "synth/cases.jsonl": b"c\n",
+                                     "finetune/metrics.json": b"2"})
+    # manifests hold timestamps, so they differ between any two runs
+    (tmp_path / "before" / "manifest.json").write_text("a")
+    (tmp_path / "after" / "synth").joinpath("manifest.json").write_text("b")
+    out = digests(tmp_path / "before", tmp_path / "after")
+    assert out.returncode == 1
+    assert out.stdout.splitlines() == [
+        f"changed  {os.path.join('finetune', 'metrics.json')}",
+        f"added  {os.path.join('synth', 'cases.jsonl')}",
+        f"removed  {os.path.join('synth', 'reports.jsonl')}",
+    ]
+
+
+def test_two_matching_roots_print_nothing_and_exit_0(tmp_path):
+    files = {"synth/cases.jsonl": b"c\n", "pretrain_mae/checkpoint.bin": b"\x00" * 8}
+    write_files(tmp_path / "before", files)
+    write_files(tmp_path / "after", files)
+    out = digests(tmp_path / "before", tmp_path / "after")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+
+
+@pytest.mark.parametrize("side", ["before", "after"])
+def test_two_roots_refuse_staging_debris_on_either_side(tmp_path, side):
+    write_files(tmp_path / "before", {"gradcheck/metrics.json": b"{}"})
+    write_files(tmp_path / "after", {"gradcheck/metrics.json": b"{}"})
+    (tmp_path / side / "gradcheck.old").mkdir()
+    out = digests(tmp_path / "before", tmp_path / "after")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == [f"staging debris under {tmp_path / side}:",
+                                       "gradcheck.old"]
+
+
+def test_more_than_two_roots_exit_2(tmp_path):
+    out = digests(tmp_path, tmp_path, tmp_path)
+    assert out.returncode == 2
+    assert "usage" in out.stderr

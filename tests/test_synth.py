@@ -186,18 +186,18 @@ class TestClosureProperty:
 class TestWriteCorpus:
     def test_emits_expected_files(self, tmp_path, small_corpus):
         write_corpus(small_corpus, tmp_path, CAT, 20)
-        reports = [json.loads(l) for l in (tmp_path / "reports.jsonl").read_text().splitlines()]
-        assert len(reports) == len(small_corpus)
-        assert set(reports[0]) == {"case_id", "free_text", "structured", "flags"}
-        assert len(reports[0]["structured"]) == 7
-        grades = [json.loads(l) for l in (tmp_path / "grades.jsonl").read_text().splitlines()]
-        graded = [c for c in small_corpus if c.grade is not None]
-        assert len(grades) == len(graded)
+        assert sorted(os.listdir(tmp_path)) == ["cases.jsonl", "volumes"]
+        lines = (tmp_path / "cases.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        assert lines == [json.dumps(row, sort_keys=True) for row in rows]
+        assert [row["case_id"] for row in rows] == [c.case_id for c in small_corpus]
+        assert set(rows[0]) == {"case_id", "free_text", "structured", "flags", "grade", "split"}
+        assert len(rows[0]["structured"]) == 7
+        assert [row["grade"] for row in rows] == [c.grade for c in small_corpus]
+        assert {c.grade is None for c in small_corpus} == {True, False}
+        assert [row["split"] for row in rows] == ["train"] * 20 + ["eval"] * 4
         vol = load_volume(tmp_path / "volumes" / f"{small_corpus[0].case_id}.ccv1")
         assert np.array_equal(vol.voxels, small_corpus[0].volume.voxels)
-        ids = [c.case_id for c in small_corpus]
-        assert (tmp_path / "splits.json").read_text() == json.dumps(
-            {"eval": ids[20:], "train": ids[:20]}, indent=1) + "\n"
 
     # a failing synth leaves the previous corpus, volumes, metrics and
     # manifest byte-identical and no synth.tmp or synth.old next to it
@@ -222,14 +222,13 @@ class TestWriteCorpus:
         assert files_under(tmp_path / "runs" / "synth") == before
         assert os.listdir(tmp_path / "runs") == ["synth"]
 
-    def test_failing_splits_write_leaves_the_previous_corpus_and_no_temp_file(
-            self, tmp_path, monkeypatch, capsys):
+    def test_failing_cases_write_leaves_the_previous_corpus(self, tmp_path, monkeypatch, capsys):
         assert run_synth(tmp_path, "seed=1") == 0
         before = files_under(tmp_path / "runs" / "synth")
         written = []
 
         class FullDevice:
-            """A file whose first write lands and whose next one fails."""
+            """A file whose rows land until the last one, which fails."""
 
             def __init__(self, fh):
                 self.fh = fh
@@ -241,19 +240,19 @@ class TestWriteCorpus:
                 self.fh.close()
 
             def write(self, text):
-                if written:
+                if len(written) == 23:
                     raise OSError("no space left on device")
                 written.append(text)
                 return self.fh.write(text)
 
         def opening(path, *args, **kwargs):
             fh = open(path, *args, **kwargs)
-            return FullDevice(fh) if str(path).endswith("splits.json") else fh
+            return FullDevice(fh) if str(path).endswith("cases.jsonl") else fh
 
         monkeypatch.setattr(synth, "open", opening, raising=False)
         assert run_synth(tmp_path) == 1
         assert "no space left" in capsys.readouterr().err
-        assert written  # the splits write started after every volume was written
+        assert len(written) == 23  # the last row failed after every volume was written
         assert files_under(tmp_path / "runs" / "synth") == before
         assert os.listdir(tmp_path / "runs") == ["synth"]
 
@@ -261,12 +260,13 @@ class TestWriteCorpus:
         assert run_synth(tmp_path) == 0
         assert run_synth(tmp_path, "synth.n_cases=4", "synth.train_cases=2") == 0
         out = tmp_path / "runs" / "synth"
-        assert sorted(os.listdir(out)) == ["grades.jsonl", "manifest.json", "metrics.json",
-                                           "reports.jsonl", "splits.json", "volumes"]
-        splits = json.loads((out / "splits.json").read_text())
-        assert len(splits["train"] + splits["eval"]) == 4
+        assert sorted(os.listdir(out)) == ["cases.jsonl", "manifest.json", "metrics.json",
+                                           "volumes"]
+        rows = (out / "cases.jsonl").read_text().splitlines()
+        ids = [json.loads(row)["case_id"] for row in rows]
+        assert len(ids) == 4
         assert sorted(p.name for p in (out / "volumes").iterdir()) == sorted(
-            f"{cid}.ccv1" for cid in splits["train"] + splits["eval"])
+            f"{cid}.ccv1" for cid in ids)
 
 
 class TestReadCorpus:
@@ -283,10 +283,7 @@ class TestReadCorpus:
         train, evalset = read_corpus(tmp_path)
         monkeypatch.undo()
         # no volume payload (nor header) is read until a batch asks for it
-        assert sorted(opened) == ["grades.jsonl", "reports.jsonl", "splits.json"]
-        splits = json.loads((tmp_path / "splits.json").read_text())
-        assert [c.case_id for c in train] == splits["train"]
-        assert [c.case_id for c in evalset] == splits["eval"]
+        assert opened == ["cases.jsonl"]
         assert len(train) == 20 and len(train) + len(evalset) == len(small_corpus)
         assert {c.grade is None for c in small_corpus} == {True, False}
         for got, want in zip(train + evalset, small_corpus):
