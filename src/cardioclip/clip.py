@@ -41,7 +41,6 @@ class ContrastiveConfig:
     proj_lr: float = 5e-3
     weight_decay: float = 0.01
     warmup_frac: float = 0.05
-    min_lr: float = 0.0
     # text-tower warmup before alignment: stands in for the initialization a
     # pretrained language encoder would provide (negation-aware sentence
     # features); supervised purely by each report's own statement polarities.
@@ -56,7 +55,7 @@ class ContrastiveConfig:
     def __post_init__(self):
         warm = self.text_warmup_steps
         require(
-            *schedule_rules(self, self.lr),
+            *schedule_rules(self),
             (self.batch >= 2, f"batch must be >= 2 (contrast is undefined for a single pair), "
                               f"got {self.batch}"),
             (self.proj_lr > 0, f"proj_lr must be positive, got {self.proj_lr}"),
@@ -286,7 +285,7 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
         )
 
     # a trailing singleton batch has no contrastive signal: min_batch=2 skips it
-    for epoch, batches, extra in trainer.epochs(n, cfg, cfg.lr, seed, "clip-batch-order",
+    for epoch, batches, extra in trainer.epochs(n, cfg, seed, "clip-batch-order",
                                                 trace_hook, min_batch=2):
         variant_rng = substream(seed, "variant", epoch)
         n_structured = 0

@@ -45,14 +45,13 @@ class DecoderConfig:
 class MAETrainConfig:
     epochs: int = 20
     batch: int = 16
-    base_lr: float = 1e-4
+    lr: float = 1e-4
     weight_decay: float = 0.01
     warmup_frac: float = 0.05
-    min_lr: float = 0.0
     mask_ratio: float = 0.75
 
     def __post_init__(self):
-        require(*schedule_rules(self, self.base_lr, "base_lr"))
+        require(*schedule_rules(self))
 
 
 def masked_count(n_total: int, ratio: float) -> int:
@@ -202,7 +201,7 @@ def train_mae(volumes, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
         loss, cache = mae_batch_fwd(params, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
         return loss, mae_batch_bwd(params, cache)
 
-    for epoch, batches, _ in trainer.epochs(n, cfg, cfg.base_lr, seed, "batch-order", trace_hook):
+    for epoch, batches, _ in trainer.epochs(n, cfg, seed, "batch-order", trace_hook):
         for idx in batches:
             trainer.step(*batch_step(epoch, idx))
     return params, trainer.trace

@@ -3,34 +3,19 @@ schedule, a decoupled-weight-decay Adam, and the Trainer that drives them.
 
 Stage 1, stage 2, fine-tuning and the text warmup all step their optimizer
 through Trainer; the stages differ only in their batch logic and in which
-parameter-name groups get which base learning rate.
+parameter-name groups get which multiple of the rate. Every stage's config
+names its peak rate lr, and every schedule ramps linearly to lr and decays
+by a cosine to 0, so a schedule is three numbers: (lr, warmup_steps,
+total_steps).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .seeding import substream
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    base_lr: float
-    warmup_steps: int
-    total_steps: int
-    min_lr: float = 0.0
-
-    def __post_init__(self):
-        require(
-            (0 <= self.warmup_steps <= self.total_steps,
-             f"require 0 <= warmup_steps <= total_steps, got {self.warmup_steps}, "
-             f"{self.total_steps}"),
-            (self.base_lr > self.min_lr >= 0,
-             f"require base_lr > min_lr >= 0, got {self.base_lr}, {self.min_lr}"),
-        )
 
 
 def require(*rules) -> None:
@@ -53,30 +38,29 @@ def count_rule(cfg, name: str, low: int) -> tuple:
     return integer_rule(name, getattr(cfg, name), low)
 
 
-def schedule_rules(cfg, lr: float, lr_name: str = "lr") -> tuple:
+def schedule_rules(cfg) -> tuple:
     """The rules of the fields every training stage's config shares: epochs,
-    batch, warmup_frac, weight_decay, and lr > min_lr >= 0."""
+    batch, warmup_frac, weight_decay and lr."""
     return (
         count_rule(cfg, "epochs", 1),
         count_rule(cfg, "batch", 1),
         (0.0 <= cfg.warmup_frac <= 1.0, f"warmup_frac must lie in [0, 1], got {cfg.warmup_frac}"),
         (cfg.weight_decay >= 0, f"weight_decay must be >= 0, got {cfg.weight_decay}"),
-        (lr > cfg.min_lr >= 0,
-         f"{lr_name} must satisfy {lr_name} > min_lr >= 0, got {lr} vs {cfg.min_lr}"),
+        (cfg.lr > 0, f"lr must be positive, got {cfg.lr}"),
     )
 
 
-def lr_at_step(s: ScheduleConfig, step: int) -> float:
-    """Linear ramp to base_lr over warmup_steps, then cosine decay to min_lr."""
-    if not 0 <= step <= s.total_steps:
-        raise ValueError(f"step {step} outside [0, {s.total_steps}]")
-    if step < s.warmup_steps:
-        return s.base_lr * (step + 1) / s.warmup_steps
-    span = s.total_steps - s.warmup_steps
+def lr_at_step(lr: float, warmup_steps: int, total_steps: int, step: int) -> float:
+    """Linear ramp to lr over warmup_steps, then cosine decay to 0."""
+    if not 0 <= step <= total_steps:
+        raise ValueError(f"step {step} outside [0, {total_steps}]")
+    if step < warmup_steps:
+        return lr * (step + 1) / warmup_steps
+    span = total_steps - warmup_steps
     if span == 0:
-        return s.base_lr
-    t = (step - s.warmup_steps) / span
-    return s.min_lr + (s.base_lr - s.min_lr) * 0.5 * (1.0 + math.cos(math.pi * t))
+        return lr
+    t = (step - warmup_steps) / span
+    return lr * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
 class AdamW:
@@ -146,7 +130,11 @@ class Trainer:
     and its gradients when step returns, all before the next batch is built.
     Within a step they hold one copy of its patches: the raw batch (stage 1:
     its visible-patch gather) is handed straight to the forward and dies
-    once the forward has cached its standardized copy. Within the backward,
+    once the forward has cached its standardized copy. The exception is
+    stage 2: clip.clip_batch_fwd_bwd's own patches parameter keeps the raw
+    batch alive until visual_embed_fwd returns (8.4 MB at the default batch
+    of 8), though that does not set the step's peak, which is
+    patch_tokens_bwd's discarded input gradient. Within the backward,
     each block's activations die as soon as its backward has read them
     (nn.stack_bwd pops each block's cache), so the patch embedding's
     backward runs with no block's activations alive. The batch's volumes
@@ -170,29 +158,30 @@ class Trainer:
         if not math.isfinite(loss):
             at = "" if self.epoch is None else f" (epoch {self.epoch})"
             raise FloatingPointError(f"non-finite {self.stage} loss at step {self.steps}{at}")
-        self.lr = lr_at_step(self.sched, self.steps) if lr is None else lr
+        self.lr = lr_at_step(*self.sched, self.steps) if lr is None else lr
         self.opt.step(self.params, grads, self.lr)
         self.losses.append(loss)
         self.steps += 1
 
-    def epochs(self, n: int, cfg, base_lr: float, seed: int, order_name: str,
-               trace_hook=None, min_batch: int = 1):
+    def epochs(self, n: int, cfg, seed: int, order_name: str, trace_hook=None,
+               min_batch: int = 1):
         """Yield (epoch, batches, extra) for each of cfg.epochs epochs.
 
         batches cuts the (seed, order_name, epoch) permutation of range(n)
         into index arrays of cfg.batch, dropping a trailing one shorter than
-        min_batch; the schedule (cfg.warmup_frac, cfg.min_lr) spans only the
-        batches that remain, so its cosine decay runs to the end. Once the
-        caller has stepped through an epoch, its record {"epoch",
+        min_batch. The schedule, self.sched = (cfg.lr, warmup_steps,
+        total_steps), spans only the batches that remain: it ramps to cfg.lr
+        over cfg.warmup_frac of them and its cosine decays to 0 at the last.
+        Once the caller has stepped through an epoch, its record {"epoch",
         "mean_loss", "lr_last"} plus the keys the caller put in extra is
         appended to self.trace and passed to trace_hook.
         """
         total = cfg.epochs * (n // cfg.batch + (n % cfg.batch >= min_batch))
-        self.sched = ScheduleConfig(base_lr, int(round(cfg.warmup_frac * total)), total, cfg.min_lr)
+        self.sched = (cfg.lr, int(round(cfg.warmup_frac * total)), total)
         for epoch in range(cfg.epochs):
             order = substream(seed, order_name, epoch).permutation(n)
             batches = [order[b0 : b0 + cfg.batch] for b0 in range(0, n, cfg.batch)]
-            self.epoch, self.losses, self.lr, extra = epoch, [], base_lr, {}
+            self.epoch, self.losses, self.lr, extra = epoch, [], cfg.lr, {}
             yield epoch, [idx for idx in batches if idx.size >= min_batch], extra
             record = {"epoch": epoch, "mean_loss": float(np.mean(self.losses)),
                       "lr_last": self.lr, **extra}

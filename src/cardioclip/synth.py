@@ -395,14 +395,21 @@ def read_corpus(synth_dir) -> tuple[list[SynthCase], list[SynthCase]]:
     Each case's volume is a VolumeFile on its CCV1 file, and no payload is
     read here: a caller reads a volume only when a batch (or an eval chunk)
     needs its voxels, and again each epoch, so its memory grows with the
-    batch, not with the corpus.
+    batch, not with the corpus. A row missing a key read here, or whose
+    split is neither train nor eval, is refused naming its line.
     """
     path = os.path.join(synth_dir, "cases.jsonl")
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path} not found; run `cardioclip synth` first")
     splits = {"train": [], "eval": []}
     with open(path, "r", encoding="utf-8") as fh:
-        for doc in map(json.loads, fh):
+        for line_no, doc in enumerate(map(json.loads, fh), 1):
+            where = f"{path} line {line_no}" + (f" ({doc['case_id']})" if "case_id" in doc else "")
+            missing = [k for k in ("case_id", "flags", "free_text", "grade", "split") if k not in doc]
+            if missing:
+                raise ValueError(f"{where}: missing key {', '.join(map(repr, missing))}")
+            if doc["split"] not in splits:
+                raise ValueError(f"{where}: split {doc['split']!r} is not one of 'train', 'eval'")
             cid = doc["case_id"]
             volume = VolumeFile(os.path.join(synth_dir, "volumes", f"{cid}.ccv1"))
             splits[doc["split"]].append(SynthCase(

@@ -7,7 +7,6 @@ plain arrays and return unrounded values."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -143,11 +142,10 @@ class FinetuneConfig:
     head_lr: float = 1.5e-3
     weight_decay: float = 0.01
     warmup_frac: float = 0.05
-    min_lr: ClassVar[float] = 0.0  # not a config key: fine-tuning always decays to 0
     freeze_encoder: bool = False
 
     def __post_init__(self):
-        require(*schedule_rules(self, self.lr),
+        require(*schedule_rules(self),
                 (self.head_lr > 0, f"head_lr must be positive, got {self.head_lr}"))
 
 
@@ -217,7 +215,7 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
             visual_embed_bwd(params, cache, dfeats, grads)
         return loss, grads
 
-    for _, batches, extra in trainer.epochs(len(train_set), cfg, cfg.lr, seed, "finetune-order"):
+    for _, batches, extra in trainer.epochs(len(train_set), cfg, seed, "finetune-order"):
         hits = 0
         for idx in batches:
             trainer.step(*batch_step(idx))

@@ -321,6 +321,23 @@ class TestErrorPaths:
         out = tmp_path / "pretrain_mae"
         assert not (out / "checkpoint.json").exists() and not (out / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row.update(split="test"), "split 'test' is not one of 'train', 'eval'"),
+        (lambda row: row.pop("grade"), "missing key 'grade'"),
+    ], ids=["unknown-split", "missing-grade"])
+    def test_malformed_corpus_row_fails_naming_the_file_line_and_case(
+            self, workdir, tmp_path, capsys, edit, message):
+        copy_runs(workdir, tmp_path, "synth", "pretrain_clip")
+        path = tmp_path / "synth" / "cases.jsonl"
+        rows = corpus_rows(tmp_path / "synth")
+        edit(rows[2])
+        path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+        code = main(["eval-zeroshot", "--config", str(workdir / "config.json"),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{path} line 3 ({rows[2]['case_id']}): {message}" in err
+
     @pytest.mark.parametrize("command, failing", [
         *((command, "manifest.json") for command in cli._HANDLERS),
         # the previous checkpoint pair is already replaced by then at the parent

@@ -108,7 +108,7 @@ def test_default_config_digest_is_pinned():
     # every checkpoint and manifest carries this digest; a default that moves
     # changes it
     assert config_digest(DEFAULT_CONFIG) == (
-        "b462f85aea6d639ffe1ec963165b4d37aa482ec0dd76551f6d1dc3835b3feb41")
+        "6514e79e5f7fa988f04ec1b0106289e5ecb2e0183e0b5ad2861a3fc6cd97b50a")
 
 
 def test_each_default_section_builds_its_dataclass_default():
@@ -120,12 +120,13 @@ def test_each_default_section_builds_its_dataclass_default():
     }
 
 
-def test_finetune_min_lr_is_a_constant_not_a_field():
-    # fine-tuning always decays to 0: no config key and no constructor field sets it
-    assert FinetuneConfig().min_lr == 0.0
-    assert "min_lr" not in DEFAULT_CONFIG["finetune"]
+@pytest.mark.parametrize("section, cls", [
+    ("mae", MAETrainConfig), ("clip", ContrastiveConfig), ("finetune", FinetuneConfig)])
+def test_no_stage_has_a_rate_floor(section, cls):
+    # every schedule decays to 0: no config key and no constructor field sets a floor
+    assert "min_lr" not in DEFAULT_CONFIG[section]
     with pytest.raises(TypeError):
-        FinetuneConfig(min_lr=0.1)
+        cls(min_lr=0.0)
 
 
 def test_benchmark_pipeline_configs_are_valid(monkeypatch):
@@ -237,7 +238,7 @@ def test_wrong_types_are_refused_with_their_key():
     (lambda: TextEncoderConfig(vocab_size=10, depth=-3), "depth"),
     (lambda: DecoderConfig(mlp_ratio=-2.0), "mlp_ratio"),
     (lambda: VisualEncoderConfig(heads=0), "heads"),
-    (lambda: MAETrainConfig(base_lr=1e-4, min_lr=1e-3), "base_lr"),
+    (lambda: MAETrainConfig(lr=0.0), "lr"),
     (lambda: SynthSpec(prevalence=(0.3, 0.3)), "prevalence"),
     (lambda: SynthSpec(signal_strength=-1.0), "signal_strength"),
     (lambda: SynthSpec(dims=(8, 32, 32)), "dims"),

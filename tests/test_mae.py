@@ -14,7 +14,7 @@ from cardioclip.mae import (
     sample_mask,
     train_mae,
 )
-from cardioclip.optim import ScheduleConfig, lr_at_step
+from cardioclip.optim import lr_at_step
 from cardioclip.volume import Volume3D, batch_patches
 
 VIS = VisualEncoderConfig(patch_size=(4, 4, 4), embed_dim=16, depth=1, heads=2,
@@ -31,33 +31,39 @@ def small_params(seed=0):
 
 class TestSchedule:
     def test_linear_ramp(self):
-        s = ScheduleConfig(base_lr=1e-4, warmup_steps=10, total_steps=100)
-        assert lr_at_step(s, 4) == pytest.approx(5e-5)
+        assert lr_at_step(1e-4, 10, 100, 4) == pytest.approx(5e-5)
 
-    def test_endpoint_is_min_lr(self):
-        s = ScheduleConfig(base_lr=1e-4, warmup_steps=10, total_steps=100, min_lr=1e-6)
-        assert lr_at_step(s, 100) == pytest.approx(1e-6)
+    def test_endpoint_is_zero(self):
+        assert lr_at_step(1e-4, 10, 100, 100) == 0.0
 
     def test_peak_at_warmup(self):
-        s = ScheduleConfig(base_lr=1e-4, warmup_steps=10, total_steps=100)
-        assert lr_at_step(s, 10) == pytest.approx(1e-4)
+        assert lr_at_step(1e-4, 10, 100, 10) == pytest.approx(1e-4)
 
     def test_continuous_at_warmup_and_nonincreasing_after(self):
-        s = ScheduleConfig(base_lr=3e-4, warmup_steps=7, total_steps=60, min_lr=1e-5)
-        assert lr_at_step(s, 6) == pytest.approx(s.base_lr * 7 / 7)
-        values = [lr_at_step(s, t) for t in range(7, 61)]
+        assert lr_at_step(3e-4, 7, 60, 6) == pytest.approx(3e-4 * 7 / 7)
+        values = [lr_at_step(3e-4, 7, 60, t) for t in range(7, 61)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_step_out_of_range(self):
-        s = ScheduleConfig(base_lr=1e-4, warmup_steps=0, total_steps=10)
         with pytest.raises(ValueError):
-            lr_at_step(s, 11)
+            lr_at_step(1e-4, 0, 10, 11)
 
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(base_lr=1e-4, warmup_steps=20, total_steps=10)
-        with pytest.raises(ValueError):
-            ScheduleConfig(base_lr=1e-5, warmup_steps=0, total_steps=10, min_lr=1e-4)
+    @pytest.mark.parametrize("lr", [1e-4, 3e-4, 1e-3, 1.5e-3, 5e-3])
+    def test_bitwise_equal_to_the_written_out_schedule(self, lr):
+        # every trace's lr_last depends on these exact float operations in
+        # this order; pi * (step - warmup) / span, say, rounds differently
+        for warmup, total in [(0, 1), (0, 10), (3, 3), (1, 4), (2, 6), (7, 60), (10, 200),
+                              (25, 500), (33, 640)]:
+            span = total - warmup
+            for step in range(total + 1):
+                if step < warmup:
+                    want = lr * (step + 1) / warmup
+                elif span == 0:
+                    want = lr
+                else:
+                    t = (step - warmup) / span
+                    want = lr * 0.5 * (1.0 + math.cos(math.pi * t))
+                assert lr_at_step(lr, warmup, total, step) == want, (warmup, total, step)
 
 
 class TestSampleMask:
@@ -281,21 +287,26 @@ class TestTrainMAE:
         return [Volume3D(voxels=rng.random((8, 8, 8), dtype=np.float32)) for _ in range(n)]
 
     def test_single_volume_single_step(self):
-        cfg = MAETrainConfig(epochs=1, batch=4, base_lr=1e-3, warmup_frac=0.0)
+        cfg = MAETrainConfig(epochs=1, batch=4, lr=1e-3, warmup_frac=0.0)
         _, trace = train_mae(self.corpus(1), VIS, DEC, cfg, seed=0, proj_dim=8)
         assert len(trace) == 1
         # one step: the final lr equals the schedule at step 0
-        sched = ScheduleConfig(1e-3, 0, 1)
-        assert trace[0]["lr_last"] == pytest.approx(lr_at_step(sched, 0))
+        assert trace[0]["lr_last"] == lr_at_step(1e-3, 0, 1, 0)
+
+    def test_lr_last_follows_the_schedule_exactly(self):
+        # 6 volumes at batch 4: 2 steps per epoch, 6 in all, round(0.34 * 6) = 2 warmup
+        cfg = MAETrainConfig(epochs=3, batch=4, lr=1e-3, warmup_frac=0.34)
+        _, trace = train_mae(self.corpus(), VIS, DEC, cfg, seed=0, proj_dim=8)
+        assert [r["lr_last"] for r in trace] == [lr_at_step(1e-3, 2, 6, s) for s in (1, 3, 5)]
 
     def test_deterministic_traces(self):
-        cfg = MAETrainConfig(epochs=2, batch=4, base_lr=1e-3)
+        cfg = MAETrainConfig(epochs=2, batch=4, lr=1e-3)
         _, t1 = train_mae(self.corpus(), VIS, DEC, cfg, seed=11, proj_dim=8)
         _, t2 = train_mae(self.corpus(), VIS, DEC, cfg, seed=11, proj_dim=8)
         assert t1 == t2
 
     def test_loss_decreases_on_small_corpus(self):
-        cfg = MAETrainConfig(epochs=8, batch=4, base_lr=3e-3)
+        cfg = MAETrainConfig(epochs=8, batch=4, lr=3e-3)
         _, trace = train_mae(self.corpus(8, seed=3), VIS, DEC, cfg, seed=1, proj_dim=8)
         assert trace[-1]["mean_loss"] < trace[0]["mean_loss"]
 

@@ -19,7 +19,7 @@ from cardioclip.encoders import (
     init_visual_params,
 )
 from cardioclip.mae import DecoderConfig, MAETrainConfig, init_decoder_params, train_mae
-from cardioclip.optim import ScheduleConfig, Trainer, lr_at_step
+from cardioclip.optim import Trainer, lr_at_step
 from cardioclip.reports import load_catalog, structured_from_flags
 from cardioclip.supervision import pathology_vector
 from cardioclip.tasks import FinetuneConfig, finetune_classifier
@@ -71,7 +71,7 @@ class TestTrainer:
         cfg = MAETrainConfig(epochs=2, batch=2)
         # 5 cases at batch 2: 3 steps per epoch, so step 3 is epoch 1's first
         with pytest.raises(FloatingPointError, match=r"non-finite toy loss at step 3 \(epoch 1\)"):
-            for _, batches, _ in trainer.epochs(5, cfg, 1e-3, seed=0, order_name="toy"):
+            for _, batches, _ in trainer.epochs(5, cfg, seed=0, order_name="toy"):
                 for _ in batches:
                     trainer.step(float("nan") if trainer.steps == 3 else 1.0, grads)
         assert trainer.steps == 3 and len(trainer.trace) == 1
@@ -168,10 +168,10 @@ class TestContrastiveSingletonBatch:
         cfg = ContrastiveConfig(epochs=2, batch=2, warmup_frac=0.34, text_warmup_steps=0)
         _, trace = train_clip(cases, params, VIS, txt, vocab, cfg, seed=0)
         assert sizes == [2, 2, 2, 2]
-        sched = ScheduleConfig(cfg.lr, 1, 4, cfg.min_lr)  # round(0.34 * 4) = 1 warmup step
-        # steps 0, 1 ran in epoch 0 and steps 2, 3, the last scheduled, in epoch 1
-        assert trace[0]["lr_last"] == lr_at_step(sched, 1)
-        assert trace[-1]["lr_last"] == lr_at_step(sched, 3)
+        # round(0.34 * 4) = 1 warmup step; steps 0, 1 ran in epoch 0 and
+        # steps 2, 3, the last scheduled, in epoch 1
+        assert trace[0]["lr_last"] == lr_at_step(cfg.lr, 1, 4, 1)
+        assert trace[-1]["lr_last"] == lr_at_step(cfg.lr, 1, 4, 3)
 
 
 def arrays_in(obj):
