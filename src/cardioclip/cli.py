@@ -31,7 +31,7 @@ from .clip import contrastive_pairs, train_clip
 from .config import ConfigError, config_digest, load_config, stage_configs
 from .gradcheck import EPS, N_PROBES, TOLERANCE, stage_loss_errors
 from .mae import train_mae
-from .model import ModelBundle
+from .model import VOLUME_CHUNK, ModelBundle, balanced_chunks
 from .reports import load_catalog, report_record, structure_report
 from .synth import calcium_wording_severity, generate_full_corpus, read_corpus, write_corpus
 from .tasks import (cac_grading, case_retrieval, finetune_classifier, finetune_labels,
@@ -174,14 +174,18 @@ def _by_cut(per_threshold) -> dict:
 
 def cmd_synth(args, cfg: dict, root: str, out: str) -> dict:
     cat = load_catalog()
-    cases = generate_full_corpus(stage_configs(cfg)["synth"])
-    n_train = len(cases[:cfg["synth"]["train_cases"]])
-    write_corpus(cases, out, cat, n_train)
+    spec = stage_configs(cfg)["synth"]
+    # built and written one chunk at a time, so one chunk of volumes is alive
+    write_corpus((case for idx in balanced_chunks(spec.n_cases, VOLUME_CHUNK)
+                  for case in generate_full_corpus(spec, idx)),
+                 out, cat, cfg["synth"]["train_cases"])
+    train, evalset = read_corpus(out)
+    cases = train + evalset
     flags = np.array([c.flags for c in cases])
     return {
         "n_cases": len(cases),
-        "n_train": n_train,
-        "n_eval": len(cases) - n_train,
+        "n_train": len(train),
+        "n_eval": len(evalset),
         "n_graded": int(sum(c.grade is not None for c in cases)),
         "prevalence": {name: flags[:, d].mean() for d, name in enumerate(cat.names)},
     }

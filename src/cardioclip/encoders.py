@@ -171,7 +171,14 @@ def patch_tokens_fwd(params, patches: np.ndarray, positions: np.ndarray | None =
 
 
 def patch_tokens_bwd(params, cache, positions, dx: np.ndarray, grads):
+    """Backward of patch_tokens_fwd; returns the gradient of the patches.
+
+    The standardized patches are dropped once vis.patch.w's gradient is
+    accumulated, so when the caller holds no other reference to them they
+    are freed before the input gradient is computed.
+    """
     patches = cache
+    del cache
     n = patches.shape[1]
     dcls = dx[:, 0]
     dtok = dx[:, 1:]
@@ -186,12 +193,14 @@ def patch_tokens_bwd(params, cache, positions, dx: np.ndarray, grads):
             dpos[positions[b]] += dtok[b]
     nn.accumulate(grads, "vis.pos", dpos)
     nn.accumulate(grads, "vis.patch.w", nn.matmul_tn(patches, dtok))
+    del patches
     nn.accumulate(grads, "vis.patch.b", dtok.reshape(-1, dtok.shape[-1]).sum(axis=0))
     return nn.matmul(dtok, params["vis.patch.w"].T)
 
 
 def visual_embed_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
-    """Full (unmasked) patches -> (features (B, E), cache)."""
+    """Full (unmasked) patches -> (features (B, E), cache), the cache a
+    list that visual_embed_bwd empties."""
     if patches.shape[1:] != (cfg.n_patches, cfg.patch_volume):
         raise ValueError(
             f"{patches.shape[1]} patches of {patches.shape[2]} voxels do not match the config's "
@@ -200,16 +209,21 @@ def visual_embed_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
     x, c_tok = patch_tokens_fwd(params, patches)
     del patches  # c_tok holds the standardized copy; the raw batch may die now
     y, c_stack = nn.stack_fwd(params, "vis", x, cfg.depth, cfg.heads)
-    return y[:, 1:].mean(axis=1), (c_tok, c_stack, y.shape)
+    return y[:, 1:].mean(axis=1), [c_tok, c_stack, y.shape]
 
 
 def visual_embed_bwd(params, cache, dfeats, grads):
-    """Backward of visual_embed_fwd from dfeats, the gradient of the features."""
-    c_tok, c_stack, yshape = cache
+    """Backward of visual_embed_fwd from dfeats, the gradient of the features.
+
+    Pops each entry off the cache list as it back-propagates through it, so
+    the list is empty on return and the patch embedding's backward holds the
+    only reference to the standardized patches.
+    """
+    yshape = cache.pop()
     dy = np.zeros(yshape, dtype=dfeats.dtype)
     dy[:, 1:] = dfeats[:, None, :] / (yshape[1] - 1)
-    dx = nn.stack_bwd(params, "vis", c_stack, dy, grads)
-    patch_tokens_bwd(params, c_tok, None, dx, grads)
+    dx = nn.stack_bwd(params, "vis", cache.pop(), dy, grads)
+    patch_tokens_bwd(params, cache.pop(), None, dx, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,17 @@ or caches); the elementwise kernels compute in place only into buffers they
 allocated themselves, in the operation order and dtypes of the plain numpy
 expression, so results are bitwise those of that expression. A parameter
 has the dtype of the activations it meets, and a gradient that of its
-cache or wider. A *_bwd may consume its cache: block_bwd drops each
-sub-cache once its backward has read it, and stack_bwd pops each cache off
-its list, leaving the list empty, so a cache is back-propagated once and
-each activation is freed as soon as the backward is done with it. A stack
-is its blocks closed by its final norm {prefix}.lnf, and its caches list
-holds one cache per block, then the norm's.
+cache or wider. A cache keeps only what its backward cannot rebuild: a
+block caches no norm or GELU output, since each is an elementwise function
+of that op's own cache, and block_bwd rebuilds it with layernorm_out or
+gelu_out, the helpers the forward computed it with, so it is bitwise the
+forward's and costs no GEMM. A *_bwd may consume its cache: block_bwd drops
+each sub-cache, and each rebuilt array, once its backward has read it, and
+stack_bwd pops each cache off its list, leaving the list empty, so a cache
+is back-propagated once and each activation is freed as soon as the
+backward is done with it. A stack is its blocks closed by its final norm
+{prefix}.lnf, and its caches list holds one cache per block, then the
+norm's.
 """
 
 from __future__ import annotations
@@ -110,9 +115,16 @@ def layernorm_fwd(params: Params, prefix: str, x: np.ndarray):
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    np.multiply(xhat, params[f"{prefix}.g"], out=y)
+    del y
+    return layernorm_out(params, prefix, xhat), (xhat, inv)
+
+
+def layernorm_out(params: Params, prefix: str, xhat: np.ndarray) -> np.ndarray:
+    """xhat * g + b: the norm's output from its cached xhat, as the forward
+    computes it, so the backward can rebuild it instead of caching it."""
+    y = xhat * params[f"{prefix}.g"]
     y += params[f"{prefix}.b"]
-    return y, (xhat, inv)
+    return y
 
 
 def layernorm_bwd(params: Params, prefix: str, cache, dy: np.ndarray, grads: Grads):
@@ -145,9 +157,15 @@ def gelu_fwd(x: np.ndarray):
     t += x
     t *= np.asarray(_GELU_C, dtype=x.dtype)
     np.tanh(t, out=t)
+    return gelu_out(x, t), (x, t)
+
+
+def gelu_out(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """0.5 * x * (1 + t), GELU's output from its cache (x, t), as the forward
+    computes it, so the backward can rebuild it instead of caching it."""
     y = np.add(t, 1.0)
-    y *= 0.5 * x  # 0.5 * x * (1 + t), in that order
-    return y, (x, t)
+    y *= 0.5 * x
+    return y
 
 
 def gelu_bwd(cache, dy: np.ndarray):
@@ -252,33 +270,41 @@ def attention_bwd(params: Params, prefix: str, cache, dy: np.ndarray, grads: Gra
 
 
 def block_fwd(params: Params, prefix: str, x: np.ndarray, heads: int, key_mask=None):
+    """Its cache keeps neither norm's output (the attention and fc1 inputs)
+    nor GELU's (the fc2 input): block_bwd rebuilds each from the norm's or
+    GELU's own cache, with the helpers that computed it here."""
     h1, c_ln1 = layernorm_fwd(params, f"{prefix}.ln1", x)
     x1, c_attn = attention_fwd(params, f"{prefix}.attn", h1, heads, key_mask)
+    c_attn = c_attn[1:]  # all but its input, h1
+    del h1
     x1 += x  # the residuals are added into the branch outputs' buffers
     h2, c_ln2 = layernorm_fwd(params, f"{prefix}.ln2", x1)
-    m, c_fc1 = linear_fwd(params, f"{prefix}.fc1", h2)
+    m = linear_fwd(params, f"{prefix}.fc1", h2)[0]
+    del h2
     g, c_gelu = gelu_fwd(m)
-    y, c_fc2 = linear_fwd(params, f"{prefix}.fc2", g)
+    y = linear_fwd(params, f"{prefix}.fc2", g)[0]
     y += x1
-    return y, (c_ln1, c_attn, c_ln2, c_fc1, c_gelu, c_fc2)
+    return y, (c_ln1, c_attn, c_ln2, c_gelu)
 
 
 def block_bwd(params: Params, prefix: str, cache, dy: np.ndarray, grads: Grads):
     """Consumes cache: each sub-cache is dropped once its backward has read
-    it, so with the caller holding no other reference to the cache tuple,
-    each activation is freed as soon as it is no longer needed."""
-    c_ln1, c_attn, c_ln2, c_fc1, c_gelu, c_fc2 = cache
+    it, and each rebuilt input once its linear backward has, so with the
+    caller holding no other reference to the cache tuple, each activation is
+    freed as soon as it is no longer needed."""
+    c_ln1, c_attn, c_ln2, c_gelu = cache
     del cache
-    dg = linear_bwd(params, f"{prefix}.fc2", c_fc2, dy, grads)
-    del c_fc2
+    dg = linear_bwd(params, f"{prefix}.fc2", gelu_out(*c_gelu), dy, grads)
     dm = gelu_bwd(c_gelu, dg)
     del c_gelu, dg
-    dh2 = linear_bwd(params, f"{prefix}.fc1", c_fc1, dm, grads)
-    del c_fc1, dm
+    dh2 = linear_bwd(params, f"{prefix}.fc1", layernorm_out(params, f"{prefix}.ln2", c_ln2[0]),
+                     dm, grads)
+    del dm
     dx1 = layernorm_bwd(params, f"{prefix}.ln2", c_ln2, dh2, grads)
     del c_ln2, dh2
     dx1 += dy
-    da = attention_bwd(params, f"{prefix}.attn", c_attn, dx1, grads)
+    da = attention_bwd(params, f"{prefix}.attn",
+                       (layernorm_out(params, f"{prefix}.ln1", c_ln1[0]), *c_attn), dx1, grads)
     del c_attn
     dx = layernorm_bwd(params, f"{prefix}.ln1", c_ln1, da, grads)
     dx += dx1

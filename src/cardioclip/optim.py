@@ -134,10 +134,12 @@ class Trainer:
     stage 2: clip.clip_batch_fwd_bwd's own patches parameter keeps the raw
     batch alive until visual_embed_fwd returns (8.4 MB at the default batch
     of 8), though that does not set the step's peak, which is
-    patch_tokens_bwd's discarded input gradient. Within the backward,
-    each block's activations die as soon as its backward has read them
-    (nn.stack_bwd pops each block's cache), so the patch embedding's
-    backward runs with no block's activations alive. The batch's volumes
+    patch_tokens_bwd's weight gradient, where nn.matmul_tn casts the
+    float32 standardized patches to the backward's float64. Within the
+    backward, each block's activations die as soon as its backward has
+    read them (nn.stack_bwd pops each block's cache), so the patch
+    embedding's backward runs with no block's activations alive, and the
+    standardized patches die before its input gradient. The batch's volumes
     are read only while its patches are built (volume.batch_patches), so a
     corpus of volume.VolumeFile handles, as the CLI passes, is read from
     disk one volume at a time, once per epoch.

@@ -354,15 +354,24 @@ def _draw_grade(rng, spec: SynthSpec) -> int | None:
     return None
 
 
-def generate_full_corpus(spec: SynthSpec) -> list[SynthCase]:
+def generate_full_corpus(spec: SynthSpec, indices=None) -> list[SynthCase]:
     """The corpus of spec, bit-deterministic: case i draws its flags from
     per-finding Bernoulli trials, its volume with the motifs of those flags
     planted, and its free text from the templates, each from its own
     (spec.seed, i) substream. A cac_fraction share of the cases, drawn in
     order from the (spec.seed, "cac") stream, get a uniform grade 1..5 that
-    sets the calcification flag, motif and wording."""
+    sets the calcification flag, motif and wording.
+
+    indices, when given, builds only those cases, in that order: the whole
+    grade stream is still drawn, so each is bitwise the case the whole
+    corpus holds at its index, and a caller can build a corpus one chunk
+    at a time.
+    """
     rng = substream(spec.seed, "cac")
-    return [_build_case(spec, i, _draw_grade(rng, spec)) for i in range(spec.n_cases)]
+    grades = [_draw_grade(rng, spec) for _ in range(spec.n_cases)]
+    indices = range(spec.n_cases) if indices is None else indices
+    # a plain int whatever indices holds: i names the case and seeds its streams
+    return [_build_case(spec, int(i), grades[i]) for i in indices]
 
 
 def write_corpus(cases, out_dir, cat: AbnormalityCatalog, n_train: int) -> None:
@@ -395,16 +404,25 @@ def read_corpus(synth_dir) -> tuple[list[SynthCase], list[SynthCase]]:
     Each case's volume is a VolumeFile on its CCV1 file, and no payload is
     read here: a caller reads a volume only when a batch (or an eval chunk)
     needs its voxels, and again each epoch, so its memory grows with the
-    batch, not with the corpus. A row missing a key read here, or whose
-    split is neither train nor eval, is refused naming its line.
+    batch, not with the corpus. A row that is not a JSON object, that lacks
+    a key read here, or whose split is neither train nor eval, is refused
+    naming its line.
     """
     path = os.path.join(synth_dir, "cases.jsonl")
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path} not found; run `cardioclip synth` first")
     splits = {"train": [], "eval": []}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, doc in enumerate(map(json.loads, fh), 1):
-            where = f"{path} line {line_no}" + (f" ({doc['case_id']})" if "case_id" in doc else "")
+        for line_no, line in enumerate(fh, 1):
+            where = f"{path} line {line_no}"
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as e:
+                msg = f"{where}: not valid JSON, {e.msg} at character {e.pos}"
+                raise ValueError(msg) from None
+            if not isinstance(doc, dict):
+                raise ValueError(f"{where}: {line.strip()[:40]!r} is not a JSON object")
+            where += f" ({doc['case_id']})" if "case_id" in doc else ""
             missing = [k for k in ("case_id", "flags", "free_text", "grade", "split") if k not in doc]
             if missing:
                 raise ValueError(f"{where}: missing key {', '.join(map(repr, missing))}")

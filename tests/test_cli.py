@@ -338,6 +338,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"{path} line 3 ({rows[2]['case_id']}): {message}" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line[:40], "{path} line 3: not valid JSON, Expecting"),
+        (lambda line: "5", "{path} line 3: '5' is not a JSON object"),
+    ], ids=["cut-row", "number-row"])
+    def test_unparseable_corpus_row_fails_naming_the_file_and_line(
+            self, workdir, tmp_path, capsys, edit, message):
+        copy_runs(workdir, tmp_path, "synth", "pretrain_clip")
+        path = tmp_path / "synth" / "cases.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("".join(line + "\n" for line in lines))
+        code = main(["eval-zeroshot", "--config", str(workdir / "config.json"),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert message.format(path=path) in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, failing", [
         *((command, "manifest.json") for command in cli._HANDLERS),
         # the previous checkpoint pair is already replaced by then at the parent

@@ -37,7 +37,11 @@ IDS = [f"{name}-{np.dtype(fdt).name}-{np.dtype(gdt).name}" for name, fdt, gdt in
 def ref_gelu_fwd(x):
     u = np.asarray(_C, dtype=x.dtype) * (x + np.asarray(0.044715, dtype=x.dtype) * (x * x * x))
     t = np.tanh(u)
-    return 0.5 * x * (1.0 + t), (x, t)
+    return ref_gelu_out(x, t), (x, t)
+
+
+def ref_gelu_out(x, t):
+    return 0.5 * x * (1.0 + t)
 
 
 def ref_gelu_bwd(cache, dy):
@@ -51,7 +55,11 @@ def ref_layernorm_fwd(params, prefix, x):
     var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(nn.LN_EPS, dtype=x.dtype))
     xhat = (x - mu) * inv
-    return xhat * params[f"{prefix}.g"] + params[f"{prefix}.b"], (xhat, inv)
+    return ref_layernorm_out(params, prefix, xhat), (xhat, inv)
+
+
+def ref_layernorm_out(params, prefix, xhat):
+    return xhat * params[f"{prefix}.g"] + params[f"{prefix}.b"]
 
 
 def ref_layernorm_bwd(params, prefix, cache, dy, grads):
@@ -114,23 +122,29 @@ def ref_attention_bwd(params, prefix, cache, dy, grads):
 
 
 def ref_block_fwd(params, prefix, x, heads, key_mask=None):
+    """The block with the cache layout of nn.block_fwd: no norm output (the
+    attention and fc1 inputs) and no GELU output (the fc2 input)."""
     h1, c_ln1 = ref_layernorm_fwd(params, f"{prefix}.ln1", x)
     a, c_attn = ref_attention_fwd(params, f"{prefix}.attn", h1, heads, key_mask)
     x1 = x + a
     h2, c_ln2 = ref_layernorm_fwd(params, f"{prefix}.ln2", x1)
-    m, c_fc1 = nn.linear_fwd(params, f"{prefix}.fc1", h2)
+    m, _ = nn.linear_fwd(params, f"{prefix}.fc1", h2)
     g, c_gelu = ref_gelu_fwd(m)
-    m2, c_fc2 = nn.linear_fwd(params, f"{prefix}.fc2", g)
-    return x1 + m2, (c_ln1, c_attn, c_ln2, c_fc1, c_gelu, c_fc2)
+    m2, _ = nn.linear_fwd(params, f"{prefix}.fc2", g)
+    return x1 + m2, (c_ln1, c_attn[1:], c_ln2, c_gelu)
 
 
 def ref_block_bwd(params, prefix, cache, dy, grads):
-    c_ln1, c_attn, c_ln2, c_fc1, c_gelu, c_fc2 = cache
-    dg = nn.linear_bwd(params, f"{prefix}.fc2", c_fc2, dy, grads)
+    """The block's backward, each uncached linear input rebuilt from its
+    op's cache by the reference expression."""
+    c_ln1, c_attn, c_ln2, c_gelu = cache
+    dg = nn.linear_bwd(params, f"{prefix}.fc2", ref_gelu_out(*c_gelu), dy, grads)
     dm = ref_gelu_bwd(c_gelu, dg)
-    dh2 = nn.linear_bwd(params, f"{prefix}.fc1", c_fc1, dm, grads)
+    h2 = ref_layernorm_out(params, f"{prefix}.ln2", c_ln2[0])
+    dh2 = nn.linear_bwd(params, f"{prefix}.fc1", h2, dm, grads)
     dx1 = dy + ref_layernorm_bwd(params, f"{prefix}.ln2", c_ln2, dh2, grads)
-    da = ref_attention_bwd(params, f"{prefix}.attn", c_attn, dx1, grads)
+    h1 = ref_layernorm_out(params, f"{prefix}.ln1", c_ln1[0])
+    da = ref_attention_bwd(params, f"{prefix}.attn", (h1, *c_attn), dx1, grads)
     return dx1 + ref_layernorm_bwd(params, f"{prefix}.ln1", c_ln1, da, grads)
 
 
@@ -218,6 +232,17 @@ def test_layernorm(name, fdt, gdt):
     assert _bitwise(dx, ref_layernorm_bwd(params, "b.ln1", cache_ref, dy, grads_ref))
     assert _same(grads, grads_ref) and set(grads) == {"b.ln1.g", "b.ln1.b"}
     assert frozen.unchanged() and kept.unchanged()
+
+
+@pytest.mark.parametrize("name,fdt,gdt", CASES, ids=IDS)
+def test_outputs_rebuild_bitwise_from_their_caches(name, fdt, gdt):
+    """What block_bwd rebuilds instead of caching: each norm's output from
+    its xhat, and GELU's from its (x, t), bitwise the forward's output."""
+    params, x, _, h, _ = setup(name, fdt, gdt)
+    y, (xhat, _) = nn.layernorm_fwd(params, "b.ln1", x)
+    assert _bitwise(nn.layernorm_out(params, "b.ln1", xhat), y)
+    g, (gx, t) = nn.gelu_fwd(h)
+    assert _bitwise(nn.gelu_out(gx, t), g)
 
 
 @pytest.mark.parametrize("name,fdt,gdt", CASES, ids=IDS)

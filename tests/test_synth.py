@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from cardioclip import cli, synth
+from cardioclip.model import VOLUME_CHUNK, balanced_chunks
 from cardioclip.reports import load_catalog, structure_report
 from cardioclip.seeding import substream
 from cardioclip.synth import (
@@ -92,6 +94,64 @@ class TestGenerateCorpus:
             h.update(json.dumps([c.case_id, c.free_text, list(c.flags), c.grade]).encode())
         assert h.hexdigest() == \
             "09fffd1366ecabb519043721ab8b3c3b4656d2344e808ac0783d4bdc9e1ded4b"
+
+
+class TestChunkedCorpus:
+    """A corpus built a chunk of indices at a time is the whole corpus, case
+    for case, and `synth` builds and writes it that way."""
+
+    SPEC = SynthSpec(n_cases=21, dims=(16, 16, 16), cac_fraction=0.5, seed=5)
+
+    def test_chunks_rebuild_the_whole_corpus(self):
+        whole = generate_full_corpus(self.SPEC)
+        chunked = [case for idx in balanced_chunks(21, 8)
+                   for case in generate_full_corpus(self.SPEC, idx)]
+        assert {c.grade is None for c in whole} == {True, False}
+        assert len(chunked) == len(whole) == 21
+        for got, want in zip(chunked, whole):
+            assert (got.case_id, got.flags, got.free_text, got.grade) == (
+                want.case_id, want.flags, want.free_text, want.grade)
+            assert got.volume.voxels.dtype == want.volume.voxels.dtype
+            assert got.volume.voxels.tobytes() == want.volume.voxels.tobytes()
+
+    def test_numpy_int_indices_build_the_same_cases(self):
+        whole = generate_full_corpus(self.SPEC)
+        got = generate_full_corpus(self.SPEC, np.array([17, 3, 0]))
+        assert [c.case_id for c in got] == ["case_0017", "case_0003", "case_0000"]
+        for case, i in zip(got, (17, 3, 0)):
+            assert (case.flags, case.free_text, case.grade) == (
+                whole[i].flags, whole[i].free_text, whole[i].grade)
+            assert case.volume.voxels.tobytes() == whole[i].volume.voxels.tobytes()
+
+    def test_synth_holds_one_chunk_of_volumes(self, tmp_path, monkeypatch):
+        n = 40
+        chunk_of = {int(i): c for c, idx in enumerate(balanced_chunks(n, VOLUME_CHUNK))
+                    for i in idx}
+        assert max(chunk_of.values()) >= 2
+        real_build, real_corpus = synth._build_case, cli.generate_full_corpus
+        built, alive_back, sizes = [], [], []
+
+        def spy_build(spec, i, grade):
+            chunk = chunk_of[i]
+            if not built or chunk_of[built[-1][0]] != chunk:  # a chunk starts
+                alive_back.append(sum(ref() is not None for j, ref in built
+                                      if chunk_of[j] <= chunk - 2))
+            case = real_build(spec, i, grade)
+            built.append((i, weakref.ref(case.volume)))
+            return case
+
+        def spy_corpus(*args):
+            cases = real_corpus(*args)
+            sizes.append(len(cases))
+            return cases
+
+        monkeypatch.setattr(synth, "_build_case", spy_build)
+        monkeypatch.setattr(cli, "generate_full_corpus", spy_corpus)
+        assert run_synth(tmp_path, f"synth.n_cases={n}") == 0
+        assert [i for i, _ in built] == list(range(n))
+        assert alive_back == [0] * len(set(chunk_of.values()))
+        # perfbench's traced run sums these lengths as the corpus' cases
+        assert sum(sizes) == n
 
 
 class TestPlantSignature:

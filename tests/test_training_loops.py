@@ -2,8 +2,9 @@
 loss check, the per-epoch records handed to trace_hook, stage 2's skipped
 trailing singleton batch, that no step's buffers outlive the step, that
 a step holds one copy of its patches, that the backward frees every block's
-activations before the patch embedding's backward, and that each loop
-refuses a volume of the wrong shape."""
+activations before the patch embedding's backward and the standardized
+patches before the patch input gradient, and that each loop refuses a
+volume of the wrong shape."""
 
 import weakref
 
@@ -315,9 +316,36 @@ class TestActivationsDieInTheBackward:
         monkeypatch.setattr(mae, "patch_tokens_bwd", spy_tokens_bwd)
         run()
         n_stacks = 2 if run is run_reconstruction else 1
-        # three steps, each with 17 arrays per one-block stack: ln1 (2),
-        # attention (7), ln2 (2), fc1, gelu (2) and fc2, then lnf (2)
-        assert seen == [(17 * n_stacks, 0, [0] * n_stacks)] * 3
+        # three steps, each with 14 arrays per one-block stack: ln1 (2),
+        # attention (6), ln2 (2) and gelu (2), then lnf (2)
+        assert seen == [(14 * n_stacks, 0, [0] * n_stacks)] * 3
+
+
+class TestPatchesDieBeforeTheInputGradient:
+    """The patch embedding's backward drops the standardized patches once
+    vis.patch.w's gradient is accumulated: on the full-volume path nothing
+    else holds them, so they are freed before the patch input gradient (the
+    one product whose output is patch_volume wide) is computed."""
+
+    @pytest.mark.parametrize("run", [run_contrastive, run_fine_tune],
+                             ids=["contrastive", "fine_tune"])
+    def test_standardized_patches_are_freed_first(self, monkeypatch, run):
+        real_tokens_fwd, real_matmul, refs, freed = encoders.patch_tokens_fwd, nn.matmul, [], []
+
+        def spy_tokens_fwd(params, patches, positions=None):
+            x, cache = real_tokens_fwd(params, patches, positions)
+            refs.append(weakref.ref(cache))
+            return x, cache
+
+        def spy_matmul(x, w):
+            if w.shape[-1] == VIS.patch_volume:
+                freed.append(refs[-1]() is None)
+            return real_matmul(x, w)
+
+        monkeypatch.setattr(encoders, "patch_tokens_fwd", spy_tokens_fwd)
+        monkeypatch.setattr(nn, "matmul", spy_matmul)
+        run()
+        assert freed == [True] * 3
 
 
 class TestWrongShapeRefused:
