@@ -229,8 +229,7 @@ def cmd_pretrain_clip(args, cfg: dict, root: str, out: str) -> dict:
             pairs, params, stages["visual"], stages["text"], vocab, stages["clip"],
             seed=cfg["seed"], trace_hook=hook, severity_fn=calcium_wording_severity,
         )
-    keep = {k: v for k, v in params.items() if not k.startswith("dec.")}
-    save_checkpoint(keep, "clip", os.path.join(out, "checkpoint"), config_digest(cfg))
+    save_checkpoint(params, "clip", os.path.join(out, "checkpoint"), config_digest(cfg))
     save_vocab(vocab, os.path.join(out, "vocab.txt"))
     return {**_epoch_losses(trace),
             "variant_structured_frac": trace[-1]["variant_structured_frac"],
@@ -300,13 +299,13 @@ def cmd_eval_cac(args, cfg: dict, root: str, out: str) -> dict:
 
 def cmd_finetune(args, cfg: dict, root: str, out: str) -> dict:
     bundle = _load_bundle(root, cfg, args.init, args.force)
-    target = cfg["finetune"]["target"]
+    ft_cfg = stage_configs(cfg)["finetune"]
+    target = ft_cfg.target
     train, evalset = read_corpus(os.path.join(root, "synth"))
     train_pairs, head_classes = finetune_labels(train, target, bundle.catalog)
     eval_pairs, _ = finetune_labels(evalset, target, bundle.catalog)
-    params, result = finetune_classifier(train_pairs, bundle.params, head_classes,
-                                         stage_configs(cfg)["finetune"], bundle.vis_cfg,
-                                         seed=cfg["seed"], eval_set=eval_pairs)
+    params, result = finetune_classifier(train_pairs, bundle.params, head_classes, ft_cfg,
+                                         bundle.vis_cfg, seed=cfg["seed"], eval_set=eval_pairs)
     save_checkpoint(params, f"finetune-{target}", os.path.join(out, "checkpoint"),
                     config_digest(cfg))
     if "ordinal_auroc" in result:

@@ -260,7 +260,8 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
     cfg.lr, projection heads at cfg.proj_lr. pairs holds one (volume, free
     text, structured report, pathology vector) tuple per case; fewer than 2
     pairs, or a volume whose dims are not vis_cfg.input_dims, is refused
-    before any step. Returns (params, trace).
+    before any step. Returns (trained, trace): trained is params without the
+    stage-1 decoder (dec.*), the set this stage trains and saves.
     """
     n = len(pairs)
     if n < 2:
@@ -300,4 +301,4 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
             n_texts += len(texts)
             trainer.step(*batch_step(vols, texts, vecs))
         extra["variant_structured_frac"] = n_structured / max(1, n_texts)
-    return params, trainer.trace
+    return trainable, trainer.trace

@@ -4,8 +4,7 @@ built from its sections.
 Each stage default lives only on its dataclass: DEFAULT_CONFIG's sections
 are the field defaults of the dataclasses built from them (the geometry is
 the visual config's input_dims and patch_size), and it writes out only the
-values no dataclass holds: seed, proj_dim, synth.train_cases,
-finetune.target and eval.
+values no dataclass holds: seed, proj_dim, synth.train_cases and eval.
 
 A --config file and each --set key.path=value are merged into the defaults
 by one function, which refuses unknown keys and values whose type is not
@@ -27,7 +26,6 @@ import math
 from .clip import ContrastiveConfig
 from .encoders import TextEncoderConfig, VisualEncoderConfig
 from .mae import DecoderConfig, MAETrainConfig, masked_count
-from .reports import load_catalog
 from .synth import SynthSpec
 from .tasks import FinetuneConfig
 
@@ -49,7 +47,7 @@ DEFAULT_CONFIG = {
     "proj_dim": 64,
     "mae": _section(MAETrainConfig),
     "clip": _section(ContrastiveConfig),
-    "finetune": {**_section(FinetuneConfig), "target": "cac"},
+    "finetune": _section(FinetuneConfig),
     "synth": {**_section(SynthSpec, "dims", "seed"), "train_cases": 512},
     "eval": {"recall_ks": [5, 10, 50], "precision_ks": [5, 10, 50]},
 }
@@ -134,8 +132,7 @@ _BUILDERS = {
     "decoder": lambda cfg, _: DecoderConfig(**cfg["decoder"]),
     "mae": lambda cfg, _: MAETrainConfig(**cfg["mae"]),
     "clip": lambda cfg, _: ContrastiveConfig(**cfg["clip"]),
-    "finetune": lambda cfg, _: FinetuneConfig(
-        **{k: v for k, v in cfg["finetune"].items() if k != "target"}),
+    "finetune": lambda cfg, _: FinetuneConfig(**cfg["finetune"]),
     "synth": lambda cfg, _: SynthSpec(
         dims=tuple(cfg["geometry"]["dims"]), seed=cfg["seed"],
         **{k: v for k, v in cfg["synth"].items() if k != "train_cases"}),
@@ -170,9 +167,6 @@ def validate_config(cfg: dict) -> list[str]:
     synth = cfg["synth"]
     if not 2 <= synth["train_cases"] <= synth["n_cases"] - 2:
         v.append("synth.train_cases must leave at least 2 training and 2 held-out cases")
-    target = cfg["finetune"]["target"]
-    if target not in ("cac", *load_catalog().names):
-        v.append(f"finetune.target must be 'cac' or a catalog name, got {target!r}")
     for key in ("recall_ks", "precision_ks"):
         ks = cfg["eval"][key]
         if not ks or any(k < 1 for k in ks):

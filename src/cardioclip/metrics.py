@@ -1,6 +1,7 @@
 """Ranking metrics on plain arrays: AUROC (Mann-Whitney with tie credit),
 ordinal AUROC over graded labels, Recall@K and Precision@K over rankings
-given as index orders into a candidate pool."""
+given as index orders into a candidate pool. auroc alone decides that an
+AUROC is undefined (one class absent), and returns None there."""
 
 from __future__ import annotations
 
@@ -11,16 +12,12 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 
-class UndefinedMetricError(ValueError):
-    """Metric has no value for this input (e.g. single-class AUROC)."""
-
-
-def auroc(scores, labels) -> float:
+def auroc(scores, labels) -> float | None:
     """Fraction of (positive, negative) pairs ranked correctly; ties count 1/2.
 
     scores (n,) are finite; labels (n,) are truthy for positives. Computed via
     the rank-sum form of the Mann-Whitney U statistic, which is exactly the
-    pair-counting definition.
+    pair-counting definition. None when the labels hold one class only.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
@@ -32,9 +29,7 @@ def auroc(scores, labels) -> float:
     n_pos = int(labels.sum())
     n_neg = int(len(labels) - n_pos)
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError(
-            f"AUROC undefined: {n_pos} positives and {n_neg} negatives"
-        )
+        return None
     order = np.argsort(scores, kind="stable")
     # a run of tied scores at sorted positions i..j shares the rank 0.5*(i+j)+1
     _, first, counts = np.unique(scores[order], return_index=True, return_counts=True)
@@ -49,7 +44,7 @@ def ordinal_auroc(grades, scores, n_grades: int = 5) -> list[tuple[int, float | 
 
     grades (n,) lie in [1, n_grades]. scores is (n,), one score per case that
     ranks every cut, or (n, n_grades), cut t ranked by column t. A cut where
-    one side is empty is reported as (t, None).
+    one side is empty (every cut, when all grades are equal) is (t, None).
     """
     grades = np.asarray(grades)
     scores = np.asarray(scores, dtype=np.float64)
@@ -58,15 +53,12 @@ def ordinal_auroc(grades, scores, n_grades: int = 5) -> list[tuple[int, float | 
     if scores.shape not in ((len(grades),), (len(grades), n_grades)):
         raise ValueError(f"scores must be ({len(grades)},) or ({len(grades)}, {n_grades}), "
                          f"got {scores.shape}")
-    if len(np.unique(grades)) < 2:
-        raise UndefinedMetricError("grades must span at least two distinct values")
     out = []
     for t in range(1, n_grades):
-        try:
-            out.append((t, auroc(scores if scores.ndim == 1 else scores[:, t], grades > t)))
-        except UndefinedMetricError:
+        value = auroc(scores if scores.ndim == 1 else scores[:, t], grades > t)
+        if value is None:
             logger.warning("ordinal AUROC undefined at threshold %d (single class)", t)
-            out.append((t, None))
+        out.append((t, value))
     return out
 
 

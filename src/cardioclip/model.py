@@ -25,12 +25,10 @@ class ModelBundle:
     catalog: AbnormalityCatalog
 
 
-# most volumes per batched visual forward. A chunk's forward holds its
-# standardized patches and every block's activations at once (its raw patches
-# die once standardized): at the 64^3 default a (32, 64, 4096) float32 batch
-# is 33.5 MB per copy. With the raw batch also held to the end, at 32
-# eval-zeroshot raised a 100-case pipeline's peak RSS from 208 to 304 MB; at
-# 8 it stays at 200 MB, and embedding 52 volumes takes about as long.
+# most volumes per batched visual forward (and per synth write chunk). A
+# chunk's forward holds its patches and every block's activations at once; 8
+# 64^3 float32 volumes (8.4 MB) are a stage-2 training batch, so an eval chunk
+# needs no more memory than a training step, and a larger one is no faster.
 VOLUME_CHUNK = 8
 TEXT_CHUNK = 64  # texts per batched text forward
 

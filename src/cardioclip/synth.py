@@ -10,6 +10,7 @@ generator's flags (the closure property the acceptance suite leans on).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -354,6 +355,13 @@ def _draw_grade(rng, spec: SynthSpec) -> int | None:
     return None
 
 
+@functools.lru_cache(maxsize=1)
+def _grades(spec: SynthSpec) -> tuple:
+    """The (spec.seed, "cac") grade stream, drawn once for a chunked build."""
+    rng = substream(spec.seed, "cac")
+    return tuple(_draw_grade(rng, spec) for _ in range(spec.n_cases))
+
+
 def generate_full_corpus(spec: SynthSpec, indices=None) -> list[SynthCase]:
     """The corpus of spec, bit-deterministic: case i draws its flags from
     per-finding Bernoulli trials, its volume with the motifs of those flags
@@ -362,13 +370,12 @@ def generate_full_corpus(spec: SynthSpec, indices=None) -> list[SynthCase]:
     order from the (spec.seed, "cac") stream, get a uniform grade 1..5 that
     sets the calcification flag, motif and wording.
 
-    indices, when given, builds only those cases, in that order: the whole
-    grade stream is still drawn, so each is bitwise the case the whole
+    indices, when given, builds only those cases, in that order: each takes
+    its grade from the whole stream, so it is bitwise the case the whole
     corpus holds at its index, and a caller can build a corpus one chunk
     at a time.
     """
-    rng = substream(spec.seed, "cac")
-    grades = [_draw_grade(rng, spec) for _ in range(spec.n_cases)]
+    grades = _grades(spec)
     indices = range(spec.n_cases) if indices is None else indices
     # a plain int whatever indices holds: i names the case and seeds its streams
     return [_build_case(spec, int(i), grades[i]) for i in indices]
@@ -405,8 +412,8 @@ def read_corpus(synth_dir) -> tuple[list[SynthCase], list[SynthCase]]:
     read here: a caller reads a volume only when a batch (or an eval chunk)
     needs its voxels, and again each epoch, so its memory grows with the
     batch, not with the corpus. A row that is not a JSON object, that lacks
-    a key read here, or whose split is neither train nor eval, is refused
-    naming its line.
+    a key read here, or whose split, flags, grade or free text is not of
+    the form write_corpus gives it, is refused naming its line.
     """
     path = os.path.join(synth_dir, "cases.jsonl")
     if not os.path.exists(path):
@@ -426,11 +433,18 @@ def read_corpus(synth_dir) -> tuple[list[SynthCase], list[SynthCase]]:
             missing = [k for k in ("case_id", "flags", "free_text", "grade", "split") if k not in doc]
             if missing:
                 raise ValueError(f"{where}: missing key {', '.join(map(repr, missing))}")
-            if doc["split"] not in splits:
-                raise ValueError(f"{where}: split {doc['split']!r} is not one of 'train', 'eval'")
+            flags, grade, text = doc["flags"], doc["grade"], doc["free_text"]
+            for ok, problem in (
+                    (doc["split"] in splits, f"split {doc['split']!r} is not one of 'train', 'eval'"),
+                    (isinstance(flags, list) and list(map(type, flags)) == [bool] * N_FINDINGS,
+                     f"flags {flags!r} is not a list of {N_FINDINGS} booleans"),
+                    # type, not isinstance: a bool is an int to Python but no grade
+                    (grade is None or type(grade) is int and 1 <= grade <= 5,
+                     f"grade {grade!r} is not null or an integer in 1..5"),
+                    (isinstance(text, str), f"free_text {text!r} is not a string")):
+                if not ok:
+                    raise ValueError(f"{where}: {problem}")
             cid = doc["case_id"]
             volume = VolumeFile(os.path.join(synth_dir, "volumes", f"{cid}.ccv1"))
-            splits[doc["split"]].append(SynthCase(
-                cid, volume, tuple(bool(f) for f in doc["flags"]), doc["free_text"],
-                doc["grade"]))
+            splits[doc["split"]].append(SynthCase(cid, volume, tuple(flags), text, grade))
     return splits["train"], splits["eval"]

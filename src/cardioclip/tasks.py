@@ -15,7 +15,7 @@ from .encoders import VisualEncoderConfig, check_volume_dims, visual_embed_bwd, 
 from .metrics import auroc, head_ordinal_auroc, ordinal_auroc, precision_at_k, rank_pool, recall_at_k
 from .model import ModelBundle, embed_texts, embed_volumes, forward_volumes, unit_rows
 from .optim import Trainer, require, schedule_rules
-from .reports import make_prompt_pair, structured_from_flags
+from .reports import load_catalog, make_prompt_pair, structured_from_flags
 from .seeding import substream
 from .volume import batch_patches
 
@@ -43,18 +43,12 @@ def prompt_pair_rows(name: str, bundle: ModelBundle) -> np.ndarray:
 
 
 def zero_shot_aurocs(cases, bundle: ModelBundle) -> dict:
-    """{finding: AUROC of its prompt margin over the cases}, None for a
-    finding whose flags are all one class. The volumes are embedded once."""
+    """{finding: AUROC of its prompt margin over the cases, None (metrics.auroc)
+    where its flags hold one class}. The volumes are embedded once."""
     v = unit_rows(embed_volumes(bundle, [c.volume for c in cases]))
     flags = np.array([c.flags for c in cases])
-    out = {}
-    for d, name in enumerate(bundle.catalog.names):
-        labels = flags[:, d]
-        if labels.min() == labels.max():
-            out[name] = None
-            continue
-        out[name] = auroc(prompt_margins(v, name, bundle), labels)
-    return out
+    return {name: auroc(prompt_margins(v, name, bundle), flags[:, d])
+            for d, name in enumerate(bundle.catalog.names)}
 
 
 def retrieval_metrics(v: np.ndarray, t: np.ndarray, flags: np.ndarray,
@@ -143,10 +137,13 @@ class FinetuneConfig:
     weight_decay: float = 0.01
     warmup_frac: float = 0.05
     freeze_encoder: bool = False
+    target: str = "cac"  # "cac" grades the graded cases; a catalog name learns its flag
 
     def __post_init__(self):
         require(*schedule_rules(self),
-                (self.head_lr > 0, f"head_lr must be positive, got {self.head_lr}"))
+                (self.head_lr > 0, f"head_lr must be positive, got {self.head_lr}"),
+                (self.target in ("cac", *load_catalog().names),
+                 f"target must be 'cac' or a catalog name, got {self.target!r}"))
 
 
 def softmax_ce_logits(logits: np.ndarray, labels: np.ndarray):

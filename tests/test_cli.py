@@ -324,7 +324,16 @@ class TestErrorPaths:
     @pytest.mark.parametrize("edit, message", [
         (lambda row: row.update(split="test"), "split 'test' is not one of 'train', 'eval'"),
         (lambda row: row.pop("grade"), "missing key 'grade'"),
-    ], ids=["unknown-split", "missing-grade"])
+        (lambda row: row.update(flags="1010101"),
+         "flags '1010101' is not a list of 7 booleans"),
+        (lambda row: row.update(flags=[True, False, True]),
+         "flags [True, False, True] is not a list of 7 booleans"),
+        (lambda row: row.update(grade=9), "grade 9 is not null or an integer in 1..5"),
+        (lambda row: row.update(grade="3"), "grade '3' is not null or an integer in 1..5"),
+        (lambda row: row.update(grade=True), "grade True is not null or an integer in 1..5"),
+        (lambda row: row.update(free_text=5), "free_text 5 is not a string"),
+    ], ids=["unknown-split", "missing-grade", "flags-string", "three-flags", "grade-9",
+            "grade-string", "grade-bool", "free-text-int"])
     def test_malformed_corpus_row_fails_naming_the_file_line_and_case(
             self, workdir, tmp_path, capsys, edit, message):
         copy_runs(workdir, tmp_path, "synth", "pretrain_clip")

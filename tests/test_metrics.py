@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cardioclip.metrics import (
-    UndefinedMetricError,
     auroc,
     head_ordinal_auroc,
     ordinal_auroc,
@@ -32,9 +31,9 @@ class TestAUROC:
     def test_hand_counted_three_quarters(self):
         assert auroc([0.9, 0.2, 0.8, 0.3], [1, 0, 0, 1]) == pytest.approx(0.75)
 
-    def test_single_class_rejected(self):
-        with pytest.raises(UndefinedMetricError):
-            auroc([0.1, 0.2], [1, 1])
+    def test_single_class_is_none(self):
+        assert auroc([0.1, 0.2], [1, 1]) is None
+        assert auroc([0.1, 0.2], [0, 0]) is None
 
     def test_brute_force_oracle_on_100_random_sets(self):
         rng = np.random.default_rng(0)
@@ -125,9 +124,8 @@ class TestOrdinalAUROC:
         assert result[1] == 1.0
         assert result[2] is None and result[3] is None and result[4] is None
 
-    def test_single_grade_rejected(self):
-        with pytest.raises(UndefinedMetricError):
-            ordinal_auroc([3, 3, 3], [0.1, 0.2, 0.3])
+    def test_single_grade_is_none_at_every_cut(self):
+        assert ordinal_auroc([3, 3, 3], [0.1, 0.2, 0.3]) == [(t, None) for t in range(1, 5)]
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError, match="grades"):
@@ -182,6 +180,8 @@ class TestHeadOrdinalAUROC:
         result = dict(head_ordinal_auroc(probs, [1, 2, 2]))
         assert result[1] == 1.0
         assert result[2] is None and result[3] is None and result[4] is None
+        # a single grade leaves every cut one-sided
+        assert head_ordinal_auroc(probs[:2], [3, 3]) == [(t, None) for t in range(1, 5)]
 
     def test_invalid_inputs_rejected(self):
         probs = np.full((2, 5), 0.2)
@@ -189,8 +189,6 @@ class TestHeadOrdinalAUROC:
             head_ordinal_auroc(probs, [1, 6])
         with pytest.raises(ValueError, match="probs"):
             head_ordinal_auroc(probs, [1, 2, 3])
-        with pytest.raises(UndefinedMetricError):
-            head_ordinal_auroc(probs, [3, 3])
 
 
 class TestRankPool:

@@ -153,6 +153,20 @@ class TestChunkedCorpus:
         # perfbench's traced run sums these lengths as the corpus' cases
         assert sum(sizes) == n
 
+    def test_synth_draws_the_grade_stream_once(self, tmp_path, monkeypatch):
+        n = 40
+        assert len(balanced_chunks(n, VOLUME_CHUNK)) >= 3
+        real_draw, draws = synth._draw_grade, []
+
+        def spy_draw(rng, spec):
+            draws.append(spec)
+            return real_draw(rng, spec)
+
+        synth._grades.cache_clear()  # another test may have drawn this spec's stream
+        monkeypatch.setattr(synth, "_draw_grade", spy_draw)
+        assert run_synth(tmp_path, f"synth.n_cases={n}") == 0
+        assert len(draws) == n
+
 
 class TestPlantSignature:
     def base(self):

@@ -7,7 +7,7 @@ from acceptance_verdicts import zero_shot_verdict
 
 from cardioclip import optim, tasks
 from cardioclip.encoders import TextEncoderConfig, VisualEncoderConfig, init_text_params, init_visual_params
-from cardioclip.metrics import auroc, ordinal_auroc
+from cardioclip.metrics import auroc, head_ordinal_auroc, ordinal_auroc
 from cardioclip.model import ModelBundle, embed_texts, embed_volumes, unit_rows
 from cardioclip.reports import load_catalog, make_prompt_pair
 from cardioclip.seeding import substream
@@ -176,6 +176,19 @@ class TestCaseLevelSteps:
                 continue
             scores = zero_shot_scores([c.volume for c in cases], name, bundle)
             assert got[name] == auroc(scores, labels)
+
+    @pytest.mark.parametrize("undefined", [
+        lambda _: [auroc([0.3, 0.1, 0.2], [True] * 3)],
+        lambda _: [v for _, v in ordinal_auroc([2, 2, 2], [0.3, 0.1, 0.2])],
+        lambda _: [v for _, v in head_ordinal_auroc(np.full((3, 5), 0.2), [4, 4, 4])],
+        # every case negative for the last finding, both classes for the first
+        lambda bundle: [zero_shot_aurocs(
+            [make_case(i, [i % 2 == 0] + [False] * (CAT.size - 1)) for i in range(4)],
+            bundle)[CAT.names[-1]]],
+    ], ids=["auroc", "ordinal_auroc", "head_ordinal_auroc", "zero_shot_aurocs"])
+    def test_a_single_class_is_none_not_an_error(self, bundle, undefined):
+        values = undefined(bundle)
+        assert values and all(v is None for v in values)
 
     def test_criterion_8_fails_a_single_class_finding_and_prints_it(self):
         per_name = {"coronary stenosis": 0.9, "cardiomegaly": None}
