@@ -8,7 +8,10 @@ hold timestamps and peak memory.
 With two roots (say, runs of one config before and after a refactor), each
 line names one path whose bytes moved, sorted by path: `changed  <path>`
 when both roots hold it with other digests, `removed  <path>` when only
-BEFORE holds it, `added  <path>` when only AFTER does. The exit code is 1
+BEFORE holds it, `added  <path>` when only AFTER does. A changed file whose
+two sides both parse as JSON objects (a checkpoint.json, a metrics.json)
+also names the sorted top-level keys whose values differ:
+`changed  pretrain_mae/checkpoint.json  [config_digest]`. The exit code is 1
 when any line is printed and 0 when the roots match.
 
 A root holding a `.tmp` or `.old` entry (a command killed mid-write or
@@ -20,6 +23,7 @@ so no comparison passes over a half-replaced output.
 """
 
 import hashlib
+import json
 import os
 import sys
 
@@ -43,8 +47,29 @@ def staging_debris(root: str) -> list[str]:
                   if name.endswith((".tmp", ".old")))
 
 
-def differences(before: dict[str, str], after: dict[str, str]) -> list[str]:
+def moved_keys(before_path: str, after_path: str) -> list[str] | None:
+    """The sorted top-level keys whose values differ between two JSON
+    objects, a key one side lacks included; None unless both files parse as
+    JSON objects."""
+    docs = []
+    for path in (before_path, after_path):
+        with open(path, "rb") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError:  # not JSON, or not UTF-8
+                return None
+        if not isinstance(doc, dict):
+            return None
+        docs.append(doc)
+    before, after = docs
+    absent = object()
+    return sorted(k for k in before.keys() | after.keys()
+                  if before.get(k, absent) != after.get(k, absent))
+
+
+def differences(before_root: str, after_root: str) -> list[str]:
     """One line per path whose digest differs or that one side lacks."""
+    before, after = output_digests(before_root), output_digests(after_root)
     lines = []
     for rel in sorted(before.keys() | after.keys()):
         if rel not in after:
@@ -52,7 +77,8 @@ def differences(before: dict[str, str], after: dict[str, str]) -> list[str]:
         elif rel not in before:
             lines.append(f"added  {rel}")
         elif before[rel] != after[rel]:
-            lines.append(f"changed  {rel}")
+            keys = moved_keys(os.path.join(before_root, rel), os.path.join(after_root, rel))
+            lines.append(f"changed  {rel}" + ("" if keys is None else f"  [{', '.join(keys)}]"))
     return lines
 
 
@@ -71,7 +97,7 @@ if __name__ == "__main__":
     if refused:
         sys.exit(1)
     if len(roots) == 2:
-        lines = differences(*map(output_digests, roots))
+        lines = differences(*roots)
         for line in lines:
             print(line)
         sys.exit(1 if lines else 0)

@@ -30,45 +30,39 @@ from .supervision import affinity_matrix, pathology_vector, targets_from_affinit
 from .tokenizer import Vocabulary, build_vocab, pad_batch, tokenize
 from .volume import batch_patches
 
+# Stage 2 shows a report as its standardized statements with probability
+# VARIANT_PROB, else as its free text. The text warmup before it, stepping at
+# the stage's lr, stands in for a pretrained language encoder's negation-aware
+# features, supervised by each report's own statement polarities. With
+# probability WARMUP_STATEMENT_PROB a warmup row is one standardized statement
+# (labeled by what it asserts, absent elsewhere), so short prompt-like inputs
+# are in-distribution and lexically overlapping findings stay disentangled.
+VARIANT_PROB = 0.5
+WARMUP_STATEMENT_PROB = 0.5
+
 
 @dataclass(frozen=True)
 class ContrastiveConfig:
     temperature: float = 0.2
-    variant_prob: float = 0.5
     epochs: int = 10
     batch: int = 8
     lr: float = 1e-3
     proj_lr: float = 5e-3
-    weight_decay: float = 0.01
     warmup_frac: float = 0.05
-    # text-tower warmup before alignment: stands in for the initialization a
-    # pretrained language encoder would provide (negation-aware sentence
-    # features); supervised purely by each report's own statement polarities.
-    # statement_frac mixes in single standardized statements (labeled by what
-    # they assert, absent elsewhere) so short prompt-like inputs are
-    # in-distribution and lexically overlapping findings stay disentangled
     text_warmup_steps: int = 300
-    text_warmup_lr: float = 1e-3
     text_warmup_batch: int = 16
-    text_warmup_statement_frac: float = 0.5
 
     def __post_init__(self):
-        warm = self.text_warmup_steps
         require(
             *schedule_rules(self),
             (self.batch >= 2, f"batch must be >= 2 (contrast is undefined for a single pair), "
                               f"got {self.batch}"),
             (self.proj_lr > 0, f"proj_lr must be positive, got {self.proj_lr}"),
             (self.temperature > 0, f"temperature must be positive, got {self.temperature}"),
-            (0.0 <= self.variant_prob <= 1.0,
-             f"variant_prob must lie in [0, 1], got {self.variant_prob}"),
             count_rule(self, "text_warmup_steps", 0),
-            (warm == 0 or self.text_warmup_lr > 0 and count_rule(self, "text_warmup_batch", 1)[0],
-             "text_warmup_lr must be positive and text_warmup_batch an integer >= 1, got "
-             f"{self.text_warmup_lr} and {self.text_warmup_batch!r}"),
-            (0.0 <= self.text_warmup_statement_frac <= 1.0,
-             "text_warmup_statement_frac must lie in [0, 1], got "
-             f"{self.text_warmup_statement_frac}"),
+            (self.text_warmup_steps == 0 or count_rule(self, "text_warmup_batch", 1)[0],
+             "a text warmup needs text_warmup_batch an integer >= 1, got "
+             f"{self.text_warmup_batch!r}"),
         )
 
 
@@ -125,10 +119,9 @@ def contrastive_loss(S: np.ndarray, T: np.ndarray, tau: float):
     return loss, dS
 
 
-def sample_text_variant(free_text: str, structured: StructuredReport, rng,
-                        variant_prob: float) -> str:
-    """Structured statement concatenation with probability variant_prob, else free text."""
-    return structured.text() if rng.random() < variant_prob else free_text
+def sample_text_variant(free_text: str, structured: StructuredReport, rng) -> str:
+    """Structured statement concatenation with probability VARIANT_PROB, else free text."""
+    return structured.text() if rng.random() < VARIANT_PROB else free_text
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +179,7 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
     warm = {k: v for k, v in params.items() if k.startswith("txt.")}
     warm["warm.head.w"] = head_w
     warm["warm.head.b"] = head_b
-    trainer = Trainer("text warmup", warm, cfg.weight_decay)
+    trainer = Trainer("text warmup", warm)
 
     # single standardized statements with what they assert: present at their
     # slot, absent elsewhere (a negated statement asserts nothing present)
@@ -206,14 +199,14 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
         targets = np.empty((len(idx), n_out))
         for row, i in enumerate(idx):
             _, ft, st, vec = cases[i]
-            if rng.random() < cfg.text_warmup_statement_frac:
+            if rng.random() < WARMUP_STATEMENT_PROB:
                 (d, flag), stmt = stmt_items[rng.integers(len(stmt_items))]
                 texts.append(stmt)
                 targets[row, :n_flags] = 0.0
                 if flag:
                     targets[row, d] = 1.0
             else:
-                texts.append(sample_text_variant(ft, st, rng, cfg.variant_prob))
+                texts.append(sample_text_variant(ft, st, rng))
                 targets[row, :n_flags] = (vec + 1.0) / 2.0
             if severity_fn is not None:
                 targets[row, n_flags] = severity_fn(texts[-1])
@@ -232,7 +225,7 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
         return loss, grads
 
     for _ in range(cfg.text_warmup_steps):
-        trainer.step(*batch_step(), cfg.text_warmup_lr)
+        trainer.step(*batch_step(), cfg.lr)
     return trainer.losses[-1]
 
 
@@ -273,7 +266,7 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
 
     trainable = {k: v for k, v in params.items() if not k.startswith("dec.")}
     proj_scale = cfg.proj_lr / cfg.lr
-    trainer = Trainer("contrastive", trainable, cfg.weight_decay,
+    trainer = Trainer("contrastive", trainable,
                       lr_scale_of=lambda name: proj_scale if name in _PROJ_NAMES else 1.0)
     dtype = params["vis.patch.w"].dtype
 
@@ -293,10 +286,7 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
         n_texts = 0
         for idx in batches:
             vols, fts, sts, vecs = zip(*(pairs[i] for i in idx))
-            texts = [
-                sample_text_variant(ft, st, variant_rng, cfg.variant_prob)
-                for ft, st in zip(fts, sts)
-            ]
+            texts = [sample_text_variant(ft, st, variant_rng) for ft, st in zip(fts, sts)]
             n_structured += sum(t == st.text() for t, st in zip(texts, sts))
             n_texts += len(texts)
             trainer.step(*batch_step(vols, texts, vecs))

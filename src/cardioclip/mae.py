@@ -46,7 +46,6 @@ class MAETrainConfig:
     epochs: int = 20
     batch: int = 16
     lr: float = 1e-4
-    weight_decay: float = 0.01
     warmup_frac: float = 0.05
     mask_ratio: float = 0.75
 
@@ -188,7 +187,7 @@ def train_mae(volumes, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
         params = init_visual_params(rng, vis_cfg, proj_dim)
         init_decoder_params(rng, vis_cfg, dec_cfg, params)
 
-    trainer = Trainer("reconstruction", params, cfg.weight_decay)
+    trainer = Trainer("reconstruction", params)
     N = vis_cfg.n_patches
     dtype = params["vis.patch.w"].dtype
 

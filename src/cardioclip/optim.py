@@ -6,7 +6,8 @@ through Trainer; the stages differ only in their batch logic and in which
 parameter-name groups get which multiple of the rate. Every stage's config
 names its peak rate lr, and every schedule ramps linearly to lr and decays
 by a cosine to 0, so a schedule is three numbers: (lr, warmup_steps,
-total_steps).
+total_steps). The optimizer's constants (betas, eps and a decoupled weight
+decay of 0.01) are the same for every stage and are not config keys.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ def count_rule(cfg, name: str, low: int) -> tuple:
 
 def schedule_rules(cfg) -> tuple:
     """The rules of the fields every training stage's config shares: epochs,
-    batch, warmup_frac, weight_decay and lr."""
+    batch, warmup_frac and lr."""
     return (
         count_rule(cfg, "epochs", 1),
         count_rule(cfg, "batch", 1),
         (0.0 <= cfg.warmup_frac <= 1.0, f"warmup_frac must lie in [0, 1], got {cfg.warmup_frac}"),
-        (cfg.weight_decay >= 0, f"weight_decay must be >= 0, got {cfg.weight_decay}"),
         (cfg.lr > 0, f"lr must be positive, got {cfg.lr}"),
     )
 
@@ -68,13 +68,13 @@ class AdamW:
 
     lr_scale_of maps a parameter name to a multiplier on the scheduled rate,
     which is how the contrastive stage runs its projection heads hotter than
-    the encoders. Decay skips 1-D tensors (biases, norms, class/mask tokens).
+    the encoders. The decay, weight_decay, is a class constant like the betas;
+    it skips 1-D tensors (biases, norms, class/mask tokens).
     """
 
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    beta1, beta2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
 
-    def __init__(self, params, weight_decay: float, lr_scale_of=None):
-        self.weight_decay = weight_decay
+    def __init__(self, params, lr_scale_of=None):
         self.lr_scale_of = lr_scale_of or (lambda name: 1.0)
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -104,7 +104,7 @@ class AdamW:
             np.sqrt(denom, out=denom)
             denom += self.eps
             update /= denom
-            if self.weight_decay and p.ndim >= 2:
+            if p.ndim >= 2:
                 np.multiply(p, self.weight_decay, out=denom)
                 update += denom
             update *= lr * self.lr_scale_of(name)
@@ -113,6 +113,7 @@ class AdamW:
 
 class Trainer:
     """One AdamW optimizer over params, and the epoch loop the stages share.
+    A stage sets only rates (lr_scale_of's multiples); the decay is AdamW's.
 
     step() refuses a non-finite loss, naming the stage, the step and (inside
     epochs()) the epoch, then takes one optimizer step. The text warmup,
@@ -145,10 +146,10 @@ class Trainer:
     disk one volume at a time, once per epoch.
     """
 
-    def __init__(self, stage: str, params, weight_decay: float, lr_scale_of=None):
+    def __init__(self, stage: str, params, lr_scale_of=None):
         self.stage = stage
         self.params = params
-        self.opt = AdamW(params, weight_decay=weight_decay, lr_scale_of=lr_scale_of)
+        self.opt = AdamW(params, lr_scale_of=lr_scale_of)
         self.steps = 0
         self.sched = None
         self.epoch = None

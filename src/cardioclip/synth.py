@@ -412,13 +412,15 @@ def read_corpus(synth_dir) -> tuple[list[SynthCase], list[SynthCase]]:
     read here: a caller reads a volume only when a batch (or an eval chunk)
     needs its voxels, and again each epoch, so its memory grows with the
     batch, not with the corpus. A row that is not a JSON object, that lacks
-    a key read here, or whose split, flags, grade or free text is not of
-    the form write_corpus gives it, is refused naming its line.
+    a key read here, whose case_id (a file name with no directory part),
+    split, flags, grade or free text is not of the form write_corpus gives
+    it, or whose case_id an earlier row holds, is refused naming its line.
     """
     path = os.path.join(synth_dir, "cases.jsonl")
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path} not found; run `cardioclip synth` first")
     splits = {"train": [], "eval": []}
+    line_of = {}  # case_id -> the line that holds it
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             where = f"{path} line {line_no}"
@@ -433,9 +435,14 @@ def read_corpus(synth_dir) -> tuple[list[SynthCase], list[SynthCase]]:
             missing = [k for k in ("case_id", "flags", "free_text", "grade", "split") if k not in doc]
             if missing:
                 raise ValueError(f"{where}: missing key {', '.join(map(repr, missing))}")
-            flags, grade, text = doc["flags"], doc["grade"], doc["free_text"]
+            cid, flags, grade, text = doc["case_id"], doc["flags"], doc["grade"], doc["free_text"]
             for ok, problem in (
-                    (doc["split"] in splits, f"split {doc['split']!r} is not one of 'train', 'eval'"),
+                    (isinstance(cid, str) and cid not in ("", ".", "..")
+                     and os.path.basename(cid) == cid,
+                     f"case_id {cid!r} is not a file name without a directory part"),
+                    # a tuple, not the dict: a list or object split is unhashable
+                    (doc["split"] in ("train", "eval"),
+                     f"split {doc['split']!r} is not one of 'train', 'eval'"),
                     (isinstance(flags, list) and list(map(type, flags)) == [bool] * N_FINDINGS,
                      f"flags {flags!r} is not a list of {N_FINDINGS} booleans"),
                     # type, not isinstance: a bool is an int to Python but no grade
@@ -444,7 +451,9 @@ def read_corpus(synth_dir) -> tuple[list[SynthCase], list[SynthCase]]:
                     (isinstance(text, str), f"free_text {text!r} is not a string")):
                 if not ok:
                     raise ValueError(f"{where}: {problem}")
-            cid = doc["case_id"]
+            if cid in line_of:
+                raise ValueError(f"{where}: case_id {cid!r} repeats line {line_of[cid]}")
+            line_of[cid] = line_no
             volume = VolumeFile(os.path.join(synth_dir, "volumes", f"{cid}.ccv1"))
             splits[doc["split"]].append(SynthCase(cid, volume, tuple(flags), text, grade))
     return splits["train"], splits["eval"]

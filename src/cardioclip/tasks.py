@@ -134,7 +134,6 @@ class FinetuneConfig:
     batch: int = 16
     lr: float = 3e-4
     head_lr: float = 1.5e-3
-    weight_decay: float = 0.01
     warmup_frac: float = 0.05
     freeze_encoder: bool = False
     target: str = "cac"  # "cac" grades the graded cases; a catalog name learns its flag
@@ -193,7 +192,7 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
     trainable = {k: params[k] for k in (*encoder, "head.w", "head.b")}
 
     head_scale = cfg.head_lr / cfg.lr
-    trainer = Trainer("fine-tune", trainable, cfg.weight_decay,
+    trainer = Trainer("fine-tune", trainable,
                       lr_scale_of=lambda name: head_scale if name.startswith("head.") else 1.0)
 
     def batch_step(idx):

@@ -207,16 +207,17 @@ class TestErrorPaths:
 
     def test_multiple_violations_all_reported(self, workdir, capsys):
         code = run(workdir, "synth", "--set", "clip.temperature=0",
-                   "--set", "clip.variant_prob=2")
+                   "--set", "clip.batch=1")
         assert code == 3
         err = capsys.readouterr().err
-        assert "temperature" in err and "variant_prob" in err
+        assert "temperature" in err and "batch must be >= 2" in err
 
     @pytest.mark.parametrize("assignment, key", [
         ("synth.prevalence=[0.3,0.3]", "prevalence"),
         ("geometry=5", "geometry"),
         ("visual.depth=abc", "visual.depth"),
         ('clip={"temperature": 0}', "temperature"),
+        ("clip.variant_prob=0.5", "unknown key 'clip.variant_prob'"),
     ])
     def test_bad_set_exits_3_naming_the_key(self, workdir, capsys, assignment, key):
         assert run(workdir, "synth", "--set", assignment) == 3
@@ -323,6 +324,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda row: row.update(split="test"), "split 'test' is not one of 'train', 'eval'"),
+        (lambda row: row.update(split=["train"]),
+         "split ['train'] is not one of 'train', 'eval'"),
         (lambda row: row.pop("grade"), "missing key 'grade'"),
         (lambda row: row.update(flags="1010101"),
          "flags '1010101' is not a list of 7 booleans"),
@@ -332,8 +335,14 @@ class TestErrorPaths:
         (lambda row: row.update(grade="3"), "grade '3' is not null or an integer in 1..5"),
         (lambda row: row.update(grade=True), "grade True is not null or an integer in 1..5"),
         (lambda row: row.update(free_text=5), "free_text 5 is not a string"),
-    ], ids=["unknown-split", "missing-grade", "flags-string", "three-flags", "grade-9",
-            "grade-string", "grade-bool", "free-text-int"])
+        # rows are written in case order, so line 1 holds case_0000
+        (lambda row: row.update(case_id="case_0000"), "case_id 'case_0000' repeats line 1"),
+        (lambda row: row.update(case_id=7), "case_id 7 is not a file name without a directory"),
+        (lambda row: row.update(case_id="../case_0002"),
+         "case_id '../case_0002' is not a file name without a directory"),
+    ], ids=["unknown-split", "split-list", "missing-grade", "flags-string", "three-flags",
+            "grade-9", "grade-string", "grade-bool", "free-text-int", "duplicate-id", "id-int",
+            "id-with-slash"])
     def test_malformed_corpus_row_fails_naming_the_file_line_and_case(
             self, workdir, tmp_path, capsys, edit, message):
         copy_runs(workdir, tmp_path, "synth", "pretrain_clip")

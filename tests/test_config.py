@@ -1,8 +1,9 @@
+import ast
 import importlib.util
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -37,22 +38,64 @@ def test_unknown_key_rejected():
         merge_config({"clip": {"temprature": 0.1}})
 
 
-def test_removed_raw_affinity_switch_is_an_unknown_key():
-    assert "raw_affinity" not in merge_config({})["clip"]
-    with pytest.raises(ConfigError, match="unknown key 'clip.raw_affinity'"):
-        merge_config({"clip": {"raw_affinity": False}})
+# keys that no run set to another value, each with its last default; each
+# is a constant now
+REMOVED_KEYS = {"clip.raw_affinity": False, "mae.weight_decay": 0.01,
+                "clip.weight_decay": 0.01, "finetune.weight_decay": 0.01,
+                "clip.text_warmup_lr": 1e-3, "clip.text_warmup_statement_frac": 0.5,
+                "clip.variant_prob": 0.5}
+
+
+@pytest.mark.parametrize("path", REMOVED_KEYS)
+def test_removed_key_is_unknown(path):
+    section, key = path.split(".")
+    assert key not in merge_config({})[section]
+    with pytest.raises(ConfigError, match=f"unknown key '{path}'"):
+        merge_config({section: {key: REMOVED_KEYS[path]}})
+
+
+def _attributes_read_beyond_validation() -> set:
+    """Every attribute name loaded in src/cardioclip/*.py outside each
+    __post_init__ and each *_rules function."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "cardioclip")
+    names = set()
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and (node.name == "__post_init__"
+                                                  or node.name.endswith("_rules")):
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()))
+    return names
+
+
+@pytest.mark.parametrize("cls", [VisualEncoderConfig, TextEncoderConfig, DecoderConfig,
+                                 MAETrainConfig, ContrastiveConfig, FinetuneConfig, SynthSpec],
+                         ids=lambda cls: cls.__name__)
+def test_every_stage_config_field_is_read_beyond_its_validation(cls):
+    # a field only bounds-checked is a config key that changes nothing; the
+    # check is by attribute name alone, so any `x.<field>` read counts
+    read = _attributes_read_beyond_validation()
+    assert [f.name for f in fields(cls) if f.name not in read] == []
 
 
 def test_all_violations_listed_together():
     cfg = merge_config({
-        "clip": {"temperature": 0.0, "variant_prob": 2.0},
+        "clip": {"temperature": 0.0, "batch": 1},
         "geometry": {"dims": [60, 64, 64]},
         "synth": {"signal_strength": -1.0},
     })
     violations = validate_config(cfg)
     text = "\n".join(violations)
     assert "temperature" in text
-    assert "variant_prob" in text
+    assert "batch must be >= 2" in text
     assert "60" in text
     assert "signal_strength" in text
     assert len(violations) >= 3
@@ -108,7 +151,7 @@ def test_default_config_digest_is_pinned():
     # every checkpoint and manifest carries this digest; a default that moves
     # changes it
     assert config_digest(DEFAULT_CONFIG) == (
-        "6514e79e5f7fa988f04ec1b0106289e5ecb2e0183e0b5ad2861a3fc6cd97b50a")
+        "33140dbe2d8d1d81918adce218bba2a0bb5f97a862f89a2865461c6e7452f928")
 
 
 def test_each_default_section_builds_its_dataclass_default():
@@ -284,8 +327,8 @@ def test_numpy_integer_counts_are_accepted():
 
 def test_a_dataclass_reports_all_its_violations_at_once():
     with pytest.raises(ValueError) as exc:
-        ContrastiveConfig(temperature=0.0, variant_prob=2.0, epochs=0)
-    for field in ("temperature", "variant_prob", "epochs"):
+        ContrastiveConfig(temperature=0.0, batch=1, epochs=0)
+    for field in ("temperature", "batch", "epochs"):
         assert field in str(exc.value)
 
 

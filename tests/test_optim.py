@@ -40,7 +40,7 @@ def test_step_bitwise_equal_to_reference(grad_dtype):
     rng = np.random.default_rng(0)
     params = _params(rng)
     ref_params = {k: v.copy() for k, v in params.items()}
-    kw = dict(weight_decay=0.01, lr_scale_of=lambda name: 5.0 if name.startswith("proj.") else 1.0)
+    kw = dict(lr_scale_of=lambda name: 5.0 if name.startswith("proj.") else 1.0)
     opt, ref = AdamW(params, **kw), AdamW(ref_params, **kw)
     for step in range(4):
         grads = {k: rng.normal(0, 1e-2 * (step + 1), v.shape).astype(grad_dtype)
@@ -60,6 +60,6 @@ def test_step_leaves_grads_untouched():
     params = _params(rng)
     grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
     before = {k: g.copy() for k, g in grads.items()}
-    AdamW(params, 0.01).step(params, grads, lr=1e-3)
+    AdamW(params).step(params, grads, lr=1e-3)
     for k in grads:
         assert grads[k].tobytes() == before[k].tobytes()

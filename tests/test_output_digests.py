@@ -72,6 +72,34 @@ def test_two_roots_list_each_changed_removed_and_added_path_and_exit_1(tmp_path)
     ]
 
 
+def test_a_changed_json_object_names_its_top_level_keys_that_moved(tmp_path):
+    write_files(tmp_path / "before", {
+        "pretrain_mae/checkpoint.json": b'{"config_digest": "a", "shapes": {"w": [2]}}',
+        "eval_cac/metrics.json": b'{"auroc": 0.5, "n": 3, "gone": 1}',
+        "synth/cases.jsonl": b'{"case_id": "c0"}\n{"case_id": "c1"}\n',
+        "gradcheck/metrics.json": b"[1]",
+        "finetune/metrics.json": b'{"n": 1}',
+    })
+    write_files(tmp_path / "after", {
+        "pretrain_mae/checkpoint.json": b'{"config_digest": "b", "shapes": {"w": [2]}}',
+        "eval_cac/metrics.json": b'{"auroc": 0.6, "n": 3, "new": 1}',
+        "synth/cases.jsonl": b'{"case_id": "c0"}\n{"case_id": "c2"}\n',
+        "gradcheck/metrics.json": b"[2]",
+        "finetune/metrics.json": b'{"n":1}',
+    })
+    out = digests(tmp_path / "before", tmp_path / "after")
+    assert out.returncode == 1
+    # a JSON Lines file and a JSON array are not objects, so no keys are named;
+    # an object whose bytes moved but whose values did not names none
+    assert out.stdout.splitlines() == [
+        f"changed  {os.path.join('eval_cac', 'metrics.json')}  [auroc, gone, new]",
+        f"changed  {os.path.join('finetune', 'metrics.json')}  []",
+        f"changed  {os.path.join('gradcheck', 'metrics.json')}",
+        f"changed  {os.path.join('pretrain_mae', 'checkpoint.json')}  [config_digest]",
+        f"changed  {os.path.join('synth', 'cases.jsonl')}",
+    ]
+
+
 def test_two_matching_roots_print_nothing_and_exit_0(tmp_path):
     files = {"synth/cases.jsonl": b"c\n", "pretrain_mae/checkpoint.bin": b"\x00" * 8}
     write_files(tmp_path / "before", files)

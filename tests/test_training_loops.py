@@ -68,7 +68,7 @@ class TestTrainer:
     def test_step_counts_and_names_the_epoch_of_a_non_finite_loss(self):
         params = {"w": np.ones((2, 2), dtype=np.float32)}
         grads = {"w": np.ones((2, 2), dtype=np.float32)}
-        trainer = Trainer("toy", params, weight_decay=0.0)
+        trainer = Trainer("toy", params)
         cfg = MAETrainConfig(epochs=2, batch=2)
         # 5 cases at batch 2: 3 steps per epoch, so step 3 is epoch 1's first
         with pytest.raises(FloatingPointError, match=r"non-finite toy loss at step 3 \(epoch 1\)"):
@@ -79,7 +79,7 @@ class TestTrainer:
 
     def test_constant_rate_step_outside_epochs(self):
         params = {"w": np.ones((2, 2), dtype=np.float32)}
-        trainer = Trainer("toy", params, weight_decay=0.0)
+        trainer = Trainer("toy", params)
         trainer.step(0.5, {"w": np.ones((2, 2), dtype=np.float32)}, lr=1e-2)
         assert trainer.steps == 1 and trainer.lr == 1e-2
         assert np.all(params["w"] < 1.0)
