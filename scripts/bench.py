@@ -21,6 +21,10 @@ medians, the parent's interquartile range, the pairs this tree won and:
   metric's bound in BENCHMARK.json ("worse"), or else "unresolved" when the
   parent's IQR is wider than the bound and not every run beat every parent
   run, or else "ok".
+
+The two trees should sit at absolute paths of equal length: the path's
+length alone has moved pipeline_cli's peak_rss_mb by about 7 MB, so the
+script warns on stderr, naming both paths, when they differ.
 """
 
 from __future__ import annotations
@@ -115,6 +119,14 @@ def git_label(tree: str) -> tuple[str, str | None, bool]:
     return sha[:7] + ("-dirty" if dirty else ""), sha, dirty
 
 
+def path_length_warning(trees: list[str]) -> str | None:
+    """A warning naming the trees when their absolute paths differ in length."""
+    if len({len(t) for t in trees}) < 2:
+        return None
+    return ("warning: the trees' paths differ in length, which alone can move peak_rss_mb: "
+            + ", ".join(f"{t} ({len(t)})" for t in trees))
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run in tree; a run that exits non-zero is recorded as an error."""
     proc = subprocess.run([sys.executable, os.path.join("perfbench", "run.py"),
@@ -199,6 +211,9 @@ def main(argv=None) -> int:
     labels = {git_label(t)[0] for t in trees}
     if len(labels) < len(trees):
         ap.error(f"both trees are labelled {labels.pop()}: their BENCH files would collide")
+    warning = path_length_warning(trees)
+    if warning:
+        print(warning, file=sys.stderr, flush=True)
     results = {t: {w: [] for w in workloads} for t in trees}
     for w in workloads:
         for i, seed in enumerate(args.seeds):

@@ -94,26 +94,16 @@ def cosine_rows_bwd(cache, dS: np.ndarray):
 def contrastive_loss(S: np.ndarray, T: np.ndarray, tau: float):
     """Symmetrized soft-label cross-entropy over similarity logits.
 
-    L = 1/2 [CE(softmax(S/tau), T) + CE(softmax(S^T/tau), T^T)] with
-    CE(P, T) = mean over rows of -sum_j T_ij log P_ij. Returns (loss, dL/dS).
-    Stable by construction: log-softmax subtracts the row max.
+    L = 1/2 [CE(softmax(S/tau), T) + CE(softmax(S^T/tau), T^T)], each CE one
+    nn.softmax_cross_entropy call (stable: log-softmax subtracts the row max).
+    Returns (loss, dL/dS).
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     if S.shape != T.shape or S.shape[0] != S.shape[1]:
         raise ValueError(f"shape mismatch: S {S.shape} vs T {T.shape}")
-    B = S.shape[0]
-
-    def ce_and_grad(logits, targets):
-        logp = nn.log_softmax(logits, axis=1)
-        loss = float(-(targets * logp).mean(axis=0).sum())
-        p = np.exp(logp)
-        row_mass = targets.sum(axis=1, keepdims=True)
-        dlogits = (p * row_mass - targets) / B
-        return loss, dlogits
-
-    loss_r, dzr = ce_and_grad(S / tau, T)
-    loss_c, dzc = ce_and_grad(S.T / tau, T.T)
+    loss_r, dzr, _ = nn.softmax_cross_entropy(S / tau, T)
+    loss_c, dzc, _ = nn.softmax_cross_entropy(S.T / tau, T.T)
     loss = 0.5 * (loss_r + loss_c)
     dS = 0.5 * (dzr + dzc.T) / tau
     return loss, dS
@@ -213,13 +203,9 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
         ids, lengths = pad_batch([tokenize(t, vocab, txt_cfg.max_len) for t in texts])
         feats, cache = text_embed_fwd(warm, txt_cfg, ids, lengths)
         logits, c_head = nn.linear_fwd(warm, "warm.head", feats)
-        z = np.clip(logits, -30, 30)
-        p = 1.0 / (1.0 + np.exp(-z))
-        loss = float(-(targets * np.log(p + 1e-12)
-                       + (1 - targets) * np.log(1 - p + 1e-12)).mean())
+        loss, dlogits = nn.sigmoid_cross_entropy(logits, targets)
         grads: nn.Grads = {}
-        dfeats = nn.linear_bwd(warm, "warm.head", c_head,
-                               ((p - targets) / targets.size).astype(feats.dtype), grads)
+        dfeats = nn.linear_bwd(warm, "warm.head", c_head, dlogits, grads)
         # no txt.proj gradient: a zero one would still let AdamW decay it
         text_embed_bwd(warm, cache, dfeats, grads)
         return loss, grads

@@ -173,6 +173,8 @@ def validate_config(cfg: dict) -> list[str]:
             v.append(f"eval.{key} must be a non-empty list of K >= 1")
     if cfg["proj_dim"] < 1:
         v.append("proj_dim must be >= 1")
+    if cfg["seed"] < 0:
+        v.append("seed must be >= 0")
     return v
 
 

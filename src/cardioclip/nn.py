@@ -1,4 +1,4 @@
-"""Minimal transformer layers over plain numpy arrays with explicit backward passes.
+"""Minimal numpy transformer layers with explicit backward passes, and the two head losses.
 
 Parameters live in a flat dict[str, ndarray] ("parameter store"); gradients are
 accumulated into a second dict with the same keys. Every *_fwd returns
@@ -87,7 +87,7 @@ def matmul_tn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# linear / layernorm / gelu / softmax
+# linear / layernorm / gelu / softmax / head losses
 
 
 def linear_fwd(params: Params, prefix: str, x: np.ndarray):
@@ -199,6 +199,26 @@ def _exp_normalize(e: np.ndarray, axis: int) -> np.ndarray:
 def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     z = z - z.max(axis=axis, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+
+
+def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """Mean over rows of -sum_j targets_ij log softmax(logits)_ij, for soft or one-hot
+    target rows: returns (loss, dloss/dlogits, softmax probabilities)."""
+    logp = log_softmax(logits, axis=1)
+    loss = float(-(targets * logp).mean(axis=0).sum())
+    p = np.exp(logp)
+    row_mass = targets.sum(axis=1, keepdims=True)
+    dlogits = (p * row_mass - targets) / logits.shape[0]
+    return loss, dlogits, p
+
+
+def sigmoid_cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """Mean binary cross-entropy of sigmoid(logits) against targets in [0, 1], finite at
+    any logit (clipped to +/-30, logs guarded by 1e-12): returns (loss, dloss/dlogits)."""
+    z = np.clip(logits, -30, 30)
+    p = 1.0 / (1.0 + np.exp(-z))
+    loss = float(-(targets * np.log(p + 1e-12) + (1 - targets) * np.log(1 - p + 1e-12)).mean())
+    return loss, (p - targets) / targets.size
 
 
 # ---------------------------------------------------------------------------

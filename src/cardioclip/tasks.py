@@ -145,17 +145,6 @@ class FinetuneConfig:
                  f"target must be 'cac' or a catalog name, got {self.target!r}"))
 
 
-def softmax_ce_logits(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over integer labels; returns (loss, dlogits, probs)."""
-    logp = nn.log_softmax(logits, axis=1)
-    B = logits.shape[0]
-    loss = float(-logp[np.arange(B), labels].mean())
-    p = np.exp(logp)
-    d = p.copy()
-    d[np.arange(B), labels] -= 1.0
-    return loss, d / B, p
-
-
 def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfig,
                         vis_cfg: VisualEncoderConfig, seed: int = 0, eval_set=None):
     """Train an affine head on the mean-pooled visual feature (optionally with
@@ -203,7 +192,8 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
         feats, cache = visual_embed_fwd(params, vis_cfg,
                                         batch_patches(vols, vis_cfg.patch_size, dtype))
         logits, c_head = nn.linear_fwd(params, "head", feats)
-        loss, dlogits, probs = softmax_ce_logits(logits, y)
+        loss, dlogits, probs = nn.softmax_cross_entropy(
+            logits, np.eye(head_classes, dtype=logits.dtype)[y])
         hits += int((probs.argmax(axis=1) == y).sum())
         grads: dict = {}
         dfeats = nn.linear_bwd(params, "head", c_head, dlogits, grads)

@@ -98,3 +98,20 @@ def test_report_names_failed_runs_and_skips_absent_metrics():
     assert len([ln for ln in out if ln.startswith("peak_rss_mb")]) == 1
     assert not any(ln.startswith("loss_end") for ln in out)
     assert out[-1] == "change runs with errors or failed checks at seeds [9504, 9999]"
+
+
+def test_unequal_path_lengths_are_warned_about_naming_both(tmp_path, monkeypatch, capsys):
+    assert bench.path_length_warning(["/a/repo", "/b/base"]) is None
+    other = tmp_path / "parent"
+    if len(str(other)) == len(bench.ROOT):
+        other = tmp_path / "parent2"
+    (other / "perfbench").mkdir(parents=True)
+    (other / "perfbench" / "run.py").write_text("")
+    # no benchmark runs and no BENCH files: every run fails and nothing is written
+    monkeypatch.setattr(bench, "run_once", lambda tree, w, seed, s: {"seed": seed, "error": "x"})
+    monkeypatch.setattr(bench, "record", lambda tree, *a, **k: os.path.basename(tree))
+    assert bench.main(["--seeds", "1", "--workloads", "mae_pretrain",
+                       "--against", str(other)]) == 0
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first == bench.path_length_warning([str(other), bench.ROOT])
+    assert "paths differ in length" in first and str(other) in first and bench.ROOT in first

@@ -218,6 +218,7 @@ class TestErrorPaths:
         ("visual.depth=abc", "visual.depth"),
         ('clip={"temperature": 0}', "temperature"),
         ("clip.variant_prob=0.5", "unknown key 'clip.variant_prob'"),
+        ("seed=-1", "seed must be >= 0"),
     ])
     def test_bad_set_exits_3_naming_the_key(self, workdir, capsys, assignment, key):
         assert run(workdir, "synth", "--set", assignment) == 3

@@ -20,7 +20,7 @@ from cardioclip.encoders import (
 from cardioclip.gradcheck import gradient_check, toy_losses
 from cardioclip.model import ModelBundle, embed_texts, embed_volumes
 from cardioclip.reports import load_catalog
-from cardioclip.tasks import predict_logits, softmax_ce_logits
+from cardioclip.tasks import predict_logits
 from cardioclip.tokenizer import build_vocab, pad_batch, tokenize
 from cardioclip.volume import Volume3D, batch_patches
 
@@ -372,7 +372,7 @@ class TestStageLossGradients:
         def loss_fn(p):
             feats, cache = visual_embed_fwd(p, cfg, patches)
             logits, c_head = nn.linear_fwd(p, "head", feats)
-            loss, dlogits, _ = softmax_ce_logits(logits, labels)
+            loss, dlogits, _ = nn.softmax_cross_entropy(logits, np.eye(3)[labels])
             grads = {}
             dfeats = nn.linear_bwd(p, "head", c_head, dlogits, grads)
             visual_embed_bwd(p, cache, dfeats, grads)
@@ -395,15 +395,108 @@ class TestStageLossGradients:
         targets = rng.random((len(gradcheck.TOY_TEXTS), 5))
 
         def loss_fn(p):
-            # clip.warmup_text_encoder's loss: a sigmoid cross-entropy per output
             feats, cache = text_embed_fwd(p, cfg, ids, lengths)
             logits, c_head = nn.linear_fwd(p, "warm.head", feats)
-            prob = 1.0 / (1.0 + np.exp(-logits))
-            loss = float(-(targets * np.log(prob) + (1 - targets) * np.log(1 - prob)).mean())
+            loss, dlogits = nn.sigmoid_cross_entropy(logits, targets)
             grads = {}
-            dfeats = nn.linear_bwd(p, "warm.head", c_head, (prob - targets) / targets.size, grads)
+            dfeats = nn.linear_bwd(p, "warm.head", c_head, dlogits, grads)
             text_embed_bwd(p, cache, dfeats, grads)
             return loss, grads
 
         assert not any(k.startswith("txt.proj") for k in loss_fn(params)[1])
         assert gradient_check(loss_fn, params, n_probes=64, seed=17) < gradcheck.TOLERANCE
+
+
+# The loss bodies nn.softmax_cross_entropy and nn.sigmoid_cross_entropy
+# replaced, as they were written: stage 2's soft-target cross-entropy, the
+# fine-tune head's integer-label one, and the text warmup's sigmoid one.
+
+
+def ref_soft_ce(logits, targets):
+    B = logits.shape[0]
+    logp = nn.log_softmax(logits, axis=1)
+    loss = float(-(targets * logp).mean(axis=0).sum())
+    p = np.exp(logp)
+    row_mass = targets.sum(axis=1, keepdims=True)
+    dlogits = (p * row_mass - targets) / B
+    return loss, dlogits
+
+
+def ref_label_ce(logits, labels):
+    logp = nn.log_softmax(logits, axis=1)
+    B = logits.shape[0]
+    loss = float(-logp[np.arange(B), labels].mean())
+    p = np.exp(logp)
+    d = p.copy()
+    d[np.arange(B), labels] -= 1.0
+    return loss, d / B, p
+
+
+def ref_sigmoid_ce(logits, targets):
+    z = np.clip(logits, -30, 30)
+    p = 1.0 / (1.0 + np.exp(-z))
+    loss = float(-(targets * np.log(p + 1e-12)
+                   + (1 - targets) * np.log(1 - p + 1e-12)).mean())
+    return loss, (p - targets) / targets.size
+
+
+class TestHeadLosses:
+    """nn's two head losses: finite-difference checked, and bitwise the
+    bodies they replaced."""
+
+    @staticmethod
+    def soft_rows(rng, B, K):
+        t = rng.random((B, K))
+        return t / t.sum(axis=1, keepdims=True)
+
+    def test_softmax_cross_entropy_gradient_with_soft_targets(self):
+        rng = np.random.default_rng(21)
+        params = {"z": rng.normal(0, 2.0, (6, 5))}
+        # row masses of 1 and 0.5: the gradient scales p by each row's mass
+        targets = self.soft_rows(rng, 6, 5) * np.array([1.0, 0.5] * 3)[:, None]
+
+        def loss_fn(p):
+            loss, dz, _ = nn.softmax_cross_entropy(p["z"], targets)
+            return loss, {"z": dz}
+
+        assert gradient_check(loss_fn, params, n_probes=30, seed=23) < 1e-7
+
+    def test_sigmoid_cross_entropy_stays_finite_past_the_clip(self):
+        logits = np.array([[-1e3, -31.0, 0.0, 31.0, 1e3]])
+        for targets in (np.zeros_like(logits), np.ones_like(logits), np.full_like(logits, 0.3)):
+            loss, d = nn.sigmoid_cross_entropy(logits, targets)
+            assert np.isfinite(loss) and np.all(np.isfinite(d))
+        # past +/-30 a confidently wrong logit costs what one at the clip does,
+        # under -log(1e-12), not inf
+        wrong = np.array([[1.0, 0.0]])
+        far, _ = nn.sigmoid_cross_entropy(np.array([[-1e3, 1e3]]), wrong)
+        at_clip, _ = nn.sigmoid_cross_entropy(np.array([[-30.0, 30.0]]), wrong)
+        assert far == at_clip and 0.0 < far < -np.log(1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_softmax_cross_entropy_is_the_bodies_it_replaced(self, dtype, K):
+        rng = np.random.default_rng(K)
+        for _ in range(50):
+            B = int(rng.integers(1, 17))
+            logits = rng.normal(0, 3.0, (B, K)).astype(dtype)
+            labels = rng.integers(0, K, B)
+            loss, d, p = nn.softmax_cross_entropy(logits, np.eye(K, dtype=dtype)[labels])
+            ref_loss, ref_d, ref_p = ref_label_ce(logits, labels)
+            assert d.dtype == ref_d.dtype and p.dtype == ref_p.dtype
+            assert np.array_equal(d, ref_d) and np.array_equal(p, ref_p)
+            assert np.isclose(loss, ref_loss, rtol=1e-5 if dtype == np.float32 else 1e-12)
+            soft = self.soft_rows(rng, B, K)  # float64, as stage 2's targets are
+            loss, d, p = nn.softmax_cross_entropy(logits, soft)
+            ref_loss, ref_d = ref_soft_ce(logits, soft)
+            assert loss == ref_loss and d.dtype == ref_d.dtype and np.array_equal(d, ref_d)
+            assert np.array_equal(p, np.exp(nn.log_softmax(logits, axis=1)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_cross_entropy_is_the_body_it_replaced(self, dtype):
+        rng = np.random.default_rng(5)
+        logits = rng.normal(0, 20.0, (16, 8)).astype(dtype)
+        targets = rng.random((16, 8))
+        loss, d = nn.sigmoid_cross_entropy(logits, targets)
+        ref_loss, ref_d = ref_sigmoid_ce(logits, targets)
+        assert loss == ref_loss and d.dtype == ref_d.dtype and np.array_equal(d, ref_d)
