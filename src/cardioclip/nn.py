@@ -13,7 +13,13 @@ are float64, so the similarity gradient dS and everything behind it promote.
 Every dense-layer product goes through `matmul`/`matmul_tn`, which cast both
 operands to their common dtype before one 2-D BLAS call; numpy would
 otherwise run a (B, T, K) @ (K, N) product as B small GEMMs, and a mixed
-float32/float64 product on its slower internal casting path.
+float32/float64 product on its slower internal casting path. The operand
+that stage 2 promotes, matmul's weight and matmul_tn's activation, is cast
+CAST_BLOCK columns at a time, one GEMM per block into the result: the
+blocks split output columns or rows, never the contracted axis, so every
+dot product sums the same terms in the same order as the one-shot product,
+and no float64 copy of the (B, 64, 4096) patch batch or of the patch
+weight is ever whole.
 
 Ownership: no kernel writes into its arguments (inputs, params, gradients
 or caches); the elementwise kernels compute in place only into buffers they
@@ -41,6 +47,7 @@ import numpy as np
 
 LN_EPS = 1e-5
 _MASK_BIG = 1e9  # additive logit penalty for masked keys; underflows to 0 after softmax
+CAST_BLOCK = 512  # columns of a promoted operand cast per GEMM by matmul and matmul_tn
 
 Params = dict
 Grads = dict
@@ -74,16 +81,31 @@ def _cast(a: np.ndarray, dtype) -> np.ndarray:
 
 
 def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w for x (..., K) and w (K, N), as one 2-D GEMM in np.result_type(x, w)."""
+    """x @ w for x (..., K) and w (K, N), as one 2-D GEMM in np.result_type(x, w),
+    or, when w must be promoted, one per CAST_BLOCK columns of w."""
     dt = np.result_type(x, w)
-    y = _cast(x.reshape(-1, x.shape[-1]), dt) @ _cast(w, dt)
+    x2 = _cast(x.reshape(-1, x.shape[-1]), dt)
+    if w.dtype == dt:
+        y = x2 @ w
+    else:
+        y = np.empty((x2.shape[0], w.shape[1]), dtype=dt)
+        for c in range(0, w.shape[1], CAST_BLOCK):
+            np.matmul(x2, _cast(w[:, c:c + CAST_BLOCK], dt), out=y[:, c:c + CAST_BLOCK])
     return y.reshape(*x.shape[:-1], w.shape[-1])
 
 
 def matmul_tn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a.reshape(-1, K).T @ b.reshape(-1, N) in np.result_type(a, b): a weight gradient."""
+    """a.reshape(-1, K).T @ b.reshape(-1, N) in np.result_type(a, b): a weight gradient,
+    as one 2-D GEMM or, when a must be promoted, one per CAST_BLOCK columns of a."""
     dt = np.result_type(a, b)
-    return _cast(a.reshape(-1, a.shape[-1]), dt).T @ _cast(b.reshape(-1, b.shape[-1]), dt)
+    a2 = a.reshape(-1, a.shape[-1])
+    b2 = _cast(b.reshape(-1, b.shape[-1]), dt)
+    if a2.dtype == dt:
+        return a2.T @ b2
+    y = np.empty((a2.shape[1], b2.shape[1]), dtype=dt)
+    for c in range(0, a2.shape[1], CAST_BLOCK):
+        np.matmul(_cast(a2[:, c:c + CAST_BLOCK], dt).T, b2, out=y[c:c + CAST_BLOCK])
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +235,14 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
 
 
 def sigmoid_cross_entropy(logits: np.ndarray, targets: np.ndarray):
-    """Mean binary cross-entropy of sigmoid(logits) against targets in [0, 1], finite at
-    any logit (clipped to +/-30, logs guarded by 1e-12): returns (loss, dloss/dlogits)."""
-    z = np.clip(logits, -30, 30)
-    p = 1.0 / (1.0 + np.exp(-z))
-    loss = float(-(targets * np.log(p + 1e-12) + (1 - targets) * np.log(1 - p + 1e-12)).mean())
+    """Mean binary cross-entropy of sigmoid(logits) against targets in [0, 1], as
+    softplus(z) - t * z, finite at any finite logit: returns (loss, dloss/dlogits).
+    The gradient's sigmoid takes the logits clipped to +/-30, where it is within
+    1e-13 of 0 or 1. softplus is not np.logaddexp(0, z), which warns on a NaN
+    logit before the training loop can name it."""
+    softplus = np.maximum(logits, 0) + np.log1p(np.exp(-np.abs(logits)))
+    loss = float((softplus - targets * logits).mean())
+    p = 1.0 / (1.0 + np.exp(-np.clip(logits, -30, 30)))
     return loss, (p - targets) / targets.size
 
 

@@ -134,11 +134,12 @@ class Trainer:
     once the forward has cached its standardized copy. The exception is
     stage 2: clip.clip_batch_fwd_bwd's own patches parameter keeps the raw
     batch alive until visual_embed_fwd returns (8.4 MB at the default batch
-    of 8), though that does not set the step's peak, which is
-    patch_tokens_bwd's weight gradient, where nn.matmul_tn casts the
-    float32 standardized patches to the backward's float64. Within the
-    backward, each block's activations die as soon as its backward has
-    read them (nn.stack_bwd pops each block's cache), so the patch
+    of 8). That puts the forward within about 1 MiB of the step's peak, a
+    block's nn.gelu_bwd in the backward; the patch embedding's weight
+    gradient no longer sets it, since nn.matmul_tn casts the float32
+    standardized patches to the backward's float64 a block of columns at a
+    time. Within the backward, each block's activations die as soon as its
+    backward has read them (nn.stack_bwd pops each block's cache), so the patch
     embedding's backward runs with no block's activations alive, and the
     standardized patches die before its input gradient. The batch's volumes
     are read only while its patches are built (volume.batch_patches), so a

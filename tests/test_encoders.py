@@ -433,10 +433,11 @@ def ref_label_ce(logits, labels):
 
 
 def ref_sigmoid_ce(logits, targets):
+    # the loss as softplus(z) - t * z on the unclipped logits; the gradient as written
+    softplus = np.maximum(logits, 0) + np.log1p(np.exp(-np.abs(logits)))
+    loss = float((softplus - targets * logits).mean())
     z = np.clip(logits, -30, 30)
     p = 1.0 / (1.0 + np.exp(-z))
-    loss = float(-(targets * np.log(p + 1e-12)
-                   + (1 - targets) * np.log(1 - p + 1e-12)).mean())
     return loss, (p - targets) / targets.size
 
 
@@ -466,12 +467,23 @@ class TestHeadLosses:
         for targets in (np.zeros_like(logits), np.ones_like(logits), np.full_like(logits, 0.3)):
             loss, d = nn.sigmoid_cross_entropy(logits, targets)
             assert np.isfinite(loss) and np.all(np.isfinite(d))
-        # past +/-30 a confidently wrong logit costs what one at the clip does,
-        # under -log(1e-12), not inf
+        # a confidently wrong logit costs about its own size, as the gradient says,
+        # not the loss at the +/-30 clip
         wrong = np.array([[1.0, 0.0]])
         far, _ = nn.sigmoid_cross_entropy(np.array([[-1e3, 1e3]]), wrong)
         at_clip, _ = nn.sigmoid_cross_entropy(np.array([[-30.0, 30.0]]), wrong)
-        assert far == at_clip and 0.0 < far < -np.log(1e-12)
+        assert far == 1e3 and 30.0 < at_clip < 30.0 + 1e-12
+
+    @pytest.mark.parametrize("target", [0.0, 0.3, 1.0])
+    def test_sigmoid_cross_entropy_gradient_past_the_clip(self, target):
+        params = {"z": np.array([[-1e3, -31.0, 31.0, 1e3]])}
+        targets = np.full_like(params["z"], target)
+
+        def loss_fn(p):
+            loss, dz = nn.sigmoid_cross_entropy(p["z"], targets)
+            return loss, {"z": dz}
+
+        assert gradient_check(loss_fn, params, n_probes=4, seed=29) < gradcheck.TOLERANCE
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("K", [2, 5])

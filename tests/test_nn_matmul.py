@@ -1,5 +1,8 @@
 """nn.matmul / nn.matmul_tn against the numpy expressions they replace, bitwise,
-at the dense-layer shapes of the default config; linear_fwd's purity and dtype."""
+at the dense-layer shapes of the default config and past one cast block; the
+memory their block-wise cast saves; linear_fwd's purity and dtype."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +83,49 @@ def test_matmul_on_token_slices(gdt):
     dx = rng.normal(size=(8, 65, 128)).astype(gdt)
     patch_w = rng.normal(0, 0.1, (4096, 128)).astype(F32)
     assert _bitwise(nn.matmul(dx[:, 1:], patch_w.T), dx[:, 1:] @ patch_w.T)
+
+
+@pytest.mark.parametrize("adt,bdt", [(F32, F64), (F64, F32)])
+def test_matmul_bitwise_past_one_cast_block(adt, bdt):
+    # 1728 = 12**3 columns: three whole cast blocks and a partial one
+    n = 1728
+    assert n > nn.CAST_BLOCK and n % nn.CAST_BLOCK
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(4, 64, 96)).astype(adt)
+    w = rng.normal(0, 0.1, (96, n)).astype(bdt)
+    assert _bitwise(nn.matmul(x, w), x @ w)
+    assert _bitwise(nn.matmul(x[:, 1:], w), x[:, 1:] @ w)
+    a = rng.normal(size=(4, 64, n)).astype(adt)
+    b = rng.normal(size=(4, 64, 96)).astype(bdt)
+    assert _bitwise(nn.matmul_tn(a, b), a.reshape(-1, n).T @ b.reshape(-1, 96))
+    assert _bitwise(nn.matmul_tn(a[:, 1:], b[:, 1:]),
+                    a[:, 1:].reshape(-1, n).T @ b[:, 1:].reshape(-1, 96))
+
+
+def _traced_peak_above_result(fn, *args):
+    """The tracemalloc peak of fn(*args) above its entry, less its result's size."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        y = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base - y.nbytes
+
+
+def test_promoted_operand_is_never_cast_whole():
+    # stage 2's patch embedding backward at the default batch: the weight
+    # gradient of float32 patches against a float64 token gradient, and the
+    # input gradient through the float32 weight; a whole float64 copy of the
+    # promoted operand would take 16.8 MB and 4.2 MB
+    rng = np.random.default_rng(14)
+    patches = rng.normal(size=(8, 64, 4096)).astype(F32)
+    dtok = rng.normal(size=(8, 64, 128))
+    w = rng.normal(0, 0.1, (4096, 128)).astype(F32)
+    assert _traced_peak_above_result(nn.matmul_tn, patches, dtok) < patches.size * 8 / 2
+    assert _traced_peak_above_result(nn.matmul, dtok, w.T) < w.size * 8 / 2
 
 
 @pytest.mark.parametrize("xdt,wdt", [(F32, F32), (F64, F32), (F64, F64)])
