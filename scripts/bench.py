@@ -16,11 +16,18 @@ this tree's. For each workload and end-to-end metric the script then prints both
 medians, the parent's interquartile range, the pairs this tree won and:
 
 - claim: whether a gain may be claimed, i.e. at least 9/10 of at least ten
-  pairs won and a median gap wider than the parent's IQR;
+  pairs won, a median gap wider than the parent's IQR, and no larger share
+  of failed operations than the parent's (perfbench's failed over
+  attempted, averaged over runs; a run that exited with an error counts as
+  all failed);
 - bound: whether the median is worse than the parent's by more than the
   metric's bound in BENCHMARK.json ("worse"), or else "unresolved" when the
   parent's IQR is wider than the bound and not every run beat every parent
   run, or else "ok".
+
+A gain is measured only with identical benchmark code on both sides, so
+--against refuses a DIR whose BENCHMARK.json or any perfbench/*.py differs
+in bytes from this tree's, naming the files.
 
 The two trees should sit at absolute paths of equal length: the path's
 length alone has moved pipeline_cli's peak_rss_mb by about 7 MB, so the
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import glob
 import json
 import os
 import subprocess
@@ -78,6 +86,13 @@ def summarize(runs: list[dict]) -> dict:
             for k in names}
 
 
+def failed_share(runs: list[dict]) -> float:
+    """The mean over runs of failed / attempted operations, a run that exited
+    with an error counting as all failed."""
+    return sum(1.0 if "error" in r else r["failed"] / r["attempted"]
+               for r in runs) / len(runs)
+
+
 def compare(base_runs: list[dict], runs: list[dict], metric: str, better: str,
             bound: float) -> dict:
     """Pair the runs of two trees by seed and judge one metric (see the module doc)."""
@@ -101,9 +116,11 @@ def compare(base_runs: list[dict], runs: list[dict], metric: str, better: str,
         verdict = "unresolved"
     else:
         verdict = "ok"
+    fails_more = failed_share(runs) > failed_share(base_runs)
     return {"pairs": len(seeds), "wins": int(wins), "ties": int(ties), "base_median": b["median"],
             "median": c["median"], "base_iqr": iqr, "rel": rel,
-            "claim": len(seeds) >= CLAIM_PAIRS and wins >= CLAIM_WINS * len(seeds) and gap > iqr,
+            "claim": (len(seeds) >= CLAIM_PAIRS and wins >= CLAIM_WINS * len(seeds)
+                      and gap > iqr and not fails_more),
             "bound": verdict}
 
 
@@ -125,6 +142,24 @@ def path_length_warning(trees: list[str]) -> str | None:
         return None
     return ("warning: the trees' paths differ in length, which alone can move peak_rss_mb: "
             + ", ".join(f"{t} ({len(t)})" for t in trees))
+
+
+def benchmark_files(tree: str) -> dict[str, bytes]:
+    """The bytes of tree's BENCHMARK.json and perfbench/*.py, by relative path."""
+    files = {}
+    for name in ["BENCHMARK.json", *glob.glob(os.path.join("perfbench", "*.py"), root_dir=tree)]:
+        path = os.path.join(tree, name)
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                files[name] = fh.read()
+    return files
+
+
+def benchmark_differences(tree: str, other: str) -> list[str]:
+    """The benchmark files that differ in bytes between two trees, or that
+    only one of them holds, sorted."""
+    a, b = benchmark_files(tree), benchmark_files(other)
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -204,8 +239,13 @@ def main(argv=None) -> int:
     unknown = sorted(set(workloads) - set(names))
     if unknown:
         ap.error(f"unknown workloads {unknown}")
-    if args.against and not os.path.isfile(os.path.join(args.against, "perfbench", "run.py")):
-        ap.error(f"{args.against} has no perfbench/run.py")
+    if args.against:
+        if not os.path.isfile(os.path.join(args.against, "perfbench", "run.py")):
+            ap.error(f"{args.against} has no perfbench/run.py")
+        differ = benchmark_differences(ROOT, args.against)
+        if differ:
+            ap.error(f"{args.against} runs other benchmark code: {', '.join(differ)} "
+                     f"differ from {ROOT}'s")
 
     trees = [ROOT] if not args.against else [os.path.abspath(args.against), ROOT]
     labels = {git_label(t)[0] for t in trees}

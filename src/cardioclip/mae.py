@@ -96,9 +96,13 @@ def masked_mse(recon: np.ndarray, targets: np.ndarray, masked_idx: np.ndarray):
     order; targets: (B, N, P); masked_idx: (B, N_m). Returns (loss, d_recon)
     with d_recon (B, N_m, P), one gradient row per masked patch, written into
     recon's own buffer: recon is overwritten and must not be read afterwards.
+    targets is only read, and its reference is dropped once the masked rows
+    are subtracted: a caller that passes the batch as its only reference
+    (mae_batch_fwd) frees it before the squared-error temporary is allocated.
     """
     for b in range(recon.shape[0]):  # a per-sample gather stays in cache
         recon[b] -= targets[b, masked_idx[b]]
+    del targets
     count = recon.size
     loss = float(np.square(recon).sum() / count)
     recon *= 2.0 / count
@@ -117,11 +121,19 @@ def mae_batch_fwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
     visible patches. Only dec.head is restricted to the masked rows: dec.lnf
     works row by row, so on those rows it is bitwise what normalizing them
     alone gives, and the other rows' zero gradient adds nothing to its own.
+
+    After the visible-row gather this function holds the batch only in a
+    one-element list, popped into masked_mse, so a caller that passes the
+    batch as its only reference (train_mae) frees it inside masked_mse once
+    the masked rows are subtracted. The cache is a list that mae_batch_bwd
+    empties.
     """
     B, N = patches.shape[:2]
     rows = np.arange(B)[:, None]
     # no local keeps the visible-patch gather: it dies once standardized
     x, c_tok = patch_tokens_fwd(params, patches[rows, vis_idx], positions=vis_idx)
+    targets = [patches]
+    del patches
     x, c_enc = nn.stack_fwd(params, "vis", x, vis_cfg.depth, vis_cfg.heads)
     dec_lin, c_emb = nn.linear_fwd(params, "dec.embed", x)
 
@@ -133,17 +145,20 @@ def mae_batch_fwd(params, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
 
     y, c_dec = nn.stack_fwd(params, "dec", full, dec_cfg.depth, dec_cfg.heads)
     recon, c_head = nn.linear_fwd(params, "dec.head", y[rows, mask_idx + 1])
-    loss, d_recon = masked_mse(recon, patches, mask_idx)
-    cache = (c_tok, c_enc, c_emb, c_dec, c_head, d_recon, vis_idx, mask_idx, N)
-    return loss, cache
+    loss, d_recon = masked_mse(recon, targets.pop(), mask_idx)
+    return loss, [c_tok, c_enc, c_emb, c_dec, c_head, d_recon, vis_idx, mask_idx, N]
 
 
 def mae_batch_bwd(params, cache):
-    """Backward for mae_batch_fwd; returns the gradient dict."""
+    """Backward for mae_batch_fwd; returns the gradient dict. Empties the
+    cache list, so the loss gradient and dec.head's cached input die as soon
+    as dec.head's backward has read them, before the decoder's backward."""
     c_tok, c_enc, c_emb, c_dec, c_head, d_recon, vis_idx, mask_idx, N = cache
+    cache.clear()
     grads: nn.Grads = {}
 
     dy = nn.linear_bwd(params, "dec.head", c_head, d_recon, grads)
+    del c_head, d_recon
     B, _, ed = dy.shape
     rows = np.arange(B)[:, None]
     dfull = np.zeros((B, N + 1, ed), dtype=dy.dtype)  # unscored rows get no gradient
@@ -192,12 +207,15 @@ def train_mae(volumes, vis_cfg: VisualEncoderConfig, dec_cfg: DecoderConfig,
     dtype = params["vis.patch.w"].dtype
 
     def batch_step(epoch, idx):
-        patches = batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, dtype)
         masks = [sample_mask(N, cfg.mask_ratio, derive_seed(seed, "mask", epoch, int(i)))
                  for i in idx]
         vis_idx = np.stack([vis for vis, _ in masks])
         mask_idx = np.stack([msk for _, msk in masks])
-        loss, cache = mae_batch_fwd(params, vis_cfg, dec_cfg, patches, vis_idx, mask_idx)
+        # no local keeps the patch batch: mae_batch_fwd frees it in masked_mse
+        loss, cache = mae_batch_fwd(
+            params, vis_cfg, dec_cfg,
+            batch_patches([volumes[i] for i in idx], vis_cfg.patch_size, dtype),
+            vis_idx, mask_idx)
         return loss, mae_batch_bwd(params, cache)
 
     for epoch, batches, _ in trainer.epochs(n, cfg, seed, "batch-order", trace_hook):

@@ -131,7 +131,12 @@ class Trainer:
     and its gradients when step returns, all before the next batch is built.
     Within a step they hold one copy of its patches: the raw batch (stage 1:
     its visible-patch gather) is handed straight to the forward and dies
-    once the forward has cached its standardized copy. The exception is
+    once the forward has cached its standardized copy. Stage 1's full batch,
+    which its loss reads for the masked targets, is handed to mae.masked_mse
+    as its only reference and dies there once the masked rows are
+    subtracted, before the loss's squared-error temporary, which is where
+    the step peaks; mae_batch_bwd drops the loss gradient as soon as
+    dec.head's backward has read it. The exception is
     stage 2: clip.clip_batch_fwd_bwd's own patches parameter keeps the raw
     batch alive until visual_embed_fwd returns (8.4 MB at the default batch
     of 8). That puts the forward within about 1 MiB of the step's peak, a

@@ -39,8 +39,8 @@ class Volume3D:
             raise ValueError(f"voxels must be 3-D with all dims >= 1, got shape {vox.shape}")
         if not np.all(np.isfinite(vox)):
             raise ValueError("voxels contain non-finite values")
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be 3 positive lengths, got {self.spacing}")
+        if len(self.spacing) != 3 or not _spacing_ok(self.spacing):
+            raise ValueError(f"spacing must be 3 finite positive lengths, got {self.spacing}")
         vox = np.ascontiguousarray(vox)
         vox.flags.writeable = False
         object.__setattr__(self, "voxels", vox)
@@ -49,6 +49,12 @@ class Volume3D:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.voxels.shape
+
+
+def _spacing_ok(spacing) -> bool:
+    """Every length finite and positive: the rule a CCV1 header's spacing
+    must meet, applied to a Volume3D's spacing too."""
+    return all(np.isfinite(s) and s > 0 for s in spacing)
 
 
 def _read_header(fh, path):
@@ -63,7 +69,7 @@ def _read_header(fh, path):
         raise VolumeFormatError(f"{path}: bad magic {magic!r}, expected {CCV1_MAGIC!r}")
     if min(d, h, w) < 1:
         raise VolumeFormatError(f"{path}: non-positive dims field ({d}, {h}, {w})")
-    if not all(np.isfinite(s) and s > 0 for s in (sz, sy, sx)):
+    if not _spacing_ok((sz, sy, sx)):
         raise VolumeFormatError(f"{path}: invalid spacing field ({sz}, {sy}, {sx})")
     return (d, h, w), (sz, sy, sx)
 

@@ -1,9 +1,11 @@
 """scripts/bench.py's summary and claim rule, on hand-written perfbench
 result lines (no benchmark runs)."""
 
+import glob
 import importlib.util
 import json
 import os
+import shutil
 
 import pytest
 
@@ -86,6 +88,24 @@ def test_bound_verdicts():
     assert better["bound"] == "ok"  # every run beats every parent run
 
 
+def test_no_claim_when_the_change_fails_a_larger_share_of_operations():
+    change = [(165.0, 1.4)] * 10
+    assert bench.compare(runs(PARENT), runs(change), "peak_rss_mb", "lower", 0.15)["claim"]
+    failing = runs(change)
+    failing[0]["failed"] = 1  # 1 of 70 operations in one run of ten
+    c = bench.compare(runs(PARENT), failing, "peak_rss_mb", "lower", 0.15)
+    assert c["wins"] == 10 and not c["claim"]
+    # an errored run counts as all failed; equal shares on both sides still claim
+    errored = runs(change) + [{"seed": 9999, "error": "exit 1: boom"}]
+    assert bench.failed_share(errored) == 1 / 11
+    assert not bench.compare(runs(PARENT), errored, "peak_rss_mb", "lower", 0.15)["claim"]
+    base = runs(PARENT) + [{"seed": 9999, "error": "exit 1: boom"}]
+    assert bench.compare(base, errored, "peak_rss_mb", "lower", 0.15)["claim"]
+    out = bench.report("mae_pretrain", runs(PARENT), failing, [
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.15}])
+    assert "  no " in out[2] and out[-1].endswith("at seeds [9501]")
+
+
 def test_report_names_failed_runs_and_skips_absent_metrics():
     base = runs(PARENT)
     change = runs(PARENT)
@@ -100,13 +120,38 @@ def test_report_names_failed_runs_and_skips_absent_metrics():
     assert out[-1] == "change runs with errors or failed checks at seeds [9504, 9999]"
 
 
+def bench_tree(path):
+    """A copy of this tree's benchmark code (BENCHMARK.json, perfbench/*.py) at path."""
+    (path / "perfbench").mkdir(parents=True)
+    shutil.copy(os.path.join(bench.ROOT, "BENCHMARK.json"), path)
+    for src in glob.glob(os.path.join(bench.ROOT, "perfbench", "*.py")):
+        shutil.copy(src, path / "perfbench")
+    return path
+
+
+def test_against_refuses_other_benchmark_code(tmp_path, monkeypatch, capsys):
+    here, there = bench_tree(tmp_path / "here"), bench_tree(tmp_path / "there")
+    assert bench.benchmark_differences(str(here), str(there)) == []
+    monkeypatch.setattr(bench, "ROOT", str(here))
+    monkeypatch.setattr(bench, "run_once", lambda *a: pytest.fail("a benchmark ran"))
+    with open(there / "perfbench" / "workloads.py", "ab") as fh:
+        fh.write(b"# one more byte\n")
+    (there / "perfbench" / "extra.py").write_text("")
+    (there / "BENCHMARK.json").write_text("{}")
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--seeds", "1", "--workloads", "mae_pretrain", "--against", str(there)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("runs other benchmark code: BENCHMARK.json, perfbench/extra.py, "
+            "perfbench/workloads.py differ") in err
+
+
 def test_unequal_path_lengths_are_warned_about_naming_both(tmp_path, monkeypatch, capsys):
     assert bench.path_length_warning(["/a/repo", "/b/base"]) is None
     other = tmp_path / "parent"
     if len(str(other)) == len(bench.ROOT):
         other = tmp_path / "parent2"
-    (other / "perfbench").mkdir(parents=True)
-    (other / "perfbench" / "run.py").write_text("")
+    bench_tree(other)
     # no benchmark runs and no BENCH files: every run fails and nothing is written
     monkeypatch.setattr(bench, "run_once", lambda tree, w, seed, s: {"seed": seed, "error": "x"})
     monkeypatch.setattr(bench, "record", lambda tree, *a, **k: os.path.basename(tree))

@@ -1,10 +1,11 @@
 """The training loop the four stages share (optim.Trainer): the non-finite
 loss check, the per-epoch records handed to trace_hook, stage 2's skipped
 trailing singleton batch, that no step's buffers outlive the step, that
-a step holds one copy of its patches, that the backward frees every block's
-activations before the patch embedding's backward and the standardized
-patches before the patch input gradient, and that each loop refuses a
-volume of the wrong shape."""
+a step holds one copy of its patches, that stage 1 frees its patch batch
+in the loss and its loss gradient in dec.head's backward, that the backward
+frees every block's activations before the patch embedding's backward and
+the standardized patches before the patch input gradient, and that each
+loop refuses a volume of the wrong shape."""
 
 import weakref
 
@@ -283,6 +284,60 @@ class TestOneCopyOfPatches:
         monkeypatch.setattr(mae, "masked_mse", spy_mse)
         run_reconstruction()
         assert freed == [True] * 3
+
+
+class TestStageOneBatchDiesInTheLoss:
+    """A stage-1 step holds its patch batch only until masked_mse has read
+    the masked rows, and the loss gradient only until dec.head's backward
+    has read it. The batch is checked from a later call: a masked_mse spy's
+    argument tuple would keep it alive."""
+
+    def test_batch_is_freed_before_the_backward_and_the_cache_emptied(self, monkeypatch):
+        real_patches, real_bwd, batches, freed, left = (mae.batch_patches, mae.mae_batch_bwd,
+                                                        [], [], [])
+
+        def spy_patches(*args):
+            batch = real_patches(*args)
+            batches.append(weakref.ref(batch))
+            return batch
+
+        def spy_bwd(params, cache):
+            freed.append(batches[-1]() is None)
+            grads = real_bwd(params, cache)
+            left.append(len(cache))
+            return grads
+
+        monkeypatch.setattr(mae, "batch_patches", spy_patches)
+        monkeypatch.setattr(mae, "mae_batch_bwd", spy_bwd)
+        run_reconstruction()
+        assert freed == [True] * 3 and left == [0] * 3
+
+    def test_loss_gradient_and_head_input_die_before_the_decoder_backward(self, monkeypatch):
+        real_mse, real_linear, real_stack_bwd = mae.masked_mse, nn.linear_fwd, nn.stack_bwd
+        refs, seen = [], []
+
+        def spy_mse(*args):
+            loss, d_recon = real_mse(*args)
+            refs.append(weakref.ref(d_recon))
+            return loss, d_recon
+
+        def spy_linear(params, prefix, x):
+            y, cache = real_linear(params, prefix, x)
+            if prefix == "dec.head":
+                refs.append(weakref.ref(cache))
+            return y, cache
+
+        def spy_stack_bwd(params, prefix, *args):
+            if prefix == "dec":
+                seen.append((len(refs), sum(r() is not None for r in refs)))
+                refs.clear()
+            return real_stack_bwd(params, prefix, *args)
+
+        monkeypatch.setattr(mae, "masked_mse", spy_mse)
+        monkeypatch.setattr(nn, "linear_fwd", spy_linear)
+        monkeypatch.setattr(nn, "stack_bwd", spy_stack_bwd)
+        run_reconstruction()
+        assert seen == [(2, 0)] * 3
 
 
 class TestActivationsDieInTheBackward:

@@ -88,6 +88,16 @@ class TestCCV1:
         with pytest.raises(VolumeFormatError, match=r"nonfinite\.ccv1: payload .*non-finite"):
             load_volume(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spacing_refused_at_construction(self, tmp_path, bad):
+        vox = np.zeros((2, 2, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"^spacing must be 3 finite positive lengths"):
+            Volume3D(voxels=vox, spacing=(1.0, bad, 1.0))
+        # what the constructor accepts, load_volume accepts back
+        path = tmp_path / "spaced.ccv1"
+        save_volume(Volume3D(voxels=vox, spacing=(1.0, 1e-3, 1e3)), path)
+        assert load_volume(path).spacing == pytest.approx((1.0, 1e-3, 1e3))
+
     def test_non_finite_rejected_before_write(self):
         vox = np.zeros((2, 2, 2), dtype=np.float32)
         vox[0, 0, 0] = np.nan
