@@ -33,7 +33,7 @@ from .gradcheck import EPS, N_PROBES, TOLERANCE, stage_loss_errors
 from .mae import train_mae
 from .model import VOLUME_CHUNK, ModelBundle, balanced_chunks
 from .reports import load_catalog, report_record, structure_report
-from .synth import calcium_wording_severity, generate_full_corpus, read_corpus, write_corpus
+from .synth import generate_full_corpus, read_corpus, write_corpus
 from .tasks import (cac_grading, case_retrieval, finetune_classifier, finetune_labels,
                     zero_shot_aurocs)
 from .tokenizer import load_vocab, save_vocab
@@ -227,7 +227,7 @@ def cmd_pretrain_clip(args, cfg: dict, root: str, out: str) -> dict:
     with _trace_lines(out) as hook:
         params, trace = train_clip(
             pairs, params, stages["visual"], stages["text"], vocab, stages["clip"],
-            seed=cfg["seed"], trace_hook=hook, severity_fn=calcium_wording_severity,
+            seed=cfg["seed"], trace_hook=hook,
         )
     save_checkpoint(params, "clip", os.path.join(out, "checkpoint"), config_digest(cfg))
     save_vocab(vocab, os.path.join(out, "vocab.txt"))

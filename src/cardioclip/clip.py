@@ -27,6 +27,7 @@ from .optim import Trainer, count_rule, require, schedule_rules
 from .reports import StructuredReport, structured_from_flags
 from .seeding import substream
 from .supervision import affinity_matrix, pathology_vector, targets_from_affinity
+from .synth import calcium_wording_severity
 from .tokenizer import Vocabulary, build_vocab, pad_batch, tokenize
 from .volume import batch_patches
 
@@ -144,7 +145,7 @@ def clip_batch_fwd_bwd(params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncode
 
 
 def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabulary,
-                        cfg: ContrastiveConfig, seed: int, severity_fn=None) -> float:
+                        cfg: ContrastiveConfig, seed: int, severity_fn) -> float:
     """Teach the text tower to encode its own statement polarities.
 
     The out-of-scope pretrained language encoder would arrive already able to
@@ -152,18 +153,17 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
     to acquire that before alignment can bind images to report semantics.
     Supervision is self-contained: each training report's +/-1 pathology
     vector, predicted from the text feature through a throwaway linear head.
-    severity_fn (optional) maps a text to a wording-severity scalar in [0, 1]
-    and adds one more supervised output, preserving graded wording (e.g.
-    "extensive ... calcium" vs "calcified plaque") as an embedding direction
-    instead of letting the binary objective collapse it. Returns the final
-    warmup loss.
+    severity_fn maps a text to a wording-severity scalar in [0, 1] for one
+    more supervised output, preserving graded wording (e.g. "extensive ...
+    calcium" vs "calcified plaque") as an embedding direction instead of
+    letting the binary objective collapse it; train_clip passes
+    synth.calcium_wording_severity. Returns the final warmup loss.
     """
     if cfg.text_warmup_steps == 0:
         return 0.0
     n_flags = len(cases[0][3])
-    n_out = n_flags + (1 if severity_fn is not None else 0)
     rng = substream(seed, "text-warmup")
-    head_w = nn.trunc_normal(rng, (txt_cfg.embed_dim, n_out),
+    head_w = nn.trunc_normal(rng, (txt_cfg.embed_dim, n_flags + 1),
                              dtype=params["txt.tok"].dtype)
     head_b = np.zeros(head_w.shape[1], params["txt.tok"].dtype)
     warm = {k: v for k, v in params.items() if k.startswith("txt.")}
@@ -186,7 +186,7 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
     def batch_step():
         idx = rng.choice(n, size=min(cfg.text_warmup_batch, n), replace=False)
         texts = []
-        targets = np.empty((len(idx), n_out))
+        targets = np.empty((len(idx), n_flags + 1))
         for row, i in enumerate(idx):
             _, ft, st, vec = cases[i]
             if rng.random() < WARMUP_STATEMENT_PROB:
@@ -198,8 +198,7 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
             else:
                 texts.append(sample_text_variant(ft, st, rng))
                 targets[row, :n_flags] = (vec + 1.0) / 2.0
-            if severity_fn is not None:
-                targets[row, n_flags] = severity_fn(texts[-1])
+            targets[row, n_flags] = severity_fn(texts[-1])
         ids, lengths = pad_batch([tokenize(t, vocab, txt_cfg.max_len) for t in texts])
         feats, cache = text_embed_fwd(warm, txt_cfg, ids, lengths)
         logits, c_head = nn.linear_fwd(warm, "warm.head", feats)
@@ -230,12 +229,12 @@ def contrastive_pairs(cases, catalog):
 
 
 def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoderConfig,
-               vocab: Vocabulary, cfg: ContrastiveConfig, seed: int, trace_hook=None,
-               severity_fn=None):
+               vocab: Vocabulary, cfg: ContrastiveConfig, seed: int, trace_hook=None):
     """Contrastive training from a stage-1 initialized parameter store.
 
     params must already carry the visual trunk (vis.*); text parameters are
-    initialized here when absent. Two learning-rate groups: encoders at
+    initialized here when absent, and the text warmup grades calcium wording
+    (synth.calcium_wording_severity). Two learning-rate groups: encoders at
     cfg.lr, projection heads at cfg.proj_lr. pairs holds one (volume, free
     text, structured report, pathology vector) tuple per case; fewer than 2
     pairs, or a volume whose dims are not vis_cfg.input_dims, is refused
@@ -248,7 +247,7 @@ def train_clip(pairs, params, vis_cfg: VisualEncoderConfig, txt_cfg: TextEncoder
     check_volume_dims(vis_cfg, [p[0] for p in pairs])
     if "txt.tok" not in params:
         init_text_params(substream(seed, "init-text"), txt_cfg, params["vis.proj.w"].shape[1], params)
-    warmup_text_encoder(pairs, params, txt_cfg, vocab, cfg, seed, severity_fn=severity_fn)
+    warmup_text_encoder(pairs, params, txt_cfg, vocab, cfg, seed, calcium_wording_severity)
 
     trainable = {k: v for k, v in params.items() if not k.startswith("dec.")}
     proj_scale = cfg.proj_lr / cfg.lr

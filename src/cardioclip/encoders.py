@@ -144,13 +144,15 @@ def init_text_params(rng, cfg: TextEncoderConfig, proj_dim: int, params,
 # batched visual forward / backward
 
 
-def patch_tokens_fwd(params, patches: np.ndarray, positions: np.ndarray | None = None):
-    """(B, n, P) patches -> (B, n+1, E) tokens, class token first.
+def patch_tokens_fwd(params, patches: np.ndarray, positions: np.ndarray):
+    """(B, n, P) patches at (B, n) grid positions -> (B, n+1, E) tokens, class
+    token first.
 
-    positions: per-sample patch indices (B, n) selecting which positional
-    vectors apply; None means the identity layout 0..n-1. Inputs are
-    shifted/scaled to zero mean and unit std per sample, so the embedding
-    responds to structure rather than the dominant DC intensity.
+    positions[b, i] is the grid cell of patch i of sample b, whose positional
+    vector it takes: the full-volume path passes every cell in order, stage 1
+    its visible ones. Inputs are shifted/scaled to zero mean and unit std per
+    sample, so the embedding responds to structure rather than the dominant
+    DC intensity.
     """
     B, n, P = patches.shape
     # np.std's own arithmetic (down to its intp divisor) on one deviation
@@ -164,8 +166,7 @@ def patch_tokens_fwd(params, patches: np.ndarray, positions: np.ndarray | None =
     patches = d
     x = nn.matmul(patches, params["vis.patch.w"])
     x += params["vis.patch.b"]
-    pos = params["vis.pos"]
-    x += pos[None, :n] if positions is None else pos[positions]
+    x += params["vis.pos"][positions]
     cls = np.broadcast_to(params["vis.cls"], (B, 1, x.shape[-1]))
     return np.concatenate([cls, x], axis=1), patches
 
@@ -179,19 +180,16 @@ def patch_tokens_bwd(params, cache, positions, dx: np.ndarray, grads):
     """
     patches = cache
     del cache
-    n = patches.shape[1]
     dcls = dx[:, 0]
     dtok = dx[:, 1:]
     nn.accumulate(grads, "vis.cls", dcls.sum(axis=0))
-    dpos = np.zeros_like(params["vis.pos"])
-    if positions is None:
-        dpos[:n] = dtok.sum(axis=0)
-    else:
-        # positions are unique within a sample, so a fancy-index add per sample
-        # sums each row in sample order, exactly as np.add.at would
-        for b in range(positions.shape[0]):
-            dpos[positions[b]] += dtok[b]
-    nn.accumulate(grads, "vis.pos", dpos)
+    # positions are unique within a sample, so a fancy-index add per sample
+    # sums each row in sample order, exactly as np.add.at would; the sums stay
+    # in dtok's dtype and are cast to vis.pos's once, as a sum over the batch is
+    dpos = np.zeros(params["vis.pos"].shape, dtype=dtok.dtype)
+    for b in range(positions.shape[0]):
+        dpos[positions[b]] += dtok[b]
+    nn.accumulate(grads, "vis.pos", dpos.astype(params["vis.pos"].dtype, copy=False))
     nn.accumulate(grads, "vis.patch.w", nn.matmul_tn(patches, dtok))
     del patches
     nn.accumulate(grads, "vis.patch.b", dtok.reshape(-1, dtok.shape[-1]).sum(axis=0))
@@ -206,10 +204,11 @@ def visual_embed_fwd(params, cfg: VisualEncoderConfig, patches: np.ndarray):
             f"{patches.shape[1]} patches of {patches.shape[2]} voxels do not match the config's "
             f"n_patches {cfg.n_patches} of {cfg.patch_volume} (input_dims {cfg.input_dims})"
         )
-    x, c_tok = patch_tokens_fwd(params, patches)
+    positions = np.broadcast_to(np.arange(cfg.n_patches), patches.shape[:2])
+    x, c_tok = patch_tokens_fwd(params, patches, positions)
     del patches  # c_tok holds the standardized copy; the raw batch may die now
     y, c_stack = nn.stack_fwd(params, "vis", x, cfg.depth, cfg.heads)
-    return y[:, 1:].mean(axis=1), [c_tok, c_stack, y.shape]
+    return y[:, 1:].mean(axis=1), [c_tok, positions, c_stack, y.shape]
 
 
 def visual_embed_bwd(params, cache, dfeats, grads):
@@ -223,7 +222,8 @@ def visual_embed_bwd(params, cache, dfeats, grads):
     dy = np.zeros(yshape, dtype=dfeats.dtype)
     dy[:, 1:] = dfeats[:, None, :] / (yshape[1] - 1)
     dx = nn.stack_bwd(params, "vis", cache.pop(), dy, grads)
-    patch_tokens_bwd(params, cache.pop(), None, dx, grads)
+    positions = cache.pop()
+    patch_tokens_bwd(params, cache.pop(), positions, dx, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def accumulate(grads: Grads, name: str, g: np.ndarray) -> None:
     if name in grads:
         grads[name] += g
     else:
-        grads[name] = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+        grads[name] = g.copy()
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
@@ -218,15 +218,16 @@ def _exp_normalize(e: np.ndarray, axis: int) -> np.ndarray:
     return e
 
 
-def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = z - z.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """log softmax over the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     """Mean over rows of -sum_j targets_ij log softmax(logits)_ij, for soft or one-hot
     target rows: returns (loss, dloss/dlogits, softmax probabilities)."""
-    logp = log_softmax(logits, axis=1)
+    logp = log_softmax(logits)
     loss = float(-(targets * logp).mean(axis=0).sum())
     p = np.exp(logp)
     row_mass = targets.sum(axis=1, keepdims=True)

@@ -125,31 +125,10 @@ class Trainer:
     subset from) holds the trained values after each step; no loop copies
     them back.
 
-    The loops hold one step of buffers: each builds a batch inside a local
-    batch_step(...) -> (loss, grads) and calls step(*batch_step(...)), so
-    the step's inputs and forward cache are freed when batch_step returns
-    and its gradients when step returns, all before the next batch is built.
-    Within a step they hold one copy of its patches: the raw batch (stage 1:
-    its visible-patch gather) is handed straight to the forward and dies
-    once the forward has cached its standardized copy. Stage 1's full batch,
-    which its loss reads for the masked targets, is handed to mae.masked_mse
-    as its only reference and dies there once the masked rows are
-    subtracted, before the loss's squared-error temporary, which is where
-    the step peaks; mae_batch_bwd drops the loss gradient as soon as
-    dec.head's backward has read it. The exception is
-    stage 2: clip.clip_batch_fwd_bwd's own patches parameter keeps the raw
-    batch alive until visual_embed_fwd returns (8.4 MB at the default batch
-    of 8). That puts the forward within about 1 MiB of the step's peak, a
-    block's nn.gelu_bwd in the backward; the patch embedding's weight
-    gradient no longer sets it, since nn.matmul_tn casts the float32
-    standardized patches to the backward's float64 a block of columns at a
-    time. Within the backward, each block's activations die as soon as its
-    backward has read them (nn.stack_bwd pops each block's cache), so the patch
-    embedding's backward runs with no block's activations alive, and the
-    standardized patches die before its input gradient. The batch's volumes
-    are read only while its patches are built (volume.batch_patches), so a
-    corpus of volume.VolumeFile handles, as the CLI passes, is read from
-    disk one volume at a time, once per epoch.
+    The stages call step(*batch_step(...)), where batch_step builds the batch
+    and returns (loss, grads), so a step's inputs and forward cache are freed
+    when batch_step returns and its gradients when step returns, all before
+    the next batch is built.
     """
 
     def __init__(self, stage: str, params, lr_scale_of=None):

@@ -210,7 +210,7 @@ def finetune_classifier(train_set, params, head_classes: int, cfg: FinetuneConfi
     result = {"train_accuracy": trainer.trace[-1]["train_accuracy"]}
     if eval_set is not None:
         logits = predict_logits(params, vis_cfg, [v for v, _ in eval_set])
-        p = np.exp(nn.log_softmax(logits, axis=1))
+        p = np.exp(nn.log_softmax(logits))
         if head_classes == 2:
             result["auroc"] = auroc(p[:, 1], y_eval)
         else:

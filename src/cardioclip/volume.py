@@ -39,8 +39,9 @@ class Volume3D:
             raise ValueError(f"voxels must be 3-D with all dims >= 1, got shape {vox.shape}")
         if not np.all(np.isfinite(vox)):
             raise ValueError("voxels contain non-finite values")
-        if len(self.spacing) != 3 or not _spacing_ok(self.spacing):
-            raise ValueError(f"spacing must be 3 finite positive lengths, got {self.spacing}")
+        if not _spacing_ok(self.spacing):
+            raise ValueError(
+                f"spacing must be 3 finite positive lengths in float32, got {self.spacing!r}")
         vox = np.ascontiguousarray(vox)
         vox.flags.writeable = False
         object.__setattr__(self, "voxels", vox)
@@ -52,9 +53,16 @@ class Volume3D:
 
 
 def _spacing_ok(spacing) -> bool:
-    """Every length finite and positive: the rule a CCV1 header's spacing
-    must meet, applied to a Volume3D's spacing too."""
-    return all(np.isfinite(s) and s > 0 for s in spacing)
+    """Three lengths, each of which the header's float32 field holds as a
+    finite positive value: the rule a CCV1 header's spacing must meet,
+    applied to a Volume3D's spacing too, so every Volume3D can be saved and
+    loaded back. A length too large for float32 fails to pack, and one too
+    small packs to 0.0."""
+    try:
+        held = struct.unpack("<3f", struct.pack("<3f", *spacing))
+    except (TypeError, OverflowError, struct.error):
+        return False
+    return all(np.isfinite(s) and s > 0 for s in held)
 
 
 def _read_header(fh, path):
@@ -135,32 +143,29 @@ def save_volume(v: Volume3D, path) -> None:
 
 def patches_of(voxels: np.ndarray, patch_size: tuple[int, int, int],
                out: np.ndarray | None = None) -> np.ndarray:
-    """Split a raw (..., D, H, W) array into non-overlapping patches; leading
-    (batch) axes are kept.
+    """Split one raw (D, H, W) array into non-overlapping patches.
 
-    Returns (..., N, patch_volume). With grid (gz, gy, gx) = (D/pz, H/py,
-    W/px), patch i covers grid cell (i // (gy*gx), (i // gx) % gy, i % gx)
-    and is that cell's voxels flattened z-major, so voxel (z, y, x) sits in
-    patch (z//pz*gy + y//py)*gx + x//px at offset (z%pz*py + y%py)*px + x%px.
+    Returns (N, patch_volume). With grid (gz, gy, gx) = (D/pz, H/py, W/px),
+    patch i covers grid cell (i // (gy*gx), (i // gx) % gy, i % gx) and is
+    that cell's voxels flattened z-major, so voxel (z, y, x) sits in patch
+    (z//pz*gy + y//py)*gx + x//px at offset (z%pz*py + y%py)*px + x%px.
     With out, a C-contiguous array of that shape, the patches are cast into
     out in one pass and out is returned.
     """
-    *lead, D, H, W = voxels.shape
+    D, H, W = voxels.shape
     pz, py, px = patch_size
     if min(patch_size) < 1 or D % pz or H % py or W % px:
         raise ValueError(f"dims {(D, H, W)} not divisible by patch size {patch_size} "
                          "(entries >= 1)")
     gz, gy, gx = D // pz, H // py, W // px
-    blocks = voxels.reshape(*lead, gz, pz, gy, py, gx, px)
-    nl = len(lead)
-    perm = tuple(range(nl)) + (nl, nl + 2, nl + 4, nl + 1, nl + 3, nl + 5)
-    shape = (*lead, gz * gy * gx, pz * py * px)
+    blocks = voxels.reshape(gz, pz, gy, py, gx, px).transpose(0, 2, 4, 1, 3, 5)
+    shape = (gz * gy * gx, pz * py * px)
     if out is None:
-        return blocks.transpose(perm).reshape(shape)
+        return blocks.reshape(shape)
     if out.shape != shape or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous array of shape {shape}")
     # a reshape of out is a view, so the transposed blocks are written in place
-    out.reshape(*lead, gz, gy, gx, pz, py, px)[...] = blocks.transpose(perm)
+    out.reshape(gz, gy, gx, pz, py, px)[...] = blocks
     return out
 
 

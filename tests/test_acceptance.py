@@ -24,7 +24,7 @@ from cardioclip.metrics import auroc, ordinal_auroc, recall_at_k
 from cardioclip.model import ModelBundle
 from cardioclip.reports import load_catalog, structure_report, structured_from_flags
 from cardioclip.supervision import affinity_matrix, pathology_vector
-from cardioclip.synth import SynthSpec, calcium_wording_severity, generate_full_corpus
+from cardioclip.synth import SynthSpec, generate_full_corpus
 from cardioclip.tasks import (cac_grading, case_retrieval, finetune_classifier, finetune_labels,
                               zero_shot_aurocs)
 
@@ -79,8 +79,7 @@ def stage2(corpus, stage1, cfg, catalog):
     stages = stage_configs(cfg, len(vocab))
     t0 = time.time()
     params, trace = train_clip(
-        pairs, params, stages["visual"], stages["text"], vocab, stages["clip"],
-        seed=SEED, severity_fn=calcium_wording_severity,
+        pairs, params, stages["visual"], stages["text"], vocab, stages["clip"], seed=SEED,
     )
     bundle = ModelBundle(params=params, vis_cfg=stages["visual"], txt_cfg=stages["text"],
                          vocab=vocab, catalog=catalog)

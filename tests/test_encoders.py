@@ -42,6 +42,11 @@ def toy_patches(volumes, patch_size=TOY_VIS.patch_size):
     return batch_patches(volumes, patch_size, np.float64)
 
 
+def every_cell(patches):
+    """The grid positions of a full volume's patches, as visual_embed_fwd passes them."""
+    return np.broadcast_to(np.arange(patches.shape[1]), patches.shape[:2])
+
+
 class TestEmbedPatches:
     """patch_tokens_fwd, the patch embedding both visual paths share."""
 
@@ -51,29 +56,30 @@ class TestEmbedPatches:
         params = init_visual_params(rng, cfg, proj_dim=64)
         vox = np.zeros((64, 64, 64), dtype=np.float32)
         patches = batch_patches([Volume3D(voxels=vox)], cfg.patch_size, np.float32)
-        tokens, _ = patch_tokens_fwd(params, patches)
+        tokens, _ = patch_tokens_fwd(params, patches, every_cell(patches))
         assert tokens.shape == (1, 65, 128)
 
     def test_zero_weights_rows_equal_positional_vectors(self):
         params = toy_visual_params()
         params["vis.patch.w"][:] = 0.0
         params["vis.patch.b"][:] = 0.0
-        tokens, _ = patch_tokens_fwd(params, toy_patches([toy_volume(0), toy_volume(1)]))
+        patches = toy_patches([toy_volume(0), toy_volume(1)])
+        tokens, _ = patch_tokens_fwd(params, patches, every_cell(patches))
         assert np.allclose(tokens[:, 0], params["vis.cls"])
         assert np.allclose(tokens[:, 1:], params["vis.pos"])
 
     def test_positions_pinned_to_slots_not_content(self):
         params = toy_visual_params()
         patches = toy_patches([toy_volume()])
-        tokens, _ = patch_tokens_fwd(params, patches)
+        tokens, _ = patch_tokens_fwd(params, patches, every_cell(patches))
         perm = np.random.default_rng(1).permutation(patches.shape[1])
-        tokens_perm, _ = patch_tokens_fwd(params, patches[:, perm])
+        tokens_perm, _ = patch_tokens_fwd(params, patches[:, perm], every_cell(patches))
         std = (patches[0] - patches.mean()) / (patches.std() + 1e-6)
         lin = std @ params["vis.patch.w"] + params["vis.patch.b"]
         assert np.allclose(tokens_perm[0, 1:], lin[perm] + params["vis.pos"], atol=1e-6)
         assert not np.allclose(tokens_perm[:, 1:], tokens[:, 1:])
-        # explicit positions move each slot's vector with its patch
-        tokens_moved, _ = patch_tokens_fwd(params, patches[:, perm], positions=perm[None])
+        # permuted positions move each slot's vector with its patch
+        tokens_moved, _ = patch_tokens_fwd(params, patches[:, perm], perm[None])
         assert np.allclose(tokens_moved[0, 1:], tokens[0, 1 + perm], atol=1e-12)
 
     def test_patch_length_mismatch(self):
@@ -94,7 +100,7 @@ class TestPatchTokens:
                   "vis.patch.b": np.zeros(8, dtype=np.float32),
                   "vis.pos": np.zeros((shape[1], 8), dtype=np.float32),
                   "vis.cls": np.zeros(8, dtype=np.float32)}
-        _, standardized = patch_tokens_fwd(params, patches)
+        _, standardized = patch_tokens_fwd(params, patches, every_cell(patches))
         mu = patches.mean(axis=(1, 2), keepdims=True)
         sd = patches.std(axis=(1, 2), keepdims=True)
         ref = (patches - mu) / (sd + np.asarray(1e-6, dtype=patches.dtype))
@@ -113,6 +119,31 @@ class TestPatchTokens:
         patch_tokens_bwd(params, rng.random((B, n, 8), dtype=np.float32), positions, dx, grads)
         ref = np.zeros_like(params["vis.pos"])
         np.add.at(ref, positions.reshape(-1), dx[:, 1:].reshape(-1, E))
+        assert grads["vis.pos"].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("B", [1, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_cell_equals_the_identity_layout(self, B, dtype):
+        """The full-volume path's grid positions give, bit for bit, the
+        identity layout: vis.pos added to the patch rows in order, and its
+        gradient the batch sum of dx in dx's dtype, cast to vis.pos's once (a
+        float64 stage-2 backward cast per sample into float32 would differ)."""
+        rng = np.random.default_rng(13)
+        n, P, E = 64, 8, 128
+        params = {"vis.patch.w": rng.normal(size=(P, E)).astype(np.float32),
+                  "vis.patch.b": rng.normal(size=E).astype(np.float32),
+                  "vis.pos": rng.normal(size=(n, E)).astype(np.float32),
+                  "vis.cls": rng.normal(size=E).astype(np.float32)}
+        patches = rng.random((B, n, P), dtype=np.float32)
+        tokens, standardized = patch_tokens_fwd(params, patches, every_cell(patches))
+        x = nn.matmul(standardized, params["vis.patch.w"])
+        x += params["vis.patch.b"]
+        assert tokens[:, 1:].tobytes() == (x + params["vis.pos"][None]).tobytes()
+        dx = rng.normal(size=(B, n + 1, E)).astype(dtype)
+        grads = {}
+        patch_tokens_bwd(params, standardized, every_cell(patches), dx, grads)
+        ref = dx[:, 1:].sum(axis=0).astype(params["vis.pos"].dtype)
+        assert grads["vis.pos"].dtype == ref.dtype
         assert grads["vis.pos"].tobytes() == ref.tobytes()
 
 
@@ -414,7 +445,7 @@ class TestStageLossGradients:
 
 def ref_soft_ce(logits, targets):
     B = logits.shape[0]
-    logp = nn.log_softmax(logits, axis=1)
+    logp = nn.log_softmax(logits)
     loss = float(-(targets * logp).mean(axis=0).sum())
     p = np.exp(logp)
     row_mass = targets.sum(axis=1, keepdims=True)
@@ -423,7 +454,7 @@ def ref_soft_ce(logits, targets):
 
 
 def ref_label_ce(logits, labels):
-    logp = nn.log_softmax(logits, axis=1)
+    logp = nn.log_softmax(logits)
     B = logits.shape[0]
     loss = float(-logp[np.arange(B), labels].mean())
     p = np.exp(logp)
@@ -502,7 +533,7 @@ class TestHeadLosses:
             loss, d, p = nn.softmax_cross_entropy(logits, soft)
             ref_loss, ref_d = ref_soft_ce(logits, soft)
             assert loss == ref_loss and d.dtype == ref_d.dtype and np.array_equal(d, ref_d)
-            assert np.array_equal(p, np.exp(nn.log_softmax(logits, axis=1)))
+            assert np.array_equal(p, np.exp(nn.log_softmax(logits)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_cross_entropy_is_the_body_it_replaced(self, dtype):

@@ -1,8 +1,9 @@
-"""Every module of the package and of scripts/ reads each name it imports.
+"""Every module of the package, of scripts/ and of tests/ reads each name it
+imports.
 
 A name bound by an import must be read somewhere in its module; an import
-kept on purpose carries `# noqa: F401` on its line. Imports sit at module
-top: none is made inside a function."""
+kept on purpose carries `# noqa: F401` on its line. In the package and
+scripts/, imports sit at module top: none is made inside a function."""
 
 import ast
 import os
@@ -10,12 +11,15 @@ import os
 import pytest
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
-MODULES = sorted(
-    os.path.join(d, name)
-    for d in (os.path.join(REPO, "src", "cardioclip"), os.path.join(REPO, "scripts"))
-    for name in os.listdir(d) if name.endswith(".py")
-)
-IDS = [os.path.relpath(p, REPO) for p in MODULES]
+
+
+def _modules(*dirs):
+    return sorted(os.path.join(REPO, *d, name) for d in dirs
+                  for name in os.listdir(os.path.join(REPO, *d)) if name.endswith(".py"))
+
+
+MODULES = _modules(("src", "cardioclip"), ("scripts",))
+IMPORTING = MODULES + _modules(("tests",))
 
 
 def _parse(path):
@@ -37,7 +41,7 @@ def _imported(tree, lines):
                 yield (alias.asname or alias.name.split(".")[0]), node.lineno
 
 
-@pytest.mark.parametrize("path", MODULES, ids=IDS)
+@pytest.mark.parametrize("path", IMPORTING, ids=lambda p: os.path.relpath(p, REPO))
 def test_every_imported_name_is_read(path):
     tree, lines = _parse(path)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
@@ -45,7 +49,7 @@ def test_every_imported_name_is_read(path):
     assert unread == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=IDS)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: os.path.relpath(p, REPO))
 def test_no_import_inside_a_function(path):
     tree, _ = _parse(path)
     nested = [f"line {node.lineno} in {fn.name}"

@@ -202,7 +202,7 @@ class TestApplyMask:
     def spied_forward(self, monkeypatch, patches, vis_idx, mask_idx):
         seen = {}
 
-        def tokens_spy(params, x, positions=None):
+        def tokens_spy(params, x, positions):
             seen["encoder"], seen["positions"] = x.copy(), positions
             return patch_tokens_fwd(params, x, positions)
 
@@ -317,7 +317,7 @@ class TestTrainMAE:
     def test_patches_are_in_the_params_dtype(self, monkeypatch):
         seen = []
 
-        def spy(params, patches, positions=None):
+        def spy(params, patches, positions):
             seen.append(patches.dtype)
             return patch_tokens_fwd(params, patches, positions)
 

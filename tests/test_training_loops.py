@@ -24,6 +24,7 @@ from cardioclip.mae import DecoderConfig, MAETrainConfig, init_decoder_params, t
 from cardioclip.optim import Trainer, lr_at_step
 from cardioclip.reports import load_catalog, structured_from_flags
 from cardioclip.supervision import pathology_vector
+from cardioclip.synth import calcium_wording_severity
 from cardioclip.tasks import FinetuneConfig, finetune_classifier
 from cardioclip.tokenizer import build_vocab
 from cardioclip.volume import Volume3D
@@ -106,7 +107,7 @@ class TestNonFiniteLoss:
         params["txt.lnf.b"][0] = np.nan
         cfg = ContrastiveConfig(text_warmup_steps=3, text_warmup_batch=2)
         with pytest.raises(FloatingPointError, match="non-finite text warmup loss at step 0"):
-            warmup_text_encoder(cases, params, txt, vocab, cfg, seed=0)
+            warmup_text_encoder(cases, params, txt, vocab, cfg, 0, calcium_wording_severity)
 
     def test_contrastive(self):
         cases = pairs(4)
@@ -198,7 +199,7 @@ def run_text_warmup():
     params = visual_params()
     txt, vocab = text_setup(cases, params)
     cfg = ContrastiveConfig(text_warmup_steps=3, text_warmup_batch=2)
-    warmup_text_encoder(cases, params, txt, vocab, cfg, seed=0)
+    warmup_text_encoder(cases, params, txt, vocab, cfg, 0, calcium_wording_severity)
 
 
 def run_contrastive():
@@ -272,7 +273,7 @@ class TestOneCopyOfPatches:
     def test_visible_patch_gather_is_freed_before_the_loss(self, monkeypatch):
         real_tokens, real_mse, gathers, freed = mae.patch_tokens_fwd, mae.masked_mse, [], []
 
-        def spy_tokens(params, patches, positions=None):
+        def spy_tokens(params, patches, positions):
             gathers.append(weakref.ref(patches))
             return real_tokens(params, patches, positions)
 
@@ -387,7 +388,7 @@ class TestPatchesDieBeforeTheInputGradient:
     def test_standardized_patches_are_freed_first(self, monkeypatch, run):
         real_tokens_fwd, real_matmul, refs, freed = encoders.patch_tokens_fwd, nn.matmul, [], []
 
-        def spy_tokens_fwd(params, patches, positions=None):
+        def spy_tokens_fwd(params, patches, positions):
             x, cache = real_tokens_fwd(params, patches, positions)
             refs.append(weakref.ref(cache))
             return x, cache

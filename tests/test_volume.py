@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,23 @@ class TestCCV1:
         path = tmp_path / "spaced.ccv1"
         save_volume(Volume3D(voxels=vox, spacing=(1.0, 1e-3, 1e3)), path)
         assert load_volume(path).spacing == pytest.approx((1.0, 1e-3, 1e3))
+
+    @pytest.mark.parametrize("bad", [(1e300, 1.0, 1.0), (1e-50, 1.0, 1.0), 1.0],
+                             ids=["too_large_for_float32", "float32_zero", "bare_number"])
+    def test_spacing_the_header_cannot_hold_refused_at_construction(self, bad):
+        # too large a length fails to pack into the header's float32 field, too
+        # small a one packs as 0.0, which load_volume would refuse
+        with pytest.raises(ValueError, match=r"^spacing must be 3 finite positive lengths.*"
+                                              + re.escape(f"got {bad!r}")):
+            Volume3D(voxels=np.zeros((2, 2, 2), dtype=np.float32), spacing=bad)
+
+    @pytest.mark.parametrize("extreme", [3.4e38, 1e-45])
+    def test_float32_extreme_spacing_round_trips(self, tmp_path, extreme):
+        path = tmp_path / "extreme.ccv1"
+        save_volume(Volume3D(voxels=np.zeros((2, 2, 2), dtype=np.float32),
+                             spacing=(extreme, 1.0, 1.0)), path)
+        (held,) = struct.unpack("<f", struct.pack("<f", extreme))
+        assert held > 0 and load_volume(path).spacing == (held, 1.0, 1.0)
 
     def test_non_finite_rejected_before_write(self):
         vox = np.zeros((2, 2, 2), dtype=np.float32)
