@@ -8,7 +8,9 @@ For every workload and seed this runs `perfbench/run.py --workload W --seed S
 --seconds X --trace 0` in the tree that holds this script and writes
 BENCH_<date>_<shortsha>.json at its root: each run's result line, the median
 and quartiles of every metric, and perfbench's environment record. The
-short SHA gets a `-dirty` suffix when tracked files differ from HEAD.
+short SHA gets a `-dirty` suffix when tracked files differ from HEAD. The
+date is the day the script starts, and a BENCH file that a run would write
+is never overwritten: the script refuses, before any run, naming the file.
 
 With --against DIR the same runs are made in DIR (the parent, say), pair by
 pair, alternating which tree runs first, and DIR's file is written next to
@@ -52,13 +54,18 @@ CLAIM_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'9501-9510' or '9501,9503' (or a mix) -> the seeds in that order."""
+    """'9501-9510' or '9501,9503' (or a mix) -> the seeds in that order.
+    A seed named twice is refused: compare() pairs one run per seed, so a
+    repeat would count in the BENCH medians but not in the verdict."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        for seed in range(int(lo), int(hi or lo) + 1):
+            if seed in seeds:
+                raise argparse.ArgumentTypeError(f"seed {seed} is named twice in {text!r}")
+            seeds.append(seed)
     if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
+        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
     return seeds
 
 
@@ -224,6 +231,7 @@ def report(workload: str, base_runs, runs, end_to_end: list[dict]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    date = datetime.date.today().isoformat()
     with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as fh:
         bench = json.load(fh)
     names = [w["name"] for w in bench["workloads"]]
@@ -251,6 +259,10 @@ def main(argv=None) -> int:
     labels = {git_label(t)[0] for t in trees}
     if len(labels) < len(trees):
         ap.error(f"both trees are labelled {labels.pop()}: their BENCH files would collide")
+    existing = [n for n in (bench_name(t, date) for t in trees)
+                if os.path.exists(os.path.join(ROOT, n))]
+    if existing:
+        ap.error(f"would overwrite {', '.join(existing)} in {ROOT}: move each aside first")
     warning = path_length_warning(trees)
     if warning:
         print(warning, file=sys.stderr, flush=True)
@@ -265,7 +277,6 @@ def main(argv=None) -> int:
                          " ".join(f"{k}={v:.6g}" for k, v in run["metrics"].items())),
                       file=sys.stderr, flush=True)
 
-    date = datetime.date.today().isoformat()
     for t in trees:
         other = [bench_name(o, date) for o in trees if o != t]
         written = record(t, results[t], args.seconds, date, other[0] if other else None)

@@ -27,7 +27,6 @@ from cardioclip.clip import contrastive_pairs, train_clip
 from cardioclip.config import load_config, stage_configs
 from cardioclip.encoders import init_visual_params
 from cardioclip.mae import init_decoder_params, train_mae
-from cardioclip.reports import load_catalog
 from cardioclip.seeding import substream
 from cardioclip.synth import generate_full_corpus
 from cardioclip.tasks import finetune_classifier
@@ -116,7 +115,7 @@ def main(argv=None) -> int:
     rng = substream(seed, "init")
     params = init_visual_params(rng, vis, cfg["proj_dim"])
     init_decoder_params(rng, vis, dec, params)
-    pairs, vocab = contrastive_pairs(cases, load_catalog())
+    pairs, vocab = contrastive_pairs(cases)
     txt = stage_configs(cfg, len(vocab))["text"]
 
     runs = {

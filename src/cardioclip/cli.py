@@ -32,7 +32,7 @@ from .config import ConfigError, config_digest, load_config, stage_configs
 from .gradcheck import EPS, N_PROBES, TOLERANCE, stage_loss_errors
 from .mae import train_mae
 from .model import VOLUME_CHUNK, ModelBundle, balanced_chunks
-from .reports import load_catalog, report_record, structure_report
+from .reports import CATALOG, report_record, structure_report
 from .synth import generate_full_corpus, read_corpus, write_corpus
 from .tasks import (cac_grading, case_retrieval, finetune_classifier, finetune_labels,
                     zero_shot_aurocs)
@@ -148,7 +148,7 @@ def _load_bundle(root: str, cfg: dict, stem, force: bool) -> ModelBundle:
     vocab = load_vocab(os.path.join(os.path.dirname(stem), "vocab.txt"))
     stages = stage_configs(cfg, len(vocab))
     return ModelBundle(params=params, vis_cfg=stages["visual"], txt_cfg=stages["text"],
-                       vocab=vocab, catalog=load_catalog())
+                       vocab=vocab)
 
 
 @contextlib.contextmanager
@@ -173,12 +173,11 @@ def _by_cut(per_threshold) -> dict:
 
 
 def cmd_synth(args, cfg: dict, root: str, out: str) -> dict:
-    cat = load_catalog()
     spec = stage_configs(cfg)["synth"]
     # built and written one chunk at a time, so one chunk of volumes is alive
     write_corpus((case for idx in balanced_chunks(spec.n_cases, VOLUME_CHUNK)
                   for case in generate_full_corpus(spec, idx)),
-                 out, cat, cfg["synth"]["train_cases"])
+                 out, cfg["synth"]["train_cases"])
     train, evalset = read_corpus(out)
     cases = train + evalset
     flags = np.array([c.flags for c in cases])
@@ -187,17 +186,16 @@ def cmd_synth(args, cfg: dict, root: str, out: str) -> dict:
         "n_train": len(train),
         "n_eval": len(evalset),
         "n_graded": int(sum(c.grade is not None for c in cases)),
-        "prevalence": {name: flags[:, d].mean() for d, name in enumerate(cat.names)},
+        "prevalence": {name: flags[:, d].mean() for d, name in enumerate(CATALOG.names)},
     }
 
 
 def cmd_structure_reports(args, cfg: dict, root: str, out: str) -> dict:
-    cat = load_catalog()
     train, evalset = read_corpus(os.path.join(root, "synth"))
     n_match = 0
     with open(os.path.join(out, "structured.jsonl"), "w", encoding="utf-8") as fh:
         for case in train + evalset:
-            s = structure_report(case.case_id, case.free_text, cat)
+            s = structure_report(case.case_id, case.free_text)
             fh.write(json.dumps(report_record(case.case_id, case.free_text, s),
                                 sort_keys=True) + "\n")
             n_match += int(s.flags == case.flags)
@@ -222,7 +220,7 @@ def cmd_pretrain_clip(args, cfg: dict, root: str, out: str) -> dict:
     train, _ = read_corpus(os.path.join(root, "synth"))
     params = _load_params(args.init or os.path.join(root, "pretrain_mae", "checkpoint"),
                           cfg, args.force)
-    pairs, vocab = contrastive_pairs(train, load_catalog())
+    pairs, vocab = contrastive_pairs(train)
     stages = stage_configs(cfg, len(vocab))
     with _trace_lines(out) as hook:
         params, trace = train_clip(
@@ -302,8 +300,8 @@ def cmd_finetune(args, cfg: dict, root: str, out: str) -> dict:
     ft_cfg = stage_configs(cfg)["finetune"]
     target = ft_cfg.target
     train, evalset = read_corpus(os.path.join(root, "synth"))
-    train_pairs, head_classes = finetune_labels(train, target, bundle.catalog)
-    eval_pairs, _ = finetune_labels(evalset, target, bundle.catalog)
+    train_pairs, head_classes = finetune_labels(train, target)
+    eval_pairs, _ = finetune_labels(evalset, target)
     params, result = finetune_classifier(train_pairs, bundle.params, head_classes, ft_cfg,
                                          bundle.vis_cfg, seed=cfg["seed"], eval_set=eval_pairs)
     save_checkpoint(params, f"finetune-{target}", os.path.join(out, "checkpoint"),

@@ -24,7 +24,7 @@ from .encoders import (
     visual_embed_fwd,
 )
 from .optim import Trainer, count_rule, require, schedule_rules
-from .reports import StructuredReport, structured_from_flags
+from .reports import CATALOG, StructuredReport, structured_from_flags
 from .seeding import substream
 from .supervision import affinity_matrix, pathology_vector, targets_from_affinity
 from .synth import calcium_wording_severity
@@ -218,11 +218,11 @@ def warmup_text_encoder(cases, params, txt_cfg: TextEncoderConfig, vocab: Vocabu
 # training loop
 
 
-def contrastive_pairs(cases, catalog):
+def contrastive_pairs(cases):
     """train_clip's pairs and vocabulary from synth cases: each case's
-    (volume, free text, structured report, pathology vector), and a
-    vocabulary over the free texts and the structured texts."""
-    structured = [structured_from_flags(c.case_id, c.flags, catalog) for c in cases]
+    (volume, free text, structured report over CATALOG, pathology vector),
+    and a vocabulary over the free texts and the structured texts."""
+    structured = [structured_from_flags(c.case_id, c.flags, CATALOG) for c in cases]
     vocab = build_vocab([c.free_text for c in cases] + [s.text() for s in structured])
     return [(c.volume, c.free_text, s, pathology_vector(s))
             for c, s in zip(cases, structured)], vocab

@@ -9,20 +9,19 @@ import numpy as np
 from . import nn
 from .encoders import (TextEncoderConfig, VisualEncoderConfig, check_volume_dims, text_embed_fwd,
                        visual_embed_fwd)
-from .reports import AbnormalityCatalog
 from .tokenizer import Vocabulary, pad_batch, tokenize
 from .volume import batch_patches
 
 
 @dataclass
 class ModelBundle:
-    """Everything needed to embed volumes and texts with trained parameters."""
+    """Everything needed to embed volumes and texts with trained parameters.
+    The findings scored are reports.CATALOG's."""
 
     params: dict
     vis_cfg: VisualEncoderConfig
     txt_cfg: TextEncoderConfig
     vocab: Vocabulary
-    catalog: AbnormalityCatalog
 
 
 # most volumes per batched visual forward (and per synth write chunk). A

@@ -3,7 +3,7 @@
 A rule-based matcher: each sentence is split into clauses on , ; . and a
 finding counts as present when one of its surface synonyms occurs in a
 clause that carries no negation cue. Synonyms and cues ship as data
-(data/catalog.json), not code.
+(data/catalog.json), not code, and are loaded once, as CATALOG.
 """
 
 from __future__ import annotations
@@ -73,6 +73,10 @@ def load_catalog() -> AbnormalityCatalog:
     )
 
 
+# the one finding catalog: every report, prompt and label follows its order
+CATALOG = load_catalog()
+
+
 def contains_phrase(words: list[str], phrase_words: tuple[str, ...]) -> bool:
     """Whether phrase_words occurs as a contiguous run of words."""
     k = len(phrase_words)
@@ -81,15 +85,15 @@ def contains_phrase(words: list[str], phrase_words: tuple[str, ...]) -> bool:
     return any(tuple(words[i : i + k]) == phrase_words for i in range(len(words) - k + 1))
 
 
-def structure_report(case_id: str, text: str, cat: AbnormalityCatalog) -> StructuredReport:
-    """The structured report of case_id's free text: a finding is flagged iff
-    some clause of text mentions it without a negation cue."""
-    cue_words = [tuple(normalize_words(c)) for c in cat.negation_cues]
+def structure_report(case_id: str, text: str) -> StructuredReport:
+    """The structured report of case_id's free text: a CATALOG finding is
+    flagged iff some clause of text mentions it without a negation cue."""
+    cue_words = [tuple(normalize_words(c)) for c in CATALOG.negation_cues]
     phrases = {
-        d: [tuple(normalize_words(p)) for p in (name, *cat.synonyms[name])]
-        for d, name in enumerate(cat.names)
+        d: [tuple(normalize_words(p)) for p in (name, *CATALOG.synonyms[name])]
+        for d, name in enumerate(CATALOG.names)
     }
-    flags = [False] * cat.size
+    flags = [False] * CATALOG.size
     for clause in _CLAUSE_SPLIT.split(text):
         words = normalize_words(clause)
         if not words:
@@ -99,10 +103,12 @@ def structure_report(case_id: str, text: str, cat: AbnormalityCatalog) -> Struct
         for d, plist in phrases.items():
             if not flags[d] and any(contains_phrase(words, p) for p in plist):
                 flags[d] = True
-    return structured_from_flags(case_id, flags, cat)
+    return structured_from_flags(case_id, flags, CATALOG)
 
 
 def structured_from_flags(case_id: str, flags, cat: AbnormalityCatalog) -> StructuredReport:
+    """The structured report stating cat's findings in order, each present
+    iff its flag is set. Every caller in the package passes CATALOG."""
     if len(flags) != cat.size:
         raise ValueError(f"expected {cat.size} flags, got {len(flags)}")
     statements = tuple(
@@ -119,11 +125,11 @@ def report_record(case_id: str, free_text: str, s: StructuredReport) -> dict:
             "structured": list(s.statements), "flags": list(s.flags)}
 
 
-def make_prompt_pair(name: str, cat: AbnormalityCatalog) -> tuple[str, str]:
-    """Positive and negative zero-shot prompts for a catalog finding.
+def make_prompt_pair(name: str) -> tuple[str, str]:
+    """Positive and negative zero-shot prompts for a CATALOG finding.
 
     The surface form is used verbatim, so synonym queries keep their wording.
     """
-    cat.index_of(name)  # raises KeyError for unknown findings
+    CATALOG.index_of(name)  # raises KeyError for unknown findings
     return POSITIVE_PROMPT.format(name=name), NEGATIVE_PROMPT.format(name=name)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import count_rule, require
-from .reports import AbnormalityCatalog, contains_phrase, report_record, structured_from_flags
+from .reports import CATALOG, contains_phrase, report_record, structured_from_flags
 from .seeding import derive_seed, substream
 from .tokenizer import normalize_words
 from .volume import Volume3D, VolumeFile, save_volume
@@ -381,10 +381,10 @@ def generate_full_corpus(spec: SynthSpec, indices=None) -> list[SynthCase]:
     return [_build_case(spec, int(i), grades[i]) for i in indices]
 
 
-def write_corpus(cases, out_dir, cat: AbnormalityCatalog, n_train: int) -> None:
+def write_corpus(cases, out_dir, n_train: int) -> None:
     """Emit a CCV1 volume per case under volumes/ and cases.jsonl, one row
     per case in generation order: its report record (reports.report_record,
-    the structured statements from its flags), its grade (null when
+    the CATALOG statements from its flags), its grade (null when
     ungraded) and its split, "train" for the first n_train cases and "eval"
     for the rest.
 
@@ -397,7 +397,7 @@ def write_corpus(cases, out_dir, cat: AbnormalityCatalog, n_train: int) -> None:
     with open(os.path.join(out_dir, "cases.jsonl"), "w", encoding="utf-8") as fh:
         for i, case in enumerate(cases):
             save_volume(case.volume, os.path.join(vol_dir, f"{case.case_id}.ccv1"))
-            structured = structured_from_flags(case.case_id, case.flags, cat)
+            structured = structured_from_flags(case.case_id, case.flags, CATALOG)
             fh.write(json.dumps({
                 **report_record(case.case_id, case.free_text, structured),
                 "grade": case.grade, "split": "train" if i < n_train else "eval",

@@ -15,7 +15,7 @@ from .encoders import VisualEncoderConfig, check_volume_dims, visual_embed_bwd, 
 from .metrics import auroc, head_ordinal_auroc, ordinal_auroc, precision_at_k, rank_pool, recall_at_k
 from .model import ModelBundle, embed_texts, embed_volumes, forward_volumes, unit_rows
 from .optim import Trainer, require, schedule_rules
-from .reports import load_catalog, make_prompt_pair, structured_from_flags
+from .reports import CATALOG, make_prompt_pair, structured_from_flags
 from .seeding import substream
 from .volume import batch_patches
 
@@ -39,7 +39,7 @@ def prompt_pair_rows(name: str, bundle: ModelBundle) -> np.ndarray:
     """Unit-norm embeddings (2, proj_dim) of the finding's positive and
     negative prompts, embedded as one batch: a prompt embedded alone goes
     down BLAS's gemv path and differs from this row in its last bits."""
-    return unit_rows(embed_texts(bundle, list(make_prompt_pair(name, bundle.catalog))))
+    return unit_rows(embed_texts(bundle, list(make_prompt_pair(name))))
 
 
 def zero_shot_aurocs(cases, bundle: ModelBundle) -> dict:
@@ -48,7 +48,7 @@ def zero_shot_aurocs(cases, bundle: ModelBundle) -> dict:
     v = unit_rows(embed_volumes(bundle, [c.volume for c in cases]))
     flags = np.array([c.flags for c in cases])
     return {name: auroc(prompt_margins(v, name, bundle), flags[:, d])
-            for d, name in enumerate(bundle.catalog.names)}
+            for d, name in enumerate(CATALOG.names)}
 
 
 def retrieval_metrics(v: np.ndarray, t: np.ndarray, flags: np.ndarray,
@@ -72,7 +72,7 @@ def retrieval_metrics(v: np.ndarray, t: np.ndarray, flags: np.ndarray,
         recall[f"image_to_text_r@{k}"] = recall_at_k(i2t, k)
         recall[f"text_to_image_r@{k}"] = recall_at_k(t2i, k)
     keyword = {}
-    for d, name in enumerate(bundle.catalog.names):
+    for d, name in enumerate(CATALOG.names):
         positive = flags[:, d]
         if not positive.any():
             continue
@@ -85,7 +85,7 @@ def retrieval_metrics(v: np.ndarray, t: np.ndarray, flags: np.ndarray,
 def case_retrieval(cases, bundle: ModelBundle, recall_ks, precision_ks) -> dict:
     """retrieval_metrics over the cases as one pool, each volume paired with
     its structured report's text."""
-    texts = [structured_from_flags(c.case_id, c.flags, bundle.catalog).text() for c in cases]
+    texts = [structured_from_flags(c.case_id, c.flags, CATALOG).text() for c in cases]
     return retrieval_metrics(
         unit_rows(embed_volumes(bundle, [c.volume for c in cases])),
         unit_rows(embed_texts(bundle, texts)), np.array([c.flags for c in cases]),
@@ -114,13 +114,14 @@ def cac_grading(cases, bundle: ModelBundle):
     return ordinal_auroc([c.grade for c in cases], conf), conf
 
 
-def finetune_labels(cases, target: str, catalog):
+def finetune_labels(cases, target: str):
     """(volume, label) pairs and the head's class count for a fine-tuning
     target: for "cac", the graded cases with grade g as class g - 1 of 5;
-    for a catalog finding, every case with its 0/1 flag."""
+    for a CATALOG finding (its name or a synonym), every case with its 0/1
+    flag."""
     if target == "cac":
         return [(c.volume, c.grade - 1) for c in cases if c.grade is not None], 5
-    d = catalog.index_of(target)
+    d = CATALOG.index_of(target)
     return [(c.volume, int(c.flags[d])) for c in cases], 2
 
 
@@ -141,7 +142,7 @@ class FinetuneConfig:
     def __post_init__(self):
         require(*schedule_rules(self),
                 (self.head_lr > 0, f"head_lr must be positive, got {self.head_lr}"),
-                (self.target in ("cac", *load_catalog().names),
+                (self.target in ("cac", *CATALOG.names),
                  f"target must be 'cac' or a catalog name, got {self.target!r}"))
 
 

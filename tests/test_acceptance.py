@@ -72,17 +72,17 @@ def stage1(corpus, cfg):
 
 
 @pytest.fixture(scope="module")
-def stage2(corpus, stage1, cfg, catalog):
+def stage2(corpus, stage1, cfg):
     train_cases, _ = corpus
     params = {k: v.copy() for k, v in stage1[0].items()}
-    pairs, vocab = contrastive_pairs(train_cases, catalog)
+    pairs, vocab = contrastive_pairs(train_cases)
     stages = stage_configs(cfg, len(vocab))
     t0 = time.time()
     params, trace = train_clip(
         pairs, params, stages["visual"], stages["text"], vocab, stages["clip"], seed=SEED,
     )
     bundle = ModelBundle(params=params, vis_cfg=stages["visual"], txt_cfg=stages["text"],
-                         vocab=vocab, catalog=catalog)
+                         vocab=vocab)
     return bundle, trace, time.time() - t0
 
 
@@ -266,13 +266,13 @@ class TestCriterion5MetricOracles:
 
 
 class TestCriterion6Structurer:
-    def test_golden_corpus_and_closure(self, catalog):
+    def test_golden_corpus_and_closure(self):
         from importlib import resources
 
         raw = resources.files("cardioclip.data").joinpath("golden_sentences.jsonl").read_text("utf-8")
         golden = [json.loads(line) for line in raw.splitlines() if line.strip()]
         golden_hits = sum(
-            list(structure_report(f"g{i}", e["text"], catalog).flags) == e["flags"]
+            list(structure_report(f"g{i}", e["text"]).flags) == e["flags"]
             for i, e in enumerate(golden)
         )
 
@@ -282,7 +282,7 @@ class TestCriterion6Structurer:
         closure_hits = 0
         for i in range(1000):
             case = _build_case(spec, i, None)
-            s = structure_report(case.case_id, case.free_text, catalog)
+            s = structure_report(case.case_id, case.free_text)
             closure_hits += s.flags == case.flags
         report(
             "criterion 6 (report structurer)",
@@ -354,7 +354,7 @@ class TestCriterion9Retrieval:
 
 
 class TestCriterion10CAC:
-    def test_zero_shot_and_finetuned_ordinal(self, stage2, corpus, cfg, catalog):
+    def test_zero_shot_and_finetuned_ordinal(self, stage2, corpus, cfg):
         bundle, _, _ = stage2
         train_cases, eval_cases = corpus
         # the same calls as `cardioclip eval-cac` and `cardioclip finetune`
@@ -362,8 +362,8 @@ class TestCriterion10CAC:
         zero_shot = dict(per_cut)
         zs_ok = all(v is not None and v >= 0.75 for v in zero_shot.values())
 
-        graded_train, head_classes = finetune_labels(train_cases, "cac", catalog)
-        eval_pairs, _ = finetune_labels(eval_cases, "cac", catalog)
+        graded_train, head_classes = finetune_labels(train_cases, "cac")
+        eval_pairs, _ = finetune_labels(eval_cases, "cac")
         # the default finetune section, shortened to 4 epochs
         ft_cfg = replace(stage_configs(cfg)["finetune"], epochs=4)
         _, result = finetune_classifier(graded_train, bundle.params, head_classes, ft_cfg,

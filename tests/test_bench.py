@@ -1,6 +1,8 @@
 """scripts/bench.py's summary and claim rule, on hand-written perfbench
 result lines (no benchmark runs)."""
 
+import argparse
+import datetime
 import glob
 import importlib.util
 import json
@@ -39,6 +41,16 @@ def test_parse_result_takes_the_last_line():
 def test_parse_seeds():
     assert bench.parse_seeds("9501-9503") == [9501, 9502, 9503]
     assert bench.parse_seeds("7,9-10") == [7, 9, 10]
+
+
+def test_a_repeated_seed_is_refused_naming_it(capsys):
+    # compare() would pair one of its runs while summarize() medians both
+    with pytest.raises(argparse.ArgumentTypeError, match="seed 9502 is named twice"):
+        bench.parse_seeds("9501-9503,9502")
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--seeds", "9501-9503,9502"])
+    assert exc.value.code == 2
+    assert "seed 9502 is named twice" in capsys.readouterr().err
 
 
 def test_summarize_medians_and_quartiles():
@@ -152,7 +164,9 @@ def test_unequal_path_lengths_are_warned_about_naming_both(tmp_path, monkeypatch
     if len(str(other)) == len(bench.ROOT):
         other = tmp_path / "parent2"
     bench_tree(other)
-    # no benchmark runs and no BENCH files: every run fails and nothing is written
+    # no benchmark runs and no BENCH files: every run fails and nothing is written,
+    # under labels that no BENCH file at the root holds
+    monkeypatch.setattr(bench, "git_label", lambda tree: (os.path.basename(tree), None, False))
     monkeypatch.setattr(bench, "run_once", lambda tree, w, seed, s: {"seed": seed, "error": "x"})
     monkeypatch.setattr(bench, "record", lambda tree, *a, **k: os.path.basename(tree))
     assert bench.main(["--seeds", "1", "--workloads", "mae_pretrain",
@@ -160,3 +174,19 @@ def test_unequal_path_lengths_are_warned_about_naming_both(tmp_path, monkeypatch
     first = capsys.readouterr().err.splitlines()[0]
     assert first == bench.path_length_warning([str(other), bench.ROOT])
     assert "paths differ in length" in first and str(other) in first and bench.ROOT in first
+
+
+@pytest.mark.parametrize("side", ["here", "there"])
+def test_a_bench_file_either_tree_would_write_is_refused_before_any_run(
+        tmp_path, monkeypatch, capsys, side):
+    here, there = bench_tree(tmp_path / "here"), bench_tree(tmp_path / "there")
+    monkeypatch.setattr(bench, "ROOT", str(here))
+    monkeypatch.setattr(bench, "git_label", lambda tree: (os.path.basename(tree), None, False))
+    monkeypatch.setattr(bench, "run_once", lambda *a: pytest.fail("a benchmark ran"))
+    name = f"BENCH_{datetime.date.today().isoformat()}_{side}.json"
+    (here / name).write_text("an earlier run's record")
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--seeds", "1", "--workloads", "mae_pretrain", "--against", str(there)])
+    assert exc.value.code == 2
+    assert f"would overwrite {name} in {here}" in capsys.readouterr().err
+    assert (here / name).read_text() == "an earlier run's record"

@@ -165,7 +165,7 @@ class TestContrastivePairs:
         flags = [tuple(bool((i >> d) & 1) for d in range(CAT.size)) for i in (0, 5, 127)]
         cases = [SynthCase(f"c{i}", f"vol{i}", f, f"free text {i}", None)
                  for i, f in enumerate(flags)]
-        pairs, vocab = contrastive_pairs(cases, CAT)
+        pairs, vocab = contrastive_pairs(cases)
         assert [(p[0], p[1]) for p in pairs] == [(c.volume, c.free_text) for c in cases]
         for c, (_, _, s, vec) in zip(cases, pairs):
             assert s.text() == structured_from_flags(c.case_id, c.flags, CAT).text()

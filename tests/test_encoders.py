@@ -19,7 +19,6 @@ from cardioclip.encoders import (
 )
 from cardioclip.gradcheck import gradient_check, toy_losses
 from cardioclip.model import ModelBundle, embed_texts, embed_volumes
-from cardioclip.reports import load_catalog
 from cardioclip.tasks import predict_logits
 from cardioclip.tokenizer import build_vocab, pad_batch, tokenize
 from cardioclip.volume import Volume3D, batch_patches
@@ -237,8 +236,7 @@ class TestEncodeText:
         report = "there is coronary stenosis no pericardial effusion seen"
         cfg = TextEncoderConfig(vocab_size=len(self.VOCAB))
         params = init_text_params(np.random.default_rng(0), cfg, 64, {})
-        bundle = ModelBundle(params=params, vis_cfg=TOY_VIS, txt_cfg=cfg, vocab=self.VOCAB,
-                             catalog=load_catalog())
+        bundle = ModelBundle(params=params, vis_cfg=TOY_VIS, txt_cfg=cfg, vocab=self.VOCAB)
         rows = embed_texts(bundle, [report] * n)
         assert all(r.tobytes() == rows[0].tobytes() for r in rows)
 
@@ -276,7 +274,7 @@ class TestEncodeImage:
         params["head.w"] = nn.trunc_normal(rng, (vis_cfg.embed_dim, 2))
         params["head.b"] = np.zeros(2, np.float32)
         return ModelBundle(params=params, vis_cfg=vis_cfg, txt_cfg=TestEncodeText.CFG,
-                           vocab=TestEncodeText.VOCAB, catalog=load_catalog())
+                           vocab=TestEncodeText.VOCAB)
 
     def test_deterministic_and_finite(self):
         bundle = self.bundle()

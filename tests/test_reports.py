@@ -36,29 +36,29 @@ class TestCatalog:
 
 
 class TestStructureReport:
-    def test_direct_mention(self, cat):
-        s = structure_report("c1", "Severe coronary stenosis is observed.", cat)
+    def test_direct_mention(self):
+        s = structure_report("c1", "Severe coronary stenosis is observed.")
         assert s.flags == (True, False, False, False, False, False, False)
 
-    def test_negation_and_absence(self, cat):
-        s = structure_report("c2", "No pericardial effusion. Heart size normal.", cat)
+    def test_negation_and_absence(self):
+        s = structure_report("c2", "No pericardial effusion. Heart size normal.")
         assert s.flags == (False,) * 7
 
-    def test_clause_scoped_negation(self, cat):
-        s = structure_report("c3", "Calcified plaque in LAD; no aortic calcification.", cat)
+    def test_clause_scoped_negation(self):
+        s = structure_report("c3", "Calcified plaque in LAD; no aortic calcification.")
         assert s.flags[1] is True
         assert s.flags[2] is False
 
-    def test_empty_text_all_false(self, cat):
-        s = structure_report("c4", "", cat)
+    def test_empty_text_all_false(self):
+        s = structure_report("c4", "")
         assert s.flags == (False,) * 7
 
-    def test_golden_corpus_exact(self, cat):
+    def test_golden_corpus_exact(self):
         corpus = golden_corpus()
         assert len(corpus) == 50
         misses = []
         for i, entry in enumerate(corpus):
-            s = structure_report(f"g{i}", entry["text"], cat)
+            s = structure_report(f"g{i}", entry["text"])
             if list(s.flags) != entry["flags"]:
                 misses.append((entry["text"], list(s.flags), entry["flags"]))
         assert not misses, f"{len(misses)} golden sentences mislabeled: {misses[:5]}"
@@ -66,7 +66,7 @@ class TestStructureReport:
     def test_idempotent_on_own_statements(self, cat):
         for flags in [(True,) * 7, (False,) * 7, (True, False, True, False, True, False, True)]:
             s = structured_from_flags("x", flags, cat)
-            again = structure_report("x", s.text(), cat)
+            again = structure_report("x", s.text())
             assert again.flags == s.flags
 
     def test_template_round_trip(self, cat):
@@ -78,30 +78,30 @@ class TestStructureReport:
 
 
 class TestPromptPair:
-    def test_canonical_pair(self, cat):
-        pos, neg = make_prompt_pair("coronary stenosis", cat)
+    def test_canonical_pair(self):
+        pos, neg = make_prompt_pair("coronary stenosis")
         assert pos == "There is coronary stenosis"
         assert neg == "There is no coronary stenosis"
 
-    def test_cac_surface_form_kept(self, cat):
-        pos, neg = make_prompt_pair("Coronary Artery Calcium", cat)
+    def test_cac_surface_form_kept(self):
+        pos, neg = make_prompt_pair("Coronary Artery Calcium")
         assert pos == "There is Coronary Artery Calcium"
         assert neg == "There is no Coronary Artery Calcium"
 
-    def test_pair_differs_only_by_no(self, cat):
-        pos, neg = make_prompt_pair("cardiomegaly", cat)
+    def test_pair_differs_only_by_no(self):
+        pos, neg = make_prompt_pair("cardiomegaly")
         assert neg.split() == [neg.split()[0], "is", "no"] + pos.split()[2:]
 
-    def test_unknown_name(self, cat):
+    def test_unknown_name(self):
         with pytest.raises(KeyError):
-            make_prompt_pair("aortic stenosis", cat)
+            make_prompt_pair("aortic stenosis")
 
 
 class TestValidateStructured:
     """A report is valid iff it equals structured_from_flags of its own flags."""
 
     def test_structurer_output_is_valid(self, cat):
-        s = structure_report("v1", "There is cardiomegaly.", cat)
+        s = structure_report("v1", "There is cardiomegaly.")
         assert s == structured_from_flags("v1", s.flags, cat)
 
     def test_wrong_cardinality(self, cat):

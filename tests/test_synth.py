@@ -8,10 +8,11 @@ import pytest
 
 from cardioclip import cli, synth
 from cardioclip.model import VOLUME_CHUNK, balanced_chunks
-from cardioclip.reports import load_catalog, structure_report
+from cardioclip.reports import CATALOG, structure_report
 from cardioclip.seeding import substream
 from cardioclip.synth import (
     FALLBACK_SENTENCE,
+    N_FINDINGS,
     NEGATIVE_TEMPLATES,
     POSITIVE_TEMPLATES,
     SynthSpec,
@@ -24,7 +25,6 @@ from cardioclip.synth import (
 )
 from cardioclip.volume import VolumeFile, load_volume
 
-CAT = load_catalog()
 SMALL = SynthSpec(n_cases=24, dims=(32, 32, 32), prevalence=(0.3,) * 7, cac_fraction=0.5,
                   seed=7)
 
@@ -53,7 +53,7 @@ class TestGenerateCorpus:
                          cac_fraction=0.0, seed=1)
         for case in generate_full_corpus(spec):
             assert case.flags == (False,) * 7
-            s = structure_report(case.case_id, case.free_text, CAT)
+            s = structure_report(case.case_id, case.free_text)
             assert s.flags == (False,) * 7
 
     def test_prevalence_one_all_positive(self):
@@ -244,7 +244,7 @@ class TestCacGrades:
 class TestClosureProperty:
     def test_structurer_recovers_generator_flags(self, small_corpus):
         for case in small_corpus:
-            s = structure_report(case.case_id, case.free_text, CAT)
+            s = structure_report(case.case_id, case.free_text)
             assert s.flags == case.flags, case.free_text
 
     def test_templates_have_min_counts(self):
@@ -252,14 +252,25 @@ class TestClosureProperty:
             assert len(POSITIVE_TEMPLATES[d]) >= 3
             assert len(NEGATIVE_TEMPLATES[d]) >= 3
 
+    def test_every_template_states_exactly_its_own_finding(self):
+        # every sentence, not only those a sampled corpus happens to draw
+        assert len(POSITIVE_TEMPLATES) == len(NEGATIVE_TEMPLATES) == N_FINDINGS == CATALOG.size
+        for d, sentences in enumerate(POSITIVE_TEMPLATES):
+            own = tuple(k == d for k in range(CATALOG.size))
+            for text in sentences:
+                assert structure_report("t", text).flags == own, text
+        for sentences in NEGATIVE_TEMPLATES:
+            for text in sentences:
+                assert structure_report("t", text).flags == (False,) * CATALOG.size, text
+
     def test_fallback_sentence_is_neutral(self):
-        s = structure_report("f", FALLBACK_SENTENCE, CAT)
+        s = structure_report("f", FALLBACK_SENTENCE)
         assert s.flags == (False,) * 7
 
 
 class TestWriteCorpus:
     def test_emits_expected_files(self, tmp_path, small_corpus):
-        write_corpus(small_corpus, tmp_path, CAT, 20)
+        write_corpus(small_corpus, tmp_path, 20)
         assert sorted(os.listdir(tmp_path)) == ["cases.jsonl", "volumes"]
         lines = (tmp_path / "cases.jsonl").read_text().splitlines()
         rows = [json.loads(line) for line in lines]
@@ -345,7 +356,7 @@ class TestWriteCorpus:
 
 class TestReadCorpus:
     def test_reads_back_the_written_corpus(self, tmp_path, monkeypatch, small_corpus):
-        write_corpus(small_corpus, tmp_path, CAT, 20)
+        write_corpus(small_corpus, tmp_path, 20)
         opened = []
         base_open = open
 

@@ -42,7 +42,7 @@ def bundle():
                                 depth=1, heads=2, mlp_ratio=2.0)
     params = init_visual_params(substream(0, "tv"), VIS, proj_dim=16)
     init_text_params(substream(0, "tt"), txt_cfg, 16, params)
-    return ModelBundle(params=params, vis_cfg=VIS, txt_cfg=txt_cfg, vocab=vocab, catalog=CAT)
+    return ModelBundle(params=params, vis_cfg=VIS, txt_cfg=txt_cfg, vocab=vocab)
 
 
 def make_volume(seed=0, motif=None, strength=0.6):
@@ -152,7 +152,7 @@ class TestRetrieval:
         queries = scored[2:]  # after image-to-text and text-to-image
         assert len(queries) == CAT.size
         for name, row in zip(CAT.names, queries):
-            pair = unit_rows(embed_texts(bundle, list(make_prompt_pair(name, CAT))))
+            pair = unit_rows(embed_texts(bundle, list(make_prompt_pair(name))))
             assert row.tobytes() == pair[0].tobytes(), name
 
 
@@ -217,8 +217,8 @@ class TestCaseLevelSteps:
         flags = [[k == d and i % 2 == 1 for k in range(CAT.size)] for i in range(4)]
         cases = [make_case(i, flags[i], grade, volume=f"v{i}")
                  for i, grade in enumerate((3, None, 1, 5))]
-        assert finetune_labels(cases, "cac", CAT) == ([("v0", 2), ("v2", 0), ("v3", 4)], 5)
-        assert finetune_labels(cases, "cardiomegaly", CAT) == (
+        assert finetune_labels(cases, "cac") == ([("v0", 2), ("v2", 0), ("v3", 4)], 5)
+        assert finetune_labels(cases, "cardiomegaly") == (
             [("v0", 0), ("v1", 1), ("v2", 0), ("v3", 1)], 2)
 
 
